@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .dl import (
     BOT,
@@ -26,6 +26,7 @@ from .dl import (
     Instance,
     Ontology,
     Pointed,
+    Reasoner,
     Role,
     Signature,
     SubBasic,
@@ -81,10 +82,6 @@ def _sorted_queries(qs: Iterable[Eliq]) -> list[Eliq]:
 def one_step_weakenings(q: Eliq) -> list[Eliq]:
     """Drop one concept name, drop one leaf edge, or duplicate an edge as a
     zigzag; only syntactic candidates, the verifier decides what survives."""
-    out: list[Eliq] = []
-
-    def rebuild(node: Eliq, replacements: dict) -> Eliq:
-        return replacements.get(id(node), node)
 
     def variants(node: Eliq) -> list[Eliq]:
         vs = []
@@ -103,8 +100,7 @@ def one_step_weakenings(q: Eliq) -> list[Eliq]:
                 vs.append(make_eliq(names, rest + ((role, sub),)))
         return vs
 
-    out.extend(variants(q))
-    return _sorted_queries(out)
+    return _sorted_queries(variants(q))
 
 
 def frontier(
@@ -133,7 +129,7 @@ def frontier(
     members = _maximal(onto, candidates)
     spec = EnumSpec(onto.signature, qclass, size_bound=size_bound)
     verdict = check_frontier(onto, q, members, spec)
-    if verdict.passed and not _path_probe_witness(onto, q, members, size_bound + 3):
+    if verdict.passed and not _path_probe_witness(onto, q, members, size_bound + 3, qclass):
         return Frontier(tuple(members))
     return None
 
@@ -159,40 +155,127 @@ def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -
 
 MAX_PATH_PROBES = 20000
 
+# (root name or None, role chain, tip name or None); see path_probes
+ProbeShape = tuple[Optional[str], tuple[Role, ...], Optional[str]]
 
-def path_probes(sig: Signature, max_len: int) -> list[Eliq]:
+
+def path_probes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> list[ProbeShape]:
     """Caterpillar probes: a role chain with optional single names at root and
     tip. Cheap to test at lengths the full enumeration cannot reach; they are
-    the shapes that defeat would-be frontiers built over looping ontologies."""
+    the shapes that defeat would-be frontiers built over looping ontologies.
+
+    A probe is returned as a shape `(root_name, chain, tip_name)`, not as a
+    query: `chain` is a nonempty tuple of roles and either name may be None.
+    It stands for `root_name & ex r1. ... ex rk. tip_name`, which
+    `probe_eliq` builds. Shapes are listed by chain length, then by chain
+    (roles in printed order, inverses included unless the class is `elq`,
+    whose frontiers no inverse-role probe may refute), then root name, then
+    tip name, and the list is cut after MAX_PATH_PROBES shapes."""
     roles = [Role(r) for r in sorted(sig.role_names)]
-    roles += [r.inverse for r in roles]
+    if qclass != CLASS_ELQ:
+        roles += [r.inverse for r in roles]
     roles.sort(key=str)
     names = [None] + sorted(sig.concept_names)
-    probes: list[Eliq] = []
+    probes: list[ProbeShape] = []
     chains: list[tuple[Role, ...]] = [()]
     for _ in range(max_len):
         chains = [c + (r,) for c in chains for r in roles]
         for chain in chains:
             for root_name in names:
                 for tip_name in names:
-                    tip = TOP_QUERY if tip_name is None else make_eliq([tip_name])
-                    node = tip
-                    for role in reversed(chain):
-                        node = exists(role, node)
-                    if root_name is not None:
-                        node = conjoin(make_eliq([root_name]), node)
-                    probes.append(node)
+                    probes.append((root_name, chain, tip_name))
                     if len(probes) >= MAX_PATH_PROBES:
                         return probes
     return probes
 
 
-def _path_probe_witness(onto: Ontology, q: Eliq, members: Sequence[Eliq], max_len: int) -> Optional[Eliq]:
+def probe_eliq(shape: ProbeShape) -> Eliq:
+    """The query a probe shape stands for."""
+    root_name, chain, tip_name = shape
+    node = TOP_QUERY if tip_name is None else make_eliq([tip_name])
+    for role in reversed(chain):
+        node = exists(role, node)
+    if root_name is not None:
+        node = conjoin(make_eliq([root_name]), node)
+    return node
+
+
+def _shape_test(r: Reasoner, x: Eliq, depth: int) -> Callable[[ProbeShape], bool]:
+    """A test deciding `r.contains(x, probe_eliq(shape))` for every shape
+    whose chain is at most `depth` long, read off `chase(hat(x), depth)`.
+
+    The shape holds iff its root name is at the point and some element at
+    the end of its chain, walked through the chase's successors, carries its
+    tip name (any element, without one). Ends are memoised per chain prefix.
+    An unsatisfiable x entails every shape."""
+    if not r.query_satisfiable(x):
+        return lambda shape: True
+    h = r.hat(x)
+    chased = r.chase(h.instance, depth)
+    succ: dict[Role, dict[str, list[str]]] = {}
+    for p, a, b in chased.ratoms:
+        succ.setdefault(Role(p), {}).setdefault(a, []).append(b)
+        succ.setdefault(Role(p, True), {}).setdefault(b, []).append(a)
+    names: dict[str, set[str]] = {}
+    for c, a in chased.catoms:
+        names.setdefault(a, set()).add(c)
+    at_point = names.get(h.point, set())
+    reach: dict[tuple[Role, ...], frozenset[str]] = {(): frozenset((h.point,))}
+
+    def reached(chain: tuple[Role, ...]) -> frozenset[str]:
+        got = reach.get(chain)
+        if got is None:
+            step = succ.get(chain[-1], {})
+            got = frozenset(b for a in reached(chain[:-1]) for b in step.get(a, ()))
+            reach[chain] = got
+        return got
+
+    # shapes sharing a chain come in a row; keep the last chain's ends and
+    # the names found there
+    last: list = [None, frozenset(), frozenset()]
+
+    def holds(shape: ProbeShape) -> bool:
+        root_name, chain, tip_name = shape
+        if root_name is not None and root_name not in at_point:
+            return False
+        if chain is not last[0]:
+            ends = reached(chain)
+            last[:] = chain, ends, frozenset(c for a in ends for c in names.get(a, ()))
+        return bool(last[1]) if tip_name is None else tip_name in last[2]
+
+    return holds
+
+
+def _path_probe_witness(
+    onto: Ontology, q: Eliq, members: Sequence[Eliq], max_len: int, qclass: str
+) -> Optional[Eliq]:
+    """The first path probe, in listing order, that q entails, no member
+    entails and that does not entail q, or None. Such a probe is a strict
+    weakening of q that no member covers, so the members are no frontier.
+
+    The probes are checked as shapes, without building them: q and each
+    member is chased once, to the longest chain listed, and each shape is
+    decided by walking its role chain through that chase (`_shape_test`).
+    One chase serves every length: anonymous chase elements hang below a
+    single parent, so a chain of length L from the named point reaches only
+    anonymous elements of depth at most L, and the chase, built FIFO by
+    depth, makes those elements and their atoms the same at any depth bound
+    of at least L. The checks run cheapest first (q entails the shape, no
+    member does, then the probe is built and must not entail q), the same
+    conjunction as one containment test per probe, so the same probe is
+    returned."""
+    shapes = path_probes(onto.signature, max_len, qclass)
+    if not shapes:
+        return None
     r = reasoner(onto)
-    for probe in path_probes(onto.signature, max_len):
-        if not r.contains(q, probe) or r.contains(probe, q):
+    depth = len(shapes[-1][1])
+    in_q = _shape_test(r, q, depth)
+    in_members = [_shape_test(r, m, depth) for m in members]
+    for shape in shapes:
+        if not in_q(shape) or any(test(shape) for test in in_members):
             continue
-        if not any(r.contains(m, probe) for m in members):
+        probe = probe_eliq(shape)
+        if not r.contains(probe, q):
             return probe
     return None
 
@@ -360,7 +443,6 @@ def type_atlas(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> TypeA
         types.append(frozenset(i for i, s in enumerate(signs) if s))
     type_ids = tuple(f"t{i}" for i in range(len(types)))
     catoms = []
-    name_index = {e._key: e for e in elems}
     for i, tp in enumerate(types):
         for j in tp:
             e = elems[j]
@@ -446,9 +528,6 @@ def split_partner(
     for q in qs:
         ok = [i for i, tp in enumerate(atlas.types) if refutes(tp, q)]
         per_query_types.append(ok)
-    est_inds = 1
-    for ok in per_query_types:
-        est_inds *= max(1, len(atlas.types))
     if n and len(atlas.types) ** n * max(1, len(sig.role_names)) > atom_budget:
         raise SplitSizeExceeded("product instance would exceed the atom budget")
     members: list[Pointed] = []

@@ -1,0 +1,118 @@
+"""Path probes: the chain walk in `_path_probe_witness` against the per-probe
+containment loop it replaced, the probe listing and its cut, and the ELQ
+frontiers that inverse-role probes used to refuse."""
+import random
+
+from helpers import rand_eliq, rand_ontology
+
+from tomq.dl import (
+    DL_LITE_F,
+    DL_LITE_F_MINUS,
+    DL_LITE_H,
+    ELHIF_NF,
+    TOP_QUERY,
+    Reasoner,
+    Role,
+    atom,
+    conjoin,
+    empty_ontology,
+    exists,
+    make_eliq,
+    signature,
+)
+from tomq.domainchar import (
+    MAX_PATH_PROBES,
+    _path_probe_witness,
+    frontier,
+    path_probes,
+    probe_eliq,
+)
+from tomq.verify import EnumSpec, check_frontier
+
+R, S = Role("R"), Role("S")
+
+
+def reference_probes(sig, max_len, forward_only=False):
+    """Every probe built as a query, in the listing order, under the cut."""
+    roles = [Role(r) for r in sorted(sig.role_names)]
+    if not forward_only:
+        roles += [r.inverse for r in roles]
+    roles.sort(key=str)
+    names = [None] + sorted(sig.concept_names)
+    probes = []
+    chains = [()]
+    for _ in range(max_len):
+        chains = [c + (r,) for c in chains for r in roles]
+        for chain in chains:
+            for root_name in names:
+                for tip_name in names:
+                    tip = TOP_QUERY if tip_name is None else make_eliq([tip_name])
+                    node = tip
+                    for role in reversed(chain):
+                        node = exists(role, node)
+                    if root_name is not None:
+                        node = conjoin(make_eliq([root_name]), node)
+                    probes.append(node)
+                    if len(probes) >= MAX_PATH_PROBES:
+                        return probes
+    return probes
+
+
+def reference_witness(onto, q, members, max_len, qclass):
+    """One containment test per probe, with a reasoner of its own."""
+    r = Reasoner(onto)
+    for probe in reference_probes(onto.signature, max_len, qclass == "elq"):
+        if not r.contains(q, probe) or r.contains(probe, q):
+            continue
+        if not any(r.contains(m, probe) for m in members):
+            return probe
+    return None
+
+
+SIGS = (signature(["A", "B"], ["R"]), signature(["A", "B"], ["R", "S"]))
+DIALECTS = (DL_LITE_H, DL_LITE_F, DL_LITE_F_MINUS, ELHIF_NF)
+
+
+def test_chain_walk_matches_per_probe_containment():
+    rng = random.Random(20261018)
+    cases = witnessed = 0
+    while cases < 250:
+        sig = rng.choice(SIGS)
+        onto = rand_ontology(rng, sig, rng.choice(DIALECTS), max_axioms=5)
+        r = Reasoner(onto)
+        q = rand_eliq(rng, sig, max_size=5)
+        if not r.query_satisfiable(q):
+            continue
+        pool = [rand_eliq(rng, sig, max_size=4) for _ in range(4)] + [TOP_QUERY]
+        members = rng.sample(pool, rng.randint(0, 3))
+        max_len = rng.randint(1, 4 if len(sig.role_names) == 1 else 3)
+        qclass = rng.choice(("eliq", "elq"))
+        want = reference_witness(onto, q, members, max_len, qclass)
+        got = _path_probe_witness(onto, q, members, max_len, qclass)
+        assert (got and got._key) == (want and want._key), (onto, q, members, max_len, qclass)
+        cases += 1
+        witnessed += want is not None
+    assert witnessed >= cases // 5
+
+
+def test_probe_listing_and_cut():
+    sig = signature(["A", "B", "C"], ["R", "S"])
+    shapes = path_probes(sig, 9)
+    # 16 shapes per chain over 4 roles: lengths 1-4 give 5440, the cut falls
+    # after 910 of the 1024 chains of length 5
+    assert len(shapes) == MAX_PATH_PROBES
+    assert shapes[0] == (None, (R,), None)
+    assert shapes[5440] == (None, (R, R, R, R, R), None)
+    assert shapes[-1] == ("C", (S.inverse, S, R, S.inverse, R.inverse), "C")
+    assert [probe_eliq(s) for s in shapes] == reference_probes(sig, 9)
+    small = signature(["A"], ["R", "S"])
+    assert [probe_eliq(s) for s in path_probes(small, 3, "elq")] == reference_probes(small, 3, True)
+
+
+def test_elq_frontier_not_refused_by_inverse_probes():
+    sig = signature(["A"], ["R"])
+    onto = empty_ontology(sig)
+    q = exists(R, atom("A"))
+    front = frontier(onto, q, "elq", 4)
+    assert front is not None and list(front.members) == [exists(R)]
+    assert check_frontier(onto, q, list(front.members), EnumSpec(sig, "elq", size_bound=4)).passed

@@ -154,10 +154,6 @@ class Ontology:
     def __post_init__(self):
         validate_ontology(self)
 
-    @property
-    def functional_roles(self) -> frozenset[Role]:
-        return frozenset(ax.role for ax in self.axioms if isinstance(ax, Func))
-
     def axioms_of(self, kind) -> list:
         return sorted((ax for ax in self.axioms if isinstance(ax, kind)), key=str)
 
@@ -319,11 +315,6 @@ class Instance:
         if role.inverted:
             return frozenset(x for r, x, y in self.ratoms if r == role.name and y == a)
         return frozenset(y for r, x, y in self.ratoms if r == role.name and x == a)
-
-    def role_pairs(self, role: Role):
-        for r, x, y in self.ratoms:
-            if r == role.name:
-                yield (y, x) if role.inverted else (x, y)
 
     def with_individuals(self, more: Iterable[str]) -> "Instance":
         inds = self.individuals | frozenset(more)

@@ -119,14 +119,7 @@ def frontier(
         return Frontier(())
     if qclass == CLASS_P:
         return Frontier(tuple(_prop_frontier(onto, q)))
-    pool = set(one_step_weakenings(q))
-    pool.update(enum_domain_queries(onto.signature, qclass, size_bound))
-    candidates = [
-        c for c in _sorted_queries(pool)
-        if (not c.has_inverse() if qclass == CLASS_ELQ else True)
-        and r.contains(q, c) and not r.contains(c, q)
-    ]
-    members = _maximal(onto, candidates)
+    members = _maximal(onto, _candidates(onto, q, qclass, size_bound))
     spec = EnumSpec(onto.signature, qclass, size_bound=size_bound)
     verdict = check_frontier(onto, q, members, spec)
     if verdict.passed and not _path_probe_witness(onto, q, members, size_bound + 3, qclass):
@@ -134,20 +127,27 @@ def frontier(
     return None
 
 
-def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[list[Eliq]]:
-    """The candidate sets the bounded search would propose, for inspection."""
+def _candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[Eliq]:
+    """The strict weakenings of q that `frontier` searches: one-step
+    weakenings plus the class enumerated up to the bound, in the class (no
+    inverse role for `elq`), in size-then-key order."""
     r = reasoner(onto)
     pool = set(one_step_weakenings(q))
     pool.update(enum_domain_queries(onto.signature, qclass, size_bound))
-    candidates = [
+    return [
         c for c in _sorted_queries(pool)
-        if r.contains(q, c) and not r.contains(c, q)
+        if not (qclass == CLASS_ELQ and c.has_inverse())
+        and r.contains(q, c) and not r.contains(c, q)
     ]
+
+
+def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[list[Eliq]]:
+    """The candidate sets the bounded search would propose, for inspection:
+    what `frontier` searches, then its one-step weakenings alone."""
+    candidates = _candidates(onto, q, qclass, size_bound)
     sets = [_maximal(onto, candidates)]
-    weak = [
-        c for c in one_step_weakenings(q)
-        if r.contains(q, c) and not r.contains(c, q)
-    ]
+    steps = set(one_step_weakenings(q))
+    weak = [c for c in candidates if c in steps]
     if weak:
         sets.append(_maximal(onto, weak))
     return sets
@@ -263,7 +263,13 @@ def _path_probe_witness(
     of at least L. The checks run cheapest first (q entails the shape, no
     member does, then the probe is built and must not entail q), the same
     conjunction as one containment test per probe, so the same probe is
-    returned."""
+    returned.
+
+    A shape is not built when one of its `_weakenings` was already built
+    and found to entail q. That skip is sound under any ontology: the weaker
+    probe maps homomorphically into the stronger one, so probe ⊑ weaker ⊑ q
+    and the probe is no witness. Every weakening is listed earlier, so one
+    that was built has been decided by the time the stronger shape comes up."""
     shapes = path_probes(onto.signature, max_len, qclass)
     if not shapes:
         return None
@@ -271,13 +277,30 @@ def _path_probe_witness(
     depth = len(shapes[-1][1])
     in_q = _shape_test(r, q, depth)
     in_members = [_shape_test(r, m, depth) for m in members]
+    entailing: set[ProbeShape] = set()
     for shape in shapes:
         if not in_q(shape) or any(test(shape) for test in in_members):
+            continue
+        if any(w in entailing for w in _weakenings(shape)):
             continue
         probe = probe_eliq(shape)
         if not r.contains(probe, q):
             return probe
+        entailing.add(shape)
     return None
+
+
+def _weakenings(shape: ProbeShape) -> Iterable[ProbeShape]:
+    """Shapes whose probe maps homomorphically into this shape's probe:
+    names dropped, or the chain cut to a nonempty prefix with no tip. Each
+    is listed before the shape (shorter chains first, None before names)."""
+    root_name, chain, tip_name = shape
+    yield (None, chain, None)
+    yield (root_name, chain, None)
+    yield (None, chain, tip_name)
+    for k in range(1, len(chain)):
+        yield (root_name, chain[:k], None)
+        yield (None, chain[:k], None)
 
 
 def _prop_frontier(onto: Ontology, q: Eliq) -> list[Eliq]:

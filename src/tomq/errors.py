@@ -29,10 +29,6 @@ class NoCharacterisationFound(TomqError):
     pass
 
 
-class NoNegativesAvailable(NoCharacterisationFound):
-    pass
-
-
 class UnsafeQuery(TomqError):
     """The query has (or may have) a lone conjunct, so the safe-mode builder refuses it."""
 

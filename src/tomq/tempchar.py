@@ -87,9 +87,6 @@ class TaggedBNormal:
                 tag += 1
         return tinstance(slices, "a")
 
-    def body_at(self, i: int, j: int) -> Optional[Eliq]:
-        return self.tags[i][j]
-
 
 def tagged_from_queries(
     onto: Ontology,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from ..dl import Eliq, Instance, TOP_QUERY, make_eliq
+from ..dl import Eliq, Instance, TOP_QUERY
 
 LEQ = "leq"
 LESS = "less"
@@ -74,9 +74,6 @@ class PathQuery:
 
     def bodies(self) -> list[Eliq]:
         return [b for blk in self.blocks for b in blk]
-
-    def is_primitive(self, i: int) -> bool:
-        return len(self.blocks[i]) == 1
 
     def has_leq(self) -> bool:
         return any(c.kind == LEQ for c in self.connectors)
@@ -155,15 +152,6 @@ def pathquery_from_ops(bodies: Sequence[Eliq], ops: Sequence[str]) -> PathQuery:
         else:
             raise ValueError(f"unknown operator {op!r}")
     return pathquery(blocks, conns)
-
-
-def pathquery_raw(blocks: Sequence[Sequence[Eliq]], connectors: Sequence[Conn]) -> PathQuery:
-    """Build without the chain regrouping (for tests that need the raw shape)."""
-    return PathQuery(tuple(tuple(b) for b in blocks), tuple(connectors))
-
-
-def prop_query(names: Iterable[str]) -> Eliq:
-    return make_eliq(names)
 
 
 @dataclass(frozen=True)
@@ -336,11 +324,6 @@ def tinstance(slices: Sequence[Instance], point: str) -> TInstance:
     """Build a temporal instance, padding every slice to the shared individual set."""
     inds = frozenset().union(*(s.individuals for s in slices)) | {point}
     return TInstance(tuple(s.with_individuals(inds) for s in slices), point)
-
-
-def empty_slices(n: int, individuals: Iterable[str] = ("a",)) -> list[Instance]:
-    inds = frozenset(individuals)
-    return [Instance(inds) for _ in range(n)]
 
 
 @dataclass(frozen=True)

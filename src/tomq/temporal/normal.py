@@ -162,18 +162,6 @@ def is_safe(
     return verdict
 
 
-def lone_conjunct_positions(
-    onto: Ontology, q: PathQuery, size_bound: int = 6, qclass: Optional[str] = None
-) -> list[int]:
-    if qclass is None:
-        qclass = infer_body_class(onto, q)
-    out = []
-    for i in range(1, len(q.blocks)):
-        if len(q.blocks[i]) == 1 and is_meet_reducible(onto, q.blocks[i][0], qclass, size_bound) is True:
-            out.append(i)
-    return out
-
-
 def is_peerless(onto: Ontology, q: UntilQuery) -> bool:
     """Each domain filler is containment-incomparable with its target; bottom
     fillers are exempt."""

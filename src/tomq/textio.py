@@ -60,10 +60,6 @@ def _parse_role(tok: str, line=None) -> Role:
     return Role(name, inverted)
 
 
-def _print_role(role: Role) -> str:
-    return str(role)
-
-
 # ---------------------------------------------------------------- ontology
 
 def parse_ontology(text: str) -> Ontology:

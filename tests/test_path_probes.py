@@ -1,23 +1,32 @@
 """Path probes: the chain walk in `_path_probe_witness` against the per-probe
-containment loop it replaced, the probe listing and its cut, and the ELQ
+containment loop it replaced, the probes it skips because a weaker probe
+already entails the query, the probe listing and its cut, and the ELQ
 frontiers that inverse-role probes used to refuse."""
 import random
 
 from helpers import rand_eliq, rand_ontology
 
+import tomq.domainchar as domainchar
 from tomq.dl import (
     DL_LITE_F,
     DL_LITE_F_MINUS,
     DL_LITE_H,
     ELHIF_NF,
     TOP_QUERY,
+    ExistsLhs,
+    ExistsRhs,
+    Ontology,
     Reasoner,
     Role,
+    SubBasic,
     atom,
     conjoin,
     empty_ontology,
     exists,
+    exists_basic,
     make_eliq,
+    name_basic,
+    ontology,
     signature,
 )
 from tomq.domainchar import (
@@ -27,6 +36,7 @@ from tomq.domainchar import (
     path_probes,
     probe_eliq,
 )
+from tomq.errors import UnsupportedAxiom
 from tomq.verify import EnumSpec, check_frontier
 
 R, S = Role("R"), Role("S")
@@ -58,14 +68,18 @@ def reference_probes(sig, max_len, forward_only=False):
     return probes
 
 
-def reference_witness(onto, q, members, max_len, qclass):
-    """One containment test per probe, with a reasoner of its own."""
+def reference_witness(onto, q, members, max_len, qclass, entailing=None):
+    """One containment test per probe, with a reasoner of its own. The probes
+    that q entails, no member entails and that entail q are appended to
+    `entailing` when a list is given."""
     r = Reasoner(onto)
     for probe in reference_probes(onto.signature, max_len, qclass == "elq"):
-        if not r.contains(q, probe) or r.contains(probe, q):
+        if not r.contains(q, probe) or any(r.contains(m, probe) for m in members):
             continue
-        if not any(r.contains(m, probe) for m in members):
+        if not r.contains(probe, q):
             return probe
+        if entailing is not None:
+            entailing.append(probe)
     return None
 
 
@@ -73,26 +87,87 @@ SIGS = (signature(["A", "B"], ["R"]), signature(["A", "B"], ["R", "S"]))
 DIALECTS = (DL_LITE_H, DL_LITE_F, DL_LITE_F_MINUS, ELHIF_NF)
 
 
+def with_loop(rng, onto):
+    """onto plus axioms under which a chase loops, and a query that the loop
+    makes equivalent to many probes: A ⊑ ∃R.A and ∃R.A ⊑ A with q = A in
+    ELHIF normal form, ∃R⁻ ⊑ ∃R and ∃R ⊑ A with q = ∃R in DL-Lite (R drawn,
+    maybe inverse). None if the dialect refuses the axioms."""
+    role = Role(rng.choice(sorted(onto.signature.role_names)), rng.random() < 0.4)
+    if onto.dialect == ELHIF_NF:
+        loop = {ExistsRhs("A", role, "A"), ExistsLhs(role, "A", "A")}
+        q = atom("A")
+    else:
+        loop = {
+            SubBasic(exists_basic(role.inverse), exists_basic(role)),
+            SubBasic(exists_basic(role), name_basic("A")),
+        }
+        q = exists(role)
+    try:
+        return Ontology(onto.signature, onto.axioms | loop, onto.dialect), q
+    except UnsupportedAxiom:
+        return None, None
+
+
 def test_chain_walk_matches_per_probe_containment():
+    """250 random cases, then 150 over looping ontologies (`with_loop`),
+    whose query is equivalent to many probes and whose members do not entail
+    it, as frontier members do not: there the probes whose weakening already
+    entails q are skipped."""
     rng = random.Random(20261018)
-    cases = witnessed = 0
-    while cases < 250:
+    cases = witnessed = two_entailing = 0
+    while cases < 400:
         sig = rng.choice(SIGS)
         onto = rand_ontology(rng, sig, rng.choice(DIALECTS), max_axioms=5)
+        looping = cases >= 250
+        if looping:
+            onto, q = with_loop(rng, onto)
+            if onto is None:
+                continue
+        else:
+            q = rand_eliq(rng, sig, max_size=5)
         r = Reasoner(onto)
-        q = rand_eliq(rng, sig, max_size=5)
         if not r.query_satisfiable(q):
             continue
         pool = [rand_eliq(rng, sig, max_size=4) for _ in range(4)] + [TOP_QUERY]
         members = rng.sample(pool, rng.randint(0, 3))
+        if looping:
+            members = [m for m in members if not r.contains(m, q)]
         max_len = rng.randint(1, 4 if len(sig.role_names) == 1 else 3)
         qclass = rng.choice(("eliq", "elq"))
-        want = reference_witness(onto, q, members, max_len, qclass)
+        entailing = []
+        want = reference_witness(onto, q, members, max_len, qclass, entailing)
         got = _path_probe_witness(onto, q, members, max_len, qclass)
         assert (got and got._key) == (want and want._key), (onto, q, members, max_len, qclass)
         cases += 1
         witnessed += want is not None
+        two_entailing += len(entailing) >= 2
     assert witnessed >= cases // 5
+    assert two_entailing >= cases // 5
+
+
+def test_weaker_probe_entailing_q_skips_stronger(monkeypatch):
+    """EL_LOOP (A ⊑ ∃R.A, ∃R.A ⊑ A) with q = A: the witness is the reference
+    loop's, and only probes with no weakening known to entail q are built."""
+    sig = signature(["A", "B"], ["R"])
+    el_loop = ontology([ExistsRhs("A", R, "A"), ExistsLhs(R, "A", "A")], ELHIF_NF, sig)
+    q = atom("A")
+    built = []
+
+    def counted(shape):
+        built.append(shape)
+        return probe_eliq(shape)
+
+    monkeypatch.setattr(domainchar, "probe_eliq", counted)
+    cases = (
+        ([exists(R)], 3, exists(R, exists(R))),
+        ([exists(R), exists(R, exists(R))], 4, exists(R, exists(R.inverse, q))),
+        ([], 1, exists(R)),
+    )
+    for members, n_built, witness in cases:
+        built.clear()
+        got = _path_probe_witness(el_loop, q, members, 4, "eliq")
+        assert got == witness == reference_witness(el_loop, q, members, 4, "eliq")
+        assert len(built) == n_built, built
 
 
 def test_probe_listing_and_cut():

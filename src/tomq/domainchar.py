@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .dl import (
     BOT,
@@ -171,10 +171,7 @@ def path_probes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> list[
     (roles in printed order, inverses included unless the class is `elq`,
     whose frontiers no inverse-role probe may refute), then root name, then
     tip name, and the list is cut after MAX_PATH_PROBES shapes."""
-    roles = [Role(r) for r in sorted(sig.role_names)]
-    if qclass != CLASS_ELQ:
-        roles += [r.inverse for r in roles]
-    roles.sort(key=str)
+    roles = _probe_roles(sig, qclass)
     names = [None] + sorted(sig.concept_names)
     probes: list[ProbeShape] = []
     chains: list[tuple[Role, ...]] = [()]
@@ -189,6 +186,15 @@ def path_probes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> list[
     return probes
 
 
+def _probe_roles(sig: Signature, qclass: str) -> list[Role]:
+    """The roles of probe chains, in listing order (see `path_probes`)."""
+    roles = [Role(r) for r in sorted(sig.role_names)]
+    if qclass != CLASS_ELQ:
+        roles += [r.inverse for r in roles]
+    roles.sort(key=str)
+    return roles
+
+
 def probe_eliq(shape: ProbeShape) -> Eliq:
     """The query a probe shape stands for."""
     root_name, chain, tip_name = shape
@@ -200,50 +206,32 @@ def probe_eliq(shape: ProbeShape) -> Eliq:
     return node
 
 
-def _shape_test(r: Reasoner, x: Eliq, depth: int) -> Callable[[ProbeShape], bool]:
-    """A test deciding `r.contains(x, probe_eliq(shape))` for every shape
-    whose chain is at most `depth` long, read off `chase(hat(x), depth)`.
+class _ChaseView(NamedTuple):
+    """`chase(hat(x), depth)` as the chain walk reads it."""
 
-    The shape holds iff its root name is at the point and some element at
-    the end of its chain, walked through the chase's successors, carries its
-    tip name (any element, without one). Ends are memoised per chain prefix.
-    An unsatisfiable x entails every shape."""
+    point: str
+    succ: list[dict[str, list[str]]]  # per role index: element -> elements one step away
+    names: dict[str, set[str]]        # element -> its concept names
+
+
+def _chase_view(r: Reasoner, x: Eliq, depth: int, roles: Sequence[Role]) -> Optional[_ChaseView]:
+    """The chase of x's hat with successors indexed like `roles`, or None
+    when x is unsatisfiable, as it then entails every probe."""
     if not r.query_satisfiable(x):
-        return lambda shape: True
+        return None
     h = r.hat(x)
     chased = r.chase(h.instance, depth)
-    succ: dict[Role, dict[str, list[str]]] = {}
+    index = {(role.name, role.inverted): i for i, role in enumerate(roles)}
+    succ: list[dict[str, list[str]]] = [{} for _ in roles]
     for p, a, b in chased.ratoms:
-        succ.setdefault(Role(p), {}).setdefault(a, []).append(b)
-        succ.setdefault(Role(p, True), {}).setdefault(b, []).append(a)
+        for key, src, dst in (((p, False), a, b), ((p, True), b, a)):
+            i = index.get(key)
+            if i is not None:
+                succ[i].setdefault(src, []).append(dst)
     names: dict[str, set[str]] = {}
     for c, a in chased.catoms:
         names.setdefault(a, set()).add(c)
-    at_point = names.get(h.point, set())
-    reach: dict[tuple[Role, ...], frozenset[str]] = {(): frozenset((h.point,))}
-
-    def reached(chain: tuple[Role, ...]) -> frozenset[str]:
-        got = reach.get(chain)
-        if got is None:
-            step = succ.get(chain[-1], {})
-            got = frozenset(b for a in reached(chain[:-1]) for b in step.get(a, ()))
-            reach[chain] = got
-        return got
-
-    # shapes sharing a chain come in a row; keep the last chain's ends and
-    # the names found there
-    last: list = [None, frozenset(), frozenset()]
-
-    def holds(shape: ProbeShape) -> bool:
-        root_name, chain, tip_name = shape
-        if root_name is not None and root_name not in at_point:
-            return False
-        if chain is not last[0]:
-            ends = reached(chain)
-            last[:] = chain, ends, frozenset(c for a in ends for c in names.get(a, ()))
-        return bool(last[1]) if tip_name is None else tip_name in last[2]
-
-    return holds
+    return _ChaseView(h.point, succ, names)
 
 
 def _path_probe_witness(
@@ -254,8 +242,19 @@ def _path_probe_witness(
     weakening of q that no member covers, so the members are no frontier.
 
     The probes are checked as shapes, without building them: q and each
-    member is chased once, to the longest chain listed, and each shape is
-    decided by walking its role chain through that chase (`_shape_test`).
+    member is chased once, to the longest chain listed (`_chase_view`), and
+    the chains are walked level by level through that chase. `path_probes`
+    lists level L as `c + (r,)` for each chain c of level L-1 and each role
+    r, so chain k of level L extends chain k // len(roles) of level L-1 by
+    roles[k % len(roles)]; the elements each query reaches along every chain
+    of a level are kept in a list indexed that way, with no chain tuple ever
+    hashed. The shapes of one chain come in a row, one per (root name, tip
+    name), and are decided by set lookups: the root name must be at the
+    point, and the tip name on some element reached (any element, without
+    one). A chain along which q reaches nothing is skipped whole, and so are
+    its extensions. The walk follows the listing up to its cut, which may end
+    inside a level or inside a chain's row.
+
     One chase serves every length: anonymous chase elements hang below a
     single parent, so a chain of length L from the named point reaches only
     anonymous elements of depth at most L, and the chase, built FIFO by
@@ -270,24 +269,86 @@ def _path_probe_witness(
     probe maps homomorphically into the stronger one, so probe ⊑ weaker ⊑ q
     and the probe is no witness. Every weakening is listed earlier, so one
     that was built has been decided by the time the stronger shape comes up."""
-    shapes = path_probes(onto.signature, max_len, qclass)
+    sig = onto.signature
+    shapes = path_probes(sig, max_len, qclass)
     if not shapes:
         return None
     r = reasoner(onto)
-    depth = len(shapes[-1][1])
-    in_q = _shape_test(r, q, depth)
-    in_members = [_shape_test(r, m, depth) for m in members]
+    roles = _probe_roles(sig, qclass)
+    names = [None] + sorted(sig.concept_names)
+    every = frozenset(names)
+    views = [_chase_view(r, x, len(shapes[-1][1]), roles) for x in (q, *members)]
+    # per view: the root names it allows, and the elements it reaches along
+    # each chain of the current level (None for an unsatisfiable view)
+    roots = [every if v is None else frozenset((None, *v.names.get(v.point, ()))) for v in views]
+    ends = [None if v is None else [frozenset((v.point,))] for v in views]
+    run, width = len(names) ** 2, len(roles)
     entailing: set[ProbeShape] = set()
-    for shape in shapes:
-        if not in_q(shape) or any(test(shape) for test in in_members):
-            continue
-        if any(w in entailing for w in _weakenings(shape)):
-            continue
-        probe = probe_eliq(shape)
-        if not r.contains(probe, q):
-            return probe
-        entailing.add(shape)
+    start = 0
+    while start < len(shapes):
+        count = min(width, -(-(len(shapes) - start) // run))
+        live = None
+        for i, view in enumerate(views):
+            if view is not None:
+                ends[i] = _next_level(view.succ, ends[i], count, live)
+                if i == 0:
+                    live = ends[0]
+        for k in range(count):
+            q_tips = every if views[0] is None else _tip_names(views[0], ends[0][k])
+            if not q_tips:
+                continue
+            member_sets = [
+                (m_roots, every if view is None else _tip_names(view, m_ends[k]))
+                for view, m_roots, m_ends in zip(views[1:], roots[1:], ends[1:])
+            ]
+            lo = start + k * run
+            hi = min(lo + run, len(shapes))
+            for ri, root_name in enumerate(names):
+                if root_name not in roots[0]:
+                    continue
+                for ti, tip_name in enumerate(names):
+                    pos = lo + ri * len(names) + ti
+                    if pos >= hi:
+                        break
+                    if tip_name not in q_tips or any(
+                        root_name in m_roots and tip_name in m_tips for m_roots, m_tips in member_sets
+                    ):
+                        continue
+                    shape = shapes[pos]
+                    if any(w in entailing for w in _weakenings(shape)):
+                        continue
+                    probe = probe_eliq(shape)
+                    if not r.contains(probe, q):
+                        return probe
+                    entailing.add(shape)
+        start += count * run
+        width *= len(roles)
     return None
+
+
+def _next_level(succ: list[dict[str, list[str]]], prev: list[frozenset[str]], count: int,
+                live: Optional[list[frozenset[str]]]) -> list[frozenset[str]]:
+    """The elements reached along the first `count` chains of the next level,
+    chain k being chain k // len(succ) of `prev`'s level extended by role
+    k % len(succ). Left empty where `live` (q's reach, when given) is empty:
+    those chains are never decided."""
+    out = []
+    for k in range(count):
+        src = prev[k // len(succ)]
+        if not src or (live is not None and not live[k]):
+            out.append(frozenset())
+        else:
+            step = succ[k % len(succ)]
+            out.append(frozenset(b for a in src for b in step.get(a, ())))
+    return out
+
+
+def _tip_names(view: _ChaseView, ends: frozenset[str]) -> frozenset:
+    """The tip names a shape may carry at these chain ends: None and every
+    name on some end, or nothing when there is no end."""
+    if not ends:
+        return frozenset()
+    return frozenset((None,)).union(*(view.names.get(a, ()) for a in ends))
 
 
 def _weakenings(shape: ProbeShape) -> Iterable[ProbeShape]:

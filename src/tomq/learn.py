@@ -33,7 +33,7 @@ from .errors import (
 from .temporal.eval import SequenceMatcher
 from .temporal.model import Conn, PathQuery, TInstance, leq, less, pathquery, tinstance
 from .temporal.normal import normalize
-from .tempchar import TaggedBNormal, apply_rule, empty_slice, rule_applications
+from .tempchar import TaggedBNormal, _gap_variant, apply_rule, empty_slice, rule_applications
 from .verify import CLASS_ELIQ
 
 VARIANT_SAFE = "safe"
@@ -500,7 +500,7 @@ class Learner:
             if self.teacher.membership(joined):
                 return leq()
         for gap in range(0, t.b + 1):
-            cand = _realise_with_gap(t, i, gap)
+            cand = _gap_variant(t, i, gap)
             if self.teacher.membership(cand):
                 return less(gap + 1)
         raise RuntimeError("no connector explains the boundary")
@@ -547,24 +547,3 @@ class Learner:
         t = self.star_step(t)
         t = self.close_under_rules(t)
         return normalize(self.onto, self.infer_connectors(t))
-
-
-def learn(
-    onto: Ontology, teacher: Teacher, initial: TInstance, config: LearnerConfig
-) -> PathQuery:
-    return Learner(onto, teacher, config).run(initial)
-
-
-def _realise_with_gap(t: TaggedBNormal, boundary: int, gap: int) -> TInstance:
-    from .tempchar import _point_slice
-
-    slices: list[Instance] = []
-    tag = 0
-    for k, block in enumerate(t.blocks):
-        if k:
-            g = gap if k == boundary + 1 else t.b
-            slices.extend(empty_slice() for _ in range(g))
-        for p in block:
-            slices.append(_point_slice(p, tag))
-            tag += 1
-    return tinstance(slices, "a")

@@ -6,6 +6,7 @@ never beyond them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -120,12 +121,27 @@ def _enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
     return trees(size_bound)
 
 
-def enum_domain_queries(sig: Signature, qclass: str, size_bound: int) -> list[Eliq]:
+ENUM_CACHE_SIZE = 32
+
+
+def enum_domain_queries(sig: Signature, qclass: str, size_bound: int) -> tuple[Eliq, ...]:
+    """Every domain query of the class within the size bound, in a fixed
+    order. The result depends only on the arguments and is memoised per
+    process (at most ENUM_CACHE_SIZE keys, emptied by `clear_enum_cache`), so
+    it is an immutable tuple that callers share."""
+    return _enum_domain_cached(sig, qclass, size_bound)
+
+
+@functools.lru_cache(maxsize=ENUM_CACHE_SIZE)
+def _enum_domain_cached(sig: Signature, qclass: str, size_bound: int) -> tuple[Eliq, ...]:
     if qclass == CLASS_P or not sig.role_names:
-        return _enum_prop(sig, size_bound)
-    if qclass == CLASS_ELQ:
-        return _enum_trees(sig, size_bound, inverses=False)
-    return _enum_trees(sig, size_bound, inverses=True)
+        return tuple(_enum_prop(sig, size_bound))
+    return tuple(_enum_trees(sig, size_bound, inverses=qclass != CLASS_ELQ))
+
+
+def clear_enum_cache() -> None:
+    """Forget every memoised `enum_domain_queries` result."""
+    _enum_domain_cached.cache_clear()
 
 
 def enum_queries(spec: EnumSpec) -> Iterator:
@@ -142,7 +158,7 @@ def enum_queries(spec: EnumSpec) -> Iterator:
                     yield pathquery_from_ops(list(bodies), list(ops))
         return
     if spec.qclass == CLASS_UNTIL:
-        fillers = [None] + domain
+        fillers = (None,) + domain
         for k in range(spec.depth_bound + 1):
             for head in domain:
                 for steps in itertools.product(

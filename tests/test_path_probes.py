@@ -13,6 +13,9 @@ from tomq.dl import (
     DL_LITE_H,
     ELHIF_NF,
     TOP_QUERY,
+    BOT,
+    ConjLhs,
+    Disjoint,
     ExistsLhs,
     ExistsRhs,
     Ontology,
@@ -21,6 +24,7 @@ from tomq.dl import (
     SubBasic,
     atom,
     conjoin,
+    conjoin_all,
     empty_ontology,
     exists,
     exists_basic,
@@ -182,6 +186,53 @@ def test_probe_listing_and_cut():
     assert [probe_eliq(s) for s in shapes] == reference_probes(sig, 9)
     small = signature(["A"], ["R", "S"])
     assert [probe_eliq(s) for s in path_probes(small, 3, "elq")] == reference_probes(small, 3, True)
+
+
+def path_query(chain, tip=TOP_QUERY):
+    """ex r1. ... ex rk. tip for the chain r1 ... rk."""
+    node = tip
+    for role in reversed(chain):
+        node = exists(role, node)
+    return node
+
+
+def test_chain_walk_matches_per_probe_containment_at_the_cut():
+    """The level walk against the per-probe loop on listings cut inside a
+    level: {A,B,C},{R,S} (16 shapes per chain) is cut after 910 of the 1 024
+    chains of length 5, {A,B},{R,S} (9 shapes per chain) after two shapes of
+    chain 858 of length 6. Over a looping ontology (`with_loop`), q holds a
+    path along the last chain listed and the member only its prefix, both
+    with a longer R-path, so the witness is the last chain's probe; an
+    unsatisfiable member entails every probe and leaves no witness. With B
+    at the path's tip in q and the whole path in the member, the one
+    separating shape (None, chain, B) is listed for {A,B,C} and past the cut
+    for {A,B}, which then has no witness."""
+    rng = random.Random(20261019)
+    cases = (
+        (signature(["A", "B", "C"], ["R", "S"]), ELHIF_NF, ConjLhs("B", "C", BOT), ["B", "C"],
+         ("C", (S.inverse, S, R, S.inverse, R.inverse), "C")),
+        (signature(["A", "B"], ["R", "S"]), DL_LITE_H, Disjoint(name_basic("A"), name_basic("B")), ["A", "B"],
+         (None, (R, S.inverse, R.inverse, R.inverse, S, S), "A")),
+    )
+    for sig, dialect, clash, clashing, last_shape in cases:
+        shapes = path_probes(sig, 9)
+        assert len(shapes) == MAX_PATH_PROBES and shapes[-1] == last_shape
+        last = last_shape[1]
+        onto, q0 = with_loop(rng, Ontology(sig, frozenset({clash}), dialect))
+        longer = path_query((R,) * (len(last) + 1))
+        q = conjoin_all([q0, path_query(last), longer])
+        member = conjoin_all([q0, path_query(last[:-1]), longer])
+        got = _path_probe_witness(onto, q, [member], 9, "eliq")
+        assert got == reference_witness(onto, q, [member], 9, "eliq") == path_query(last)
+        unsat = make_eliq(clashing)
+        assert not Reasoner(onto).query_satisfiable(unsat)
+        assert _path_probe_witness(onto, q, [member, unsat], 9, "eliq") is None
+        tipped = conjoin_all([q0, path_query(last, atom("B")), longer])
+        listed = (None, last, "B") in shapes
+        got = _path_probe_witness(onto, tipped, [q], 9, "eliq")
+        assert got == reference_witness(onto, tipped, [q], 9, "eliq")
+        assert got == (path_query(last, atom("B")) if listed else None)
+        assert listed == (len(sig.concept_names) == 3)
 
 
 def test_elq_frontier_not_refused_by_inverse_probes():

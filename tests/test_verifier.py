@@ -18,11 +18,14 @@ from tomq.temporal.model import (
     tinstance,
     untilquery,
 )
+import tomq.verify as verify
 from tomq.verify import (
+    ENUM_CACHE_SIZE,
     EnumSpec,
     check_frontier,
     check_split_partner,
     check_unique_characterisation,
+    clear_enum_cache,
     enum_domain_queries,
     enum_queries,
     tequiv_bounded,
@@ -77,6 +80,37 @@ def test_enum_deterministic_golden():
     second = [q._key for q in enum_queries(spec)]
     assert first == second
     assert first[:6] == ["T", "<R->(T)", "<R>(T)", "A", "B", "<R->(<R->(T))"]
+
+
+def test_enum_domain_queries_memoised_as_one_tuple():
+    first = enum_domain_queries(SIG_ABR, "eliq", 3)
+    assert isinstance(first, tuple)
+    assert enum_domain_queries(SIG_ABR, "eliq", 3) is first
+    clear_enum_cache()
+    again = enum_domain_queries(SIG_ABR, "eliq", 3)
+    assert again is not first and again == first
+
+
+def test_enum_cache_bounded_and_cleared():
+    info = verify._enum_domain_cached.cache_info
+    assert info().maxsize == ENUM_CACHE_SIZE
+    for bound in range(ENUM_CACHE_SIZE + 5):
+        enum_domain_queries(SIG_AB, "p", bound)
+    assert info().currsize == ENUM_CACHE_SIZE
+    clear_enum_cache()
+    assert info().currsize == 0
+
+
+def test_enum_queries_same_after_clear():
+    """The temporal classes build on the memoised tuple of domain queries
+    (`until` prepends its ⊥ filler to it); a warm cache and a cold one give
+    the same queries in the same order."""
+    for qclass in ("until", "dia"):
+        spec = EnumSpec(SIG_AB, qclass, size_bound=1, depth_bound=1)
+        warm = [q._key for q in enum_queries(spec)]
+        clear_enum_cache()
+        cold = [q._key for q in enum_queries(spec)]
+        assert warm == cold and len(set(warm)) == len(warm) > 0
 
 
 def test_check_frontier_zigzag_witness():

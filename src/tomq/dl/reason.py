@@ -1,13 +1,29 @@
 """Reasoning for the Horn dialects: saturation, bounded chase, certain answers,
 containment and equivalence.
 
-The saturation engine works on two levels. Named individuals are saturated
-directly. Existential obligations are summarised as `witness groups`: the
-obligations of one element whose roles share a functional super-role collapse
-into a single group, otherwise one group per (role, filler). Group types are
-evaluated by `_anon_eval`, a least fixpoint over keys
-(fillers, up-roles, parent type); the key space is finite, so chaotic
-iteration with in-progress estimates terminates.
+One rule step, `Reasoner._step`, applies every axiom once to one element:
+conjunction, `SubBasic`, disjointness, existential right- and left-hand
+sides, and the evaluation of the element's witness groups. Existential
+obligations are summarised as witness groups: the obligations of one element
+whose roles share a functional super-role collapse into a single group,
+otherwise one group per (role, filler). A clash puts `bot` into the type.
+
+The step sees an element's neighbours through a view. `saturate` runs it over
+every named individual (`_Named`: the neighbours are the named individuals
+linked by stored edges) until nothing changes. A witness type is the same
+step run to a fixpoint on one anonymous element (`_Anon`): its one neighbour
+is its parent, frozen at type `ptype` and linked by the inverses of
+`uproles`, and what functional roles force onto the parent is collected as
+the witness's pushed names and roles.
+
+Witness types are memoised under (fillers, up-roles, parent type) and depend
+on each other cyclically. Each top-level evaluation owns a `_Fixpoint`: its
+recursion stack, its estimates and its changed flag. A key reached again
+while on the stack gets its current estimate, at first just its fillers. The
+evaluation repeats until no estimate it handed out differs from the value
+computed for it, and only then publishes every value of its last pass to the
+reasoner's shared memo. Published values are final, so a memo hit is one
+dict lookup, and threads sharing a reasoner share nothing in progress.
 
 The chase materialises the groups as fresh individuals up to a depth bound,
 reusing a named successor whenever the obligation's role has a functional
@@ -38,6 +54,8 @@ from .model import (
     rename_instance,
 )
 
+_EMPTY: frozenset = frozenset()
+
 
 @dataclass(frozen=True)
 class Group:
@@ -56,13 +74,145 @@ class Saturation:
     names: dict[str, set[str]]
     edges: frozenset[tuple[str, str, str]]  # role-closure of the stored atoms
     groups: dict[str, list[Group]]
-    group_types: dict[tuple[str, Group], frozenset[str]]
 
     def instance(self, base: Instance) -> Instance:
         cat = frozenset(
             (c, a) for a, ns in self.names.items() for c in ns if c not in (TOP, BOT)
         )
         return Instance(base.individuals, cat, self.edges)
+
+
+def _index_edge(succ: dict, e: tuple[str, str, str]) -> None:
+    succ.setdefault((e[1], Role(e[0])), set()).add(e[2])
+    succ.setdefault((e[2], Role(e[0], True)), set()).add(e[1])
+
+
+class _Named:
+    """A named individual as the rule step sees it: its neighbours are the
+    named individuals linked to it by stored edges, and a functional
+    obligation is realised on them by new edges."""
+
+    __slots__ = ("a", "t", "groups", "gtypes", "names", "succ", "edges", "r")
+
+    def __init__(self, a, names, groups, succ, edges, r):
+        self.a = a
+        self.t = names[a]
+        self.groups = groups
+        self.gtypes: dict[Group, frozenset[str]] = {}
+        self.names = names
+        self.succ = succ
+        self.edges = edges
+        self.r = r
+
+    def neighbour_has(self, role: Role, filler: str) -> bool:
+        """Has a named `role`-successor of a type containing `filler`?"""
+        names = self.names
+        for b in self.succ.get((self.a, role), ()):
+            if filler == TOP or filler in names[b]:
+                return True
+        return False
+
+    def force(self, role: Role, fset: frozenset[str], fsup) -> Optional[bool]:
+        """Realise the obligation role.fset on the named successors along its
+        functional super-roles `fsup`: None when there are none, else
+        whether anything changed."""
+        targets = set()
+        for f in fsup:
+            targets |= self.succ.get((self.a, f), _EMPTY)
+        if not targets:
+            return None
+        changed = False
+        for b in sorted(targets):
+            for s in self.r.super_roles(role):
+                e = (s.name, b, self.a) if s.inverted else (s.name, self.a, b)
+                if e not in self.edges:
+                    self.edges.add(e)
+                    changed = True
+                _index_edge(self.succ, e)
+            names = self.names[b]
+            for x in fset:
+                if x not in names:
+                    names.add(x)
+                    changed = True
+        return changed
+
+
+class _Anon:
+    """A witness as the rule step sees it: its one neighbour is its parent, of
+    the frozen type `ptype` and linked by the roles `down`; a functional
+    obligation towards the parent is collected in `pushed` (names) and
+    `proles` (roles the parent additionally reaches the witness by)."""
+
+    __slots__ = ("t", "groups", "gtypes", "down", "ptype", "pushed", "proles")
+
+    def __init__(self, fillers, down, ptype):
+        self.t = set(fillers)
+        self.t.discard(TOP)
+        self.groups: list[Group] = []
+        self.gtypes: dict[Group, frozenset[str]] = {}
+        self.down = down
+        self.ptype = ptype
+        self.pushed: set[str] = set()
+        self.proles: set[Role] = set()
+
+    def neighbour_has(self, role: Role, filler: str) -> bool:
+        """Is the parent a `role`-successor of a type containing `filler`?"""
+        return role in self.down and (filler == TOP or filler in self.ptype)
+
+    def force(self, role: Role, fset: frozenset[str], fsup) -> Optional[bool]:
+        """Push the obligation role.fset onto the parent when one of its
+        functional super-roles `fsup` leads there: None when none does, else
+        whether anything changed."""
+        if not any(f in self.down for f in fsup):
+            return None
+        before = (len(self.pushed), len(self.proles))
+        self.pushed.update(fset)
+        if role not in self.down:
+            self.proles.add(role.inverse)
+        return (len(self.pushed), len(self.proles)) != before
+
+
+class _Fixpoint:
+    """One top-level witness-type evaluation: its recursion stack, its
+    estimates and its changed flag, private to the call."""
+
+    __slots__ = ("r", "est", "stack", "done", "handed", "changed")
+
+    def __init__(self, r: "Reasoner"):
+        self.r = r
+        self.est: dict = {}
+
+    def solve(self, key):
+        """Evaluate `key` in passes until no estimate handed out in a pass
+        differs from the value computed for it, then publish that pass."""
+        while True:
+            self.stack, self.done, self.handed = set(), set(), set()
+            self.changed = False
+            value = self.visit(key)
+            if not self.changed:
+                break
+        self.r._anon.update({k: self.est[k] for k in self.done})
+        return value
+
+    def visit(self, key):
+        """The value of `key` in this pass: its estimate while it is on the
+        stack, else computed once per pass."""
+        if key in self.stack:
+            self.handed.add(key)
+            got = self.est.get(key)
+            if got is None:
+                got = self.est[key] = (key[0] - {TOP}, _EMPTY, _EMPTY, ())
+            return got
+        if key in self.done:
+            return self.est[key]
+        self.stack.add(key)
+        value = self.r._evaluate(key, self)
+        self.stack.discard(key)
+        self.done.add(key)
+        if key in self.handed and value != self.est[key]:
+            self.changed = True
+        self.est[key] = value
+        return value
 
 
 class Reasoner:
@@ -76,8 +226,6 @@ class Reasoner:
         self._certain_cache: dict = {}
         self._contains_cache: dict = {}
         self._anon: dict = {}
-        self._anon_stack: set = set()
-        self._anon_changed = False
         self._subbasic = onto.axioms_of(SubBasic)
         self._disjoint = onto.axioms_of(Disjoint)
         self._exrhs = onto.axioms_of(ExistsRhs)
@@ -121,6 +269,106 @@ class Reasoner:
                 out.add((s.name, b, a) if s.inverted else (s.name, a, b))
         return frozenset(out)
 
+    # -------------------------------------------------------------- rule step
+
+    def _step(self, el, fp: Optional[_Fixpoint]) -> bool:
+        """Apply every rule once to the element `el` (a `_Named` or `_Anon`);
+        True when anything changed. `fp` is the witness evaluation `el`
+        belongs to, None for a named individual."""
+        t = el.t
+        changed = False
+        for ax in self._conjlhs:
+            if (ax.lhs1 in t or ax.lhs1 == TOP) and (ax.lhs2 in t or ax.lhs2 == TOP):
+                if ax.rhs != TOP and ax.rhs not in t:
+                    t.add(ax.rhs)
+                    changed = True
+        for ax in self._subbasic:
+            if self._holds(el, ax.lhs):
+                if ax.rhs.kind == "name":
+                    if ax.rhs.name not in t:
+                        t.add(ax.rhs.name)
+                        changed = True
+                elif ax.rhs.kind == "exists":
+                    if self._oblige(el, ax.rhs.role, None):
+                        changed = True
+        for ax in self._disjoint:
+            if BOT not in t and self._holds(el, ax.lhs) and self._holds(el, ax.rhs):
+                t.add(BOT)
+                changed = True
+        for ax in self._exrhs:
+            if ax.lhs in t or ax.lhs == TOP:
+                if self._oblige(el, ax.role, ax.filler):
+                    changed = True
+        for ax in self._exlhs:
+            if ax.rhs != TOP and ax.rhs not in t and self._reaches(el, ax.role, ax.filler):
+                t.add(ax.rhs)
+                changed = True
+        groups = el.groups
+        for i, g in enumerate(list(groups)):
+            ct, cpushed, croles, _ = self._witness((g.fillers, g.roles, frozenset(t)), fp)
+            if croles - g.roles:
+                groups[i] = Group(g.roles | croles, g.fillers)
+                changed = True
+                continue
+            if el.gtypes.get(g) != ct:
+                el.gtypes[g] = ct
+                changed = True
+            if BOT in ct and BOT not in t:
+                t.add(BOT)
+                changed = True
+            for x in cpushed:
+                if x not in t and x != TOP:
+                    t.add(x)
+                    changed = True
+        return changed
+
+    def _reaches(self, el, role: Role, filler: str) -> bool:
+        """Has `el` a `role`-successor (neighbour or witness) of a type
+        containing `filler`? Any successor counts when `filler` is Top."""
+        if el.neighbour_has(role, filler):
+            return True
+        for g in el.groups:
+            for r in g.roles:
+                if role in self.super_roles(r):
+                    if filler == TOP or filler in el.gtypes.get(g, _EMPTY):
+                        return True
+                    break
+        return False
+
+    def _holds(self, el, b: Basic) -> bool:
+        if b.kind == "top":
+            return True
+        if b.kind == "name":
+            return b.name in el.t
+        return self._reaches(el, b.role, TOP)
+
+    def _oblige(self, el, role: Role, filler: Optional[str]) -> bool:
+        """Place the obligation role.filler on `el`; True when something changed."""
+        fset = _EMPTY if filler in (None, TOP) else frozenset((filler,))
+        groups = el.groups
+        fsup = self.functional_supers(role)
+        if fsup:
+            forced = el.force(role, fset, fsup)
+            if forced is not None:
+                return forced
+            for i, g in enumerate(groups):
+                gf = set()
+                for r in g.roles:
+                    gf |= self.functional_supers(r)
+                if gf & fsup:
+                    ng = Group(g.roles | {role}, g.fillers | fset)
+                    if ng != g:
+                        groups[i] = ng
+                        return True
+                    return False
+            groups.append(Group(frozenset((role,)), fset))
+            return True
+        g = Group(frozenset((role,)), fset)
+        if g in groups:
+            return False
+        groups.append(g)
+        return True
+
     # ------------------------------------------------------------- saturation
 
     def saturate(self, inst: Instance) -> Saturation:
@@ -137,88 +385,22 @@ class Reasoner:
         for c, a in inst.catoms:
             names[a].add(c)
         succ: dict[tuple[str, Role], set[str]] = {}
-
-        def add_edge(role: Role, a: str, b: str) -> bool:
-            """Record role(a,b) together with its super-roles."""
-            added = False
-            for s in self.super_roles(role):
-                e = (s.name, b, a) if s.inverted else (s.name, a, b)
-                if e not in edges:
-                    edges.add(e)
-                    added = True
-                succ.setdefault((e[1], Role(e[0])), set()).add(e[2])
-                succ.setdefault((e[2], Role(e[0], True)), set()).add(e[1])
-            return added
-
-        for r, a, b in list(edges):
-            add_edge(Role(r), a, b)
-        consistent = True
+        for e in edges:
+            _index_edge(succ, e)
         groups: dict[str, list[Group]] = {a: [] for a in inst.individuals}
-        gtypes: dict[tuple[str, Group], frozenset[str]] = {}
-
-        def named_succs(a: str, role: Role) -> set[str]:
-            return succ.get((a, role), set())
+        els = [
+            _Named(a, names, groups[a], succ, edges, self)
+            for a in sorted(inst.individuals)
+        ]
 
         def func_clash() -> bool:
             return any(
-                len(named_succs(a, f)) > 1
+                len(succ.get((a, f), ())) > 1
                 for f in self.func_decl
                 for a in inst.individuals
             )
 
-        if func_clash():
-            consistent = False
-
-        def has_successor(a: str, role: Role) -> bool:
-            if named_succs(a, role):
-                return True
-            return any(
-                role in self.super_roles(r) for g in groups[a] for r in g.roles
-            )
-
-        def basic_holds(a: str, b: Basic) -> bool:
-            if b.kind == "top":
-                return True
-            if b.kind == "name":
-                return b.name in names[a]
-            return has_successor(a, b.role)
-
-        def add_obligation(a: str, role: Role, filler: Optional[str]) -> bool:
-            """Place an obligation; returns True when something changed."""
-            fset = frozenset() if filler in (None, TOP) else frozenset((filler,))
-            fsup = self.functional_supers(role)
-            if fsup:
-                targets = set()
-                for f in fsup:
-                    targets |= named_succs(a, f)
-                if targets:
-                    changed = False
-                    for b in sorted(targets):
-                        if add_edge(role, a, b):
-                            changed = True
-                        for x in fset:
-                            if x not in names[b]:
-                                names[b].add(x)
-                                changed = True
-                    return changed
-                for i, g in enumerate(groups[a]):
-                    gf = set()
-                    for r in g.roles:
-                        gf |= self.functional_supers(r)
-                    if gf & fsup:
-                        ng = Group(g.roles | {role}, g.fillers | fset)
-                        if ng != g:
-                            groups[a][i] = ng
-                            return True
-                        return False
-                groups[a].append(Group(frozenset((role,)), fset))
-                return True
-            g = Group(frozenset((role,)), fset)
-            if g in groups[a]:
-                return False
-            groups[a].append(g)
-            return True
-
+        consistent = not func_clash()
         rounds_left = 8 * (
             (len(inst.individuals) + 4)
             * (
@@ -235,214 +417,42 @@ class Reasoner:
             rounds_left -= 1
             if rounds_left < 0:  # pragma: no cover - safety net
                 raise RuntimeError("saturation did not stabilise")
-            self._anon_changed = False
-            for a in sorted(inst.individuals):
-                t = names[a]
-                for ax in self._conjlhs:
-                    if (ax.lhs1 in t or ax.lhs1 == TOP) and (
-                        ax.lhs2 in t or ax.lhs2 == TOP
-                    ):
-                        if ax.rhs == BOT:
-                            consistent = False
-                        elif ax.rhs not in t and ax.rhs != TOP:
-                            t.add(ax.rhs)
-                            changed = True
-                for ax in self._subbasic:
-                    if basic_holds(a, ax.lhs):
-                        if ax.rhs.kind == "name":
-                            if ax.rhs.name not in t:
-                                t.add(ax.rhs.name)
-                                changed = True
-                        elif ax.rhs.kind == "exists":
-                            if add_obligation(a, ax.rhs.role, None):
-                                changed = True
-                for ax in self._disjoint:
-                    if basic_holds(a, ax.lhs) and basic_holds(a, ax.rhs):
-                        consistent = False
-                for ax in self._exrhs:
-                    if ax.lhs in t or ax.lhs == TOP:
-                        if add_obligation(a, ax.role, ax.filler):
-                            changed = True
-                for ax in self._exlhs:
-                    fired = False
-                    for b in named_succs(a, ax.role):
-                        if ax.filler == TOP or ax.filler in names[b]:
-                            fired = True
-                            break
-                    if not fired:
-                        for g in groups[a]:
-                            if any(ax.role in self.super_roles(r) for r in g.roles):
-                                gt = gtypes.get((a, g), frozenset())
-                                if ax.filler == TOP or ax.filler in gt:
-                                    fired = True
-                                    break
-                    if fired and ax.rhs != TOP and ax.rhs not in t:
-                        t.add(ax.rhs)
-                        changed = True
-                for i, g in enumerate(list(groups[a])):
-                    tp, pushed, proles = self._anon_eval(
-                        g.fillers, g.roles, frozenset(names[a])
-                    )
-                    if proles - g.roles:
-                        groups[a][i] = Group(g.roles | proles, g.fillers)
-                        changed = True
-                        continue
-                    if gtypes.get((a, g)) != tp:
-                        gtypes[(a, g)] = tp
-                        changed = True
-                    if BOT in tp:
-                        consistent = False
-                    for x in pushed:
-                        if x == BOT:
-                            consistent = False
-                        elif x not in names[a] and x != TOP:
-                            names[a].add(x)
-                            changed = True
+            for el in els:
+                if self._step(el, None):
+                    changed = True
+                if BOT in el.t:
+                    consistent = False
             if func_clash():
                 consistent = False
-            if self._anon_changed:
-                changed = True
-        return Saturation(consistent, names, frozenset(edges), groups, gtypes)
+        return Saturation(consistent, names, frozenset(edges), groups)
 
     # ------------------------------------------------ anonymous witness types
 
-    def _anon_eval(
-        self, fillers: frozenset[str], uproles: frozenset[Role], ptype: frozenset[str]
-    ) -> tuple[frozenset[str], frozenset[str], frozenset[Role]]:
-        """Least type of a witness created via `uproles` below a parent of type
-        `ptype`. Returns (type, names forced onto the parent, roles the parent
-        additionally reaches the witness by, due to functional merges)."""
-        key = (fillers, uproles, ptype)
-        if key in self._anon_stack:
-            got = self._anon.get(key)
-            return got[:3] if got else (fillers - {TOP}, frozenset(), frozenset())
-        if key in self._anon:
-            return self._anon[key][:3]
-        self._anon_stack.add(key)
-        try:
-            t = set(fillers) - {TOP}
-            pushed: set[str] = set()
-            pushed_roles: set[Role] = set()
-            down_roles = frozenset(
-                s for u in uproles for s in self.super_roles(u.inverse)
-            )
-            cgroups: list[Group] = []
-            ctypes: dict[Group, frozenset[str]] = {}
+    def _witness(self, key, fp: Optional[_Fixpoint] = None) -> tuple:
+        """(type, names forced onto the parent, roles the parent additionally
+        reaches the witness by, child groups) of a witness created via the
+        up-roles below a parent of the given type; `key` is
+        (fillers, up-roles, parent type). Evaluated inside `fp`, or as a
+        top-level evaluation of its own when `fp` is None."""
+        got = self._anon.get(key)
+        if got is not None:
+            return got
+        if fp is not None:
+            return fp.visit(key)
+        return _Fixpoint(self).solve(key)
 
-            def has_succ(role: Role) -> bool:
-                if role in down_roles:
-                    return True
-                return any(role in self.super_roles(r) for g in cgroups for r in g.roles)
-
-            def basic_holds(b: Basic) -> bool:
-                if b.kind == "top":
-                    return True
-                if b.kind == "name":
-                    return b.name in t
-                return has_succ(b.role)
-
-            def add_obligation(role: Role, filler: Optional[str]) -> bool:
-                fset = frozenset() if filler in (None, TOP) else frozenset((filler,))
-                fsup = self.functional_supers(role)
-                if fsup and any(f in down_roles for f in fsup):
-                    before = (len(pushed), len(pushed_roles))
-                    pushed.update(fset)
-                    if role not in down_roles:
-                        pushed_roles.add(role.inverse)
-                    return (len(pushed), len(pushed_roles)) != before
-                if fsup:
-                    for i, g in enumerate(cgroups):
-                        gf = set()
-                        for r in g.roles:
-                            gf |= self.functional_supers(r)
-                        if gf & fsup:
-                            ng = Group(g.roles | {role}, g.fillers | fset)
-                            if ng != g:
-                                cgroups[i] = ng
-                                return True
-                            return False
-                    cgroups.append(Group(frozenset((role,)), fset))
-                    return True
-                g = Group(frozenset((role,)), fset)
-                if g in cgroups:
-                    return False
-                cgroups.append(g)
-                return True
-
-            changed = True
-            while changed:
-                changed = False
-                for ax in self._conjlhs:
-                    if (ax.lhs1 in t or ax.lhs1 == TOP) and (
-                        ax.lhs2 in t or ax.lhs2 == TOP
-                    ):
-                        tgt = BOT if ax.rhs == BOT else ax.rhs
-                        if tgt != TOP and tgt not in t:
-                            t.add(tgt)
-                            changed = True
-                for ax in self._subbasic:
-                    if basic_holds(ax.lhs):
-                        if ax.rhs.kind == "name" and ax.rhs.name not in t:
-                            t.add(ax.rhs.name)
-                            changed = True
-                        elif ax.rhs.kind == "exists":
-                            if add_obligation(ax.rhs.role, None):
-                                changed = True
-                for ax in self._disjoint:
-                    if basic_holds(ax.lhs) and basic_holds(ax.rhs) and BOT not in t:
-                        t.add(BOT)
-                        changed = True
-                for ax in self._exrhs:
-                    if ax.lhs in t or ax.lhs == TOP:
-                        if add_obligation(ax.role, ax.filler):
-                            changed = True
-                for ax in self._exlhs:
-                    fired = False
-                    if ax.role in down_roles and (ax.filler == TOP or ax.filler in ptype):
-                        fired = True
-                    if not fired:
-                        for g in cgroups:
-                            if any(ax.role in self.super_roles(r) for r in g.roles):
-                                gt = ctypes.get(g, frozenset())
-                                if ax.filler == TOP or ax.filler in gt:
-                                    fired = True
-                                    break
-                    if fired and ax.rhs != TOP and ax.rhs not in t:
-                        t.add(ax.rhs)
-                        changed = True
-                for i, g in enumerate(list(cgroups)):
-                    ct, cpushed, croles = self._anon_eval(g.fillers, g.roles, frozenset(t))
-                    if croles - g.roles:
-                        cgroups[i] = Group(g.roles | croles, g.fillers)
-                        changed = True
-                        continue
-                    if ctypes.get(g) != ct:
-                        ctypes[g] = ct
-                        changed = True
-                    if BOT in ct and BOT not in t:
-                        t.add(BOT)
-                        changed = True
-                    for x in cpushed:
-                        if x not in t and x != TOP:
-                            t.add(x)
-                            changed = True
-            result = (
-                frozenset(t),
-                frozenset(pushed),
-                frozenset(pushed_roles),
-                tuple(sorted(cgroups, key=Group.sort_key)),
-            )
-            old = self._anon.get(key)
-            if old is None or old != result:
-                self._anon[key] = result
-                self._anon_changed = True
-            return result[:3]
-        finally:
-            self._anon_stack.discard(key)
-
-    def _anon_children(self, fillers, uproles, ptype):
-        self._anon_eval(fillers, uproles, ptype)
-        return self._anon[(fillers, uproles, ptype)][3]
+    def _evaluate(self, key, fp: _Fixpoint) -> tuple:
+        fillers, uproles, ptype = key
+        down = frozenset(s for u in uproles for s in self.super_roles(u.inverse))
+        el = _Anon(fillers, down, ptype)
+        while self._step(el, fp):
+            pass
+        return (
+            frozenset(el.t),
+            frozenset(el.pushed),
+            frozenset(el.proles),
+            tuple(sorted(el.groups, key=Group.sort_key)),
+        )
 
     # ------------------------------------------------------------------ chase
 
@@ -464,7 +474,7 @@ class Reasoner:
             parent, g, ptype, d = frontier.pop(0)
             if d > depth:
                 continue
-            tp, _, _ = self._anon_eval(g.fillers, g.roles, ptype)
+            tp, _, _, children = self._witness((g.fillers, g.roles, ptype))
             w = self._witness_name(parent, g, inds)
             inds.add(w)
             for c in sorted(tp):
@@ -473,7 +483,7 @@ class Reasoner:
             for r in sorted(g.roles, key=str):
                 for s in sorted(self.super_roles(r), key=str):
                     rat.add((s.name, w, parent) if s.inverted else (s.name, parent, w))
-            for cg in self._anon_children(g.fillers, g.roles, ptype):
+            for cg in children:
                 frontier.append((w, cg, tp, d + 1))
         out = Instance(frozenset(inds), frozenset(cat), frozenset(rat))
         self._chase_cache[key] = out
@@ -527,11 +537,9 @@ class Reasoner:
         pointed = induced_instance(q)
         inst, point = pointed.instance, pointed.point
         while True:
-            closed = self._closed_edges(inst)
             succ: dict[tuple[str, Role], set[str]] = {}
-            for r, a, b in closed:
-                succ.setdefault((a, Role(r)), set()).add(b)
-                succ.setdefault((b, Role(r, True)), set()).add(a)
+            for e in self._closed_edges(inst):
+                _index_edge(succ, e)
             merge = None
             for f in sorted(self.func_decl, key=str):
                 for a in sorted(inst.individuals):

@@ -17,7 +17,6 @@ from .dl import (
     Instance,
     Ontology,
     Pointed,
-    conjoin,
     instance_to_eliq,
     point_component,
     reasoner,
@@ -33,7 +32,14 @@ from .errors import (
 from .temporal.eval import SequenceMatcher
 from .temporal.model import Conn, PathQuery, TInstance, leq, less, pathquery, tinstance
 from .temporal.normal import normalize
-from .tempchar import TaggedBNormal, _gap_variant, apply_rule, empty_slice, rule_applications
+from .tempchar import (
+    TaggedBNormal,
+    _join_variant,
+    apply_rule,
+    empty_slice,
+    rule_applications,
+    splice_word,
+)
 from .verify import CLASS_ELIQ
 
 VARIANT_SAFE = "safe"
@@ -286,14 +292,11 @@ class Learner:
             self.onto, b, tuple(pblocks), tuple(tags), tuple(negs)
         )
 
-    def realise(self, t: TaggedBNormal) -> TInstance:
-        return t.to_tinstance()
-
     def tagged_positive(self, t: TaggedBNormal) -> bool:
-        return self.teacher.membership(self.realise(t))
+        return self.teacher.membership(t.to_tinstance())
 
     def tagged_minimise(self, t: TaggedBNormal) -> TaggedBNormal:
-        d = self.realise(t)
+        d = t.to_tinstance()
         slices, _ = self.minimise_pass(list(d.slices), d.point)
         slices = self.drop_foreign_components(slices, d.point)
         slices = _prune_bare_individuals(slices, d.point)
@@ -377,7 +380,7 @@ class Learner:
     def _commit(self, t: TaggedBNormal) -> TaggedBNormal:
         """Re-parse the realised sequence into gap-normal blocks, minimise,
         and confirm the result is still a positive example."""
-        d = self.realise(t)
+        d = t.to_tinstance()
         t2 = self.blocks_from_realised(list(d.slices), d.point, t.b)
         if t2.blocks != t.blocks and not self.tagged_positive(t2):
             raise RuntimeError("gap normalisation lost positivity")
@@ -419,22 +422,6 @@ class Learner:
         members = minimal_frontier(self.onto, front.members).members or front.members
         return [self.r.hat(m) for m in members]
 
-    def _replace_with_word(self, t: TaggedBNormal, i: int, word: list[Pointed], k: int) -> TaggedBNormal:
-        blocks = [list(b) for b in t.blocks]
-        tags = [list(b) for b in t.tags]
-        negs = [list(b) for b in t.negatives]
-        seq = list(word) * k
-        blocks[i : i + 1] = [[p] for p in seq]
-        tags[i : i + 1] = [[None] for _ in seq]
-        negs[i : i + 1] = [[()] for _ in seq]
-        return TaggedBNormal(
-            t.onto,
-            t.b,
-            tuple(tuple(b) for b in blocks),
-            tuple(tuple(b) for b in tags),
-            tuple(tuple(b) for b in negs),
-        )
-
     def _star_safe(self, t: TaggedBNormal) -> TaggedBNormal:
         guard = 0
         while True:
@@ -447,18 +434,18 @@ class Learner:
             i = eligible[0]
             word = self._frontier_word(t.tags[i][0])
             k = 1
-            while not self.tagged_positive(self._replace_with_word(t, i, word, k)):
+            while not self.tagged_positive(splice_word(t, i, word * k)):
                 k *= 2
                 if k > 4096:
                     raise RuntimeError("no positive frontier-word exponent found")
             lo, hi = max(1, k // 2), k
             while lo < hi:
                 mid = (lo + hi) // 2
-                if self.tagged_positive(self._replace_with_word(t, i, word, mid)):
+                if self.tagged_positive(splice_word(t, i, word * mid)):
                     hi = mid
                 else:
                     lo = mid + 1
-            t2 = self._commit(self._replace_with_word(t, i, word, lo))
+            t2 = self._commit(splice_word(t, i, word * lo))
             t = self.close_under_rules(t2)
 
     def _star_fixed(self, t: TaggedBNormal, exponent: int) -> TaggedBNormal:
@@ -474,7 +461,7 @@ class Learner:
                 if not word:
                     processed.add(key)
                     continue
-                t2 = self._replace_with_word(t, i, word, max(1, exponent))
+                t2 = splice_word(t, i, word * max(1, exponent))
                 if self.tagged_positive(t2):
                     t = self.close_under_rules(self._commit(t2))
                     progress = True
@@ -496,41 +483,12 @@ class Learner:
     def _connector_at(self, t: TaggedBNormal, i: int) -> Conn:
         left, right = t.tags[i][-1], t.tags[i + 1][0]
         if self.r.compatible(left, right):
-            joined = self._join_blocks(t, i)
-            if self.teacher.membership(joined):
+            if self.teacher.membership(_join_variant(t, i).to_tinstance()):
                 return leq()
         for gap in range(0, t.b + 1):
-            cand = _gap_variant(t, i, gap)
-            if self.teacher.membership(cand):
+            if self.teacher.membership(t.to_tinstance({i: gap})):
                 return less(gap + 1)
         raise RuntimeError("no connector explains the boundary")
-
-    def _join_blocks(self, t: TaggedBNormal, i: int) -> TInstance:
-        joined_body = conjoin(t.tags[i][-1], t.tags[i + 1][0])
-        joined = self.r.hat(joined_body)
-        slices: list[Instance] = []
-        from .tempchar import _point_slice
-
-        tag = 0
-        for k, block in enumerate(t.blocks):
-            if k == i + 1:
-                slices.append(_point_slice(joined, tag))
-                tag += 1
-                for p in block[1:]:
-                    slices.append(_point_slice(p, tag))
-                    tag += 1
-                continue
-            if k:
-                slices.extend(empty_slice() for _ in range(t.b))
-            if k == i:
-                for p in block[:-1]:
-                    slices.append(_point_slice(p, tag))
-                    tag += 1
-            else:
-                for p in block:
-                    slices.append(_point_slice(p, tag))
-                    tag += 1
-        return tinstance(slices, "a")
 
     # ----------------------------------------------------------------- drive
 

@@ -76,16 +76,37 @@ class TaggedBNormal:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def to_tinstance(self) -> TInstance:
+    def to_tinstance(self, gaps: Optional[dict[int, int]] = None) -> TInstance:
+        """The realisation: the block slices in order, `b` empty slices
+        between blocks i and i+1, or `gaps[i]` where given."""
         slices: list[Instance] = []
         tag = 0
         for i, block in enumerate(self.blocks):
             if i:
-                slices.extend(empty_slice() for _ in range(self.b))
+                gap = self.b if gaps is None else gaps.get(i - 1, self.b)
+                slices.extend(empty_slice() for _ in range(gap))
             for p in block:
                 slices.append(_point_slice(p, tag))
                 tag += 1
         return tinstance(slices, "a")
+
+    def rows(self) -> tuple[list, list, list]:
+        """Mutable copies of the blocks, tags and negatives."""
+        return (
+            [list(b) for b in self.blocks],
+            [list(b) for b in self.tags],
+            [list(b) for b in self.negatives],
+        )
+
+    def rebuilt(self, blocks, tags, negs) -> "TaggedBNormal":
+        """The same ontology and gap bound over edited rows."""
+        return TaggedBNormal(
+            self.onto,
+            self.b,
+            tuple(tuple(b) for b in blocks),
+            tuple(tuple(b) for b in tags),
+            tuple(tuple(b) for b in negs),
+        )
 
 
 def tagged_from_queries(
@@ -180,9 +201,7 @@ def apply_rule(
 ) -> TaggedBNormal:
     """One rewrite step; raises RuleNotApplicable when the side conditions of
     the rule fail at this position."""
-    blocks = [list(b) for b in t.blocks]
-    tags = [list(b) for b in t.tags]
-    negs = [list(b) for b in t.negatives]
+    blocks, tags, negs = t.rows()
 
     if rule == "a":
         i, j = position
@@ -255,19 +274,19 @@ def apply_rule(
         members = _distinct_negatives(t, i, 0)
         if len(members) < 2:
             raise RuleNotApplicable("rule f needs at least two distinct negatives")
-        seq = members * exponent
-        blocks[i : i + 1] = [[p] for p in seq]
-        tags[i : i + 1] = [[None] for _ in seq]
-        negs[i : i + 1] = [[()] for _ in seq]
+        return splice_word(t, i, members * exponent)
     else:
         raise RuleNotApplicable(f"unknown rule {rule!r}")
-    return TaggedBNormal(
-        t.onto,
-        t.b,
-        tuple(tuple(b) for b in blocks),
-        tuple(tuple(b) for b in tags),
-        tuple(tuple(b) for b in negs),
-    )
+    return t.rebuilt(blocks, tags, negs)
+
+
+def splice_word(t: TaggedBNormal, i: int, word: Sequence[Pointed]) -> TaggedBNormal:
+    """Block i replaced by one untagged single-slice block per member of `word`."""
+    blocks, tags, negs = t.rows()
+    blocks[i : i + 1] = [[p] for p in word]
+    tags[i : i + 1] = [[None] for _ in word]
+    negs[i : i + 1] = [[()] for _ in word]
+    return t.rebuilt(blocks, tags, negs)
 
 
 def _split_block(blocks, tags, negs, i: int, at: int):
@@ -334,15 +353,15 @@ def characterise_dia(
 
     for i, conn in enumerate(nq.connectors):
         if conn.kind == LEQ:
-            positives.append(_join_variant(onto, base, nq, i).to_tinstance())
+            positives.append(_join_variant(base, i).to_tinstance())
         else:
             # a later-chain of n steps is witnessed tightest by n-1 empties;
             # one fewer refutes it, so that variant goes to the negatives
-            positives.append(_gap_variant(base, i, conn.count - 1))
+            positives.append(base.to_tinstance({i: conn.count - 1}))
             if conn.count > 1:
-                negatives.append(_gap_variant(base, i, conn.count - 2))
+                negatives.append(base.to_tinstance({i: conn.count - 2}))
             if conn.count == 1 and r.compatible(nq.blocks[i][-1], nq.blocks[i + 1][0]):
-                negatives.append(_join_variant(onto, base, nq, i).to_tinstance())
+                negatives.append(_join_variant(base, i).to_tinstance())
 
     rules = ("a", "b") if mode[0] == MODE_NEXTDIA else ("a", "b", "c", "d", "e")
     for rule in rules:
@@ -357,40 +376,15 @@ def characterise_dia(
     return _finish(onto, positives, negatives, nq, meta)
 
 
-def _gap_variant(t: TaggedBNormal, i: int, gap: int) -> TInstance:
-    """The realisation with the gap after block i shrunk to `gap` empties."""
-    slices: list[Instance] = []
-    tag = 0
-    for k, block in enumerate(t.blocks):
-        if k:
-            slices.extend(empty_slice() for _ in range(gap if k == i + 1 else t.b))
-        for p in block:
-            slices.append(_point_slice(p, tag))
-            tag += 1
-    return tinstance(slices, "a")
-
-
-def _join_variant(onto: Ontology, t: TaggedBNormal, nq: PathQuery, i: int) -> TaggedBNormal:
-    """Merge blocks i and i+1 with the conjunction of the touching borders."""
-    r = reasoner(onto)
-    joined_body = conjoin(nq.blocks[i][-1], nq.blocks[i + 1][0])
-    joined = r.hat(joined_body)
-    blocks = [list(b) for b in t.blocks]
-    tags = [list(b) for b in t.tags]
-    negs = [list(b) for b in t.negatives]
-    merged_b = blocks[i][:-1] + [joined] + blocks[i + 1][1:]
-    merged_t = tags[i][:-1] + [joined_body] + tags[i + 1][1:]
-    merged_n = negs[i][:-1] + [()] + negs[i + 1][1:]
-    blocks[i : i + 2] = [merged_b]
-    tags[i : i + 2] = [merged_t]
-    negs[i : i + 2] = [merged_n]
-    return TaggedBNormal(
-        t.onto,
-        t.b,
-        tuple(tuple(b) for b in blocks),
-        tuple(tuple(b) for b in tags),
-        tuple(tuple(b) for b in negs),
-    )
+def _join_variant(t: TaggedBNormal, i: int) -> TaggedBNormal:
+    """Merge blocks i and i+1 with the conjunction of the touching borders,
+    read off the tags."""
+    joined_body = conjoin(t.tags[i][-1], t.tags[i + 1][0])
+    blocks, tags, negs = t.rows()
+    blocks[i : i + 2] = [blocks[i][:-1] + [reasoner(t.onto).hat(joined_body)] + blocks[i + 1][1:]]
+    tags[i : i + 2] = [tags[i][:-1] + [joined_body] + tags[i + 1][1:]]
+    negs[i : i + 2] = [negs[i][:-1] + [()] + negs[i + 1][1:]]
+    return t.rebuilt(blocks, tags, negs)
 
 
 def _finish(onto, positives, negatives, q, meta=()) -> ExampleSet:

@@ -159,12 +159,33 @@ class Completion:
         return holds(point, q)
 
 
+# Witnesses of type A and B alternate below a:A, and a witness is C exactly
+# when its R-successor is. The witness a>R:B>R:A is C because its successor
+# is a B; a witness type estimated while it was still being evaluated once
+# left that type stale in the memo, so ex R.ex R.C was not entailed at a.
+R = Role("R")
+ALTERNATING = Ontology(
+    SIG,
+    frozenset(
+        [ExistsRhs("A", R, "B"), ExistsRhs("B", R, "A"), ConjLhs("B", TOP, "C"), ExistsLhs(R, "C", "C")]
+    ),
+    ELHIF_NF,
+)
+ALTERNATING_CASE = (
+    ALTERNATING,
+    Instance(frozenset(["a"]), frozenset([("A", "a")])),
+    make_eliq([], [(R, make_eliq([], [(R, make_eliq(["C"]))]))]),
+)
+
+
 def test_saturation_agrees_with_independent_completion():
     rng = random.Random(424242)
+    cases = [
+        (rand_el_ontology(rng), rand_instance(rng, SIG, max_inds=3, max_atoms=6))
+        for _ in range(300)
+    ]
     checked = 0
-    for _ in range(300):
-        onto = rand_el_ontology(rng)
-        inst = rand_instance(rng, SIG, max_inds=3, max_atoms=6)
+    for onto, inst in cases + [ALTERNATING_CASE[:2]]:
         oracle = Completion(onto)
         names, _, consistent = oracle.saturate_named(inst)
         got = saturate(onto, inst)
@@ -182,11 +203,13 @@ def test_saturation_agrees_with_independent_completion():
 
 def test_certain_answers_agree_with_independent_completion():
     rng = random.Random(31337)
-    agreements = 0
+    cases = []
     for _ in range(250):
         onto = rand_el_ontology(rng)
         inst = rand_instance(rng, SIG, max_inds=3, max_atoms=5)
-        q = rand_elq(rng)
+        cases.append((onto, inst, rand_elq(rng)))
+    agreements = 0
+    for onto, inst, q in cases + [ALTERNATING_CASE]:
         point = sorted(inst.individuals)[0]
         oracle = Completion(onto)
         assert certain_answer(onto, inst, point, q) == oracle.certain(inst, point, q), (
@@ -196,4 +219,4 @@ def test_certain_answers_agree_with_independent_completion():
             q._key,
         )
         agreements += 1
-    assert agreements == 250
+    assert agreements == 251

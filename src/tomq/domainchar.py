@@ -393,21 +393,6 @@ def _maximal(onto: Ontology, candidates: Sequence[Eliq]) -> list[Eliq]:
     return _sorted_queries(out)
 
 
-def minimal_frontier(onto: Ontology, members: Iterable[Eliq]) -> Frontier:
-    """Exhaustively remove members entailed by a distinct remaining member."""
-    r = reasoner(onto)
-    current = _sorted_queries(members)
-    changed = True
-    while changed:
-        changed = False
-        for i, m in enumerate(current):
-            if any(j != i and r.contains(other, m) for j, other in enumerate(current)):
-                del current[i]
-                changed = True
-                break
-    return Frontier(tuple(current))
-
-
 def is_meet_reducible(
     onto: Ontology, q: Eliq, qclass: str = CLASS_ELIQ, size_bound: int = 6
 ) -> Optional[bool]:
@@ -416,7 +401,8 @@ def is_meet_reducible(
     r = reasoner(onto)
     front = frontier(onto, q, qclass, size_bound)
     if front is not None:
-        return len(minimal_frontier(onto, front.members)) >= 2
+        # a frontier is an antichain, one member per equivalence class
+        return len(front.members) >= 2
     candidates = [
         c
         for c in enum_domain_queries(onto.signature, qclass, size_bound)

@@ -21,7 +21,7 @@ from .dl import (
     point_component,
     reasoner,
 )
-from .domainchar import Frontier, frontier, minimal_frontier
+from .domainchar import Frontier, frontier
 from .errors import (
     BudgetExceeded,
     NotPositiveInitialExample,
@@ -410,7 +410,7 @@ class Learner:
                     raise UnsupportedDialect(
                         f"meet-reducibility of {q!r} undecided within the bound"
                     )
-                if len(minimal_frontier(self.onto, front.members)) < 2:
+                if len(front.members) < 2:
                     continue
             out.append(i)
         return out
@@ -419,8 +419,7 @@ class Learner:
         front = self.frontier_of(q)
         if front is None:
             raise UnsupportedDialect(f"no verified frontier for {q!r}")
-        members = minimal_frontier(self.onto, front.members).members or front.members
-        return [self.r.hat(m) for m in members]
+        return [self.r.hat(m) for m in front.members]
 
     def _star_safe(self, t: TaggedBNormal) -> TaggedBNormal:
         guard = 0

@@ -1,13 +1,14 @@
 """Builders of uniquely characterising example sets: the rewrite rules over
-gap-normal tagged instances, the next/later family, and the two until
-families (propositional and ontology-mediated).
+gap-normal tagged instances, the next/later family, and the until
+construction with its two split-partner suppliers (signature complements
+for propositional queries, split-partner members under an ontology).
 """
 from __future__ import annotations
 
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dl import (
     BOTTOM_QUERY,
@@ -17,7 +18,7 @@ from .dl import (
     Pointed,
     Signature,
     conjoin,
-    make_eliq,
+    empty_ontology,
     reasoner,
     rename_instance,
 )
@@ -40,7 +41,7 @@ from .temporal.model import (
     example_set,
     tinstance,
 )
-from .temporal.normal import infer_body_class, is_safe, normalize, until_truncate
+from .temporal.normal import infer_body_class, is_peerless, is_safe, normalize, until_truncate
 
 RULES = ("a", "b", "c", "d", "e", "f")
 
@@ -409,180 +410,75 @@ def _finish(onto, positives, negatives, q, meta=()) -> ExampleSet:
 
 # ------------------------------------------------------------ until classes
 
-def _prop_slice(sig: Signature, names: Iterable[str]) -> Instance:
-    return Instance(frozenset(("a",)), frozenset((n, "a") for n in names), frozenset())
-
-
-def _prop_split(sig: Signature, queries: Sequence[Optional[Eliq]]) -> list[frozenset[str]]:
-    """Propositional split-partner slices: remove one conjunct of every
-    non-bottom query from the full signature slice."""
-    terms = [q for q in queries if q is not None]
-    full = frozenset(sorted(sig.concept_names))
-    picks = []
-    for t in terms:
-        if t.is_top:
-            return []
-        picks.append(sorted(t.names))
-    out = []
-    for combo in itertools.product(*picks) if picks else [()]:
-        out.append(full - set(combo))
-    seen, uniq = set(), []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
-    return uniq
-
-
 def characterise_prop_until(q: UntilQuery, sig: Signature) -> ExampleSet:
     """Example set for a peerless propositional until query wrt the empty
-    ontology, built from signature-complement slices."""
-    from .dl import empty_ontology
-
-    onto = empty_ontology(sig)
+    ontology: the until construction with signature-complement slices as
+    split-partners (the full slice less one name of each query)."""
     if any(b.role_names for b in q.targets()) or any(
         f is not None and f.role_names for f, _ in q.steps
     ):
         raise NotPropositional("until bodies must be conjunctions of concept names")
-    if not _peerless_prop(q):
-        raise NotPeerless("fillers must be incomparable with their targets")
-    n = q.depth
-    rbars = [frozenset(t.names) for t in q.targets()]
-    lbars: list[Optional[frozenset]] = [None] + [
-        None if f is None else frozenset(f.names) for f, _ in q.steps
-    ]
-    full = frozenset(sorted(sig.concept_names))
-
-    def mk(seq: Sequence[frozenset[str]]) -> TInstance:
-        return tinstance([_prop_slice(sig, s) for s in seq], "a")
-
-    positives = [mk(rbars)]
-    for i in range(1, n + 1):
-        if lbars[i] is not None:
-            positives.append(mk(rbars[:i] + [lbars[i]] + rbars[i:]))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in (1, 2):
-                if lbars[i] is None and lbars[j] is None:
-                    continue
-                li = [] if lbars[i] is None else [lbars[i]] * k
-                lj = [] if lbars[j] is None else [lbars[j]]
-                positives.append(
-                    mk(rbars[:i] + li + rbars[i:j] + lj + rbars[j:])
-                )
-
-    negatives: list[TInstance] = []
-    if n >= 1:
-        negatives.append(mk([full] * n))
-    for p in range(n + 1):
-        for name in sorted(rbars[p]):
-            seq = [full] * p + [full - {name}] + [full] * (n - p)
-            negatives.append(mk(seq))
-    for i in range(1, n + 1):
-        for ins in _until_insert_slices(sig, lbars[i], rbars[i]):
-            negatives.append(mk(rbars[:i] + [ins] + rbars[i:]))
-    for i in range(1, n + 1):
-        for ins in _until_insert_slices(sig, lbars[i], rbars[i]):
-            found = _search_suffix_prop(q, sig, rbars, lbars, i, ins)
-            if found is not None:
-                negatives.append(found)
-
-    negatives = [d for d in negatives if not tentail(onto, d, 0, q)]
-    return _finish(onto, positives, negatives, q, (("family", "until-propositional"),))
-
-
-def _until_insert_slices(sig, lbar, rbar) -> list[frozenset[str]]:
-    mkq = lambda s: make_eliq(sorted(s))
-    l = None if lbar is None else mkq(lbar)
-    r = mkq(rbar)
-    out = []
-    out += _prop_split(sig, [l, r])
-    out += _prop_split(sig, [l])
-    out += _prop_split(sig, [])
-    seen, uniq = set(), []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
-    return uniq
-
-
-def _search_suffix_prop(q, sig, rbars, lbars, i, ins) -> Optional[TInstance]:
-    """Lexicographic search over filler-repetition counts for the tail of the
-    refutation instance; first instance within the length cap that fails the
-    truncated query wins."""
-    from .dl import empty_ontology
-
     onto = empty_ontology(sig)
-    n = q.depth
-    cap = (n + 1) ** 2
-    qd = until_truncate(q, i)
-    free = [j for j in range(i + 1, n + 1) if lbars[j] is not None]
-    base_len = (i + 1) + 1 + (n - i)
-    for counts in _lex_vectors(len(free), cap):
-        length = base_len + sum(counts)
-        if length - 1 > cap:
-            continue
-        seq = list(rbars[: i]) + [ins] + [rbars[i]]
-        ci = 0
-        for j in range(i + 1, n + 1):
-            if lbars[j] is not None:
-                seq.extend([lbars[j]] * counts[ci])
-                ci += 1
-            seq.append(rbars[j])
-        d = tinstance([_prop_slice(sig, s) for s in seq], "a")
-        if not tentail(onto, d, 0, qd):
-            return d
-    return None
+    if not is_peerless(onto, q):
+        raise NotPeerless("fillers must be containment-incomparable with targets")
+    full = frozenset(sig.concept_names)
 
+    def complement_slices(qs: tuple[Eliq, ...]) -> list[Instance]:
+        if any(t.is_top for t in qs):
+            return []
+        slices = dict.fromkeys(
+            full - set(c) for c in itertools.product(*(sorted(t.names) for t in qs))
+        )
+        return [
+            Instance(frozenset(("a",)), frozenset((n, "a") for n in s), frozenset())
+            for s in slices
+        ]
 
-def _lex_vectors(k: int, cap: int):
-    if k == 0:
-        yield ()
-        return
-    for total in range(0, cap + 1):
-        for combo in itertools.product(range(total + 1), repeat=k):
-            if sum(combo) == total:
-                yield combo
-
-
-def _peerless_prop(q: UntilQuery) -> bool:
-    for f, t in q.steps:
-        if f is None:
-            continue
-        if set(f.names) <= set(t.names) or set(t.names) <= set(f.names):
-            return False
-    return True
+    return _until_examples(onto, q, complement_slices, "until-propositional")
 
 
 def characterise_until(
     onto: Ontology, q: UntilQuery, sig: Signature, combo_cap: int = 64
 ) -> ExampleSet:
     """Example set for a peerless until query wrt a Horn ontology, negatives
-    drawn from split-partner members."""
-    from .temporal.normal import is_peerless
-
-    r = reasoner(onto)
+    drawn from split-partner members. A trivial final target is refused here
+    only: the propositional family builds example sets for those."""
     if not is_peerless(onto, q):
         raise NotPeerless("fillers must be containment-incomparable with targets")
-    if r.trivial(q.targets()[-1]):
+    if reasoner(onto).trivial(q.targets()[-1]):
         raise TrailingTopTarget("the final target must not be trivial")
-    n = q.depth
-    targets = q.targets()
-    fillers: list[Optional[Eliq]] = [None] + [f for f, _ in q.steps]
-
     split_cache: dict = {}
 
-    def split_slices(terms: Sequence[Optional[Eliq]]) -> list[Instance]:
-        qs = [t for t in terms if t is not None]
-        if not qs:
-            qs = [BOTTOM_QUERY]
+    def split_slices(qs: tuple[Eliq, ...]) -> list[Instance]:
         key = tuple(sorted(t._key for t in qs))
         if key not in split_cache:
-            members = split_partner(onto, sig, qs).members
+            members = split_partner(onto, sig, list(qs) or [BOTTOM_QUERY]).members
             split_cache[key] = [_point_slice(p, k) for k, p in enumerate(members)]
         return split_cache[key]
 
+    return _until_examples(onto, q, split_slices, "until-split", combo_cap)
+
+
+def _until_examples(
+    onto: Ontology,
+    q: UntilQuery,
+    split_slices: Callable[[tuple[Eliq, ...]], list[Instance]],
+    family: str,
+    combo_cap: Optional[int] = None,
+) -> ExampleSet:
+    """The until construction over a split-slice supplier: `split_slices(qs)`
+    gives the point slices of a split-partner of the queries qs, of bottom
+    when qs is empty. At most `combo_cap` words of bottom slices are used.
+
+    Positives: the targets' realisation, with fillers inserted once or
+    twice. Negatives: words of bottom slices, such words with one target's
+    split slice, the realisation with a split slice inserted before a
+    target, and for each such slice the first suffix refuting the query
+    truncated there; only words that do not entail q are kept.
+    """
+    r = reasoner(onto)
+    n = q.depth
+    targets = q.targets()
     hats = [_point_slice(r.hat(t), 100 + k) for k, t in enumerate(targets)]
     fhats = [None] + [
         None if f is None else _point_slice(r.hat(f), 200 + k)
@@ -606,46 +502,42 @@ def characterise_until(
                 positives.append(mk(hats[:i] + li + hats[i:j] + lj + hats[j:]))
 
     negatives: list[TInstance] = []
-    bottoms = split_slices([])
-    if n >= 1 and bottoms:
-        for combo in itertools.islice(
-            itertools.product(range(len(bottoms)), repeat=n), combo_cap
-        ):
-            negatives.append(mk([bottoms[c] for c in combo]))
+    bottoms = split_slices(())
+    combos = itertools.product(range(len(bottoms)), repeat=n) if bottoms else ()
+    words = [[bottoms[c] for c in combo] for combo in itertools.islice(combos, combo_cap)]
+    if n >= 1:
+        negatives.extend(mk(seq) for seq in words)
     for p in range(n + 1):
-        for mem in split_slices([targets[p]]):
-            if bottoms:
-                for combo in itertools.islice(
-                    itertools.product(range(len(bottoms)), repeat=n), combo_cap
-                ):
-                    seq = [bottoms[c] for c in combo]
-                    negatives.append(mk(seq[:p] + [mem] + seq[p:]))
-    for i in range(1, n + 1):
-        for mem in _until_members(split_slices, fillers[i], targets[i]):
+        for mem in split_slices((targets[p],)):
+            negatives.extend(mk(seq[:p] + [mem] + seq[p:]) for seq in words)
+    for i, (filler, target) in enumerate(q.steps, 1):
+        for mem in _until_members(split_slices, filler, target):
             negatives.append(mk(hats[:i] + [mem] + hats[i:]))
-    for i in range(1, n + 1):
-        for mem in _until_members(split_slices, fillers[i], targets[i]):
-            found = _search_suffix_onto(onto, q, hats, fhats, i, mem)
+            found = _search_suffix(onto, q, hats, fhats, i, mem)
             if found is not None:
                 negatives.append(found)
 
     negatives = [d for d in negatives if not tentail(onto, d, 0, q)]
-    return _finish(onto, positives, negatives, q, (("family", "until-split"),))
+    return _finish(onto, positives, negatives, q, (("family", family),))
 
 
 def _until_members(split_slices, filler, target) -> list[Instance]:
+    """Split slices of (filler, target), of the filler, and of bottom, each
+    slice once; a bottom filler drops out."""
+    qs = (target,) if filler is None else (filler, target)
     out = []
     seen = set()
-    for mem in (
-        split_slices([filler, target]) + split_slices([filler]) + split_slices([])
-    ):
+    for mem in split_slices(qs) + split_slices(qs[:-1]) + split_slices(()):
         if mem._key not in seen:
             seen.add(mem._key)
             out.append(mem)
     return out
 
 
-def _search_suffix_onto(onto, q, hats, fhats, i, mem) -> Optional[TInstance]:
+def _search_suffix(onto, q, hats, fhats, i, mem) -> Optional[TInstance]:
+    """Lexicographic search over filler-repetition counts for the tail of the
+    refutation instance; the first instance within the length cap that fails
+    the truncated query wins."""
     n = q.depth
     cap = (n + 1) ** 2
     qd = until_truncate(q, i)
@@ -664,3 +556,13 @@ def _search_suffix_onto(onto, q, hats, fhats, i, mem) -> Optional[TInstance]:
         if not tentail(onto, d, 0, qd):
             return d
     return None
+
+
+def _lex_vectors(k: int, cap: int):
+    if k == 0:
+        yield ()
+        return
+    for total in range(0, cap + 1):
+        for combo in itertools.product(range(total + 1), repeat=k):
+            if sum(combo) == total:
+                yield combo

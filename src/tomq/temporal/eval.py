@@ -2,6 +2,11 @@
 sequence-matcher view of path/until queries used for fast evaluation and for
 the bounded equivalence oracle.
 
+Both the evaluator and the matcher read a query in its flat form
+(`flat_form`): bodies r0..rn, the relation between neighbours and each
+until filler. The evaluator decides "body i holds at time point ell and the
+bodies after it follow as the relations say", memoised per (i, ell).
+
 Slices beyond the last timestamp are empty, so entailment of a fixed subquery
 is constant there; quantified operators therefore only ever need one
 representative timestamp beyond the data.
@@ -11,22 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..dl import Eliq, Instance, Ontology, reasoner
-from .model import (
-    LEQ,
-    LESS,
-    SUC,
-    ExampleSet,
-    FAnd,
-    FAtom,
-    FDia,
-    FDiaR,
-    FNext,
-    FUntil,
-    PathQuery,
-    TInstance,
-    UntilQuery,
-    to_formula,
-)
+from .model import LEQ, LESS, SUC, ExampleSet, PathQuery, TInstance, flat_form
 
 
 class TemporalEvaluator:
@@ -45,54 +35,53 @@ class TemporalEvaluator:
             )
         return self._holds[key]
 
-    def entails(self, f, ell: int = 0) -> bool:
+    def entails(self, q, ell: int = 0) -> bool:
         if self.unsat:
             return True
-        f = to_formula(f)
-        return self._eval(f, ell, {})
+        self._bodies, self._rels, self._fillers = flat_form(q)
+        self._memo: dict = {}
+        return self._from(0, ell)
 
-    def _eval(self, f, ell: int, memo: dict) -> bool:
+    def _from(self, i: int, ell: int) -> bool:
+        """Body i holds at ell and bodies i+1.. follow it as the relations say."""
         # every position past the data sees the all-empty future, so they are
         # interchangeable; clamping keeps the search space finite
-        ell = min(ell, self.d.max_time + 1)
-        key = (id(f), ell)
+        maxd = self.d.max_time
+        ell = min(ell, maxd + 1)
+        key = (i, ell)
+        memo = self._memo
         if key in memo:
             return memo[key]
-        maxd = self.d.max_time
-        if isinstance(f, FAtom):
-            out = self.domain_holds(ell, f.query)
-        elif isinstance(f, FAnd):
-            out = self._eval(f.left, ell, memo) and self._eval(f.right, ell, memo)
-        elif isinstance(f, FNext):
-            out = self._eval(f.sub, ell + 1, memo)
-        elif isinstance(f, FDia):
-            cap = max(ell, maxd) + 1
-            out = any(self._eval(f.sub, m, memo) for m in range(ell + 1, cap + 1))
-        elif isinstance(f, FDiaR):
-            cap = max(ell, maxd) + 1
-            out = any(self._eval(f.sub, m, memo) for m in range(ell, cap + 1))
-        elif isinstance(f, FUntil):
-            cap = max(ell, maxd) + 1
+        body = self._bodies[i]
+        if not body.is_top and not self.domain_holds(ell, body):
             out = False
-            for m in range(ell + 1, cap + 1):
-                if not self._eval(f.sub, m, memo):
-                    continue
-                if f.filler is None:
-                    if m == ell + 1:
-                        out = True
-                else:
-                    if all(self._eval(f.filler, k, memo) for k in range(ell + 1, m)):
-                        out = True
-                if out:
-                    break
+        elif i == len(self._rels):
+            out = True
         else:
-            raise TypeError(f)
+            rel = self._rels[i]
+            cap = max(ell, maxd) + 1
+            if rel == SUC:
+                out = self._from(i + 1, ell + 1)
+            elif rel == LESS:
+                out = any(self._from(i + 1, m) for m in range(ell + 1, cap + 1))
+            elif rel == LEQ:
+                out = any(self._from(i + 1, m) for m in range(ell, cap + 1))
+            else:  # until: the filler holds strictly between; None is bottom
+                filler = self._fillers[i]
+                out = False
+                for m in range(ell + 1, cap + 1):
+                    if self._from(i + 1, m):
+                        out = True
+                        break
+                    if filler is None or not self.domain_holds(m, filler):
+                        break
         memo[key] = out
         return out
 
 
 def tentail(onto: Ontology, dinst: TInstance, ell: int, q) -> bool:
-    """O,D,ell,point entails q; q may be a path query, an until query or a formula."""
+    """O,D,ell,point entails q; q may be a path query, an until query or a
+    bare ELIQ."""
     return TemporalEvaluator(onto, dinst).entails(q, ell)
 
 
@@ -148,15 +137,7 @@ class SequenceMatcher:
     def __init__(self, onto: Ontology, q):
         self.onto = onto
         self.r = reasoner(onto)
-        if isinstance(q, PathQuery):
-            self.bodies, self.rels = q.chain
-            self.fillers = None
-        elif isinstance(q, UntilQuery):
-            self.bodies = tuple(q.targets())
-            self.rels = ("until",) * len(q.steps)
-            self.fillers = tuple(f for f, _ in q.steps)
-        else:
-            raise TypeError(q)
+        self.bodies, self.rels, self.fillers = flat_form(q)
         self.final = len(self.bodies) - 1
         self._sat_cache: dict = {}
 

@@ -16,6 +16,7 @@ from ..dl import Eliq, Instance, TOP_QUERY
 LEQ = "leq"
 LESS = "less"
 SUC = "suc"
+UNTIL = "until"
 
 
 @dataclass(frozen=True)
@@ -191,93 +192,19 @@ def untilquery(head: Eliq, steps: Sequence[tuple[Optional[Eliq], Eliq]]) -> Unti
     return UntilQuery(head, tuple(steps))
 
 
-# ---------------------------------------------------------------- formulas
-
-@dataclass(frozen=True)
-class FAtom:
-    query: Eliq
-
-
-@dataclass(frozen=True)
-class FAnd:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class FNext:
-    sub: "Formula"
-
-
-@dataclass(frozen=True)
-class FDia:
-    sub: "Formula"
-
-
-@dataclass(frozen=True)
-class FDiaR:
-    sub: "Formula"
-
-
-@dataclass(frozen=True)
-class FUntil:
-    filler: Optional["Formula"]  # None is the bottom filler
-    sub: "Formula"
-
-
-Formula = object
-
-
-def formula_tdp(f) -> int:
-    if isinstance(f, FAtom):
-        return 0
-    if isinstance(f, FAnd):
-        return max(formula_tdp(f.left), formula_tdp(f.right))
-    if isinstance(f, (FNext, FDia, FDiaR)):
-        return 1 + formula_tdp(f.sub)
-    if isinstance(f, FUntil):
-        inner = formula_tdp(f.sub)
-        if f.filler is not None:
-            inner = max(inner, formula_tdp(f.filler))
-        return 1 + inner
-    raise TypeError(f)
-
-
-def path_to_formula(q: PathQuery):
-    bodies, rels = q.chain
-    out: Formula = FAtom(bodies[-1])
-    for body, rel in zip(reversed(bodies[:-1]), reversed(rels)):
-        if rel == SUC:
-            out = FNext(out)
-        elif rel == LESS:
-            out = FDia(out)
-        else:
-            out = FDiaR(out)
-        if not body.is_top:
-            out = FAnd(FAtom(body), out)
-    return out
-
-
-def until_to_formula(q: UntilQuery):
-    out: Formula = None
-    for filler, target in reversed(q.steps):
-        tail = FAtom(target) if out is None else FAnd(FAtom(target), out)
-        out = FUntil(None if filler is None else FAtom(filler), tail)
-    if out is None:
-        return FAtom(q.head)
-    if q.head.is_top:
-        return out
-    return FAnd(FAtom(q.head), out)
-
-
-def to_formula(q):
+def flat_form(q) -> tuple[tuple[Eliq, ...], tuple[str, ...], Optional[tuple[Optional[Eliq], ...]]]:
+    """The one form the evaluator and the sequence matcher read: bodies
+    r0..rn, the relation between neighbours (`suc`, `less`, `leq` or
+    `until`) and, for an until query, the filler of each step (`None` for a
+    path query or a bare ELIQ, which is the one-body form)."""
     if isinstance(q, PathQuery):
-        return path_to_formula(q)
+        bodies, rels = q.chain
+        return bodies, rels, None
     if isinstance(q, UntilQuery):
-        return until_to_formula(q)
+        return tuple(q.targets()), (UNTIL,) * len(q.steps), tuple(f for f, _ in q.steps)
     if isinstance(q, Eliq):
-        return FAtom(q)
-    return q
+        return (q,), (), None
+    raise TypeError(q)
 
 
 # ----------------------------------------------------- temporal instances

@@ -127,7 +127,6 @@ def _parse_axiom(line: str, dialect: str, roles: set, concepts: set, ln: int):
     if "[=" not in line:
         raise ParseError("an axiom needs `[=` or `func`", ln)
     lhs, rhs = (part.strip() for part in line.split("[=", 1))
-    lhs_tok = lhs.replace(" ", " ")
     # role inclusion: both sides bare role tokens already known to be roles
     def _role_tok(t):
         base = t[:-1] if t.endswith("-") else t
@@ -469,7 +468,7 @@ def _parse_atoms(body: str, ln: int) -> list[tuple]:
                 x, y = y, x
             out.append((pred, x, y))
         else:
-            raise ParseError(f"atoms take one or two individuals, got {chunk!r}", ln)
+            raise ParseError(f"atoms take one or two individuals, got {m.group(0)!r}", ln)
     return out
 
 

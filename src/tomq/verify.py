@@ -188,8 +188,7 @@ def check_frontier(onto: Ontology, q: Eliq, frontier: Iterable[Eliq], spec: Enum
         if r.contains(cand, q):
             continue
         if not any(r.contains(m, cand) for m in members):
-            if r.contains(q, cand) and not r.contains(cand, q):  # re-check directly
-                witnesses.append(("condition-b", cand))
+            witnesses.append(("condition-b", cand))
     return Verdict(not witnesses, witnesses, spec)
 
 

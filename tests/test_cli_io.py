@@ -1,4 +1,6 @@
 """Parsers, printers, round-trips, and the command-line exit codes."""
+import re
+
 import pytest
 
 from tomq.dl import (
@@ -109,6 +111,21 @@ def test_tinstance_parsing():
         parse_tinstance("point: a\nt=-1: A(a)\n")
     with pytest.raises(ParseError):
         parse_tinstance("t=0: A(a)\n")
+
+
+def test_atom_arity_errors_are_parse_errors(tmp_path):
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A\nroles: R\n")
+    query = tmp_path / "q.q"
+    query.write_text("F A\n")
+    for atom_text in ("R(a,b,c)", "A()"):
+        text = f"point: a\nt=0: {atom_text}\n"
+        with pytest.raises(ParseError, match=re.escape(repr(atom_text))):
+            parse_tinstance(text)
+        inst = tmp_path / "bad.ti"
+        inst.write_text(text)
+        args = ["entail", "--ontology", str(onto), "--query", str(query), "--instance", str(inst)]
+        assert main(args) == 2
 
 
 def test_roundtrip_golden_corpus():

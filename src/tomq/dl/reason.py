@@ -28,6 +28,10 @@ dict lookup, and threads sharing a reasoner share nothing in progress.
 The chase materialises the groups as fresh individuals up to a depth bound,
 reusing a named successor whenever the obligation's role has a functional
 super-role already realised by a named edge.
+
+Saturations, chases and certain answers are cached under the `Instance`
+itself: equal instances are exactly those with equal `key()`, and hashing
+one reads the cached hashes of its three frozensets.
 """
 from __future__ import annotations
 
@@ -372,12 +376,10 @@ class Reasoner:
     # ------------------------------------------------------------- saturation
 
     def saturate(self, inst: Instance) -> Saturation:
-        key = inst.key()
-        if key in self._sat_cache:
-            return self._sat_cache[key]
-        result = self._saturate(inst)
-        self._sat_cache[key] = result
-        return result
+        got = self._sat_cache.get(inst)
+        if got is None:
+            got = self._sat_cache[inst] = self._saturate(inst)
+        return got
 
     def _saturate(self, inst: Instance) -> Saturation:
         edges = set(self._closed_edges(inst))
@@ -457,7 +459,7 @@ class Reasoner:
     # ------------------------------------------------------------------ chase
 
     def chase(self, inst: Instance, depth: int) -> Instance:
-        key = (inst.key(), depth)
+        key = (inst, depth)
         if key in self._chase_cache:
             return self._chase_cache[key]
         sat = self.saturate(inst)
@@ -507,12 +509,11 @@ class Reasoner:
         return self.saturate(inst).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
-        ckey = (inst.key(), point, q._key)
-        if ckey in self._certain_cache:
-            return self._certain_cache[ckey]
-        out = self._certain_answer(inst, point, q)
-        self._certain_cache[ckey] = out
-        return out
+        ckey = (inst, point, q._key)
+        got = self._certain_cache.get(ckey)
+        if got is None:
+            got = self._certain_cache[ckey] = self._certain_answer(inst, point, q)
+        return got
 
     def _certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
         if not self.is_satisfiable(inst):

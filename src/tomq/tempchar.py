@@ -472,9 +472,15 @@ def _until_examples(
 
     Positives: the targets' realisation, with fillers inserted once or
     twice. Negatives: words of bottom slices, such words with one target's
-    split slice, the realisation with a split slice inserted before a
-    target, and for each such slice the first suffix refuting the query
-    truncated there; only words that do not entail q are kept.
+    split slice, and for each split slice inserted before a target the
+    first suffix refuting the query truncated there; only words that do
+    not entail q are kept.
+
+    The realisation with the split slice inserted, `hats[:i] + [mem] +
+    hats[i:]`, is no family of its own: it is the suffix search's first
+    candidate, and the truncated query (bottom fillers, which mean next)
+    entails q. So whenever that word does not entail q, it does not entail
+    the truncated query either, and the search returns it.
     """
     r = reasoner(onto)
     n = q.depth
@@ -512,7 +518,6 @@ def _until_examples(
             negatives.extend(mk(seq[:p] + [mem] + seq[p:]) for seq in words)
     for i, (filler, target) in enumerate(q.steps, 1):
         for mem in _until_members(split_slices, filler, target):
-            negatives.append(mk(hats[:i] + [mem] + hats[i:]))
             found = _search_suffix(onto, q, hats, fhats, i, mem)
             if found is not None:
                 negatives.append(found)

@@ -7,36 +7,88 @@ Both the evaluator and the matcher read a query in its flat form
 until filler. The evaluator decides "body i holds at time point ell and the
 bodies after it follow as the relations say", memoised per (i, ell).
 
-Slices beyond the last timestamp are empty, so entailment of a fixed subquery
-is constant there; quantified operators therefore only ever need one
-representative timestamp beyond the data.
+Both read the slices of a temporal instance through one `SliceTable`: per
+domain query an int whose bit j says that the query holds at slice j, and
+whose bit max_time+1 stands for every later time point. Slices beyond the
+last timestamp are empty, so entailment of a fixed subquery is constant
+there; quantified operators therefore only ever need that one
+representative timestamp beyond the data. Tables are memoised per process
+(`slice_table`), so the candidates of one uniqueness check share one table
+per example instead of asking the reasoner again per candidate and slice.
+
+The matcher keeps its set of NFA states as one int: bit 2i+1 is the state
+"bodies 0..i are matched and body i sits at the current slice" (pinned),
+bit 2i the same with body i strictly before it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from ..dl import Eliq, Instance, Ontology, reasoner
+from ..dl import Eliq, Ontology, reasoner
 from .model import LEQ, LESS, SUC, ExampleSet, PathQuery, TInstance, flat_form
+
+
+class SliceTable:
+    """Which domain queries hold at which slice of one temporal instance.
+
+    `bits(q)` is an int whose bit j says that q holds at slice j at the
+    instance's point; bit `future` (max_time + 1) is the empty slice that
+    every later time point sees. Each query costs one `certain_answer` per
+    slice, once. `unsat` says that some slice is inconsistent with the
+    ontology, so that the instance entails every query. Threads may fill
+    one table together; a query they both compute gets the same bits.
+    """
+
+    def __init__(self, onto: Ontology, dinst: TInstance):
+        self.r = r = reasoner(onto)
+        self.point = dinst.point
+        self.future = dinst.max_time + 1
+        self.slices = dinst.slices + (dinst.slice_at(self.future),)
+        self.unsat = not all(r.is_satisfiable(s) for s in dinst.slices)
+        self._bits: dict[str, int] = {}
+
+    def bits(self, q: Eliq) -> int:
+        got = self._bits.get(q._key)
+        if got is None:
+            got = 0
+            for j, s in enumerate(self.slices):
+                if self.r.certain_answer(s, self.point, q):
+                    got |= 1 << j
+            self._bits[q._key] = got
+        return got
+
+    def holds(self, q: Eliq, m: int) -> bool:
+        """q holds at time point m."""
+        return self.bits(q) >> min(m, self.future) & 1 == 1
+
+
+# a uniqueness check visits its examples in a cycle, once per candidate, so
+# the bound must exceed the largest example set (75 in the benchmark's
+# seed-11 characterise builds) or every visit misses
+SLICE_TABLE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=SLICE_TABLE_CACHE_SIZE)
+def slice_table(onto: Ontology, dinst: TInstance) -> SliceTable:
+    """The `SliceTable` of dinst under onto. Memoised per process (at most
+    SLICE_TABLE_CACHE_SIZE instances, emptied by `clear_slice_tables`), so
+    the evaluator and every matcher run on one instance share its table."""
+    return SliceTable(onto, dinst)
+
+
+def clear_slice_tables() -> None:
+    """Forget every memoised `slice_table`."""
+    slice_table.cache_clear()
 
 
 class TemporalEvaluator:
     def __init__(self, onto: Ontology, dinst: TInstance):
-        self.onto = onto
         self.d = dinst
-        self.r = reasoner(onto)
-        self._holds: dict = {}
-        self.unsat = any(not self.r.is_satisfiable(s) for s in dinst.slices)
-
-    def domain_holds(self, m: int, q: Eliq) -> bool:
-        key = (min(m, self.d.max_time + 1), q._key)
-        if key not in self._holds:
-            self._holds[key] = self.r.certain_answer(
-                self.d.slice_at(m), self.d.point, q
-            )
-        return self._holds[key]
+        self.table = slice_table(onto, dinst)
 
     def entails(self, q, ell: int = 0) -> bool:
-        if self.unsat:
+        if self.table.unsat:
             return True
         self._bodies, self._rels, self._fillers = flat_form(q)
         self._memo: dict = {}
@@ -53,7 +105,8 @@ class TemporalEvaluator:
         if key in memo:
             return memo[key]
         body = self._bodies[i]
-        if not body.is_top and not self.domain_holds(ell, body):
+        holds = self.table.holds
+        if not body.is_top and not holds(body, ell):
             out = False
         elif i == len(self._rels):
             out = True
@@ -73,7 +126,7 @@ class TemporalEvaluator:
                     if self._from(i + 1, m):
                         out = True
                         break
-                    if filler is None or not self.domain_holds(m, filler):
+                    if filler is None or not holds(filler, m):
                         break
         memo[key] = out
         return out
@@ -95,7 +148,7 @@ class RootHom:
 
 def root_homs(onto: Ontology, q: PathQuery, dinst: TInstance) -> list[RootHom]:
     """All root homomorphisms within the evaluation horizon, lexicographically."""
-    ev = TemporalEvaluator(onto, dinst)
+    holds = slice_table(onto, dinst).holds
     bodies, rels = q.chain
     horizon = dinst.max_time + q.tdp + 1
     out: list[RootHom] = []
@@ -117,10 +170,10 @@ def root_homs(onto: Ontology, q: PathQuery, dinst: TInstance) -> list[RootHom]:
         for m in candidates:
             if m > horizon:
                 continue
-            if ev.domain_holds(m, bodies[idx]):
+            if holds(bodies[idx], m):
                 extend(idx + 1, positions + [m])
 
-    if ev.domain_holds(0, bodies[0]):
+    if holds(bodies[0], 0):
         extend(1, [0])
     return out
 
@@ -130,92 +183,87 @@ def root_homs(onto: Ontology, q: PathQuery, dinst: TInstance) -> list[RootHom]:
 class SequenceMatcher:
     """NFA view of a path or until query over a stream of slice letters.
 
-    States are pairs (i, pinned): domain queries 0..i are matched and query
-    position i sits at the current letter (pinned) or strictly before it.
+    A state set is one int (see the module docstring). A letter's profile is
+    a pair of ints: bit 2i+1 of the first says that body i holds at the
+    letter, bit 2i of the second that the until filler after body i does.
     """
 
     def __init__(self, onto: Ontology, q):
         self.onto = onto
-        self.r = reasoner(onto)
+        self.r = reasoner(onto)  # perfbench/spans.py keys traced runs by it
         self.bodies, self.rels, self.fillers = flat_form(q)
-        self.final = len(self.bodies) - 1
-        self._sat_cache: dict = {}
-
-    def letter_profile(self, inst: Instance, point: str) -> tuple[frozenset, frozenset]:
-        """Which bodies (and until-fillers) hold at this slice."""
-        key = (inst._key, point)
-        if key not in self._sat_cache:
-            bodies = frozenset(
-                i for i, b in enumerate(self.bodies)
-                if self.r.certain_answer(inst, point, b)
-            )
-            fillers = frozenset()
-            if self.fillers is not None:
-                fillers = frozenset(
-                    i for i, f in enumerate(self.fillers)
-                    if f is not None and self.r.certain_answer(inst, point, f)
-                )
-            self._sat_cache[key] = (bodies, fillers)
-        return self._sat_cache[key]
-
-    def _close_leq(self, states: set, sat_bodies) -> set:
-        if self.fillers is not None:
-            return states
-        changed = True
-        while changed:
-            changed = False
-            for i, pinned in list(states):
-                if pinned and i < self.final and self.rels[i] == LEQ and (i + 1) in sat_bodies:
-                    if (i + 1, True) not in states:
-                        states.add((i + 1, True))
-                        changed = True
-        return states
-
-    def start(self, profile) -> frozenset:
-        sat_bodies, _ = profile
-        if 0 not in sat_bodies:
-            return frozenset()
-        return frozenset(self._close_leq({(0, True)}, sat_bodies))
-
-    def step(self, states: frozenset, profile) -> frozenset:
-        sat_bodies, sat_fillers = profile
-        new: set = set()
-        for i, pinned in states:
-            if i < self.final and (i + 1) in sat_bodies:
-                rel = self.rels[i]
-                if rel == SUC:
-                    if pinned:
-                        new.add((i + 1, True))
-                else:  # less, leq, until all allow a strictly later match here
-                    new.add((i + 1, True))
-            # the state survives unpinned when the letter may lie between matches
-            if self.fillers is None or i == self.final:
-                new.add((i, False))
+        self.final = n = len(self.bodies) - 1
+        self._accepting = 3 << 2 * n
+        self._occupied = (4 ** (n + 1) - 1) // 3  # bits 0, 2, .., 2n
+        # states that advance on a matching letter: pinned ones before a
+        # `suc`, any before a `less`, `leq` or `until`
+        self._suc = self._later = self._leq = 0
+        for i, rel in enumerate(self.rels):
+            if rel == SUC:
+                self._suc |= 1 << 2 * i
             else:
-                filler = self.fillers[i]
-                if filler is not None and i in sat_fillers:
-                    new.add((i, False))
-        return frozenset(self._close_leq(new, sat_bodies))
+                self._later |= 1 << 2 * i
+            if rel == LEQ:
+                self._leq |= 2 << 2 * i
+        # states that survive any letter unpinned: all of a path query's,
+        # only the final one of an until query's
+        self._stay = self._occupied if self.fillers is None else 1 << 2 * n
 
-    def accepts(self, states: frozenset) -> bool:
-        return any(i == self.final for i, _ in states)
+    def profiles(self, table: SliceTable) -> list[tuple[int, int]]:
+        """The profile of every slice of the table, the empty future last."""
+        bodies = [0] * (table.future + 1)
+        fillers = [0] * (table.future + 1)
+        for i, body in enumerate(self.bodies):
+            _spread(bodies, table.bits(body), 2 << 2 * i)
+        for i, filler in enumerate(self.fillers or ()):
+            if filler is not None:
+                _spread(fillers, table.bits(filler), 1 << 2 * i)
+        return list(zip(bodies, fillers))
+
+    def _close_leq(self, states: int, bodies: int) -> int:
+        """Pinned states before a `leq` also match the next body here."""
+        while True:
+            more = (states & self._leq) << 2 & bodies & ~states
+            if not more:
+                return states
+            states |= more
+
+    def start(self, profile: tuple[int, int]) -> int:
+        bodies, _ = profile
+        return self._close_leq(bodies & 2, bodies)
+
+    def step(self, states: int, profile: tuple[int, int]) -> int:
+        bodies, fillers = profile
+        occupied = (states | states >> 1) & self._occupied
+        advancing = (states >> 1 & self._suc) | (occupied & self._later)
+        new = (advancing << 3 & bodies) | (occupied & (self._stay | fillers))
+        return self._close_leq(new, bodies)
+
+    def accepts(self, states: int) -> bool:
+        return states & self._accepting != 0
 
     def run(self, dinst: TInstance) -> bool:
-        if any(not self.r.is_satisfiable(s) for s in dinst.slices):
+        table = slice_table(self.onto, dinst)
+        if table.unsat:
             return True
-        empty = Instance(dinst.slices[0].individuals)
-        profiles = [self.letter_profile(s, dinst.point) for s in dinst.slices]
+        profiles = self.profiles(table)
+        tail = profiles.pop()
         states = self.start(profiles[0])
-        for p in profiles[1:]:
-            if self.accepts(states):
-                return True
+        for p in profiles[1:] + [tail] * (self.final + 2):
+            if not states or self.accepts(states):
+                break
             states = self.step(states, p)
-        tail = self.letter_profile(empty, dinst.point)
-        for _ in range(self.final + 2):
-            if self.accepts(states):
-                return True
-            states = self.step(states, tail)
         return self.accepts(states)
+
+
+def _spread(out: list[int], bits: int, mark: int) -> None:
+    """Set `mark` in out[j] for every bit j of `bits`."""
+    j = 0
+    while bits:
+        if bits & 1:
+            out[j] |= mark
+        bits >>= 1
+        j += 1
 
 
 def fits(onto: Ontology, examples: ExampleSet, q) -> bool:

@@ -22,8 +22,9 @@ from .dl import (
     conjoin,
     make_eliq,
     reasoner,
+    rename_instance,
 )
-from .temporal.eval import SequenceMatcher
+from .temporal.eval import SequenceMatcher, SliceTable
 from .temporal.model import (
     ExampleSet,
     PathQuery,
@@ -306,8 +307,7 @@ def tequiv_witness(
     agree on all of them. Product-automaton search, so the bound is cheap."""
     letters = alphabet if alphabet is not None else _letters(onto, q1, q2, domain_size)
     m1, m2 = SequenceMatcher(onto, q1), SequenceMatcher(onto, q2)
-    shared = sorted(set().union(*(p.instance.individuals for p in letters)) | {"a"})
-    slices = []
+    renamed = []
     for p in letters:
         ren = {p.point: "a"}
         fresh = 0
@@ -315,13 +315,15 @@ def tequiv_witness(
             if ind != p.point:
                 ren[ind] = f"x{fresh}"
                 fresh += 1
-        from .dl import rename_instance
-
-        slices.append(rename_instance(p.instance, ren))
-    inds = frozenset().union(*(s.individuals for s in slices))
-    slices = [s.with_individuals(inds) for s in slices]
-    profiles1 = [m1.letter_profile(s, "a") for s in slices]
-    profiles2 = [m2.letter_profile(s, "a") for s in slices]
+        renamed.append(rename_instance(p.instance, ren))
+    # the letters as the slices of one instance over their shared
+    # individuals: the table's future slice is the empty letter that ends
+    # every word
+    alphabet_inst = tinstance(renamed, "a")
+    slices = alphabet_inst.slices
+    table = SliceTable(onto, alphabet_inst)
+    profiles1, profiles2 = m1.profiles(table), m2.profiles(table)
+    e1, e2 = profiles1.pop(), profiles2.pop()
 
     def accepts(mm: SequenceMatcher, states, profile_empty) -> bool:
         cur = states
@@ -331,8 +333,6 @@ def tequiv_witness(
             cur = mm.step(cur, profile_empty)
         return mm.accepts(cur)
 
-    empty = Instance(inds)
-    e1, e2 = m1.letter_profile(empty, "a"), m2.letter_profile(empty, "a")
     start_items = []
     for i in range(len(slices)):
         s1, s2 = m1.start(profiles1[i]), m2.start(profiles2[i])

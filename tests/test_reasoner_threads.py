@@ -2,15 +2,20 @@
 
 Each reasoning call keeps its fixpoint state to itself and publishes only
 final values to the reasoner's caches, so concurrent calls may repeat work
-but must neither fail nor cache a wrong answer.
+but must neither fail nor cache a wrong answer. The same holds for the
+process-wide memo of slice tables that the sequence matcher and the
+temporal evaluator share.
 """
 import random
 import sys
 import threading
 
 from tomq.dl import DIALECTS, Reasoner, signature
+from tomq.dl import reason
+from tomq.temporal.eval import SLICE_TABLE_CACHE_SIZE, SequenceMatcher, clear_slice_tables, tentail
+from tomq.temporal.model import pathquery_from_ops, tinstance, untilquery
 
-from helpers import rand_eliq, rand_ontology
+from helpers import rand_eliq, rand_instance, rand_ontology
 
 SIG = signature(["A", "B", "C"], ["R", "S"])
 THREADS = 4
@@ -24,6 +29,22 @@ def _workload():
         qs = [rand_eliq(rng, SIG, max_size=4) for _ in range(14)]
         work.append((onto, [(q1, q2) for q1 in qs for q2 in qs]))
     return work
+
+
+def _run_threads(worker) -> None:
+    """Run worker(n) in THREADS threads under a shortened switch interval and
+    wait for them, failing when one does not finish."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,), daemon=True) for n in range(THREADS)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads), "a worker did not finish"
 
 
 def test_threads_sharing_a_reasoner_agree_with_one_thread():
@@ -47,17 +68,7 @@ def test_threads_sharing_a_reasoner_agree_with_one_thread():
         except Exception as exc:  # reported below, with the thread that raised it
             errors.append((n, repr(exc)))
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(n,), daemon=True) for n in range(THREADS)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads), "a worker did not finish"
+    _run_threads(worker)
     assert not errors, errors[:5]
     wrong = [
         (n, k, i)
@@ -66,4 +77,57 @@ def test_threads_sharing_a_reasoner_agree_with_one_thread():
         for i, want in enumerate(row)
         if got[n][k][i] != want
     ]
+    assert not wrong, f"{len(wrong)} answers differ from one thread's, first {wrong[:5]}"
+
+
+def _temporal_workload():
+    """(ontology, temporal instance, query) triples: more instances than the
+    slice-table memo holds, each asked several path and until queries."""
+    rng = random.Random(7877)
+    sig = signature(["A", "B"], ["R"])
+    work = []
+    for k in range(SLICE_TABLE_CACHE_SIZE // 8 + 2):
+        onto = rand_ontology(rng, sig, DIALECTS[k % len(DIALECTS)], max_axioms=4)
+        for _ in range(8):
+            slices = [rand_instance(rng, sig, max_inds=2, max_atoms=4) for _ in range(rng.randint(1, 3))]
+            dinst = tinstance(slices, "i0")
+            for _ in range(2):
+                bodies = [rand_eliq(rng, sig, max_size=2) for _ in range(rng.randint(1, 3))]
+                ops = [rng.choice(["X", "F", "Fr"]) for _ in bodies[1:]]
+                work.append((onto, dinst, pathquery_from_ops(bodies, ops)))
+            steps = [(None if rng.random() < 0.4 else rand_eliq(rng, sig, 2), rand_eliq(rng, sig, 2))]
+            work.append((onto, dinst, untilquery(rand_eliq(rng, sig, 2), steps)))
+    return work
+
+
+def _answers(onto, dinst, q) -> tuple:
+    return (
+        SequenceMatcher(onto, q).run(dinst),
+        tuple(tentail(onto, dinst, ell, q) for ell in range(dinst.max_time + 3)),
+    )
+
+
+def test_threads_sharing_slice_tables_agree_with_one_thread():
+    work = _temporal_workload()
+    expected = [_answers(*item) for item in work]
+    # start the threads cold: no memoised table, and fresh reasoners that
+    # the threads fill together through `reasoner(onto)`
+    clear_slice_tables()
+    for onto, _, _ in work:
+        reason._REASONERS.pop(onto, None)
+    got = [[None] * len(work) for _ in range(THREADS)]
+    errors = []
+
+    def worker(n: int) -> None:
+        idx = list(range(len(work)))
+        random.Random(n).shuffle(idx)
+        try:
+            for i in idx:
+                got[n][i] = _answers(*work[i])
+        except Exception as exc:  # reported below, with the thread that raised it
+            errors.append((n, repr(exc)))
+
+    _run_threads(worker)
+    assert not errors, errors[:5]
+    wrong = [(n, i) for n in range(THREADS) for i, want in enumerate(expected) if got[n][i] != want]
     assert not wrong, f"{len(wrong)} answers differ from one thread's, first {wrong[:5]}"

@@ -669,6 +669,9 @@ _REASONERS: dict[Ontology, Reasoner] = {}
 
 
 def reasoner(onto: Ontology) -> Reasoner:
-    if onto not in _REASONERS:
-        _REASONERS[onto] = Reasoner(onto)
-    return _REASONERS[onto]
+    """The one `Reasoner` of this ontology. Threads racing on a new ontology
+    all get the one `setdefault` kept."""
+    got = _REASONERS.get(onto)
+    if got is None:
+        got = _REASONERS.setdefault(onto, Reasoner(onto))
+    return got

@@ -313,8 +313,9 @@ def characterise_dia(
     """The example set for a path query over next/later/now-or-later.
 
     Positives: the gap-normal realisation plus one tightened variant per
-    boundary. Negatives: the under-tightened variants plus every single rule
-    application; depth mode adds the lone-conjunct replacement rule.
+    boundary. Negatives: the under-tightened variants, the point weakenings
+    and every single rule application; depth mode adds the lone-conjunct
+    replacement rule.
     """
     r = reasoner(onto)
     nq = normalize(onto, q)
@@ -364,6 +365,7 @@ def characterise_dia(
             if conn.count == 1 and r.compatible(nq.blocks[i][-1], nq.blocks[i + 1][0]):
                 negatives.append(_join_variant(base, i).to_tinstance())
 
+    negatives.extend(t.to_tinstance() for t in _point_weakenings(base))
     rules = ("a", "b") if mode[0] == MODE_NEXTDIA else ("a", "b", "c", "d", "e")
     for rule in rules:
         for position, choice in rule_applications(base, rule):
@@ -375,6 +377,26 @@ def characterise_dia(
             )
 
     return _finish(onto, positives, negatives, nq, meta)
+
+
+def _point_weakenings(t: TaggedBNormal) -> list[TaggedBNormal]:
+    """The realisation with its point slice (block 0, slice 0) replaced by
+    each negative instance of that slice's tag. Without these negatives the
+    target with r0 weakened fits the set too. Rule a skips that slice, and
+    the learner's rule closure relies on the skip, so the builder adds the
+    weakenings as a step of its own; rule e does not cover them, since it
+    never runs in nextdia mode and only copies the slice of a longer first
+    block."""
+    if _is_trivial_tag(t.onto, t.tags[0][0]):
+        return []
+    out = []
+    for member in t.negatives[0][0]:
+        blocks, tags, negs = t.rows()
+        blocks[0][0] = member
+        tags[0][0] = None
+        negs[0][0] = ()
+        out.append(t.rebuilt(blocks, tags, negs))
+    return out
 
 
 def _join_variant(t: TaggedBNormal, i: int) -> TaggedBNormal:

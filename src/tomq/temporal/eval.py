@@ -4,8 +4,15 @@ the bounded equivalence oracle.
 
 Both the evaluator and the matcher read a query in its flat form
 (`flat_form`): bodies r0..rn, the relation between neighbours and each
-until filler. The evaluator decides "body i holds at time point ell and the
-bodies after it follow as the relations say", memoised per (i, ell).
+until filler. The evaluator is one forward pass over time-point bitsets:
+S0 is r0's bits at ell alone, and S(i+1) is r(i+1)'s bits within
+`advance(Si, rel_i, filler_i)`, the points that the relation reaches from
+Si (`suc` shifts by one, `less` takes every point above the lowest bit of
+Si, `leq` adds Si itself, `until` carries through the filler's points). q
+holds when Sn is not empty. The pass stops at the first empty Si, so a
+body's bits are asked for only when the pass reaches it. The uniqueness
+check in `tomq.verify` runs the same pass over many candidates, sharing
+the states of common prefixes.
 
 Both read the slices of a temporal instance through one `SliceTable`: per
 domain query an int whose bit j says that the query holds at slice j, and
@@ -26,7 +33,7 @@ import functools
 from dataclasses import dataclass
 
 from ..dl import Eliq, Ontology, reasoner
-from .model import LEQ, LESS, SUC, ExampleSet, PathQuery, TInstance, flat_form
+from .model import LEQ, LESS, SUC, UNTIL, ExampleSet, PathQuery, TInstance, flat_form
 
 
 class SliceTable:
@@ -46,6 +53,7 @@ class SliceTable:
         self.future = dinst.max_time + 1
         self.slices = dinst.slices + (dinst.slice_at(self.future),)
         self.unsat = not all(r.is_satisfiable(s) for s in dinst.slices)
+        self.everywhere = (2 << self.future) - 1
         self._bits: dict[str, int] = {}
 
     def bits(self, q: Eliq) -> int:
@@ -58,14 +66,19 @@ class SliceTable:
             self._bits[q._key] = got
         return got
 
+    def points(self, q: Eliq) -> int:
+        """`bits(q)`, with ⊤ read off as every point without asking the
+        reasoner; that is its bits whenever the table is not `unsat`."""
+        return self.everywhere if q.is_top else self.bits(q)
+
     def holds(self, q: Eliq, m: int) -> bool:
         """q holds at time point m."""
         return self.bits(q) >> min(m, self.future) & 1 == 1
 
 
-# a uniqueness check visits its examples in a cycle, once per candidate, so
-# the bound must exceed the largest example set (75 in the benchmark's
-# seed-11 characterise builds) or every visit misses
+# a uniqueness check re-checks each candidate that fits with the matcher on
+# every example of the set, so the bound must exceed the largest example set
+# (75 in the benchmark's seed-11 characterise builds) or those visits miss
 SLICE_TABLE_CACHE_SIZE = 256
 
 
@@ -82,60 +95,44 @@ def clear_slice_tables() -> None:
     slice_table.cache_clear()
 
 
-class TemporalEvaluator:
-    def __init__(self, onto: Ontology, dinst: TInstance):
-        self.d = dinst
-        self.table = slice_table(onto, dinst)
-
-    def entails(self, q, ell: int = 0) -> bool:
-        if self.table.unsat:
-            return True
-        self._bodies, self._rels, self._fillers = flat_form(q)
-        self._memo: dict = {}
-        return self._from(0, ell)
-
-    def _from(self, i: int, ell: int) -> bool:
-        """Body i holds at ell and bodies i+1.. follow it as the relations say."""
-        # every position past the data sees the all-empty future, so they are
-        # interchangeable; clamping keeps the search space finite
-        maxd = self.d.max_time
-        ell = min(ell, maxd + 1)
-        key = (i, ell)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        body = self._bodies[i]
-        holds = self.table.holds
-        if not body.is_top and not holds(body, ell):
-            out = False
-        elif i == len(self._rels):
-            out = True
-        else:
-            rel = self._rels[i]
-            cap = max(ell, maxd) + 1
-            if rel == SUC:
-                out = self._from(i + 1, ell + 1)
-            elif rel == LESS:
-                out = any(self._from(i + 1, m) for m in range(ell + 1, cap + 1))
-            elif rel == LEQ:
-                out = any(self._from(i + 1, m) for m in range(ell, cap + 1))
-            else:  # until: the filler holds strictly between; None is bottom
-                filler = self._fillers[i]
-                out = False
-                for m in range(ell + 1, cap + 1):
-                    if self._from(i + 1, m):
-                        out = True
-                        break
-                    if filler is None or not holds(filler, m):
-                        break
-        memo[key] = out
-        return out
+def advance(states: int, rel: str, filler: int, future: int) -> int:
+    """The time points the next body may sit at, given the points `states`
+    at which the bodies so far are matched. Bits are time points as in
+    `SliceTable`; bit `future` stands for every later point, so it reaches
+    itself. `filler` is the until filler's bits (0 for the bottom filler)."""
+    if not states:
+        return 0
+    last = 1 << future
+    upto = (last << 1) - 1
+    if rel == SUC:
+        return (states << 1 | states & last) & upto
+    if rel == UNTIL:
+        # m is reached when m-1 is in states, or m-1 is reached and the
+        # filler holds there: the carries of one addition
+        carries = ((states | filler) + states) ^ (filler & ~states)
+        return carries & upto | states & last
+    # `less`: every point above the lowest one, up to the future
+    low = states & -states
+    later = upto ^ ((low << 1) - 1) | states & last
+    return later | states if rel == LEQ else later
 
 
 def tentail(onto: Ontology, dinst: TInstance, ell: int, q) -> bool:
     """O,D,ell,point entails q; q may be a path query, an until query or a
     bare ELIQ."""
-    return TemporalEvaluator(onto, dinst).entails(q, ell)
+    table = slice_table(onto, dinst)
+    if table.unsat:
+        return True
+    bodies, rels, fillers = flat_form(q)
+    future = table.future
+    states = table.points(bodies[0]) & 1 << min(ell, future)
+    for i, rel in enumerate(rels):
+        if not states:
+            return False
+        filler = fillers[i] if fillers else None
+        reach = advance(states, rel, 0 if filler is None else table.points(filler), future)
+        states = reach & table.points(bodies[i + 1])
+    return states != 0
 
 
 @dataclass(frozen=True)

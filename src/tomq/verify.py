@@ -24,8 +24,12 @@ from .dl import (
     reasoner,
     rename_instance,
 )
-from .temporal.eval import SequenceMatcher, SliceTable
+from .temporal.eval import SequenceMatcher, SliceTable, advance, fits, slice_table
 from .temporal.model import (
+    LEQ,
+    LESS,
+    SUC,
+    UNTIL,
     ExampleSet,
     PathQuery,
     TInstance,
@@ -145,29 +149,61 @@ def clear_enum_cache() -> None:
     _enum_domain_cached.cache_clear()
 
 
+_REL_OF_OP = {"X": SUC, "F": LESS, "Fr": LEQ}
+_OP_OF_REL = {rel: op for op, rel in _REL_OF_OP.items()}
+
+
+def enum_shapes(spec: EnumSpec) -> tuple[tuple[Eliq, ...], list[tuple[list, ...]]]:
+    """Every query of the class within the bounds as a flat shape over the
+    domain, grouped, in the order of `enum_queries`: the domain, and groups
+    of levels whose shapes are `itertools.product(*levels)`.
+
+    A shape is (b0, step1, .., stepn): b0 indexes the domain, and step i is
+    (rel, filler, body) with rel the relation before body i, filler the until
+    filler's index (None for bottom, and for path queries) and body an index.
+    A domain query's shape is (b0,). Within a group the last body varies
+    fastest, so shapes sharing a prefix come one after another, and every
+    step of a level is one shared object."""
+    domain_classes = (CLASS_P, CLASS_ELQ, CLASS_ELIQ)
+    if spec.qclass not in domain_classes + (CLASS_DIA, CLASS_NEXTDIA, CLASS_UNTIL):
+        raise ValueError(f"unknown query class {spec.qclass!r}")
+    if spec.qclass in domain_classes:
+        domain = enum_domain_queries(spec.signature, spec.qclass, spec.size_bound)
+        return domain, [(range(len(domain)),)]
+    domain = enum_domain_queries(spec.signature, CLASS_P, spec.size_bound)
+    bodies = range(len(domain))
+    if spec.qclass == CLASS_UNTIL:
+        until_steps = [(UNTIL, f, b) for f in (None, *bodies) for b in bodies]
+        return domain, [(bodies,) + (until_steps,) * k for k in range(spec.depth_bound + 1)]
+    ops_menu = ["X", "F"] if spec.qclass == CLASS_NEXTDIA else ["X", "F", "Fr"]
+    steps = {op: [(_REL_OF_OP[op], None, b) for b in bodies] for op in ops_menu}
+    return domain, [
+        (bodies,) + tuple(steps[op] for op in ops)
+        for k in range(spec.depth_bound + 1)
+        for ops in itertools.product(ops_menu, repeat=k)
+    ]
+
+
+def shape_query(qclass: str, domain: tuple[Eliq, ...], shape: tuple):
+    """The query that `enum_shapes` lists as this shape."""
+    head, steps = domain[shape[0]], shape[1:]
+    if qclass == CLASS_UNTIL:
+        return untilquery(head, [
+            (None if f is None else domain[f], domain[b]) for _, f, b in steps
+        ])
+    if qclass in (CLASS_DIA, CLASS_NEXTDIA):
+        return pathquery_from_ops(
+            [head] + [domain[b] for _, _, b in steps], [_OP_OF_REL[rel] for rel, _, _ in steps]
+        )
+    return head
+
+
 def enum_queries(spec: EnumSpec) -> Iterator:
     """Every query of the class within the bounds, once, in a fixed order."""
-    if spec.qclass in (CLASS_P, CLASS_ELQ, CLASS_ELIQ):
-        yield from enum_domain_queries(spec.signature, spec.qclass, spec.size_bound)
-        return
-    domain = enum_domain_queries(spec.signature, CLASS_P, spec.size_bound)
-    if spec.qclass in (CLASS_DIA, CLASS_NEXTDIA):
-        ops_menu = ["X", "F"] if spec.qclass == CLASS_NEXTDIA else ["X", "F", "Fr"]
-        for k in range(spec.depth_bound + 1):
-            for ops in itertools.product(ops_menu, repeat=k):
-                for bodies in itertools.product(domain, repeat=k + 1):
-                    yield pathquery_from_ops(list(bodies), list(ops))
-        return
-    if spec.qclass == CLASS_UNTIL:
-        fillers = (None,) + domain
-        for k in range(spec.depth_bound + 1):
-            for head in domain:
-                for steps in itertools.product(
-                    itertools.product(fillers, domain), repeat=k
-                ):
-                    yield untilquery(head, list(steps))
-        return
-    raise ValueError(f"unknown query class {spec.qclass!r}")
+    domain, groups = enum_shapes(spec)
+    for levels in groups:
+        for shape in itertools.product(*levels):
+            yield shape_query(spec.qclass, domain, shape)
 
 
 # ------------------------------------------------------------------- checks
@@ -219,37 +255,119 @@ def check_split_partner(
     return Verdict(not witnesses, witnesses, spec)
 
 
-def _fits_fast(matcher: SequenceMatcher, examples: ExampleSet) -> bool:
-    return all(matcher.run(d) for d in examples.positives) and not any(
-        matcher.run(d) for d in examples.negatives
-    )
+class _ExamplePass:
+    """The forward pass of `tentail` at time point 0 of one example, over the
+    shapes of one uniqueness check. The state after each shape prefix is
+    kept for the check, so a shape pays only for its last entry, and each
+    domain query's bits are read once."""
+
+    def __init__(self, table: SliceTable, domain: tuple[Eliq, ...]):
+        self.table = table
+        self.domain = domain
+        self._points: list[Optional[int]] = [None] * len(domain)
+        self._after: dict[tuple, int] = {(): 1}  # before b0: time point 0 alone
+        self.state = 1                           # after the prefix entered last
+        self.serial = -1
+
+    def points(self, b: int) -> int:
+        got = self._points[b]
+        if got is None:
+            got = self._points[b] = self.table.points(self.domain[b])
+        return got
+
+    def extend(self, state: int, entry) -> int:
+        """The state after one more entry of a shape: b0, or a step."""
+        if type(entry) is int:
+            return state & self.points(entry)
+        rel, filler, body = entry
+        fill = 0 if filler is None else self.points(filler)
+        return advance(state, rel, fill, self.table.future) & self.points(body)
+
+    def after(self, prefix: tuple) -> int:
+        got = self._after.get(prefix)
+        if got is None:
+            got = self.after(prefix[:-1])
+            if got:
+                got = self.extend(got, prefix[-1])
+            self._after[prefix] = got
+        return got
+
+    def enter(self, prefix: tuple, serial: int) -> None:
+        self.state = self.after(prefix)
+        self.serial = serial
+
+    def entails(self, last) -> bool:
+        """The shape `prefix + (last,)` holds at time point 0."""
+        return self.state != 0 and self.extend(self.state, last) != 0
+
+
+def _fitting_shapes(groups: list, checks: list) -> Iterator[tuple]:
+    """The shapes of the groups, in order, that every check's example entails
+    (a positive) or does not (a negative); the checks run in order and stop
+    at the first that refuses. A prefix that a positive example refuses as a
+    whole is skipped."""
+    serial = 0
+    for levels in groups:
+        *inner, last = levels
+        for prefix in itertools.product(*inner):
+            serial += 1
+            for entry in last:
+                for ex, want in checks:
+                    if ex.serial != serial:
+                        ex.enter(prefix, serial)
+                    if ex.entails(entry) != want:
+                        break
+                else:
+                    yield prefix + (entry,)
+                    continue
+                if want and not ex.state:
+                    break
 
 
 def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec: EnumSpec) -> Verdict:
     """Pass iff q fits and every enumerated query fitting the example set is
     equivalent to q (bounded temporal equivalence).
 
+    Candidates are decided as flat shapes (`enum_shapes`) by the forward
+    bitset pass of `tentail`, per example in order, with the state after
+    each shape prefix kept per example for the check. A prefix on which a
+    positive example's pass is already empty is skipped whole. Only a shape
+    that fits becomes a query; `SequenceMatcher.run` re-checks it on every
+    example, independently of the pass, before `tequiv_bounded` runs.
+
     The verdict holds only within ``spec.qclass``: class ``dia`` enumerates
     next, later and now-or-later (``X``, ``F``, ``Fr``), class ``nextdia``
     only ``X`` and ``F``, so a set unique in ``nextdia`` may still admit a
     now-or-later fitter in ``dia``."""
-    from .temporal.eval import fits
-
     if not fits(onto, examples, q):
         return Verdict(False, [("target-does-not-fit", q)], spec)
     length_bound = _default_length_bound(q)
+    domain, groups = enum_shapes(spec)
+    # an inconsistent example entails every query: a positive one accepts
+    # every candidate, and a negative one cannot occur once q fits
+    checks = [
+        (_ExamplePass(table, domain), want)
+        for want, ds in ((True, examples.positives), (False, examples.negatives))
+        for table in (slice_table(onto, d) for d in ds)
+        if not table.unsat
+    ]
     witnesses = []
-    for cand in enum_queries(spec):
+    for shape in _fitting_shapes(groups, checks):
         if len(witnesses) >= spec.max_witnesses:
             break
-        matcher = SequenceMatcher(onto, cand)
-        if not _fits_fast(matcher, examples):
-            continue
-        if not fits(onto, examples, cand):  # independent re-check of the witness path
+        cand = shape_query(spec.qclass, domain, shape)
+        if not _matcher_fits(onto, examples, cand):  # independent re-check
             continue
         if not tequiv_bounded(onto, cand, q, length_bound):
             witnesses.append(cand)
     return Verdict(not witnesses, witnesses, spec)
+
+
+def _matcher_fits(onto: Ontology, examples: ExampleSet, q) -> bool:
+    matcher = SequenceMatcher(onto, q)
+    return all(matcher.run(d) for d in examples.positives) and not any(
+        matcher.run(d) for d in examples.negatives
+    )
 
 
 # -------------------------------------------------- bounded temporal equiv

@@ -35,7 +35,15 @@ from tomq.temporal.eval import (
     slice_table,
     tentail,
 )
-from tomq.temporal.model import LEQ, SUC, flat_form, pathquery_from_ops, tinstance, untilquery
+from tomq.temporal.model import (
+    LEQ,
+    SUC,
+    example_set,
+    flat_form,
+    pathquery_from_ops,
+    tinstance,
+    untilquery,
+)
 from tomq.temporal.normal import is_safe, normalize
 from tomq.verify import (
     EnumSpec,
@@ -50,6 +58,7 @@ from helpers import rand_eliq, rand_instance, rand_ontology
 SIG = signature(["A", "B", "C"], ["R"])
 MAX_AXIOMS = 5  # larger ELHIF-NF draws can hit the witness step that never ends
 CASES_PER_DIALECT = 150
+BUILD_DRAWS = 64
 
 
 # ------------------------------------------------------------- the reference
@@ -206,33 +215,44 @@ def reference_unique(onto, q, examples, spec) -> tuple[bool, list[str]]:
 
 
 def _builds():
-    """Seeded example-set builds in the four modes, over the empty ontology
-    and small concept-only ones: (mode, ontology, query, examples, spec)."""
+    """Seeded example-set builds in the four modes over signature {A, B, C},
+    at temporal depth 1 and 2, over the empty ontology and small ones with
+    role axioms, each checked with a witness cut of 1 or 3: (mode, ontology,
+    query, examples, spec). Bodies have size 2 at most, and until sets of
+    depth 2 are checked against bodies of size 1."""
     rng = random.Random(8117)
-    names = ["A", "B"]
+    names = ["A", "B", "C"]
     sig = signature(names)
+    role_sig = signature(names, ["R"])
 
     def body():
         return make_eliq(sorted(rng.sample(names, rng.randint(1, 2))))
 
     out = []
-    for k in range(128):
+    for k in range(BUILD_DRAWS):
         if k % 2:
-            onto = rand_ontology(rng, sig, rng.choice([DL_LITE_H, ELHIF_NF]), max_axioms=3)
+            onto = rand_ontology(rng, role_sig, rng.choice([DL_LITE_H, ELHIF_NF]), max_axioms=3)
         else:
             onto = empty_ontology(sig)
         r = reasoner(onto)
         mode = ("safe", "depth", "nextdia", "until")[k // 2 % 4]
         depth = 1 + k // 8 % 2
+        cut = (1, 3)[k // 16 % 2]
         if mode == "until":
-            q = untilquery(body(), [(None if rng.random() < 0.4 else body(), body())])
+            # the reference loop takes seconds on an until set of depth 2
+            # (some 570 negatives), even over the 4 bodies of size 1: such
+            # sets are drawn only in the first half and checked at size 1
+            if k >= BUILD_DRAWS // 2:
+                depth = 1
+            head = body()
+            q = untilquery(head, [(None if rng.random() < 0.4 else body(), body()) for _ in range(depth)])
             if r.trivial(q.targets()[-1]) or not all(r.query_satisfiable(b) for b in q.targets()):
                 continue
             try:
                 es = characterise_until(onto, q, sig)
             except TomqError:  # the builder's guards; not what is compared here
                 continue
-            out.append((mode, onto, q, es, EnumSpec(sig, "until", 2, q.depth)))
+            out.append((mode, onto, q, es, EnumSpec(sig, "until", 3 - depth, q.depth, cut)))
             continue
         q = pathquery_from_ops([body() for _ in range(depth + 1)],
                                [rng.choice(["X", "F", "Fr"]) for _ in range(depth)])
@@ -245,21 +265,24 @@ def _builds():
             continue
         es = characterise_dia(onto, q, sig, mode=("depth", nq.tdp) if mode == "depth" else (mode,))
         qclass = "nextdia" if mode == "nextdia" else "dia"
-        out.append((mode, onto, q, es, EnumSpec(sig, qclass, 2, nq.tdp)))
+        out.append((mode, onto, q, es, EnumSpec(sig, qclass, 2, nq.tdp, cut)))
     return out
 
 
 def test_uniqueness_verdicts_agree_with_reference_loop():
+    """Every build, and the same build with its negatives dropped, which ⊤
+    then fits, so that it is not unique."""
     builds = _builds()
     assert {b[0] for b in builds} == {"safe", "depth", "nextdia", "until"}
     outcomes = set()
     for mode, onto, q, es, spec in builds:
-        verdict = check_unique_characterisation(onto, q, es, spec)
-        got = (verdict.passed, [
-            w[0] if isinstance(w, tuple) else str(w) for w in verdict.witnesses
-        ])
-        assert got == reference_unique(onto, q, es, spec), (mode, str(q))
-        outcomes.add(verdict.passed)
+        for examples in (es, example_set(es.positives, [])):
+            verdict = check_unique_characterisation(onto, q, examples, spec)
+            got = (verdict.passed, [
+                w[0] if isinstance(w, tuple) else str(w) for w in verdict.witnesses
+            ])
+            assert got == reference_unique(onto, q, examples, spec), (mode, str(q))
+            outcomes.add(verdict.passed)
     assert outcomes == {True, False}
 
 

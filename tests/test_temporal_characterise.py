@@ -4,18 +4,21 @@ import random
 import pytest
 
 from tomq.dl import (
+    DL_LITE_H,
     ELHIF_NF,
     TOP_QUERY,
     ConjLhs,
+    Role,
     atom,
     conjoin,
     empty_ontology,
     instance,
     make_eliq,
+    reasoner,
     signature,
 )
 from tomq.domainchar import negatives_for
-from tomq.errors import NotPeerless, RuleNotApplicable, TrailingTopTarget, UnsafeQuery
+from tomq.errors import NotPeerless, RuleNotApplicable, TomqError, TrailingTopTarget, UnsafeQuery
 from tomq.tempchar import (
     MODE_DEPTH,
     MODE_NEXTDIA,
@@ -35,7 +38,10 @@ from tomq.temporal.model import (
     tinstance,
     untilquery,
 )
+from tomq.temporal.normal import is_safe, normalize
 from tomq.verify import EnumSpec, check_unique_characterisation
+
+from helpers import rand_ontology
 
 A, B = atom("A"), atom("B")
 SIG_A = signature(["A"])
@@ -251,3 +257,97 @@ def test_fits_vacuous_and_negative():
     E = characterise_dia(OE_A, DIA_A, SIG_A)
     xa = pathquery_from_ops([TOP_QUERY, A], ["X"])
     assert not fits(OE_A, E, xa)
+
+
+@pytest.mark.parametrize("mode", [MODE_NEXTDIA, MODE_SAFE])
+def test_point_body_is_weakened(mode):
+    # without a negative whose point slice is weakened, X(A) fits the set
+    # built for A & X(A) as well
+    q = pathquery_from_ops([A, A], ["X"])
+    E = characterise_dia(OE_A, q, SIG_A, mode=(mode,))
+    assert not fits(OE_A, E, pathquery_from_ops([TOP_QUERY, A], ["X"]))
+    qclass = "nextdia" if mode == MODE_NEXTDIA else "dia"
+    v = check_unique_characterisation(OE_A, q, E, EnumSpec(SIG_A, qclass, 2, 1))
+    assert v.passed, [str(w) for w in v.witnesses]
+
+
+ROLE_SIG = signature(["A", "B"], ["R"])
+NAMES_SIG = signature(["A", "B", "C"])
+PROPERTY_DRAWS = 48
+
+
+def _names_body(rng, names):
+    return make_eliq(sorted(rng.sample(names, rng.randint(1, 2))))
+
+
+def _edge_body(rng):
+    """A name or nothing at the root, and one R or R- edge to a name or ⊤."""
+    child = make_eliq(rng.sample(["A", "B"], rng.randint(0, 1)))
+    root = rng.sample(["A", "B"], rng.randint(0, 1))
+    return make_eliq(root, [(Role("R", rng.random() < 0.5), child)])
+
+
+def _property_builds():
+    """Seeded builder outputs in the four modes, with names-only bodies over
+    {A, B, C} and bodies with a role edge over {A, B} and R, over the empty
+    ontology and small random ones: (mode, kind, onto, query, examples,
+    spec). Draws that a builder refuses are skipped."""
+    rng = random.Random(20261018)
+    out = []
+    for k in range(PROPERTY_DRAWS):
+        kind = ("names", "edges")[k % 2]
+        mode = (MODE_SAFE, MODE_DEPTH, MODE_NEXTDIA, "until")[k // 2 % 4]
+        sig = NAMES_SIG if kind == "names" else ROLE_SIG
+        names = sorted(sig.concept_names)
+        if k // 8 % 2:
+            onto = rand_ontology(rng, sig, rng.choice([DL_LITE_H, ELHIF_NF]), max_axioms=3)
+        else:
+            onto = empty_ontology(sig)
+
+        def body():
+            return _names_body(rng, names) if kind == "names" else _edge_body(rng)
+
+        r = reasoner(onto)
+        try:
+            if mode == "until":
+                head = body()
+                filler = None if rng.random() < 0.4 else _names_body(rng, names)
+                q = untilquery(head, [(filler, body())])
+                if not all(r.query_satisfiable(b) for b in q.targets()):
+                    continue
+                es = characterise_until(onto, q, sig)
+                spec = EnumSpec(sig, "until", 2, q.depth)
+            else:
+                depth = 1 + k // 16 % 2
+                q = pathquery_from_ops([body() for _ in range(depth + 1)],
+                                       [rng.choice(["X", "F", "Fr"]) for _ in range(depth)])
+                if not all(r.query_satisfiable(b) for b in q.bodies()):
+                    continue
+                nq = normalize(onto, q)
+                if mode == MODE_SAFE and is_safe(onto, nq, 6) is not True:
+                    continue
+                if mode == MODE_NEXTDIA and nq.has_leq():
+                    continue
+                es = characterise_dia(
+                    onto, q, sig, mode=(mode, nq.tdp) if mode == MODE_DEPTH else (mode,)
+                )
+                spec = EnumSpec(sig, "nextdia" if mode == MODE_NEXTDIA else "dia", 2, nq.tdp)
+        except TomqError:
+            continue
+        out.append((mode, kind, onto, q, es, spec))
+    return out
+
+
+def test_builder_outputs_are_unique_within_bounds():
+    builds = _property_builds()
+    assert {(b[0], b[1]) for b in builds} == {
+        (mode, kind)
+        for mode in (MODE_SAFE, MODE_DEPTH, MODE_NEXTDIA, "until")
+        for kind in ("names", "edges")
+    }
+    failed = []
+    for mode, kind, onto, q, es, spec in builds:
+        v = check_unique_characterisation(onto, q, es, spec)
+        if not v.passed:
+            failed.append((mode, kind, str(q), [str(w) for w in v.witnesses[:2]]))
+    assert not failed, f"{len(failed)} of {len(builds)} sets not unique, first {failed[:3]}"

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import dl
-from .dl import Signature, empty_ontology, reasoner, signature
+from .dl import Signature, empty_ontology, signature
 from .domainchar import frontier, split_partner
 from .errors import (
     BudgetExceeded,
@@ -32,9 +32,10 @@ from .tempchar import (
     MODE_SAFE,
     characterise_dia,
     characterise_until,
+    tagged_from_queries,
 )
 from .temporal.eval import tentail
-from .temporal.model import PathQuery, UntilQuery
+from .temporal.model import PathQuery, UntilQuery, tinstance
 from .temporal.normal import is_safe, normalize
 from .textio import (
     parse_eliq,
@@ -105,7 +106,7 @@ def _parse_sigma(args, onto=None, extra_roles=()):  # noqa: C901
     return signature(concepts, roles)
 
 
-def _load_query(args, onto):
+def _load_query(args):
     text = _read(args.query)
     qclass = getattr(args, "qclass", None) or "dia"
     if qclass == "until":
@@ -212,7 +213,7 @@ def _dispatch(args) -> int:  # noqa: C901
     if cmd == "entail":
         sigma = _parse_sigma(args)
         onto = _load_ontology(args, sigma)
-        q = _load_query(args, onto)
+        q = _load_query(args)
         d = parse_tinstance(_read(args.instance))
         return EXIT_OK if tentail(onto, d, 0, q) else EXIT_NEGATIVE
 
@@ -251,8 +252,6 @@ def _dispatch(args) -> int:  # noqa: C901
         sp = split_partner(onto, sigma, queries)
         chunks = []
         for p in sp.members:
-            from .temporal.model import tinstance
-
             chunks.append(print_tinstance(tinstance([p.instance], p.point)))
         _write_out(args, "\n".join(chunks))
         return EXIT_OK
@@ -344,11 +343,7 @@ def _dispatch(args) -> int:  # noqa: C901
 
 def _initial_from_target(onto, target: PathQuery):
     """A canonical positive example: the gap-normal realisation of the target."""
-    from .tempchar import tagged_from_queries
-    from .temporal.normal import normalize as _norm
-
-    r = reasoner(onto)
-    nq = _norm(onto, target)
+    nq = normalize(onto, target)
     b = nq.strict_count + 1
     base = tagged_from_queries(onto, b, nq.blocks, lambda q: None)
     return base.to_tinstance()

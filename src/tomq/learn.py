@@ -26,7 +26,6 @@ from .errors import (
     BudgetExceeded,
     NotPositiveInitialExample,
     NotTreeShaped,
-    RuleNotApplicable,
     UnsupportedDialect,
 )
 from .temporal.eval import SequenceMatcher
@@ -34,10 +33,10 @@ from .temporal.model import Conn, PathQuery, TInstance, leq, less, pathquery, ti
 from .temporal.normal import normalize
 from .tempchar import (
     TaggedBNormal,
+    TaggedSlice,
     _join_variant,
-    apply_rule,
     empty_slice,
-    rule_applications,
+    rule_variants,
     splice_word,
 )
 from .verify import CLASS_ELIQ
@@ -269,28 +268,17 @@ class Learner:
     def tagged_from_slices(
         self, blocks: list[list[Instance]], point: str, b: int
     ) -> TaggedBNormal:
-        tags, negs, pblocks = [], [], []
-        for blk in blocks:
-            row_t, row_n, row_p = [], [], []
-            for s in blk:
-                s = saturate_names(self.onto, s)
-                comp = point_component(s, point)
-                try:
-                    q = instance_to_eliq(comp, point)
-                except NotTreeShaped as exc:  # pragma: no cover - treeify precedes
-                    raise RuntimeError("non-tree slice after shaping") from exc
-                row_t.append(q)
-                row_p.append(Pointed(comp if comp.individuals else s, point))
-                if self.r.trivial(q):
-                    row_n.append(())
-                else:
-                    row_n.append(tuple(self.negatives_of(q)))
-            tags.append(tuple(row_t))
-            negs.append(tuple(row_n))
-            pblocks.append(tuple(row_p))
-        return TaggedBNormal(
-            self.onto, b, tuple(pblocks), tuple(tags), tuple(negs)
-        )
+        def tagged(s: Instance) -> TaggedSlice:
+            s = saturate_names(self.onto, s)
+            comp = point_component(s, point)
+            try:
+                q = instance_to_eliq(comp, point)
+            except NotTreeShaped as exc:  # pragma: no cover - treeify precedes
+                raise RuntimeError("non-tree slice after shaping") from exc
+            negs = () if self.r.trivial(q) else tuple(self.negatives_of(q))
+            return TaggedSlice(Pointed(comp if comp.individuals else s, point), q, negs)
+
+        return TaggedBNormal(self.onto, b, tuple(tuple(tagged(s) for s in blk) for blk in blocks))
 
     def tagged_positive(self, t: TaggedBNormal) -> bool:
         return self.teacher.membership(t.to_tinstance())
@@ -367,22 +355,19 @@ class Learner:
         return t
 
     def _try_rule(self, t: TaggedBNormal, rule: str) -> tuple[bool, TaggedBNormal]:
-        for position, choice in rule_applications(t, rule):
-            try:
-                t2 = apply_rule(t, rule, position, choice)
-            except RuleNotApplicable:
-                continue
+        for _, t2 in rule_variants(t, rule):
             if self.tagged_positive(t2):
-                t2 = self._commit(t2)
-                return True, t2
+                return True, self._commit(t2)
         return False, t
 
     def _commit(self, t: TaggedBNormal) -> TaggedBNormal:
         """Re-parse the realised sequence into gap-normal blocks, minimise,
-        and confirm the result is still a positive example."""
+        and confirm the result is still a positive example. Only the
+        pointed slices are compared: tags and negatives do not change the
+        instance the teacher is asked about."""
         d = t.to_tinstance()
         t2 = self.blocks_from_realised(list(d.slices), d.point, t.b)
-        if t2.blocks != t.blocks and not self.tagged_positive(t2):
+        if t2.slices() != t.slices() and not self.tagged_positive(t2):
             raise RuntimeError("gap normalisation lost positivity")
         return self.tagged_minimise(t2)
 
@@ -401,7 +386,7 @@ class Learner:
         for i in range(1, len(t.blocks)):
             if len(t.blocks[i]) != 1:
                 continue
-            q = t.tags[i][0]
+            q = t.blocks[i][0].tag
             if q is None or self.r.trivial(q):
                 continue
             if need_reducible:
@@ -415,12 +400,6 @@ class Learner:
             out.append(i)
         return out
 
-    def _frontier_word(self, q: Eliq) -> list[Pointed]:
-        front = self.frontier_of(q)
-        if front is None:
-            raise UnsupportedDialect(f"no verified frontier for {q!r}")
-        return [self.r.hat(m) for m in front.members]
-
     def _star_safe(self, t: TaggedBNormal) -> TaggedBNormal:
         guard = 0
         while True:
@@ -431,7 +410,7 @@ class Learner:
             if not eligible:
                 return t
             i = eligible[0]
-            word = self._frontier_word(t.tags[i][0])
+            word = self.negatives_of(t.blocks[i][0].tag)
             k = 1
             while not self.tagged_positive(splice_word(t, i, word * k)):
                 k *= 2
@@ -453,10 +432,10 @@ class Learner:
         while progress:
             progress = False
             for i in self._eligible_blocks(t, need_reducible=False):
-                key = t.blocks[i][0].instance._key
+                key = t.blocks[i][0].slice.instance._key
                 if key in processed:
                     continue
-                word = self._frontier_word(t.tags[i][0])
+                word = self.negatives_of(t.blocks[i][0].tag)
                 if not word:
                     processed.add(key)
                     continue
@@ -471,7 +450,7 @@ class Learner:
     # ------------------------------------------------- step 5: connector read
 
     def infer_connectors(self, t: TaggedBNormal) -> PathQuery:
-        bodies = [[q for q in blk] for blk in t.tags]
+        bodies = [[s.tag for s in blk] for blk in t.blocks]
         if any(q is None for blk in bodies for q in blk):
             raise RuntimeError("untagged slice at readout")
         conns: list[Conn] = []
@@ -480,7 +459,7 @@ class Learner:
         return pathquery(bodies, conns)
 
     def _connector_at(self, t: TaggedBNormal, i: int) -> Conn:
-        left, right = t.tags[i][-1], t.tags[i + 1][0]
+        left, right = t.blocks[i][-1].tag, t.blocks[i + 1][0].tag
         if self.r.compatible(left, right):
             if self.teacher.membership(_join_variant(t, i).to_tinstance()):
                 return leq()

@@ -2,13 +2,21 @@
 gap-normal tagged instances, the next/later family, and the until
 construction with its two split-partner suppliers (signature complements
 for propositional queries, split-partner members under an ontology).
+
+A tagged instance (`TaggedBNormal`) is one grid of blocks, each a tuple of
+`TaggedSlice`s: the pointed slice, the domain query it realises and that
+query's negative instances. Every edit replaces one block by zero or more
+blocks (`TaggedBNormal.replaced`). The rewrite rules a-f are written once,
+in `rule_variants`, which yields each application with its result; the
+next/later builder takes them as negatives, and the learner closes a
+positive example under them.
 """
 from __future__ import annotations
 
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .dl import (
     BOTTOM_QUERY,
@@ -27,7 +35,6 @@ from .errors import (
     NoCharacterisationFound,
     NotPeerless,
     NotPropositional,
-    RuleNotApplicable,
     TrailingTopTarget,
     UnsafeQuery,
 )
@@ -42,8 +49,6 @@ from .temporal.model import (
     tinstance,
 )
 from .temporal.normal import infer_body_class, is_peerless, is_safe, normalize, until_truncate
-
-RULES = ("a", "b", "c", "d", "e", "f")
 
 MODE_SAFE = "safe"
 MODE_DEPTH = "depth"
@@ -63,19 +68,31 @@ def empty_slice() -> Instance:
     return Instance(frozenset(("a",)))
 
 
+class TaggedSlice(NamedTuple):
+    """A block slice, the domain query it realises (None for a slice a rule
+    put in) and that query's negative instances."""
+
+    slice: Pointed
+    tag: Optional[Eliq] = None
+    negatives: tuple = ()
+
+
 @dataclass(frozen=True)
 class TaggedBNormal:
-    """A gap-normal temporal instance whose block slices remember the domain
-    query they realise and that query's negative instances."""
+    """A gap-normal temporal instance as one grid of tagged block slices."""
 
     onto: Ontology
     b: int
-    blocks: tuple[tuple[Pointed, ...], ...]
-    tags: tuple[tuple[Optional[Eliq], ...], ...]
-    negatives: tuple[tuple[tuple[Pointed, ...], ...], ...]
+    blocks: tuple[tuple[TaggedSlice, ...], ...]
 
-    def block_count(self) -> int:
-        return len(self.blocks)
+    def slices(self) -> tuple[tuple[Pointed, ...], ...]:
+        """The grid of pointed slices, without tags and negatives."""
+        return tuple(tuple(s.slice for s in block) for block in self.blocks)
+
+    def replaced(self, i: int, *blocks: Sequence[TaggedSlice]) -> "TaggedBNormal":
+        """Block i replaced by the given blocks, or removed when none is given."""
+        new = tuple(tuple(block) for block in blocks)
+        return TaggedBNormal(self.onto, self.b, self.blocks[:i] + new + self.blocks[i + 1 :])
 
     def to_tinstance(self, gaps: Optional[dict[int, int]] = None) -> TInstance:
         """The realisation: the block slices in order, `b` empty slices
@@ -86,28 +103,10 @@ class TaggedBNormal:
             if i:
                 gap = self.b if gaps is None else gaps.get(i - 1, self.b)
                 slices.extend(empty_slice() for _ in range(gap))
-            for p in block:
-                slices.append(_point_slice(p, tag))
+            for s in block:
+                slices.append(_point_slice(s.slice, tag))
                 tag += 1
         return tinstance(slices, "a")
-
-    def rows(self) -> tuple[list, list, list]:
-        """Mutable copies of the blocks, tags and negatives."""
-        return (
-            [list(b) for b in self.blocks],
-            [list(b) for b in self.tags],
-            [list(b) for b in self.negatives],
-        )
-
-    def rebuilt(self, blocks, tags, negs) -> "TaggedBNormal":
-        """The same ontology and gap bound over edited rows."""
-        return TaggedBNormal(
-            self.onto,
-            self.b,
-            tuple(tuple(b) for b in blocks),
-            tuple(tuple(b) for b in tags),
-            tuple(tuple(b) for b in negs),
-        )
 
 
 def tagged_from_queries(
@@ -117,18 +116,13 @@ def tagged_from_queries(
     supplier: Callable[[Eliq], Optional[SingularPlus]],
 ) -> TaggedBNormal:
     r = reasoner(onto)
-    blocks, tags, negs = [], [], []
-    for qb in query_blocks:
-        row_b, row_t, row_n = [], [], []
-        for q in qb:
-            row_b.append(r.hat(q))
-            row_t.append(q)
-            sp = supplier(q)
-            row_n.append(tuple(sp.negatives) if sp is not None else ())
-        blocks.append(tuple(row_b))
-        tags.append(tuple(row_t))
-        negs.append(tuple(row_n))
-    return TaggedBNormal(onto, b, tuple(blocks), tuple(tags), tuple(negs))
+
+    def tagged(q: Eliq) -> TaggedSlice:
+        hat = r.hat(q)
+        sp = supplier(q)
+        return TaggedSlice(hat, q, tuple(sp.negatives) if sp is not None else ())
+
+    return TaggedBNormal(onto, b, tuple(tuple(tagged(q) for q in qb) for qb in query_blocks))
 
 
 def _is_trivial_tag(onto: Ontology, tag: Optional[Eliq]) -> bool:
@@ -137,59 +131,72 @@ def _is_trivial_tag(onto: Ontology, tag: Optional[Eliq]) -> bool:
     return reasoner(onto).trivial(tag)
 
 
-def rule_applications(t: TaggedBNormal, rule: str) -> list[tuple]:
-    """All (position, choice) pairs where the rule applies, in reading order."""
-    out = []
+def rule_variants(
+    t: TaggedBNormal, rule: str, exponent: int = 1
+) -> Iterator[tuple[tuple, TaggedBNormal]]:
+    """Every single application of the rule, in reading order, as
+    ((position, choice), result); `choice` indexes the negative put in, or
+    is None. `exponent` repeats the word of rule f.
+
+    a: a tagged slice other than the point slice is replaced by one of its
+       negatives. b: a block is split between two slices. c: an interior
+       slice is doubled and the block split between the copies. d: a
+       negative of the last slice goes before it, or one of the first slice
+       after it, and the block is split next to it. e: a negative of a
+       one-slice head block goes in front of it as a block of its own, or
+       the first slice of a longer one does. f: a later one-slice block is
+       replaced by the word of its distinct negatives. Rules a, c and e
+       skip slices whose tag is trivial."""
+    onto = t.onto
+    blocks = t.blocks
     if rule == "a":
-        for i, block in enumerate(t.blocks):
-            for j in range(len(block)):
-                if (i, j) == (0, 0):
+        for i, block in enumerate(blocks):
+            for j, s in enumerate(block):
+                if (i, j) == (0, 0) or _is_trivial_tag(onto, s.tag):
                     continue
-                if _is_trivial_tag(t.onto, t.tags[i][j]):
-                    continue
-                for c in range(len(t.negatives[i][j])):
-                    out.append(((i, j), c))
+                for c, neg in enumerate(s.negatives):
+                    yield ((i, j), c), t.replaced(i, block[:j] + (TaggedSlice(neg),) + block[j + 1 :])
     elif rule == "b":
-        for i, block in enumerate(t.blocks):
+        for i, block in enumerate(blocks):
             for j in range(len(block) - 1):
-                out.append(((i, j), None))
+                yield ((i, j), None), t.replaced(i, block[: j + 1], block[j + 1 :])
     elif rule == "c":
-        for i, block in enumerate(t.blocks):
+        for i, block in enumerate(blocks):
             for j in range(1, len(block) - 1):
-                if not _is_trivial_tag(t.onto, t.tags[i][j]):
-                    out.append(((i, j), None))
+                if not _is_trivial_tag(onto, block[j].tag):
+                    yield ((i, j), None), t.replaced(i, block[: j + 1], block[j:])
     elif rule == "d":
-        for i, block in enumerate(t.blocks):
+        for i, block in enumerate(blocks):
             if len(block) < 2:
                 continue
-            last = len(block) - 1
-            for c in range(len(t.negatives[i][last])):
-                out.append(((i, "end"), c))
-            for c in range(len(t.negatives[i][0])):
-                out.append(((i, "start"), c))
+            for c, neg in enumerate(block[-1].negatives):
+                yield ((i, "end"), c), t.replaced(i, block[:-1] + (TaggedSlice(neg),), block[-1:])
+            for c, neg in enumerate(block[0].negatives):
+                yield ((i, "start"), c), t.replaced(i, block[:1], (TaggedSlice(neg),) + block[1:])
     elif rule == "e":
-        if not _is_trivial_tag(t.onto, t.tags[0][0]):
-            if len(t.blocks[0]) == 1:
-                for c in range(len(t.negatives[0][0])):
-                    out.append(((0, 0), c))
+        head = blocks[0]
+        if not _is_trivial_tag(onto, head[0].tag):
+            if len(head) == 1:
+                for c, neg in enumerate(head[0].negatives):
+                    yield ((0, 0), c), t.replaced(0, (TaggedSlice(neg),), head)
             else:
-                out.append(((0, 0), None))
+                yield ((0, 0), None), t.replaced(0, head[:1], head)
     elif rule == "f":
-        for i in range(1, len(t.blocks)):
-            if len(t.blocks[i]) != 1:
-                continue
-            members = _distinct_negatives(t, i, 0)
-            if len(members) >= 2:
-                out.append(((i, 0), None))
-    return out
+        for i in range(1, len(blocks)):
+            if len(blocks[i]) == 1:
+                members = _distinct_negatives(onto, blocks[i][0])
+                if len(members) >= 2:
+                    yield ((i, 0), None), splice_word(t, i, members * exponent)
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
 
 
-def _distinct_negatives(t: TaggedBNormal, i: int, j: int) -> list[Pointed]:
-    """Negative instances for the tagged slice, pruned to pairwise
-    non-equivalent representatives."""
-    r = reasoner(t.onto)
+def _distinct_negatives(onto: Ontology, s: TaggedSlice) -> list[Pointed]:
+    """The slice's negative instances, pruned to pairwise non-equivalent
+    representatives."""
+    r = reasoner(onto)
     kept: list[Pointed] = []
-    for p in t.negatives[i][j]:
+    for p in s.negatives:
         if not any(
             r.pointed_entails(p, q) and r.pointed_entails(q, p) for q in kept
         ):
@@ -197,106 +204,9 @@ def _distinct_negatives(t: TaggedBNormal, i: int, j: int) -> list[Pointed]:
     return kept
 
 
-def apply_rule(
-    t: TaggedBNormal, rule: str, position: tuple, choice=None, exponent: int = 1
-) -> TaggedBNormal:
-    """One rewrite step; raises RuleNotApplicable when the side conditions of
-    the rule fail at this position."""
-    blocks, tags, negs = t.rows()
-
-    if rule == "a":
-        i, j = position
-        if (i, j) == (0, 0) or _is_trivial_tag(t.onto, t.tags[i][j]):
-            raise RuleNotApplicable("rule a skips the very first slice and trivial slices")
-        options = t.negatives[i][j]
-        if not options:
-            raise RuleNotApplicable("no negative instances for this slice")
-        blocks[i][j] = options[choice if choice is not None else 0]
-        tags[i][j] = None
-        negs[i][j] = ()
-    elif rule == "b":
-        i, j = position
-        if j + 1 >= len(blocks[i]):
-            raise RuleNotApplicable("rule b needs two adjacent slices in a block")
-        _split_block(blocks, tags, negs, i, j + 1)
-    elif rule == "c":
-        i, j = position
-        if not (0 < j < len(blocks[i]) - 1):
-            raise RuleNotApplicable("rule c only duplicates interior slices")
-        if _is_trivial_tag(t.onto, t.tags[i][j]):
-            raise RuleNotApplicable("rule c skips trivial slices")
-        blocks[i].insert(j, blocks[i][j])
-        tags[i].insert(j, tags[i][j])
-        negs[i].insert(j, negs[i][j])
-        _split_block(blocks, tags, negs, i, j + 1)
-    elif rule == "d":
-        i, side = position
-        if len(blocks[i]) < 2:
-            raise RuleNotApplicable("rule d needs a non-primitive block")
-        if side == "end":
-            j = len(blocks[i]) - 1
-            options = t.negatives[i][j]
-            if not options:
-                raise RuleNotApplicable("no negative instances for the border slice")
-            blocks[i].insert(j, options[choice or 0])
-            tags[i].insert(j, None)
-            negs[i].insert(j, ())
-            _split_block(blocks, tags, negs, i, j + 1)
-        elif side == "start":
-            options = t.negatives[i][0]
-            if not options:
-                raise RuleNotApplicable("no negative instances for the border slice")
-            blocks[i].insert(1, options[choice or 0])
-            tags[i].insert(1, None)
-            negs[i].insert(1, ())
-            _split_block(blocks, tags, negs, i, 1)
-        else:
-            raise RuleNotApplicable(f"unknown rule d side {side!r}")
-    elif rule == "e":
-        if position != (0, 0):
-            raise RuleNotApplicable("rule e only touches the very first slice")
-        if _is_trivial_tag(t.onto, t.tags[0][0]):
-            raise RuleNotApplicable("rule e skips a trivial head")
-        if len(blocks[0]) == 1:
-            options = t.negatives[0][0]
-            if not options:
-                raise RuleNotApplicable("no negative instances for the head slice")
-            blocks.insert(0, [options[choice or 0]])
-            tags.insert(0, [None])
-            negs.insert(0, [()])
-        else:
-            blocks.insert(0, [blocks[0][0]])
-            tags.insert(0, [tags[0][0]])
-            negs.insert(0, [negs[0][0]])
-    elif rule == "f":
-        i, j = position
-        if len(t.blocks[i]) != 1 or i == 0:
-            raise RuleNotApplicable("rule f replaces non-initial primitive blocks")
-        members = _distinct_negatives(t, i, 0)
-        if len(members) < 2:
-            raise RuleNotApplicable("rule f needs at least two distinct negatives")
-        return splice_word(t, i, members * exponent)
-    else:
-        raise RuleNotApplicable(f"unknown rule {rule!r}")
-    return t.rebuilt(blocks, tags, negs)
-
-
 def splice_word(t: TaggedBNormal, i: int, word: Sequence[Pointed]) -> TaggedBNormal:
     """Block i replaced by one untagged single-slice block per member of `word`."""
-    blocks, tags, negs = t.rows()
-    blocks[i : i + 1] = [[p] for p in word]
-    tags[i : i + 1] = [[None] for _ in word]
-    negs[i : i + 1] = [[()] for _ in word]
-    return t.rebuilt(blocks, tags, negs)
-
-
-def _split_block(blocks, tags, negs, i: int, at: int):
-    head_b, tail_b = blocks[i][:at], blocks[i][at:]
-    head_t, tail_t = tags[i][:at], tags[i][at:]
-    head_n, tail_n = negs[i][:at], negs[i][at:]
-    blocks[i : i + 1] = [head_b, tail_b]
-    tags[i : i + 1] = [head_t, tail_t]
-    negs[i : i + 1] = [head_n, tail_n]
+    return t.replaced(i, *((TaggedSlice(p),) for p in word))
 
 
 # ----------------------------------------------------------- next/later class
@@ -367,14 +277,11 @@ def characterise_dia(
 
     negatives.extend(t.to_tinstance() for t in _point_weakenings(base))
     rules = ("a", "b") if mode[0] == MODE_NEXTDIA else ("a", "b", "c", "d", "e")
-    for rule in rules:
-        for position, choice in rule_applications(base, rule):
-            negatives.append(apply_rule(base, rule, position, choice).to_tinstance())
     if mode[0] == MODE_DEPTH:
-        for position, choice in rule_applications(base, "f"):
-            negatives.append(
-                apply_rule(base, "f", position, choice, exponent=mode[1]).to_tinstance()
-            )
+        rules += ("f",)
+    exponent = mode[1] if mode[0] == MODE_DEPTH else 1
+    for rule in rules:
+        negatives.extend(v.to_tinstance() for _, v in rule_variants(base, rule, exponent))
 
     return _finish(onto, positives, negatives, nq, meta)
 
@@ -387,27 +294,19 @@ def _point_weakenings(t: TaggedBNormal) -> list[TaggedBNormal]:
     weakenings as a step of its own; rule e does not cover them, since it
     never runs in nextdia mode and only copies the slice of a longer first
     block."""
-    if _is_trivial_tag(t.onto, t.tags[0][0]):
+    head = t.blocks[0]
+    if _is_trivial_tag(t.onto, head[0].tag):
         return []
-    out = []
-    for member in t.negatives[0][0]:
-        blocks, tags, negs = t.rows()
-        blocks[0][0] = member
-        tags[0][0] = None
-        negs[0][0] = ()
-        out.append(t.rebuilt(blocks, tags, negs))
-    return out
+    return [t.replaced(0, (TaggedSlice(neg),) + head[1:]) for neg in head[0].negatives]
 
 
 def _join_variant(t: TaggedBNormal, i: int) -> TaggedBNormal:
     """Merge blocks i and i+1 with the conjunction of the touching borders,
     read off the tags."""
-    joined_body = conjoin(t.tags[i][-1], t.tags[i + 1][0])
-    blocks, tags, negs = t.rows()
-    blocks[i : i + 2] = [blocks[i][:-1] + [reasoner(t.onto).hat(joined_body)] + blocks[i + 1][1:]]
-    tags[i : i + 2] = [tags[i][:-1] + [joined_body] + tags[i + 1][1:]]
-    negs[i : i + 2] = [negs[i][:-1] + [()] + negs[i + 1][1:]]
-    return t.rebuilt(blocks, tags, negs)
+    left, right = t.blocks[i], t.blocks[i + 1]
+    body = conjoin(left[-1].tag, right[0].tag)
+    joined = left[:-1] + (TaggedSlice(reasoner(t.onto).hat(body), body),) + right[1:]
+    return t.replaced(i + 1).replaced(i, joined)
 
 
 def _finish(onto, positives, negatives, q, meta=()) -> ExampleSet:

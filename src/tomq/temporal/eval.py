@@ -239,18 +239,27 @@ class SequenceMatcher:
     def accepts(self, states: int) -> bool:
         return states & self._accepting != 0
 
+    def accepts_at_end(self, states: int, future: tuple[int, int]) -> bool:
+        """Whether the states accept within `final + 2` more letters of the
+        empty future, whose profile is `future`."""
+        for _ in range(self.final + 2):
+            if not states or self.accepts(states):
+                break
+            states = self.step(states, future)
+        return self.accepts(states)
+
     def run(self, dinst: TInstance) -> bool:
         table = slice_table(self.onto, dinst)
         if table.unsat:
             return True
         profiles = self.profiles(table)
-        tail = profiles.pop()
+        future = profiles.pop()
         states = self.start(profiles[0])
-        for p in profiles[1:] + [tail] * (self.final + 2):
+        for p in profiles[1:]:
             if not states or self.accepts(states):
                 break
             states = self.step(states, p)
-        return self.accepts(states)
+        return self.accepts_at_end(states, future)
 
 
 def _spread(out: list[int], bits: int, mark: int) -> None:

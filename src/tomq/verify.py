@@ -442,15 +442,6 @@ def tequiv_witness(
     table = SliceTable(onto, alphabet_inst)
     profiles1, profiles2 = m1.profiles(table), m2.profiles(table)
     e1, e2 = profiles1.pop(), profiles2.pop()
-
-    def accepts(mm: SequenceMatcher, states, profile_empty) -> bool:
-        cur = states
-        for _ in range(mm.final + 2):
-            if mm.accepts(cur):
-                return True
-            cur = mm.step(cur, profile_empty)
-        return mm.accepts(cur)
-
     start_items = []
     for i in range(len(slices)):
         s1, s2 = m1.start(profiles1[i]), m2.start(profiles2[i])
@@ -460,7 +451,7 @@ def tequiv_witness(
     for _length in range(1, length_bound + 1):
         nxt = []
         for (s1, s2), word in frontier:
-            if accepts(m1, s1, e1) != accepts(m2, s2, e2):
+            if m1.accepts_at_end(s1, e1) != m2.accepts_at_end(s2, e2):
                 return tinstance([slices[i] for i in word], "a")
             key = (s1, s2)
             if key in seen:

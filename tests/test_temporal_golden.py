@@ -13,6 +13,12 @@ the empty ontology and a DL-Lite_H ontology, each over a signature with and
 without a role name. Trailing-top targets are drawn too; a build that raises
 stores the exception's class name, so the place of each guard is pinned.
 
+The next/later builder is pinned the same way: `characterise_dia` in the
+modes safe, nextdia and depth (exponent the query's temporal depth) on
+seeded path queries over concept names, with the empty ontology and a small
+concept-only ELHIF ontology. The digests fix the order of every negative, so
+the order in which the rewrite rules are applied is pinned too.
+
 The ontologies have at most `MAX_AXIOMS` axioms. With larger ones a few
 ELHIF-NF draws hit the witness step that never terminates (see ROADMAP item
 4); at this size none does.
@@ -30,6 +36,7 @@ from pathlib import Path
 from tomq.dl import (
     DIALECTS,
     DL_LITE_H,
+    ELHIF_NF,
     TOP_QUERY,
     Disjoint,
     Role,
@@ -42,10 +49,19 @@ from tomq.dl import (
     ontology,
     signature,
 )
+from tomq.dl.model import ConjLhs
 from tomq.errors import TomqError
-from tomq.tempchar import characterise_prop_until, characterise_until
+from tomq.tempchar import (
+    MODE_DEPTH,
+    MODE_NEXTDIA,
+    MODE_SAFE,
+    characterise_dia,
+    characterise_prop_until,
+    characterise_until,
+)
 from tomq.temporal.eval import tentail
 from tomq.temporal.model import pathquery_from_ops, tinstance, untilquery
+from tomq.temporal.normal import normalize
 from tomq.textio import print_exampleset
 
 from helpers import rand_eliq, rand_instance, rand_ontology
@@ -55,6 +71,7 @@ SIG = signature(["A", "B", "C"], ["R"])
 MAX_AXIOMS = 5
 ENTAIL_CASES_PER_DIALECT = 150
 BUILDS_PER_SETTING = 80
+DIA_QUERIES_PER_SETTING = 60
 
 R = Role("R")
 SIG_P = signature(["A", "B", "C"])
@@ -182,6 +199,45 @@ def build_cases():
             )
 
 
+DIA_SETTINGS = (
+    ("empty", empty_ontology(SIG_P)),
+    (
+        "elhif",
+        ontology(
+            [ConjLhs("A", "Top", "B"), ConjLhs("B", "C", "A")], ELHIF_NF, SIG_P
+        ),
+    ),
+)
+
+
+def _rand_path(rng: random.Random):
+    """One to four bodies of at most two concept names over X, F and Fr."""
+    n = rng.randint(1, 4)
+    names = sorted(SIG_P.concept_names)
+    return pathquery_from_ops(
+        [_prop_body(rng, names) for _ in range(n)],
+        [rng.choice(["X", "F", "Fr"]) for _ in range(n - 1)],
+    )
+
+
+def dia_cases():
+    """(case id, thunk building an example set): each seeded path query in
+    the three modes of `characterise_dia`."""
+    for s, (name, onto) in enumerate(DIA_SETTINGS):
+        rng = random.Random(20261021 + s)
+        for k in range(DIA_QUERIES_PER_SETTING):
+            q = _rand_path(rng)
+            modes = {
+                "safe": (MODE_SAFE,),
+                "nextdia": (MODE_NEXTDIA,),
+                "depth": (MODE_DEPTH, normalize(onto, q).tdp),
+            }
+            for label, mode in modes.items():
+                yield f"dia/{name}/{k}/{label}", (
+                    lambda q=q, onto=onto, mode=mode: characterise_dia(onto, q, SIG_P, mode=mode)
+                )
+
+
 def entail_answers() -> dict:
     return {
         cid: {kind: answers(onto, dinst, q) for kind, q in queries.items()}
@@ -191,6 +247,10 @@ def entail_answers() -> dict:
 
 def build_digests() -> dict:
     return {cid: _digest(build) for cid, build in build_cases()}
+
+
+def dia_digests() -> dict:
+    return {cid: _digest(build) for cid, build in dia_cases()}
 
 
 def test_tentail_matches_golden_answers():
@@ -209,6 +269,14 @@ def test_until_example_sets_match_golden_digests():
     assert not failed, f"until example sets changed in cases {failed}"
 
 
+def test_dia_example_sets_match_golden_digests():
+    stored = json.loads(GOLDEN.read_text())["dia"]
+    got = dia_digests()
+    assert sorted(got) == sorted(stored)
+    failed = [cid for cid in got if got[cid] != stored[cid]]
+    assert not failed, f"next/later example sets changed in cases {failed}"
+
+
 def test_golden_cases_exercise_both_answers_and_guards():
     """The stored values are not degenerate: answers vary over time, and
     builds include example sets and both guard refusals."""
@@ -219,12 +287,17 @@ def test_golden_cases_exercise_both_answers_and_guards():
     for guard in ("NotPeerless", "NotPropositional", "TrailingTopTarget"):
         assert "raises " + guard in digests
     assert sum(not v.startswith("raises") for v in digests) >= 200
+    dia = stored["dia"]
+    assert "raises UnsafeQuery" in dia.values()
+    for mode in ("safe", "nextdia", "depth"):
+        built = [v for cid, v in dia.items() if cid.endswith(mode) and not v.startswith("raises")]
+        assert len(built) >= 20, mode
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    data = {"entail": entail_answers(), "build": build_digests()}
+    data = {"entail": entail_answers(), "build": build_digests(), "dia": dia_digests()}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(data['entail'])} entailment cases and "
-          f"{len(data['build'])} builds in {GOLDEN}")
+    print(f"recorded {len(data['entail'])} entailment cases, "
+          f"{len(data['build'])} until builds and {len(data['dia'])} next/later builds in {GOLDEN}")

@@ -176,7 +176,8 @@ def instance_to_eliq(inst: Instance, point: str) -> Eliq:
 
 
 def point_component(inst: Instance, point: str) -> Instance:
-    """Restrict to the connected component of `point` (other individuals dropped)."""
+    """Restrict to the connected component of `point` (other individuals
+    dropped); `inst` itself when the component is all of it."""
     keep = {point}
     frontier = [point]
     adj: dict[str, set[str]] = {}
@@ -189,6 +190,8 @@ def point_component(inst: Instance, point: str) -> Instance:
             if m not in keep:
                 keep.add(m)
                 frontier.append(m)
+    if len(keep) == len(inst.individuals):
+        return inst
     return Instance(
         frozenset(keep),
         frozenset((c, a) for c, a in inst.catoms if a in keep),

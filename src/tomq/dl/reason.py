@@ -235,6 +235,11 @@ class Reasoner:
         self._exrhs = onto.axioms_of(ExistsRhs)
         self._exlhs = onto.axioms_of(ExistsLhs)
         self._conjlhs = onto.axioms_of(ConjLhs)
+        # only these axioms put `bot` into a type or clash on a functional
+        # role; without them every instance without `bot` data is consistent
+        self._may_clash = bool(self._disjoint or self.func_decl) or any(
+            ax.rhs == BOT for ax in self._conjlhs
+        )
 
     # ------------------------------------------------------------------ roles
 
@@ -506,6 +511,8 @@ class Reasoner:
     # -------------------------------------------------------- certain answers
 
     def is_satisfiable(self, inst: Instance) -> bool:
+        if not self._may_clash and not any(c == BOT for c, _ in inst.catoms):
+            return True
         return self.saturate(inst).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..dl import Eliq, Ontology, reasoner
+from ..dl import Eliq, Ontology, point_component, reasoner
 from .model import LEQ, LESS, SUC, UNTIL, ExampleSet, PathQuery, TInstance, flat_form
 
 
@@ -43,16 +43,21 @@ class SliceTable:
     instance's point; bit `future` (max_time + 1) is the empty slice that
     every later time point sees. Each query costs one `certain_answer` per
     slice, once. `unsat` says that some slice is inconsistent with the
-    ontology, so that the instance entails every query. Threads may fill
-    one table together; a query they both compute gets the same bits.
+    ontology, so that the instance entails every query. Otherwise each
+    slice is kept as the point's connected component only, on which every
+    certain answer at the point is the same (see the README). Threads may
+    fill one table together; a query they both compute gets the same bits.
     """
 
     def __init__(self, onto: Ontology, dinst: TInstance):
         self.r = r = reasoner(onto)
-        self.point = dinst.point
+        self.point = point = dinst.point
         self.future = dinst.max_time + 1
-        self.slices = dinst.slices + (dinst.slice_at(self.future),)
         self.unsat = not all(r.is_satisfiable(s) for s in dinst.slices)
+        slices = dinst.slices + (dinst.slice_at(self.future),)
+        if not self.unsat:
+            slices = tuple(point_component(s, point) for s in slices)
+        self.slices = slices
         self.everywhere = (2 << self.future) - 1
         self._bits: dict[str, int] = {}
 
@@ -76,9 +81,9 @@ class SliceTable:
         return self.bits(q) >> min(m, self.future) & 1 == 1
 
 
-# a uniqueness check re-checks each candidate that fits with the matcher on
-# every example of the set, so the bound must exceed the largest example set
-# (75 in the benchmark's seed-11 characterise builds) or those visits miss
+# a builder checks that its example set fits before the uniqueness check
+# takes the same tables, so a bound above the largest example set (75 in the
+# benchmark's seed-11 characterise builds) lets the check reuse them
 SLICE_TABLE_CACHE_SIZE = 256
 
 
@@ -248,8 +253,11 @@ class SequenceMatcher:
             states = self.step(states, future)
         return self.accepts(states)
 
-    def run(self, dinst: TInstance) -> bool:
-        table = slice_table(self.onto, dinst)
+    def run(self, dinst: TInstance, *, table: SliceTable | None = None) -> bool:
+        """q holds at time point 0 of dinst; `table` is dinst's slice table
+        when the caller already holds it."""
+        if table is None:
+            table = slice_table(self.onto, dinst)
         if table.unsat:
             return True
         profiles = self.profiles(table)

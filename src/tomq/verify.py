@@ -24,7 +24,7 @@ from .dl import (
     reasoner,
     rename_instance,
 )
-from .temporal.eval import SequenceMatcher, SliceTable, advance, fits, slice_table
+from .temporal.eval import SequenceMatcher, SliceTable, advance, slice_table
 from .temporal.model import (
     LEQ,
     LESS,
@@ -333,41 +333,45 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
     each shape prefix kept per example for the check. A prefix on which a
     positive example's pass is already empty is skipped whole. Only a shape
     that fits becomes a query; `SequenceMatcher.run` re-checks it on every
-    example, independently of the pass, before `tequiv_bounded` runs.
+    example, independently of the pass, before `tequiv_bounded` runs. The
+    matcher also decides whether q fits. Every example's table is fetched
+    once and held for the whole check.
 
     The verdict holds only within ``spec.qclass``: class ``dia`` enumerates
     next, later and now-or-later (``X``, ``F``, ``Fr``), class ``nextdia``
     only ``X`` and ``F``, so a set unique in ``nextdia`` may still admit a
     now-or-later fitter in ``dia``."""
-    if not fits(onto, examples, q):
+    # fetched once and held: a set larger than the `slice_table` memo would
+    # otherwise evict its own tables and rebuild them
+    held = [
+        (d, slice_table(onto, d), want)
+        for want, ds in ((True, examples.positives), (False, examples.negatives))
+        for d in ds
+    ]
+    if not _matcher_fits(onto, held, q):
         return Verdict(False, [("target-does-not-fit", q)], spec)
     length_bound = _default_length_bound(q)
     domain, groups = enum_shapes(spec)
     # an inconsistent example entails every query: a positive one accepts
     # every candidate, and a negative one cannot occur once q fits
-    checks = [
-        (_ExamplePass(table, domain), want)
-        for want, ds in ((True, examples.positives), (False, examples.negatives))
-        for table in (slice_table(onto, d) for d in ds)
-        if not table.unsat
-    ]
+    checks = [(_ExamplePass(table, domain), want) for _, table, want in held if not table.unsat]
     witnesses = []
     for shape in _fitting_shapes(groups, checks):
         if len(witnesses) >= spec.max_witnesses:
             break
         cand = shape_query(spec.qclass, domain, shape)
-        if not _matcher_fits(onto, examples, cand):  # independent re-check
+        if not _matcher_fits(onto, held, cand):  # independent re-check
             continue
         if not tequiv_bounded(onto, cand, q, length_bound):
             witnesses.append(cand)
     return Verdict(not witnesses, witnesses, spec)
 
 
-def _matcher_fits(onto: Ontology, examples: ExampleSet, q) -> bool:
+def _matcher_fits(onto: Ontology, held: list, q) -> bool:
+    """Every positive of `held` ((example, its table, positive?) triples)
+    entails q by the sequence matcher, and no negative does."""
     matcher = SequenceMatcher(onto, q)
-    return all(matcher.run(d) for d in examples.positives) and not any(
-        matcher.run(d) for d in examples.negatives
-    )
+    return all(matcher.run(d, table=table) == want for d, table, want in held)
 
 
 # -------------------------------------------------- bounded temporal equiv

@@ -29,6 +29,13 @@ The chase materialises the groups as fresh individuals up to a depth bound,
 reusing a named successor whenever the obligation's role has a functional
 super-role already realised by a named edge.
 
+Consistency is decided from the data alone when saturation can neither
+derive ⊥ nor add an edge: with no `Disjoint`, no `ConjLhs … ⊑ bot`, no
+`bot` data atom and no role inclusion, every edge `force` adds is already
+stored, so saturation's verdict is its initial check for an individual with
+two distinct successors along a functional role (`_func_clash`; DL-Lite_F
+satisfiability reduces to the same check, Calvanese et al., JAR 2007).
+
 Saturations, chases and certain answers are cached under the `Instance`
 itself: equal instances are exactly those with equal `key()`, and hashing
 one reads the cached hashes of its three frozensets.
@@ -84,6 +91,19 @@ class Saturation:
             (c, a) for a, ns in self.names.items() for c in ns if c not in (TOP, BOT)
         )
         return Instance(base.individuals, cat, self.edges)
+
+
+def _func_clash(funcs: dict[str, tuple[bool, ...]], edges) -> bool:
+    """Has some individual two distinct successors along a functional role?
+    `funcs` maps a role name to its functional directions (True: inverse),
+    `edges` are (role name, from, to) triples."""
+    seen: dict = {}
+    for p, a, b in edges:
+        for inv in funcs.get(p, ()):
+            src, dst = (b, a) if inv else (a, b)
+            if seen.setdefault((p, inv, src), dst) != dst:
+                return True
+    return False
 
 
 def _index_edge(succ: dict, e: tuple[str, str, str]) -> None:
@@ -223,7 +243,9 @@ class Reasoner:
     def __init__(self, onto: Ontology):
         self.onto = onto
         self._rc = self._role_closure()
-        self.func_decl = frozenset(ax.role for ax in onto.axioms if isinstance(ax, Func))
+        self.func_decl = fd = frozenset(ax.role for ax in onto.axioms if isinstance(ax, Func))
+        self._funcs = {f.name: tuple(g.inverted for g in fd if g.name == f.name) for f in fd}
+        self._role_incl = any(len(s) > 1 for s in self._rc.values())
         self._sat_cache: dict = {}
         self._chase_cache: dict = {}
         self._hat_cache: dict = {}
@@ -235,11 +257,9 @@ class Reasoner:
         self._exrhs = onto.axioms_of(ExistsRhs)
         self._exlhs = onto.axioms_of(ExistsLhs)
         self._conjlhs = onto.axioms_of(ConjLhs)
-        # only these axioms put `bot` into a type or clash on a functional
-        # role; without them every instance without `bot` data is consistent
-        self._may_clash = bool(self._disjoint or self.func_decl) or any(
-            ax.rhs == BOT for ax in self._conjlhs
-        )
+        # only these axioms put `bot` into a type; the one other clash is on
+        # a functional role
+        self._bot_axioms = bool(self._disjoint) or any(ax.rhs == BOT for ax in self._conjlhs)
 
     # ------------------------------------------------------------------ roles
 
@@ -272,6 +292,8 @@ class Reasoner:
         return self.super_roles(role) & self.func_decl
 
     def _closed_edges(self, inst: Instance) -> frozenset[tuple[str, str, str]]:
+        if not self._role_incl:
+            return inst.ratoms
         out = set()
         for p, a, b in inst.ratoms:
             for s in self.super_roles(Role(p)):
@@ -400,14 +422,7 @@ class Reasoner:
             for a in sorted(inst.individuals)
         ]
 
-        def func_clash() -> bool:
-            return any(
-                len(succ.get((a, f), ())) > 1
-                for f in self.func_decl
-                for a in inst.individuals
-            )
-
-        consistent = not func_clash()
+        consistent = not _func_clash(self._funcs, edges)
         rounds_left = 8 * (
             (len(inst.individuals) + 4)
             * (
@@ -421,6 +436,7 @@ class Reasoner:
         changed = True
         while changed and consistent:
             changed = False
+            known = len(edges)
             rounds_left -= 1
             if rounds_left < 0:  # pragma: no cover - safety net
                 raise RuntimeError("saturation did not stabilise")
@@ -429,7 +445,8 @@ class Reasoner:
                     changed = True
                 if BOT in el.t:
                     consistent = False
-            if func_clash():
+            # only `force` adds edges, and only a new edge can clash
+            if len(edges) != known and _func_clash(self._funcs, edges):
                 consistent = False
         return Saturation(consistent, names, frozenset(edges), groups)
 
@@ -511,8 +528,14 @@ class Reasoner:
     # -------------------------------------------------------- certain answers
 
     def is_satisfiable(self, inst: Instance) -> bool:
-        if not self._may_clash and not any(c == BOT for c, _ in inst.catoms):
-            return True
+        """Saturates only when ⊥ axioms, `bot` data or role inclusions under
+        `Func` can make the verdict differ from the data's (module docstring)."""
+        if not self._bot_axioms and not any(c == BOT for c, _ in inst.catoms):
+            if not self.func_decl:
+                return True
+            if not self._role_incl:
+                got = self._sat_cache.get(inst)
+                return not _func_clash(self._funcs, inst.ratoms) if got is None else got.consistent
         return self.saturate(inst).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:

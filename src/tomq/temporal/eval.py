@@ -1,6 +1,6 @@
-"""Temporal entailment: the inductive semantics, root homomorphisms, and a
-sequence-matcher view of path/until queries used for fast evaluation and for
-the bounded equivalence oracle.
+"""Temporal entailment: the inductive semantics and a sequence-matcher view
+of path/until queries used for fast evaluation and for the bounded
+equivalence oracle.
 
 Both the evaluator and the matcher read a query in its flat form
 (`flat_form`): bodies r0..rn, the relation between neighbours and each
@@ -30,10 +30,9 @@ bit 2i the same with body i strictly before it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from ..dl import Eliq, Ontology, point_component, reasoner
-from .model import LEQ, LESS, SUC, UNTIL, ExampleSet, PathQuery, TInstance, flat_form
+from .model import LEQ, SUC, UNTIL, ExampleSet, TInstance, flat_form
 
 
 class SliceTable:
@@ -138,46 +137,6 @@ def tentail(onto: Ontology, dinst: TInstance, ell: int, q) -> bool:
         reach = advance(states, rel, 0 if filler is None else table.points(filler), future)
         states = reach & table.points(bodies[i + 1])
     return states != 0
-
-
-@dataclass(frozen=True)
-class RootHom:
-    assignment: tuple[tuple[str, int], ...]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.assignment)
-
-
-def root_homs(onto: Ontology, q: PathQuery, dinst: TInstance) -> list[RootHom]:
-    """All root homomorphisms within the evaluation horizon, lexicographically."""
-    holds = slice_table(onto, dinst).holds
-    bodies, rels = q.chain
-    horizon = dinst.max_time + q.tdp + 1
-    out: list[RootHom] = []
-
-    def extend(idx: int, positions: list[int]):
-        if idx == len(bodies):
-            out.append(
-                RootHom(tuple((f"t{i}", p) for i, p in enumerate(positions)))
-            )
-            return
-        rel = rels[idx - 1]
-        prev = positions[-1]
-        if rel == SUC:
-            candidates = [prev + 1]
-        elif rel == LESS:
-            candidates = range(prev + 1, horizon + 1)
-        else:
-            candidates = range(prev, horizon + 1)
-        for m in candidates:
-            if m > horizon:
-                continue
-            if holds(bodies[idx], m):
-                extend(idx + 1, positions + [m])
-
-    if holds(bodies[0], 0):
-        extend(1, [0])
-    return out
 
 
 # ------------------------------------------------------- sequence matchers

@@ -188,9 +188,6 @@ class BlockDecomposition:
     intervals: tuple[tuple[int, int], ...]  # inclusive slice ranges per block
     gap: int
 
-    def block_count(self) -> int:
-        return len(self.intervals)
-
 
 def decompose_blocks(dinst: TInstance, b: int) -> BlockDecomposition:
     """Split the slice sequence into blocks separated by gaps of exactly b

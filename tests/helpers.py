@@ -1,7 +1,9 @@
-"""Seeded random generators for ontologies, instances and queries."""
+"""Seeded random generators for ontologies, instances and queries, and
+`root_homs`, a reference path-query evaluator for the tests."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from tomq.dl import (
     BOT,
@@ -34,6 +36,8 @@ from tomq.dl import (
     top_basic,
 )
 from tomq.errors import UnsupportedAxiom
+from tomq.temporal.eval import slice_table
+from tomq.temporal.model import LESS, SUC, PathQuery, TInstance
 
 
 def rand_role(rng: random.Random, sig: Signature) -> Role:
@@ -132,3 +136,40 @@ def rand_eliq(rng: random.Random, sig: Signature, max_size=5) -> Eliq:
 
 SMALL_SIG = signature(["A", "B"], ["R"])
 PROP_SIG = signature(["A", "B"])
+
+
+@dataclass(frozen=True)
+class RootHom:
+    assignment: tuple[tuple[str, int], ...]
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(self.assignment)
+
+
+def root_homs(onto: Ontology, q: PathQuery, dinst: TInstance) -> list[RootHom]:
+    """All root homomorphisms within the evaluation horizon, lexicographically:
+    body i of q sits at time point ti, each body holds at its point, and the
+    points respect the relations of q's chain."""
+    holds = slice_table(onto, dinst).holds
+    bodies, rels = q.chain
+    horizon = dinst.max_time + q.tdp + 1
+    out: list[RootHom] = []
+
+    def extend(idx: int, positions: list[int]):
+        if idx == len(bodies):
+            out.append(RootHom(tuple((f"t{i}", p) for i, p in enumerate(positions))))
+            return
+        prev = positions[-1]
+        if rels[idx - 1] == SUC:
+            candidates = [prev + 1]
+        elif rels[idx - 1] == LESS:
+            candidates = range(prev + 1, horizon + 1)
+        else:
+            candidates = range(prev, horizon + 1)
+        for m in candidates:
+            if m <= horizon and holds(bodies[idx], m):
+                extend(idx + 1, positions + [m])
+
+    if holds(bodies[0], 0):
+        extend(1, [0])
+    return out

@@ -1,9 +1,11 @@
-"""The two shortcuts of temporal answering against the slow paths they skip.
+"""The shortcuts of temporal answering against the slow paths they skip.
 
 `Reasoner.is_satisfiable` answers without saturating when no axiom of the
-ontology can derive ⊥ and no data atom is `bot`; it must agree with
-`saturate(inst).consistent`. A consistent `SliceTable` reasons over the
-point's connected component of each slice only; its bits must agree with
+ontology can derive ⊥ and no data atom is `bot`: from the data's
+functional-role clashes when the ontology has `Func` and no role inclusion,
+else outright. It must agree with `saturate(inst).consistent`, and role
+inclusions under `Func` must still saturate. A consistent `SliceTable`
+reasons over the point's connected component of each slice only; its bits must agree with
 the full-slice answer `not consistent or hom_exists(q, chase(s), point)`.
 The uniqueness check holds one table per example for its whole run.
 """
@@ -13,18 +15,25 @@ from tomq.dl import (
     BOT,
     DIALECTS,
     DL_LITE_F,
+    DL_LITE_F_MINUS,
     DL_LITE_H,
     ELHIF_NF,
+    ExistsRhs,
     Func,
     Instance,
+    Ontology,
     Reasoner,
+    Role,
     RoleSub,
+    TOP,
     empty_ontology,
     hom_exists,
     point_component,
     reasoner,
     signature,
 )
+from tomq.dl.reason import _func_clash
+from tomq.errors import UnsupportedAxiom
 from tomq.tempchar import characterise_until
 from tomq.temporal import eval as temporal_eval
 from tomq.temporal.eval import SequenceMatcher, clear_slice_tables, slice_table, tentail
@@ -32,7 +41,7 @@ from tomq.temporal.model import tinstance
 from tomq.textio import parse_eliq, parse_tinstance, parse_untilquery
 from tomq.verify import EnumSpec, check_unique_characterisation
 
-from helpers import rand_eliq, rand_instance, rand_ontology
+from helpers import rand_eliq, rand_instance, rand_ontology, rand_role
 
 SIG = signature(["A", "B", "C"], ["R", "S"])
 MAX_AXIOMS = 5  # larger ELHIF-NF draws can hit the witness step that never ends
@@ -70,6 +79,16 @@ def _with_bot(rng: random.Random, inst: Instance) -> Instance:
     return Instance(inst.individuals, inst.catoms | {(BOT, a)}, inst.ratoms)
 
 
+def _path(r: Reasoner, inst: Instance) -> str:
+    """Which way `is_satisfiable` decides inst: "saturate", from the "data"
+    alone, or "none" when nothing can clash."""
+    if r._bot_axioms or any(c == BOT for c, _ in inst.catoms):
+        return "saturate"
+    if not r.func_decl:
+        return "none"
+    return "saturate" if r._role_incl else "data"
+
+
 def test_is_satisfiable_agrees_with_saturation():
     seen = {"func": 0, "rolesub": 0, "inverse": 0, "no-clash": 0, "bot-data": 0}
     outcomes = set()
@@ -82,15 +101,92 @@ def test_is_satisfiable_agrees_with_saturation():
             seen["func"] += any(isinstance(ax, Func) for ax in axioms)
             seen["rolesub"] += any(isinstance(ax, RoleSub) for ax in axioms)
             seen["inverse"] += "inverted=True" in repr(sorted(axioms, key=str))
-            seen["no-clash"] += not fast._may_clash
+            seen["no-clash"] += not (fast._bot_axioms or fast.func_decl)
             for _ in range(4):
                 inst = _with_bot(rng, rand_instance(rng, SIG, max_inds=4, max_atoms=8))
                 seen["bot-data"] += any(c == BOT for c, _ in inst.catoms)
                 want = slow.saturate(inst).consistent
                 assert fast.is_satisfiable(inst) == want, (dialect, sorted(map(str, axioms)), inst)
-                outcomes.add((fast._may_clash, want))
+                outcomes.add((_path(fast, inst), want))
     assert all(seen.values()), seen
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    assert outcomes == {
+        ("saturate", True), ("saturate", False), ("data", True), ("data", False), ("none", True)
+    }
+
+
+def _func_no_rolesub(rng: random.Random, dialect: str) -> Ontology:
+    """A random ontology of the dialect with its role inclusions dropped and
+    one to three random `Func` axioms, forward or inverse, added."""
+    onto = rand_ontology(rng, SIG, dialect, max_axioms=MAX_AXIOMS)
+    axioms = {ax for ax in onto.axioms if not isinstance(ax, RoleSub)}
+    axioms |= {Func(rand_role(rng, SIG)) for _ in range(rng.randint(1, 3))}
+    try:
+        return Ontology(SIG, frozenset(axioms), dialect)
+    except UnsupportedAxiom:  # DL-Lite_F- forbids Func(R-) next to B [= ex R
+        return _func_no_rolesub(rng, dialect)
+
+
+def _dense_instance(rng: random.Random) -> Instance:
+    """Up to ten role atoms over at most four individuals, self-loops
+    allowed, a few concept atoms and sometimes a `bot` atom."""
+    inds = [f"i{k}" for k in range(rng.randint(1, 4))]
+    roles = sorted(SIG.role_names)
+    rat = {(rng.choice(roles), rng.choice(inds), rng.choice(inds)) for _ in range(rng.randint(1, 10))}
+    cat = {(rng.choice(sorted(SIG.concept_names)), rng.choice(inds)) for _ in range(rng.randint(0, 3))}
+    return _with_bot(rng, Instance(frozenset(inds), frozenset(cat), frozenset(rat)))
+
+
+def _clashes(inst: Instance, funcs) -> bool:
+    """Has an individual of inst two successors along a role of `funcs`?"""
+    return any(len(inst.successors(a, f)) > 1 for f in funcs for a in inst.individuals)
+
+
+def test_data_rule_agrees_with_saturation_under_func():
+    """DL-Lite_F, DL-Lite_F- and ELHIF-NF with `Func` and no role inclusion,
+    on dense role data: the data rule against a separate reasoner's
+    saturation, and on the data path both against successor counts taken
+    from the instance itself, since the two share `_func_clash`."""
+    counts = {(path, want): 0 for path in ("data", "saturate") for want in (True, False)}
+    inverse_clashes = 0
+    for d, dialect in enumerate((DL_LITE_F, DL_LITE_F_MINUS, ELHIF_NF)):
+        rng = random.Random(4409 + d)
+        for _ in range(60):
+            onto = _func_no_rolesub(rng, dialect)
+            fast, slow = Reasoner(onto), Reasoner(onto)
+            assert not fast._role_incl
+            for _ in range(6):
+                inst = _dense_instance(rng)
+                want = slow.saturate(inst).consistent
+                assert fast.is_satisfiable(inst) == want, (dialect, sorted(map(str, onto.axioms)), inst)
+                path = _path(fast, inst)
+                counts[path, want] += 1
+                if path == "data":
+                    assert want == (not _clashes(inst, fast.func_decl))
+                    forward = {f for f in fast.func_decl if not f.inverted}
+                    inverse_clashes += not want and not _clashes(inst, forward)
+    assert counts["data", True] >= 250 and counts["data", False] >= 220, counts
+    assert counts["saturate", True] >= 70 and counts["saturate", False] >= 250, counts
+    assert inverse_clashes >= 60
+
+
+def test_role_inclusion_under_func_needs_saturation():
+    """r [= f and r [= g with f, g functional: the obligation A [= ex r.Top
+    is realised on a's f- and g-successors b and c, which gives a two
+    f-successors. The data alone has no clash."""
+    sig = signature(["A"], ["f", "g", "r"])
+    f, g, r = Role("f"), Role("g"), Role("r")
+    onto = Ontology(
+        sig,
+        frozenset({Func(f), Func(g), RoleSub(r, f), RoleSub(r, g), ExistsRhs("A", r, TOP)}),
+        ELHIF_NF,
+    )
+    inst = Instance(
+        frozenset("abc"), frozenset({("A", "a")}), frozenset({("f", "a", "b"), ("g", "a", "c")})
+    )
+    fast = Reasoner(onto)
+    assert fast._role_incl and not _func_clash(fast._funcs, inst.ratoms)
+    assert not Reasoner(onto).saturate(inst).consistent
+    assert not fast.is_satisfiable(inst)
 
 
 # ------------------------------------------------------------ component rule

@@ -40,7 +40,7 @@ from tomq.temporal.model import (
 from tomq.temporal.normal import is_safe, normalize
 from tomq.verify import EnumSpec, check_unique_characterisation
 
-from helpers import rand_ontology
+from helpers import rand_ontology, root_homs
 
 A, B = atom("A"), atom("B")
 SIG_A = signature(["A"])
@@ -197,7 +197,6 @@ def test_until_uniqueness_bounded():
 def test_unique_root_hom_into_gap_normal_realisation():
     # for safe queries the gap-normal positive admits exactly one root
     # homomorphism, and it maps each block onto its slice interval
-    from tomq.temporal.eval import root_homs
     from tomq.temporal.normal import normalize
 
     for onto, sig, q in [

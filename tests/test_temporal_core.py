@@ -19,7 +19,7 @@ from tomq.dl import (
     signature,
 )
 from tomq.errors import NotBNormal
-from tomq.temporal.eval import SequenceMatcher, RootHom, root_homs, tentail
+from tomq.temporal.eval import SequenceMatcher, tentail
 from tomq.temporal.model import (
     TInstance,
     leq,
@@ -37,7 +37,7 @@ from tomq.temporal.normal import (
     until_truncate,
 )
 
-from helpers import rand_ontology
+from helpers import rand_ontology, root_homs
 
 A, B, D = atom("A"), atom("B"), atom("D")
 SIG = signature(["A", "B", "D"])

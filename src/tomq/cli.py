@@ -31,6 +31,7 @@ from .tempchar import (
     MODE_NEXTDIA,
     MODE_SAFE,
     characterise_dia,
+    characterise_prop_until,
     characterise_until,
     tagged_from_queries,
 )
@@ -261,7 +262,12 @@ def _dispatch(args) -> int:  # noqa: C901
         sigma = _parse_sigma(args, onto)
         if args.qclass == "until":
             q = parse_untilquery(_read(args.query))
-            es = characterise_until(onto, q, sigma)
+            try:
+                es = characterise_until(onto, q, sigma)
+            except TrailingTopTarget:
+                if onto.axioms:
+                    raise
+                es = characterise_prop_until(q, sigma)
         else:
             q = parse_pathquery(_read(args.query))
             es = characterise_dia(onto, q, sigma, _mode(args), size_bound=args.bound)
@@ -274,7 +280,7 @@ def _dispatch(args) -> int:  # noqa: C901
         teacher = Teacher(onto, target, budget=args.budget)
         mode = _mode(args)
         config = LearnerConfig(
-            variant={MODE_SAFE: "safe", MODE_DEPTH: "depth", MODE_NEXTDIA: "nextdia"}[mode[0]],
+            variant=mode[0],
             depth=mode[1] if mode[0] == MODE_DEPTH else None,
             frontier_bound=args.bound,
             budget=args.budget,

@@ -9,6 +9,7 @@ from .eliq import (
     atom,
     conjoin,
     conjoin_all,
+    cycle_edge,
     exists,
     induced_instance,
     instance_to_eliq,
@@ -36,6 +37,7 @@ from .model import (
     RoleSub,
     Signature,
     SubBasic,
+    anchored,
     empty_instance,
     empty_ontology,
     exists_basic,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ..errors import NotTreeShaped
 from .model import Instance, Pointed, Role, TOP, instance
@@ -133,23 +133,48 @@ def induced_instance(q: Eliq, root: str = "a") -> Pointed:
     return Pointed(instance(inds, cat, rat), root)
 
 
+def cycle_edge(inst: Instance) -> Optional[tuple[str, str, str]]:
+    """A role atom lying on an undirected cycle (self-loops and parallel
+    edges included), or None for a forest."""
+    atoms = sorted(inst.ratoms)
+    seen_pairs = set()
+    for r, a, b in atoms:
+        if a == b:
+            return (r, a, b)
+        pair = (min(a, b), max(a, b))
+        if pair in seen_pairs:
+            return (r, a, b)
+        seen_pairs.add(pair)
+    parent: dict[str, str] = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    for r, a, b in atoms:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return (r, a, b)
+        parent[ra] = rb
+    return None
+
+
 def instance_to_eliq(inst: Instance, point: str) -> Eliq:
     """Read a connected, acyclic instance back as a tree query rooted at `point`.
 
     Edges pointing towards the root become inverted roles. Raises
-    NotTreeShaped on cycles, parallel edges, self-loops or disconnectedness.
+    NotTreeShaped when `cycle_edge` finds an edge or an atom is disconnected
+    from the point.
     """
     if point not in inst.individuals:
         raise NotTreeShaped(f"point {point!r} not in the instance")
+    edge = cycle_edge(inst)
+    if edge is not None:
+        raise NotTreeShaped("role atom {}({},{}) lies on a cycle".format(*edge))
     adj: dict[str, list[tuple[Role, str]]] = {a: [] for a in inst.individuals}
-    seen_pairs = set()
-    for r, x, y in sorted(inst.ratoms):
-        if x == y:
-            raise NotTreeShaped(f"self-loop {r}({x},{x})")
-        pair = (min(x, y), max(x, y))
-        if pair in seen_pairs:
-            raise NotTreeShaped(f"parallel edges between {x!r} and {y!r}")
-        seen_pairs.add(pair)
+    for r, x, y in inst.ratoms:
         adj[x].append((Role(r), y))
         adj[y].append((Role(r, True), x))
 
@@ -157,13 +182,11 @@ def instance_to_eliq(inst: Instance, point: str) -> Eliq:
 
     def build(node: str, parent: str | None) -> Eliq:
         visited.add(node)
-        children = []
-        for role, nxt in sorted(adj[node], key=lambda e: (str(e[0]), e[1])):
-            if nxt == parent:
-                continue
-            if nxt in visited:
-                raise NotTreeShaped("cycle reachable from the point")
-            children.append((role, build(nxt, node)))
+        children = [
+            (role, build(nxt, node))
+            for role, nxt in sorted(adj[node], key=lambda e: (str(e[0]), e[1]))
+            if nxt != parent
+        ]
         return make_eliq(inst.names_at(node), children)
 
     q = build(point, None)

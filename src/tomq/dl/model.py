@@ -394,3 +394,11 @@ def rename_instance(inst: Instance, mapping: dict[str, str]) -> Instance:
         frozenset((c, f(a)) for c, a in inst.catoms),
         frozenset((r, f(a), f(b)) for r, a, b in inst.ratoms),
     )
+
+
+def anchored(p: Pointed, prefix: str, at: str = "a") -> Instance:
+    """The pointed instance renamed so that its point is `at` and its k-th
+    other individual, in sorted order, is `prefix` followed by k."""
+    ren = {ind: f"{prefix}{k}" for k, ind in enumerate(sorted(p.instance.individuals - {p.point}))}
+    ren[p.point] = at
+    return rename_instance(p.instance, ren)

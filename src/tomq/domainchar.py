@@ -30,6 +30,7 @@ from .dl import (
     Role,
     Signature,
     SubBasic,
+    anchored,
     conjoin,
     conjoin_all,
     exists,
@@ -37,7 +38,6 @@ from .dl import (
     merge_instances,
     point_component,
     reasoner,
-    rename_instance,
 )
 from .errors import NoCharacterisationFound, SplitSizeExceeded, UnsatisfiableQuery, UnsupportedDialect
 from .verify import CLASS_ELIQ, CLASS_ELQ, CLASS_P, EnumSpec, check_frontier, enum_domain_queries
@@ -50,22 +50,10 @@ PREFER_SPLIT = "prefer-split"
 class Frontier:
     members: tuple[Eliq, ...]
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class SplitPartner:
     members: tuple[Pointed, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -552,23 +540,13 @@ def _two_element_pattern(onto, left: Eliq, right: Eliq, role: Role) -> Optional[
         hr = r.hat(right)
     except UnsatisfiableQuery:
         return None
-    li = rename_instance(hl.instance, _prefix_map(hl.instance, "l", hl.point, "a"))
-    ri = rename_instance(hr.instance, _prefix_map(hr.instance, "r", hr.point, "b"))
-    base = merge_instances([li, ri])
+    base = merge_instances([anchored(hl, "l_", "a"), anchored(hr, "r_", "b")])
     ratoms = set(base.ratoms)
     if role.inverted:
         ratoms.add((role.name, "b", "a"))
     else:
         ratoms.add((role.name, "a", "b"))
     return Instance(base.individuals, base.catoms, frozenset(ratoms))
-
-
-def _prefix_map(inst: Instance, prefix: str, point: str, new_point: str) -> dict:
-    out = {point: new_point}
-    for ind in sorted(inst.individuals):
-        if ind != point:
-            out[ind] = f"{prefix}_{ind}"
-    return out
 
 
 def split_partner(
@@ -608,11 +586,7 @@ def split_partner(
     for combo in itertools.product(*per_query_types):
         point = tuple_ids[combo]
         comp = point_component(product_inst, point)
-        ren = {point: "a"}
-        for k, ind in enumerate(sorted(comp.individuals - {point})):
-            ren[ind] = f"u{k}"
-        named = rename_instance(comp, ren)
-        p = Pointed(named, "a")
+        p = Pointed(anchored(Pointed(comp, point), "u"), "a")
         if p.key() not in seen:
             seen.add(p.key())
             members.append(p)

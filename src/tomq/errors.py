@@ -33,10 +33,6 @@ class UnsafeQuery(TomqError):
     """The query has (or may have) a lone conjunct, so the safe-mode builder refuses it."""
 
 
-class NotBNormal(TomqError):
-    """The slice sequence does not decompose into blocks separated by exact gaps."""
-
-
 class NotPeerless(TomqError):
     pass
 

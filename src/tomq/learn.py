@@ -17,6 +17,8 @@ from .dl import (
     Instance,
     Ontology,
     Pointed,
+    cycle_edge,
+    empty_instance,
     instance_to_eliq,
     point_component,
     reasoner,
@@ -32,18 +34,15 @@ from .temporal.eval import SequenceMatcher
 from .temporal.model import Conn, PathQuery, TInstance, leq, less, pathquery, tinstance
 from .temporal.normal import normalize
 from .tempchar import (
+    MODE_DEPTH,
+    MODE_SAFE,
     TaggedBNormal,
     TaggedSlice,
     _join_variant,
-    empty_slice,
     rule_variants,
     splice_word,
 )
 from .verify import CLASS_ELIQ
-
-VARIANT_SAFE = "safe"
-VARIANT_DEPTH = "depth"
-VARIANT_NEXTDIA = "nextdia"
 
 
 @dataclass
@@ -72,7 +71,7 @@ class Teacher:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    variant: str = VARIANT_SAFE
+    variant: str = MODE_SAFE             # a tempchar mode: safe, depth or nextdia
     depth: Optional[int] = None          # known temporal depth, depth variant
     frontier_bound: int = 6
     budget: int = 10_000
@@ -81,12 +80,8 @@ class LearnerConfig:
     def __post_init__(self):
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.variant == VARIANT_DEPTH and self.depth is None:
+        if self.variant == MODE_DEPTH and self.depth is None:
             raise ValueError("the depth variant needs the target depth")
-
-
-def membership(teacher: Teacher, dinst: TInstance) -> bool:
-    return teacher.membership(dinst)
 
 
 # -------------------------------------------------------------- slice tooling
@@ -101,34 +96,6 @@ def saturate_names(onto: Ontology, inst: Instance) -> Instance:
         (c, a) for a, ns in sat.names.items() for c in ns if c not in ("Top", "bot")
     )
     return Instance(inst.individuals, cat, inst.ratoms)
-
-
-def _slice_cycle_edge(inst: Instance) -> Optional[tuple[str, str, str]]:
-    """A role atom lying on an undirected cycle (self-loops and parallel
-    edges included), or None for a forest."""
-    atoms = sorted(inst.ratoms)
-    seen_pairs = set()
-    for r, a, b in atoms:
-        if a == b:
-            return (r, a, b)
-        pair = (min(a, b), max(a, b))
-        if pair in seen_pairs:
-            return (r, a, b)
-        seen_pairs.add(pair)
-    parent: dict[str, str] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for r, a, b in atoms:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return (r, a, b)
-        parent[ra] = rb
-    return None
 
 
 def unwind_step(inst: Instance, edge: tuple[str, str, str], fresh_prefix: str) -> Instance:
@@ -152,6 +119,29 @@ def unwind_step(inst: Instance, edge: tuple[str, str, str], fresh_prefix: str) -
             rat.discard((s, x, y))
             rat.add((s, a2, b))
     return Instance(frozenset(inds), frozenset(cat), frozenset(rat))
+
+
+def gap_blocks(slices: list[Instance], b: int) -> list[list[Instance]]:
+    """Group a slice sequence into gap-normal blocks. A run of at least b
+    empty slices between two non-empty ones ends a block and is dropped,
+    and so are the empty slices at the end; a shorter run stays inside its
+    block. Only the first block may start with empty slices; it is a single
+    empty slice when nothing else is left of it."""
+    blocks: list[list[Instance]] = [[]]
+    run: list[Instance] = []
+    for s in slices:
+        if s.is_trivial():
+            run.append(s)
+            continue
+        if len(run) >= b:
+            blocks.append([])
+        else:
+            blocks[-1].extend(run)
+        blocks[-1].append(s)
+        run = []
+    if not blocks[0]:
+        blocks[0] = [empty_instance()]
+    return blocks
 
 
 def _prune_bare_individuals(slices: list[Instance], point: str) -> list[Instance]:
@@ -237,7 +227,7 @@ class Learner:
         fresh = 0
         while True:
             cyclic = [
-                (i, _slice_cycle_edge(point_component(s, point))) for i, s in enumerate(slices)
+                (i, cycle_edge(point_component(s, point))) for i, s in enumerate(slices)
             ]
             cyclic = [(i, e) for i, e in cyclic if e is not None]
             if not cyclic:
@@ -291,45 +281,8 @@ class Learner:
         return self.blocks_from_realised(slices, d.point, t.b)
 
     def blocks_from_realised(self, slices: list[Instance], point: str, b: int) -> TaggedBNormal:
-        """Re-parse a realised slice sequence into gap-normal tagged blocks,
-        collapsing over-long empty runs and stripping emptied borders."""
-        groups: list[list[Instance]] = []
-        cur: list[Instance] = []
-        run = 0
-        for s in slices:
-            if s.is_trivial():
-                run += 1
-                cur.append(s)
-            else:
-                if run >= b and cur:
-                    body = cur[:-run]
-                    if body or not groups:
-                        groups.append(body)
-                    cur = []
-                run = 0
-                cur.append(s)
-        if cur:
-            body = cur[:-run] if run else cur
-            if body or not groups:
-                groups.append(body)
-        blocks = [g for k, g in enumerate(groups) if g or k == 0]
-        if not blocks:
-            blocks = [[empty_slice()]]
-        if not blocks[0]:
-            blocks[0] = [empty_slice()]
-        cleaned = []
-        for k, blk in enumerate(blocks):
-            body = list(blk)
-            if k > 0:
-                while body and body[0].is_trivial():
-                    body.pop(0)
-            while len(body) > (1 if k == 0 else 0) and body and body[-1].is_trivial():
-                body.pop()
-            if body:
-                cleaned.append(body)
-            elif k == 0:
-                cleaned.append([empty_slice()])
-        return self.tagged_from_slices(cleaned, point, b)
+        """Re-parse a realised slice sequence into gap-normal tagged blocks."""
+        return self.tagged_from_slices(gap_blocks(slices, b), point, b)
 
     # --------------------------------------------------------- step 3: rules
 
@@ -374,10 +327,10 @@ class Learner:
     # ------------------------------------------------- step 4: lone conjuncts
 
     def star_step(self, t: TaggedBNormal) -> TaggedBNormal:
-        if self.config.variant == VARIANT_SAFE:
+        if self.config.variant == MODE_SAFE:
             return self._star_safe(t)
         exponent = (
-            self.config.depth if self.config.variant == VARIANT_DEPTH else t.b
+            self.config.depth if self.config.variant == MODE_DEPTH else t.b
         )
         return self._star_fixed(t, exponent)
 

@@ -25,10 +25,11 @@ from .dl import (
     Ontology,
     Pointed,
     Signature,
+    anchored,
     conjoin,
+    empty_instance,
     empty_ontology,
     reasoner,
-    rename_instance,
 )
 from .domainchar import PREFER_FRONTIER, SingularPlus, negatives_for, split_partner
 from .errors import (
@@ -53,19 +54,6 @@ from .temporal.normal import infer_body_class, is_peerless, is_safe, normalize, 
 MODE_SAFE = "safe"
 MODE_DEPTH = "depth"
 MODE_NEXTDIA = "nextdia"
-
-
-def _point_slice(p: Pointed, tag: int) -> Instance:
-    """Rename a pointed instance so its point is the shared individual `a`
-    and its helpers carry a per-slice prefix."""
-    ren = {p.point: "a"}
-    for k, ind in enumerate(sorted(p.instance.individuals - {p.point})):
-        ren[ind] = f"s{tag}_{k}"
-    return rename_instance(p.instance, ren)
-
-
-def empty_slice() -> Instance:
-    return Instance(frozenset(("a",)))
 
 
 class TaggedSlice(NamedTuple):
@@ -102,9 +90,9 @@ class TaggedBNormal:
         for i, block in enumerate(self.blocks):
             if i:
                 gap = self.b if gaps is None else gaps.get(i - 1, self.b)
-                slices.extend(empty_slice() for _ in range(gap))
+                slices.extend(empty_instance() for _ in range(gap))
             for s in block:
-                slices.append(_point_slice(s.slice, tag))
+                slices.append(anchored(s.slice, f"s{tag}_"))
                 tag += 1
         return tinstance(slices, "a")
 
@@ -233,7 +221,7 @@ def characterise_dia(
         qclass = infer_body_class(onto, nq)
     meta = (("mode", mode[0] + (f"={mode[1]}" if len(mode) > 1 else "")), ("negatives", policy))
     if len(nq.blocks) == 1 and len(nq.blocks[0]) == 1 and r.trivial(nq.blocks[0][0]):
-        return example_set([tinstance([empty_slice()], "a")], [], meta)
+        return example_set([tinstance([empty_instance()], "a")], [], meta)
     if mode[0] == MODE_SAFE:
         safe = is_safe(onto, nq, size_bound, qclass)
         if safe is False:
@@ -374,7 +362,7 @@ def characterise_until(
         key = tuple(sorted(t._key for t in qs))
         if key not in split_cache:
             members = split_partner(onto, sig, list(qs) or [BOTTOM_QUERY]).members
-            split_cache[key] = [_point_slice(p, k) for k, p in enumerate(members)]
+            split_cache[key] = [anchored(p, f"s{k}_") for k, p in enumerate(members)]
         return split_cache[key]
 
     return _until_examples(onto, q, split_slices, "until-split", combo_cap)
@@ -406,9 +394,9 @@ def _until_examples(
     r = reasoner(onto)
     n = q.depth
     targets = q.targets()
-    hats = [_point_slice(r.hat(t), 100 + k) for k, t in enumerate(targets)]
+    hats = [anchored(r.hat(t), f"s{100 + k}_") for k, t in enumerate(targets)]
     fhats = [None] + [
-        None if f is None else _point_slice(r.hat(f), 200 + k)
+        None if f is None else anchored(r.hat(f), f"s{200 + k}_")
         for k, (f, _) in enumerate(q.steps)
     ]
 

@@ -1,5 +1,5 @@
 """Normal form and safety for path queries; peerlessness and truncation for
-until queries; block decomposition of gap-separated temporal instances.
+until queries.
 
 The normaliser applies the five rewrites in a fixed order, each to a
 fixpoint, so the output is deterministic: drop trivial borders, keep
@@ -10,14 +10,12 @@ relations around it; a swallowed next-step turns into one strict step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..dl import Eliq, Ontology, reasoner
 from ..domainchar import is_meet_reducible
-from ..errors import NotBNormal
 from ..verify import CLASS_ELIQ, CLASS_P
-from .model import Conn, LEQ, LESS, PathQuery, TInstance, UntilQuery, leq, less, pathquery
+from .model import Conn, LEQ, LESS, PathQuery, UntilQuery, leq, less, pathquery
 
 _SUC = "swallowed-suc"
 
@@ -181,51 +179,3 @@ def until_truncate(q: UntilQuery, i: int) -> UntilQuery:
         for j, (filler, target) in enumerate(q.steps)
     )
     return UntilQuery(q.head, steps)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    intervals: tuple[tuple[int, int], ...]  # inclusive slice ranges per block
-    gap: int
-
-
-def decompose_blocks(dinst: TInstance, b: int) -> BlockDecomposition:
-    """Split the slice sequence into blocks separated by gaps of exactly b
-    empty slices; blocks hold at most b slices, their borders are non-empty
-    except possibly the very first slice. Raises NotBNormal otherwise."""
-    if b < 1:
-        raise NotBNormal("gap parameter must be at least 1")
-    slices = dinst.slices
-    n = len(slices)
-
-    def block_ok(start: int, end: int) -> bool:
-        length = end - start + 1
-        if length > b:
-            return False
-        first_may_be_empty = start == 0
-        if not first_may_be_empty and slices[start].is_trivial():
-            return False
-        if (start > 0 or length > 1) and slices[end].is_trivial():
-            return False
-        return True
-
-    solution: list[tuple[int, int]] = []
-
-    def parse(pos: int, acc: list[tuple[int, int]]) -> bool:
-        for end in range(pos, min(pos + b - 1, n - 1) + 1):
-            if not block_ok(pos, end):
-                continue
-            if end == n - 1:
-                solution.extend(acc + [(pos, end)])
-                return True
-            gap_end = end + b
-            if gap_end + 1 > n - 1:
-                continue
-            if all(slices[k].is_trivial() for k in range(end + 1, gap_end + 1)):
-                if parse(gap_end + 1, acc + [(pos, end)]):
-                    return True
-        return False
-
-    if not parse(0, []):
-        raise NotBNormal("slice sequence does not split into b-separated blocks")
-    return BlockDecomposition(tuple(solution), b)

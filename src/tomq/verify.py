@@ -19,10 +19,10 @@ from .dl import (
     Pointed,
     Role,
     Signature,
+    anchored,
     conjoin,
     make_eliq,
     reasoner,
-    rename_instance,
 )
 from .temporal.eval import SequenceMatcher, SliceTable, advance, slice_table
 from .temporal.model import (
@@ -429,15 +429,7 @@ def tequiv_witness(
     agree on all of them. Product-automaton search, so the bound is cheap."""
     letters = alphabet if alphabet is not None else _letters(onto, q1, q2, domain_size)
     m1, m2 = SequenceMatcher(onto, q1), SequenceMatcher(onto, q2)
-    renamed = []
-    for p in letters:
-        ren = {p.point: "a"}
-        fresh = 0
-        for ind in sorted(p.instance.individuals):
-            if ind != p.point:
-                ren[ind] = f"x{fresh}"
-                fresh += 1
-        renamed.append(rename_instance(p.instance, ren))
+    renamed = [anchored(p, "x") for p in letters]
     # the letters as the slices of one instance over their shared
     # individuals: the table's future slice is the empty letter that ends
     # every word

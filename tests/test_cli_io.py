@@ -260,6 +260,24 @@ def test_cli_exit_codes(tmp_path):
     assert main(["entail", "--query", str(query)]) == 2
 
 
+def test_cli_characterise_trailing_top_until(tmp_path, capsys):
+    """A trailing-top until query has no split-partner example set; over no
+    axioms the CLI builds the propositional one instead."""
+    query = tmp_path / "q.q"
+    query.write_text("A ; U[bot] Top\n")
+    args = ["characterise", "--class", "until", "--sigma", "A,B", "--query", str(query)]
+    assert main(args) == 0
+    assert "# family: until-propositional" in capsys.readouterr().out
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A,B\nA [= B\n")
+    assert main(args + ["--ontology", str(onto)]) == 1
+    assert "final target must not be trivial" in capsys.readouterr().err
+    # characterise_prop_until refuses a role in a body
+    query.write_text("ex R.Top ; U[bot] Top\n")
+    assert main(args[:3] + ["--sigma", "A,B,R", "--roles", "R", "--query", str(query)]) == 1
+    assert "concept names" in capsys.readouterr().err
+
+
 def test_cli_learn_roundtrip(tmp_path):
     onto = tmp_path / "o.onto"
     onto.write_text("dialect: dl-lite-h\nconcepts: A\n")

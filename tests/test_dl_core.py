@@ -26,6 +26,7 @@ from tomq.dl import (
     compatible,
     conjoin,
     contains,
+    cycle_edge,
     empty_ontology,
     equivalent,
     exists,
@@ -276,6 +277,58 @@ def test_instance_to_eliq_roundtrip():
             instance(["a", "b", "c"], [], [("R", "a", "b"), ("R", "b", "c"), ("R", "c", "a")]),
             "a",
         )
+
+
+def _connected_instance(rng: random.Random) -> Instance:
+    """A random spanning tree over up to five individuals plus up to two
+    extra role atoms, which may be self-loops or parallel to a tree edge."""
+    inds = [f"i{k}" for k in range(rng.randint(1, 5))]
+    ratoms = set()
+    for k in range(1, len(inds)):
+        x, y = inds[k], rng.choice(inds[:k])
+        ratoms.add((rng.choice("RS"), *rng.sample((x, y), 2)))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        ratoms.add((rng.choice("RS"), rng.choice(inds), rng.choice(inds)))
+    catoms = [(rng.choice("AB"), x) for x in inds if rng.random() < 0.4]
+    return instance(inds, catoms, ratoms)
+
+
+def _connected_without(inst: Instance, edge) -> bool:
+    adj = {a: set() for a in inst.individuals}
+    for r, x, y in inst.ratoms - {edge}:
+        adj[x].add(y)
+        adj[y].add(x)
+    start = min(inst.individuals)
+    seen, todo = {start}, [start]
+    while todo:
+        for m in adj[todo.pop()] - seen:
+            seen.add(m)
+            todo.append(m)
+    return seen == inst.individuals
+
+
+def test_cycle_edge_agrees_with_instance_to_eliq():
+    """On connected instances, `cycle_edge` finds no edge exactly when
+    `instance_to_eliq` reads a tree, exactly when there is one role atom
+    fewer than individuals; a found edge lies on a cycle, so dropping it
+    keeps the instance connected."""
+    rng = random.Random(13)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1500):
+        inst = _connected_instance(rng)
+        point = rng.choice(sorted(inst.individuals))
+        edge = cycle_edge(inst)
+        try:
+            q = instance_to_eliq(inst, point)
+        except NotTreeShaped:
+            q = None
+        assert (edge is None) == (q is not None) == (len(inst.ratoms) == len(inst.individuals) - 1)
+        if q is None:
+            assert edge in inst.ratoms and _connected_without(inst, edge)
+        else:
+            assert q.size == 1 + len(inst.catoms) + len(inst.ratoms)
+        outcomes[q is not None] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 300, outcomes
 
 
 def test_compatible_and_conjoin():

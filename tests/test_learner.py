@@ -22,7 +22,6 @@ from tomq.learn import (
     Learner,
     LearnerConfig,
     Teacher,
-    membership,
     saturate_names,
     unwind_step,
 )
@@ -45,8 +44,8 @@ def ti(*slices):
 
 def test_membership_answers_and_counters():
     teacher = Teacher(OE, DIA_A)
-    assert membership(teacher, ti((), ("A",)))
-    assert not membership(teacher, ti(()))
+    assert teacher.membership(ti((), ("A",)))
+    assert not teacher.membership(ti(()))
     assert teacher.membership_count == 2
     assert teacher.max_query_size >= 1
     assert [ans for _, ans, _ in teacher.transcript] == [True, False]
@@ -55,9 +54,9 @@ def test_membership_answers_and_counters():
 
 def test_membership_budget():
     teacher = Teacher(OE, DIA_A, budget=1)
-    membership(teacher, ti(("A",)))
+    teacher.membership(ti(("A",)))
     with pytest.raises(BudgetExceeded):
-        membership(teacher, ti(("A",)))
+        teacher.membership(ti(("A",)))
 
 
 def test_unwind_step_doubles_cycle():
@@ -138,8 +137,8 @@ def test_teacher_confirms_characterisation_of_output():
     out = Learner(OE, teacher, LearnerConfig(variant="safe", qclass="p")).run(init)
     E = characterise_dia(OE, out, SIG_AB, qclass="p")
     confirmer = Teacher(OE, DIA_A)
-    assert all(membership(confirmer, d) for d in E.positives)
-    assert not any(membership(confirmer, d) for d in E.negatives)
+    assert all(confirmer.membership(d) for d in E.positives)
+    assert not any(confirmer.membership(d) for d in E.negatives)
 
 
 def test_saturate_names_keeps_role_atoms():

@@ -1,4 +1,4 @@
-"""Temporal semantics, root homomorphisms, normal form, safety, blocks."""
+"""Temporal semantics, root homomorphisms, normal form, safety, gap blocks."""
 import random
 
 import pytest
@@ -18,7 +18,7 @@ from tomq.dl import (
     ontology,
     signature,
 )
-from tomq.errors import NotBNormal
+from tomq.learn import gap_blocks
 from tomq.temporal.eval import SequenceMatcher, tentail
 from tomq.temporal.model import (
     TInstance,
@@ -30,7 +30,6 @@ from tomq.temporal.model import (
     untilquery,
 )
 from tomq.temporal.normal import (
-    decompose_blocks,
     is_peerless,
     is_safe,
     normalize,
@@ -218,12 +217,16 @@ def test_until_truncate():
     assert all(f is None for f, _ in t2.steps)
 
 
-def test_decompose_blocks():
-    dec = decompose_blocks(ti((), (), (), ("A",)), 2)
-    assert dec.intervals == ((0, 0), (3, 3))
-    dec2 = decompose_blocks(ti(("A",), (), (), (), ("B",), ("A",)), 3)
-    assert dec2.intervals == ((0, 0), (4, 5))
-    with pytest.raises(NotBNormal):
-        decompose_blocks(ti((), ("A",), (), ("B",)), 2)
-    with pytest.raises(NotBNormal):
-        decompose_blocks(ti(("A",), (), (), (), ("B",)), 2)
+def test_gap_blocks():
+    def shapes(*slices, b):
+        return [[sorted(s.names_at("a")) for s in blk] for blk in gap_blocks([sl(*x) for x in slices], b)]
+
+    assert shapes((), (), (), ("A",), b=2) == [[[]], [["A"]]]
+    assert shapes(("A",), (), (), (), ("B",), ("A",), b=3) == [[["A"]], [["B"], ["A"]]]
+    # runs shorter than the gap stay inside the one block
+    assert shapes((), ("A",), (), ("B",), b=2) == [[[], ["A"], [], ["B"]]]
+    assert shapes(("A",), (), (), (), ("B",), b=2) == [[["A"]], [["B"]]]
+    # an emptied border: the empty slices at the end are dropped
+    assert shapes(("A",), (), (), ("B",), (), b=2) == [[["A"]], [["B"]]]
+    # with every slice emptied, one empty block is left
+    assert shapes((), (), b=1) == [[[]]]

@@ -244,6 +244,7 @@ class Reasoner:
         self.onto = onto
         self._rc = self._role_closure()
         self.func_decl = fd = frozenset(ax.role for ax in onto.axioms if isinstance(ax, Func))
+        self._fsup = {r: sup & fd for r, sup in self._rc.items()}
         self._funcs = {f.name: tuple(g.inverted for g in fd if g.name == f.name) for f in fd}
         self._role_incl = any(len(s) > 1 for s in self._rc.values())
         self._sat_cache: dict = {}
@@ -286,10 +287,12 @@ class Reasoner:
         return out
 
     def super_roles(self, role: Role) -> frozenset[Role]:
-        return self._rc.get(role, frozenset((role,)))
+        got = self._rc.get(role)
+        return frozenset((role,)) if got is None else got
 
     def functional_supers(self, role: Role) -> frozenset[Role]:
-        return self.super_roles(role) & self.func_decl
+        got = self._fsup.get(role)
+        return frozenset((role,)) & self.func_decl if got is None else got
 
     def _closed_edges(self, inst: Instance) -> frozenset[tuple[str, str, str]]:
         if not self._role_incl:

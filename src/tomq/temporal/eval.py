@@ -9,19 +9,27 @@ S0 is r0's bits at ell alone, and S(i+1) is r(i+1)'s bits within
 `advance(Si, rel_i, filler_i)`, the points that the relation reaches from
 Si (`suc` shifts by one, `less` takes every point above the lowest bit of
 Si, `leq` adds Si itself, `until` carries through the filler's points). q
-holds when Sn is not empty. The pass stops at the first empty Si, so a
-body's bits are asked for only when the pass reaches it. The uniqueness
-check in `tomq.verify` runs the same pass over many candidates, sharing
-the states of common prefixes.
+holds when Sn is not empty. The pass stops at the first empty Si, and it
+asks for a body's bits only within the points the pass reaches, and for a
+filler's only from the lowest point of Si on. Where only the lowest point
+of S(i+1) matters (a `less` or `leq` step follows, or it is Sn), the pass
+asks about the reached points in order and stops at the first where the
+body holds. The uniqueness check in `tomq.verify` runs the same pass over
+many candidates, sharing the states of common prefixes.
 
 Both read the slices of a temporal instance through one `SliceTable`: per
 domain query an int whose bit j says that the query holds at slice j, and
 whose bit max_time+1 stands for every later time point. Slices beyond the
 last timestamp are empty, so entailment of a fixed subquery is constant
 there; quantified operators therefore only ever need that one
-representative timestamp beyond the data. Tables are memoised per process
+representative timestamp beyond the data. A table asks the reasoner for a
+bit the first time a reader needs it, and only then: the evaluator masks
+its reads to the points it reaches, and the matcher reads windows of
+slices growing from slice 0, so a query settled in the first slices costs
+certain answers at those slices only. Tables are memoised per process
 (`slice_table`), so the candidates of one uniqueness check share one table
-per example instead of asking the reasoner again per candidate and slice.
+per example and ask the reasoner at most once per example, slice and
+domain query.
 
 The matcher keeps its set of NFA states as one int: bit 2i+1 is the state
 "bodies 0..i are matched and body i sits at the current slice" (pinned),
@@ -30,54 +38,97 @@ bit 2i the same with body i strictly before it.
 from __future__ import annotations
 
 import functools
+from typing import Optional
 
-from ..dl import Eliq, Ontology, point_component, reasoner
-from .model import LEQ, SUC, UNTIL, ExampleSet, TInstance, flat_form
+from ..dl import Eliq, Instance, Ontology, point_component, reasoner
+from .model import LEQ, LESS, SUC, UNTIL, ExampleSet, TInstance, flat_form
 
 
 class SliceTable:
-    """Which domain queries hold at which slice of one temporal instance.
+    """Which domain queries hold at which slice of one temporal instance,
+    asked of the reasoner on demand.
 
-    `bits(q)` is an int whose bit j says that q holds at slice j at the
-    instance's point; bit `future` (max_time + 1) is the empty slice that
-    every later time point sees. Each query costs one `certain_answer` per
-    slice, once. `unsat` says that some slice is inconsistent with the
-    ontology, so that the instance entails every query. Otherwise each
-    slice is kept as the point's connected component only, on which every
+    `bits(q, mask)` is an int whose bit j says that q holds at slice j at
+    the instance's point, for the slices of `mask` (every slice when mask is
+    None); bit `future` (max_time + 1) is the empty slice that every later
+    time point sees. A bit costs one `certain_answer` the first time a
+    reader's mask covers it, and never again: per query the table keeps the
+    slices it knows and their bits as one `(known, bits)` pair, and a plain
+    int once every slice is known. `unsat` says that some slice is
+    inconsistent with the ontology, so that the instance entails every
+    query; it is decided when the table is built, since one clash anywhere
+    settles every query. Otherwise a slice is read as the point's connected
+    component only, cut out when a query first asks about it, on which every
     certain answer at the point is the same (see the README). Threads may
-    fill one table together; a query they both compute gets the same bits.
+    fill one table together: each publishes a correct pair, so a racing
+    reader at worst asks again for bits another thread knew.
     """
 
     def __init__(self, onto: Ontology, dinst: TInstance):
         self.r = r = reasoner(onto)
-        self.point = point = dinst.point
+        self.point = dinst.point
         self.future = dinst.max_time + 1
         self.unsat = not all(r.is_satisfiable(s) for s in dinst.slices)
-        slices = dinst.slices + (dinst.slice_at(self.future),)
-        if not self.unsat:
-            slices = tuple(point_component(s, point) for s in slices)
-        self.slices = slices
+        self.slices = dinst.slices + (dinst.slice_at(self.future),)
         self.everywhere = (2 << self.future) - 1
-        self._bits: dict[str, int] = {}
+        # the slices that `certain_answer` reads, each cut out on first use
+        self._parts: list[Optional[Instance]] = [None] * (self.future + 1)
+        self._bits: dict[str, int | tuple[int, int]] = {}
 
-    def bits(self, q: Eliq) -> int:
-        got = self._bits.get(q._key)
+    def _part(self, j: int) -> Instance:
+        got = self._parts[j]
         if got is None:
-            got = 0
-            for j, s in enumerate(self.slices):
-                if self.r.certain_answer(s, self.point, q):
-                    got |= 1 << j
-            self._bits[q._key] = got
+            got = self.slices[j]
+            if not self.unsat:
+                got = point_component(got, self.point)
+            self._parts[j] = got
         return got
 
-    def points(self, q: Eliq) -> int:
-        """`bits(q)`, with ⊤ read off as every point without asking the
-        reasoner; that is its bits whenever the table is not `unsat`."""
-        return self.everywhere if q.is_top else self.bits(q)
+    def bits(self, q: Eliq, mask: Optional[int] = None) -> int:
+        """The slices of `mask` at which q holds; every slice's when mask is
+        None. ⊤ holds everywhere without asking the reasoner, since a
+        certain answer to ⊤ is always true."""
+        got = self._bits.get(q._key)
+        if got is None and q.is_top:
+            got = self._bits[q._key] = self.everywhere
+        if type(got) is int:
+            return got if mask is None else got & mask
+        want = self.everywhere if mask is None else mask & self.everywhere
+        known, bits = got or (0, 0)
+        todo = want & ~known
+        if todo:
+            certain, point = self.r.certain_answer, self.point
+            known |= todo
+            while todo:
+                low = todo & -todo
+                if certain(self._part(low.bit_length() - 1), point, q):
+                    bits |= low
+                todo ^= low
+            self._bits[q._key] = bits if known == self.everywhere else (known, bits)
+        return bits & want
+
+    def lowest(self, q: Eliq, mask: int) -> int:
+        """The lowest slice of `mask` at which q holds, as a one-bit int, or
+        0; the slices are asked about in order, up to the first where q
+        holds."""
+        mask &= self.everywhere
+        if self.knows(q):
+            got = self.bits(q, mask)
+            return got & -got
+        while mask:
+            low = mask & -mask
+            if self.bits(q, low):
+                return low
+            mask ^= low
+        return 0
+
+    def knows(self, q: Eliq) -> bool:
+        """Whether `bits(q)` would ask the reasoner nothing."""
+        return q.is_top or type(self._bits.get(q._key)) is int
 
     def holds(self, q: Eliq, m: int) -> bool:
         """q holds at time point m."""
-        return self.bits(q) >> min(m, self.future) & 1 == 1
+        return self.bits(q, 1 << min(m, self.future)) != 0
 
 
 # a builder checks that its example set fits before the uniqueness check
@@ -123,23 +174,38 @@ def advance(states: int, rel: str, filler: int, future: int) -> int:
 
 def tentail(onto: Ontology, dinst: TInstance, ell: int, q) -> bool:
     """O,D,ell,point entails q; q may be a path query, an until query or a
-    bare ELIQ."""
+    bare ELIQ. The table is asked for body 0 at ell alone, each later body
+    only where `advance` reaches (and only up to its first hit there when
+    the next step is `less` or `leq`, or the body is the last), and an until
+    filler only at and above the lowest point of the states, the only
+    filler bits the carry reads."""
     table = slice_table(onto, dinst)
     if table.unsat:
         return True
     bodies, rels, fillers = flat_form(q)
     future = table.future
-    states = table.points(bodies[0]) & 1 << min(ell, future)
+    states = table.bits(bodies[0], 1 << min(ell, future))
     for i, rel in enumerate(rels):
         if not states:
             return False
         filler = fillers[i] if fillers else None
-        reach = advance(states, rel, 0 if filler is None else table.points(filler), future)
-        states = reach & table.points(bodies[i + 1])
+        fill = 0 if filler is None else table.bits(filler, -(states & -states))
+        reach = advance(states, rel, fill, future)
+        # a `less` or `leq` step reads only the lowest point of the states
+        # before it, and the last states are read only for being nonempty
+        if i + 1 == len(rels) or rels[i + 1] in (LESS, LEQ):
+            states = table.lowest(bodies[i + 1], reach)
+        else:
+            states = table.bits(bodies[i + 1], reach)
     return states != 0
 
 
 # ------------------------------------------------------- sequence matchers
+
+# the slices a matcher reads in its first window: a run that a query's first
+# body settles at slice 0 asks the reasoner about no more slices than these
+FIRST_WINDOW = 2
+
 
 class SequenceMatcher:
     """NFA view of a path or until query over a stream of slice letters.
@@ -153,6 +219,7 @@ class SequenceMatcher:
         self.onto = onto
         self.r = reasoner(onto)  # perfbench/spans.py keys traced runs by it
         self.bodies, self.rels, self.fillers = flat_form(q)
+        self._asked = self.bodies + tuple(f for f in self.fillers or () if f is not None)
         self.final = n = len(self.bodies) - 1
         self._accepting = 3 << 2 * n
         self._occupied = (4 ** (n + 1) - 1) // 3  # bits 0, 2, .., 2n
@@ -170,15 +237,19 @@ class SequenceMatcher:
         # only the final one of an until query's
         self._stay = self._occupied if self.fillers is None else 1 << 2 * n
 
-    def profiles(self, table: SliceTable) -> list[tuple[int, int]]:
-        """The profile of every slice of the table, the empty future last."""
-        bodies = [0] * (table.future + 1)
-        fillers = [0] * (table.future + 1)
+    def profiles(self, table: SliceTable, lo: int = 0, hi: Optional[int] = None) -> list[tuple[int, int]]:
+        """The profiles of slices lo..hi-1 of the table; by default of every
+        slice, the empty future last."""
+        if hi is None:
+            hi = table.future + 1
+        window = (1 << hi) - (1 << lo)
+        bodies = [0] * (hi - lo)
+        fillers = [0] * (hi - lo)
         for i, body in enumerate(self.bodies):
-            _spread(bodies, table.bits(body), 2 << 2 * i)
+            _spread(bodies, table.bits(body, window) >> lo, 2 << 2 * i)
         for i, filler in enumerate(self.fillers or ()):
             if filler is not None:
-                _spread(fillers, table.bits(filler), 1 << 2 * i)
+                _spread(fillers, table.bits(filler, window) >> lo, 1 << 2 * i)
         return list(zip(bodies, fillers))
 
     def _close_leq(self, states: int, bodies: int) -> int:
@@ -214,19 +285,33 @@ class SequenceMatcher:
 
     def run(self, dinst: TInstance, *, table: SliceTable | None = None) -> bool:
         """q holds at time point 0 of dinst; `table` is dinst's slice table
-        when the caller already holds it."""
+        when the caller already holds it. The slices are read in windows
+        from slice 0, each twice as wide as the one before, until the states
+        are empty or accept. The window that reaches the end takes the
+        empty future along: on it a query's certain answer is about the
+        point alone, the same for every instance with that point, which the
+        reasoner has cached after the first. A table that already knows
+        every body and filler is read in one window."""
         if table is None:
             table = slice_table(self.onto, dinst)
         if table.unsat:
             return True
-        profiles = self.profiles(table)
-        future = profiles.pop()
-        states = self.start(profiles[0])
-        for p in profiles[1:]:
-            if not states or self.accepts(states):
-                break
-            states = self.step(states, p)
-        return self.accepts_at_end(states, future)
+        future = table.future
+        width = future if all(map(table.knows, self._asked)) else FIRST_WINDOW
+        lo, states = 0, None
+        while True:
+            hi = lo + width
+            if hi >= future:
+                *profiles, end = self.profiles(table, lo)
+            else:
+                profiles, end = self.profiles(table, lo, hi), None
+            for p in profiles:
+                states = self.start(p) if states is None else self.step(states, p)
+                if not states or self.accepts(states):
+                    return states != 0
+            if end is not None:
+                return self.accepts_at_end(states, end)
+            lo, width = hi, 2 * width
 
 
 def _spread(out: list[int], bits: int, mark: int) -> None:

@@ -272,7 +272,7 @@ class _ExamplePass:
     def points(self, b: int) -> int:
         got = self._points[b]
         if got is None:
-            got = self._points[b] = self.table.points(self.domain[b])
+            got = self._points[b] = self.table.bits(self.domain[b])
         return got
 
     def extend(self, state: int, entry) -> int:
@@ -333,9 +333,10 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
     each shape prefix kept per example for the check. A prefix on which a
     positive example's pass is already empty is skipped whole. Only a shape
     that fits becomes a query; `SequenceMatcher.run` re-checks it on every
-    example, independently of the pass, before `tequiv_bounded` runs. The
-    matcher also decides whether q fits. Every example's table is fetched
-    once and held for the whole check.
+    example, independently of the pass, before `tequiv_bounded` compares it
+    with q; a candidate equal to q needs no comparison. The matcher also
+    decides whether q fits. Every example's table is fetched once and held
+    for the whole check.
 
     The verdict holds only within ``spec.qclass``: class ``dia`` enumerates
     next, later and now-or-later (``X``, ``F``, ``Fr``), class ``nextdia``
@@ -362,7 +363,7 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
         cand = shape_query(spec.qclass, domain, shape)
         if not _matcher_fits(onto, held, cand):  # independent re-check
             continue
-        if not tequiv_bounded(onto, cand, q, length_bound):
+        if cand != q and not tequiv_bounded(onto, cand, q, length_bound):
             witnesses.append(cand)
     return Verdict(not witnesses, witnesses, spec)
 

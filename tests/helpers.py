@@ -134,6 +134,20 @@ def rand_eliq(rng: random.Random, sig: Signature, max_size=5) -> Eliq:
     return build(budget)
 
 
+def rand_long_slices(rng: random.Random, sig: Signature, inds: list[str], count: int) -> list[Instance]:
+    """Random slices over `inds`, with up to 12 concept and 12 role atoms,
+    role atoms with distinct sources and distinct targets, as the
+    benchmark's long instances draw them."""
+    names, roles = sorted(sig.concept_names), sorted(sig.role_names)
+    out = []
+    for _ in range(count):
+        nc, nr = rng.randint(0, 12), rng.randint(0, 12)
+        cat = zip(rng.choices(names, k=nc), rng.choices(inds, k=nc))
+        rat = zip(rng.choices(roles, k=nr), rng.sample(inds, nr), rng.sample(inds, nr))
+        out.append(Instance(frozenset(inds), frozenset(cat), frozenset(rat)))
+    return out
+
+
 SMALL_SIG = signature(["A", "B"], ["R"])
 PROP_SIG = signature(["A", "B"])
 

@@ -41,7 +41,7 @@ from tomq.temporal.model import tinstance
 from tomq.textio import parse_eliq, parse_tinstance, parse_untilquery
 from tomq.verify import EnumSpec, check_unique_characterisation
 
-from helpers import rand_eliq, rand_instance, rand_ontology, rand_role
+from helpers import rand_eliq, rand_instance, rand_long_slices, rand_ontology, rand_role
 
 SIG = signature(["A", "B", "C"], ["R", "S"])
 MAX_AXIOMS = 5  # larger ELHIF-NF draws can hit the witness step that never ends
@@ -191,19 +191,6 @@ def test_role_inclusion_under_func_needs_saturation():
 
 # ------------------------------------------------------------ component rule
 
-def _long_slices(rng: random.Random, inds: list[str], count: int) -> list[Instance]:
-    """Random slices over 20 individuals, role atoms with distinct sources
-    and distinct targets, as the benchmark's long instances draw them."""
-    names, roles = sorted(SIG.concept_names), sorted(SIG.role_names)
-    out = []
-    for _ in range(count):
-        nc, nr = rng.randint(0, 12), rng.randint(0, 12)
-        cat = zip(rng.choices(names, k=nc), rng.choices(inds, k=nc))
-        rat = zip(rng.choices(roles, k=nr), rng.sample(inds, nr), rng.sample(inds, nr))
-        out.append(Instance(frozenset(inds), frozenset(cat), frozenset(rat)))
-    return out
-
-
 def _full_slice_bits(ref: Reasoner, dinst, q) -> int:
     bits = 0
     for j in range(dinst.max_time + 2):
@@ -221,7 +208,7 @@ def test_component_bits_agree_with_full_slices():
         rng = random.Random(7717 + d)
         for _ in range(25):
             onto = rand_ontology(rng, SIG, dialect, max_axioms=MAX_AXIOMS)
-            dinst = tinstance(_long_slices(rng, inds, 3), inds[0])
+            dinst = tinstance(rand_long_slices(rng, SIG, inds, 3), inds[0])
             table = slice_table(onto, dinst)
             tables += 1
             unsat += table.unsat

@@ -4,7 +4,9 @@ Each reasoning call keeps its fixpoint state to itself and publishes only
 final values to the reasoner's caches, so concurrent calls may repeat work
 but must neither fail nor cache a wrong answer. The same holds for the
 process-wide memo of slice tables that the sequence matcher and the
-temporal evaluator share.
+temporal evaluator share, and that they fill on demand: threads starting
+from cold or partly filled tables, and filling one table bit by bit, get
+one thread's answers.
 """
 import random
 import sys
@@ -12,8 +14,14 @@ import threading
 
 from tomq.dl import DIALECTS, Reasoner, signature
 from tomq.dl import reason
-from tomq.temporal.eval import SLICE_TABLE_CACHE_SIZE, SequenceMatcher, clear_slice_tables, tentail
-from tomq.temporal.model import pathquery_from_ops, tinstance, untilquery
+from tomq.temporal.eval import (
+    SLICE_TABLE_CACHE_SIZE,
+    SequenceMatcher,
+    clear_slice_tables,
+    slice_table,
+    tentail,
+)
+from tomq.temporal.model import flat_form, pathquery_from_ops, tinstance, untilquery
 
 from helpers import rand_eliq, rand_instance, rand_ontology
 
@@ -101,9 +109,13 @@ def _temporal_workload():
 
 
 def _answers(onto, dinst, q) -> tuple:
+    """The matcher's answer, `tentail` at every time point, and each body's
+    bits read one slice at a time, so that threads fill a table bit by bit."""
+    table = slice_table(onto, dinst)
     return (
         SequenceMatcher(onto, q).run(dinst),
         tuple(tentail(onto, dinst, ell, q) for ell in range(dinst.max_time + 3)),
+        tuple(table.bits(b, 1 << j) for b in flat_form(q)[0] for j in range(table.future + 1)),
     )
 
 
@@ -111,10 +123,13 @@ def test_threads_sharing_slice_tables_agree_with_one_thread():
     work = _temporal_workload()
     expected = [_answers(*item) for item in work]
     # start the threads cold: no memoised table, and fresh reasoners that
-    # the threads fill together through `reasoner(onto)`
+    # the threads fill together through `reasoner(onto)`; then a third of
+    # the tables partly filled, by `tentail` at time point 0 alone
     clear_slice_tables()
     for onto, _, _ in work:
         reason._REASONERS.pop(onto, None)
+    for onto, dinst, q in work[::3]:
+        tentail(onto, dinst, 0, q)
     got = [[None] * len(work) for _ in range(THREADS)]
     errors = []
 

@@ -6,14 +6,17 @@ frozenset of pairs (i, pinned), and each slice's letter profile asks the
 reasoner once per body and until filler, with the empty slice as the tail.
 Over seeded random ontologies in all four dialects, `SequenceMatcher.run`,
 `tentail` at every time point from 0 to `max_time + 2`, and the bits of the
-slice table must all agree with it. The uniqueness check must give the same
-verdict, and the same witnesses in the same order, as a candidate loop over
-the reference matcher.
+slice table must all agree with it, also when a fresh table is read under
+random masks in random orders, and on 100-slice instances like the
+benchmark's, where the table fills only the slices a pass reaches. The
+uniqueness check must give the same verdict, and the same witnesses in the
+same order, as a candidate loop over the reference matcher.
 """
 import random
 
 from tomq.dl import (
     DIALECTS,
+    DL_LITE_F,
     DL_LITE_H,
     ELHIF_NF,
     TOP_QUERY,
@@ -23,14 +26,17 @@ from tomq.dl import (
     empty_ontology,
     instance,
     make_eliq,
+    point_component,
     reasoner,
     signature,
 )
 from tomq.errors import TomqError
 from tomq.tempchar import characterise_dia, characterise_until
 from tomq.temporal.eval import (
+    FIRST_WINDOW,
     SLICE_TABLE_CACHE_SIZE,
     SequenceMatcher,
+    SliceTable,
     clear_slice_tables,
     slice_table,
     tentail,
@@ -53,7 +59,7 @@ from tomq.verify import (
     tequiv_bounded,
 )
 
-from helpers import rand_eliq, rand_instance, rand_ontology
+from helpers import rand_eliq, rand_instance, rand_long_slices, rand_ontology
 
 SIG = signature(["A", "B", "C"], ["R"])
 MAX_AXIOMS = 5  # larger ELHIF-NF draws can hit the witness step that never ends
@@ -165,29 +171,167 @@ def test_matcher_and_tentail_agree_with_reference():
     assert not wrong, f"{len(wrong)} answers differ, first {wrong[:3]}"
 
 
+def _domain(queries) -> list:
+    """The bodies and until fillers of the queries, in a fixed order."""
+    out = {}
+    for q in queries:
+        bodies, _, fillers = flat_form(q)
+        out.update(dict.fromkeys(bodies))
+        out.update(dict.fromkeys(f for f in fillers or () if f is not None))
+    return list(out)
+
+
+def _reference_bits(ref: Reasoner, dinst, b) -> int:
+    return sum(
+        1 << j
+        for j in range(dinst.max_time + 2)
+        if ref.certain_answer(dinst.slice_at(j), dinst.point, b)
+    )
+
+
+def _mask(rng: random.Random, future: int):
+    """A read mask over slices 0..future: none, empty, one slice, a random
+    set reaching past the future bit, a prefix, or every point from one on
+    (a negative int, as `tentail` reads until fillers)."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return 0
+    if kind == 2:
+        return 1 << rng.randrange(future + 1)
+    if kind == 3:
+        return rng.getrandbits(future + 3)
+    if kind == 4:
+        return (1 << rng.randrange(future + 2)) - 1
+    return -(1 << rng.randrange(future + 1))
+
+
+def _masked_reads_wrong(rng: random.Random, table: SliceTable, wants: dict, reads: int) -> list:
+    """Read `table` (fresh) with random masks in a random order of queries,
+    by `bits` or by `lowest`, then every query in full by `bits`; the reads
+    that differ from `wants[q] & mask`, or from its lowest bit."""
+    wrong = []
+    order = [rng.choice(list(wants)) for _ in range(reads)] + list(wants)
+    for k, b in enumerate(order):
+        mask = _mask(rng, table.future) if k < reads else None
+        want = wants[b] if mask is None else wants[b] & mask
+        if mask is not None and rng.random() < 0.5:
+            got, want = table.lowest(b, mask), want & -want
+        else:
+            got = table.bits(b, mask)
+        if got != want or (mask is None and not table.knows(b)):
+            wrong.append((str(b), mask, bin(got), bin(want)))
+    return wrong
+
+
 def test_slice_table_bits_agree_with_reference():
+    """In full, and read with random masks in random orders from a fresh
+    table: `bits(q, mask)` is the full bits within the mask, and
+    `lowest(q, mask)` their lowest bit."""
     clear_slice_tables()
+    rng = random.Random(2203)
     wrong = []
     for cid, onto, dinst, queries in cases():
         ref = Reasoner(onto)
         table = slice_table(onto, dinst)
-        domain = set()
-        for q in queries:
-            bodies, _, fillers = flat_form(q)
-            domain.update(bodies)
-            domain.update(f for f in fillers or () if f is not None)
-        for b in domain:
-            want = sum(
-                1 << j
-                for j in range(dinst.max_time + 2)
-                if ref.certain_answer(dinst.slice_at(j), dinst.point, b)
-            )
+        wants = {b: _reference_bits(ref, dinst, b) for b in _domain(queries)}
+        for b, want in wants.items():
             if table.bits(b) != want:
                 wrong.append((cid, str(b), bin(table.bits(b)), bin(want)))
         unsat = any(not ref.is_satisfiable(s) for s in dinst.slices)
         if table.unsat != unsat:
             wrong.append((cid, "unsat", table.unsat, unsat))
+        wrong += [(cid, *w) for w in _masked_reads_wrong(rng, SliceTable(onto, dinst), wants, 8)]
     assert not wrong, f"{len(wrong)} tables differ, first {wrong[:3]}"
+
+
+# ------------------------------------------------------------ long instances
+
+LONG_SIG = signature(["A", "B", "C"], ["R", "S"])
+LONG_INDS = [f"i{k}" for k in range(20)]
+LONG_CASES_PER_DIALECT = 20
+
+
+def long_cases():
+    """(case id, ontology, temporal instance, queries) on 100-slice,
+    20-individual instances drawn as the benchmark's `answer` ops draw them:
+    DL-Lite_H, DL-Lite_F and ELHIF-NF, a path query over X, F and Fr and
+    an until query whose fillers are bottom a third of the time."""
+    for d, dialect in enumerate((DL_LITE_H, DL_LITE_F, ELHIF_NF)):
+        rng = random.Random(5527 + d)
+        for k in range(LONG_CASES_PER_DIALECT):
+            onto = rand_ontology(rng, LONG_SIG, dialect, max_axioms=MAX_AXIOMS)
+            dinst = tinstance(rand_long_slices(rng, LONG_SIG, LONG_INDS, 100), LONG_INDS[0])
+            n = rng.randint(2, 4)
+            path = pathquery_from_ops(
+                [rand_eliq(rng, LONG_SIG, max_size=3) for _ in range(n)],
+                [rng.choice(["X", "F", "Fr"]) for _ in range(n - 1)],
+            )
+            steps = [
+                (None if rng.random() < 0.3 else rand_eliq(rng, LONG_SIG, max_size=2),
+                 rand_eliq(rng, LONG_SIG, max_size=3))
+                for _ in range(rng.randint(1, 2))
+            ]
+            until = untilquery(rand_eliq(rng, LONG_SIG, max_size=3), steps)
+            yield f"long/{dialect}/{k}", onto, dinst, (path, until)
+
+
+def test_long_instances_agree_with_reference():
+    """`tentail` at a few time points, `SequenceMatcher.run`, and masked
+    reads of a fresh table, against the reference matcher and full bits."""
+    clear_slice_tables()
+    rng = random.Random(3319)
+    wrong = []
+    answers = set()
+    for cid, onto, dinst, queries in long_cases():
+        ref = Reasoner(onto)
+        for q in queries:
+            for ell in (0, rng.randrange(1, dinst.max_time), dinst.max_time + 1):
+                want = reference_run(ref, q, dinst, ell)
+                answers.add(want)
+                if tentail(onto, dinst, ell, q) != want:
+                    wrong.append((cid, str(q), "tentail", ell, want))
+            if SequenceMatcher(onto, q).run(dinst) != reference_run(ref, q, dinst):
+                wrong.append((cid, str(q), "run"))
+        wants = {b: _reference_bits(ref, dinst, b) for b in _domain(queries)}
+        wrong += [(cid, *w) for w in _masked_reads_wrong(rng, SliceTable(onto, dinst), wants, 12)]
+    assert not wrong, f"{len(wrong)} answers differ, first {wrong[:3]}"
+    assert answers == {True, False}
+
+
+def test_a_first_body_failing_at_the_start_asks_little(monkeypatch):
+    """When body 0 fails at the time point asked, `tentail` asks the
+    reasoner exactly one certain answer, and `SequenceMatcher.run` at time
+    point 0 asks only about the slices of its first window."""
+    answer = Reasoner.certain_answer
+    asked = []
+
+    def counting(self, inst, point, q):
+        asked.append(inst)
+        return answer(self, inst, point, q)
+
+    monkeypatch.setattr(Reasoner, "certain_answer", counting)
+    seen = 0
+    for cid, onto, dinst, queries in long_cases():
+        ref = Reasoner(onto)
+        if any(not ref.is_satisfiable(s) for s in dinst.slices):
+            continue
+        first = {point_component(s, dinst.point) for s in dinst.slices[:FIRST_WINDOW]}
+        for q in queries:
+            head = flat_form(q)[0][0]
+            if head.is_top or answer(ref, dinst.slices[0], dinst.point, head):
+                continue
+            seen += 1
+            clear_slice_tables()
+            asked.clear()
+            assert not tentail(onto, dinst, 0, q)
+            assert len(asked) == 1, (cid, str(q))
+            clear_slice_tables()
+            asked.clear()
+            assert not SequenceMatcher(onto, q).run(dinst)
+            assert asked and all(inst in first for inst in asked), (cid, str(q))
+    assert seen >= 12
 
 
 # --------------------------------------------------------- uniqueness verdicts

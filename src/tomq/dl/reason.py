@@ -43,7 +43,7 @@ one reads the cached hashes of its three frozensets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import UnsatisfiableQuery
 from .eliq import Eliq, conjoin, induced_instance
@@ -606,6 +606,34 @@ class Reasoner:
         self._contains_cache[key] = out
         return out
 
+    def contains_all(self, q1: Eliq, qs: Sequence[Eliq]) -> list[bool]:
+        """`contains(q1, q2)` for every q2 of qs, in order, each answer also
+        written to the containment cache.
+
+        The keys not cached yet are decided through one chase of q1's hat,
+        at the deepest role depth among them, and one homomorphism table
+        into it. One chase serves every depth: anonymous elements hang below
+        a single parent, so a query of role depth d maps from the point only
+        into elements of depth at most d, and the chase, built breadth-first,
+        has the same such elements and atoms at any depth bound from d on."""
+        k1 = q1._key
+        cache = self._contains_cache
+        got = [cache.get((k1, q2._key)) for q2 in qs]
+        misses = [q2 for q2, known in zip(qs, got) if known is None]
+        if not misses:
+            return got
+        table = None
+        if self.query_satisfiable(q1):
+            h = self.hat(q1)
+            table = _HomTable(self.chase(h.instance, max(q2.role_depth for q2 in misses)))
+        for i, known in enumerate(got):
+            if known is None:
+                q2 = qs[i]
+                got[i] = cache[(k1, q2._key)] = (
+                    table is None or q2.is_top or (not q2.is_bottom and table.maps(q2, h.point))
+                )
+        return got
+
     def _contains(self, q1: Eliq, q2: Eliq) -> bool:
         if not self.query_satisfiable(q1):
             return True
@@ -641,26 +669,45 @@ class Reasoner:
         return general_hom_exists(tgt.instance, tgt.point, chased, src.point)
 
 
+class _HomTable:
+    """Tree homomorphisms of queries into one instance: a successor index,
+    built on first use, and one memo over (subtree key, element) shared by
+    every query asked."""
+
+    __slots__ = ("inst", "succ", "memo")
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.succ: Optional[dict[tuple[str, str, bool], list[str]]] = None
+        self.memo: dict[tuple[str, str], bool] = {}
+
+    def maps(self, node: Eliq, e: str) -> bool:
+        """Does the tree `node` map into the instance with its root at `e`?"""
+        k = (node._key, e)
+        got = self.memo.get(k)
+        if got is None:
+            catoms = self.inst.catoms
+            got = all((c, e) in catoms for c in node.names) and all(
+                any(self.maps(child, e2) for e2 in self._successors(e, role))
+                for role, child in node.edges
+            )
+            self.memo[k] = got
+        return got
+
+    def _successors(self, e: str, role: Role) -> list[str]:
+        succ = self.succ
+        if succ is None:
+            succ = self.succ = {}
+            for p, a, b in self.inst.ratoms:
+                succ.setdefault((a, p, False), []).append(b)
+                succ.setdefault((b, p, True), []).append(a)
+        return succ.get((e, role.name, role.inverted), ())
+
+
 def hom_exists(q: Eliq, inst: Instance, point: str) -> bool:
     """Tree-homomorphism check of q into inst (no ontology) by dynamic
-    programming over (query node, individual)."""
-    if q.is_bottom:
-        return False
-    memo: dict[tuple[str, str], bool] = {}
-
-    def ok(node: Eliq, e: str) -> bool:
-        k = (node._key, e)
-        if k in memo:
-            return memo[k]
-        memo[k] = False  # cycle guard; tree queries cannot actually recurse
-        res = all((c, e) in inst.catoms for c in node.names) and all(
-            any(ok(child, e2) for e2 in sorted(inst.successors(e, role)))
-            for role, child in node.edges
-        )
-        memo[k] = res
-        return res
-
-    return ok(q, point)
+    programming over (query node, individual): a `_HomTable` asked once."""
+    return not q.is_bottom and _HomTable(inst).maps(q, point)
 
 
 def general_hom_exists(src: Instance, spoint: str, tgt: Instance, tpoint: str) -> bool:

@@ -3,7 +3,10 @@ characterisations of domain queries.
 
 Frontier search is generate-and-verify: candidates come from one-step
 weakenings plus plain enumeration, and a set is only returned when the
-brute-force frontier check passes at the same bound. Split-partners follow
+brute-force frontier check passes at the same bound. Which candidates q
+entails is decided for the whole pool through one chase of q's canonical
+instance (`Reasoner.contains_all`), whose answers the check then reads back
+from the containment cache. Split-partners follow
 the type/product construction, with type consistency decided through Horn
 convexity instead of a tableau.
 """
@@ -118,15 +121,16 @@ def frontier(
 def _candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[Eliq]:
     """The strict weakenings of q that `frontier` searches: one-step
     weakenings plus the class enumerated up to the bound, in the class (no
-    inverse role for `elq`), in size-then-key order."""
+    inverse role for `elq`), in size-then-key order.
+
+    q ⊑ c is decided for the whole pool at once (`Reasoner.contains_all`:
+    one chase of q's hat and one homomorphism table), and c ⊑ q, a chase of
+    c's own hat, only for the candidates q entails."""
     r = reasoner(onto)
     pool = set(one_step_weakenings(q))
     pool.update(enum_domain_queries(onto.signature, qclass, size_bound))
-    return [
-        c for c in _sorted_queries(pool)
-        if not (qclass == CLASS_ELQ and c.has_inverse())
-        and r.contains(q, c) and not r.contains(c, q)
-    ]
+    pool = [c for c in _sorted_queries(pool) if not (qclass == CLASS_ELQ and c.has_inverse())]
+    return [c for c, weaker in zip(pool, r.contains_all(q, pool)) if weaker and not r.contains(c, q)]
 
 
 def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[list[Eliq]]:

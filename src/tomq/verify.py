@@ -6,9 +6,11 @@ never beyond them.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .dl import (
@@ -78,52 +80,62 @@ def _enum_prop(sig: Signature, size_bound: int) -> list[Eliq]:
 
 
 def _enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
+    """All canonical trees of size <= size_bound, in (size, key) order.
+
+    One bottom-up pass by exact size. A tree of size s is a root with k names
+    and an edge multiset of cost s - 1 - k, an edge costing its subtree's
+    size. The multisets of cost c draw on the edges to trees of size <= c,
+    listed in `make_eliq`'s edge order (role as printed, then subtree key);
+    taken as non-decreasing index sequences over that list, each multiset
+    comes once and already sorted, so every tree is built directly and
+    exactly once."""
     names = sorted(sig.concept_names)
     roles = [Role(r) for r in sorted(sig.role_names)]
     if inverses:
-        roles = roles + [Role(r, True) for r in sorted(sig.role_names)]
+        roles += [r.inverse for r in roles]
     roles.sort(key=str)
-    tree_memo: dict[int, list[Eliq]] = {}
-    list_memo: dict[int, list[tuple]] = {}
+    out: list[Eliq] = []
+    # edge_lists[c]: the edge multisets of total cost exactly c
+    edge_lists: list[list[tuple]] = [[()]]
+    for s in range(1, size_bound + 1):
+        if s > 1:
+            # trees of size < s are all built: the multisets of cost s - 1
+            smaller = sorted(out, key=attrgetter("_key"))
+            edges = [(role, t) for role in roles for t in smaller]
+            edge_lists.append(_multisets(edges, s - 1))
+        level = [
+            Eliq(subset, lst)
+            for k in range(min(s - 1, len(names)) + 1)
+            for subset in itertools.combinations(names, k)
+            for lst in edge_lists[s - 1 - k]
+        ]
+        out += sorted(level, key=attrgetter("_key"))
+    return out
 
-    def trees(budget: int) -> list[Eliq]:
-        """All canonical trees of size <= budget."""
-        if budget in tree_memo:
-            return tree_memo[budget]
-        out = set()
-        if budget >= 1:
-            for k in range(0, min(budget - 1, len(names)) + 1):
-                for subset in itertools.combinations(names, k):
-                    for children in child_lists(budget - 1 - k):
-                        out.add(make_eliq(subset, children))
-        result = sorted(out, key=lambda q: (q.size, q._key))
-        tree_memo[budget] = result
-        return result
 
-    def child_lists(budget: int) -> list[tuple]:
-        """Edge multisets whose total cost (one per edge plus subtree size)
-        stays within budget, in non-decreasing canonical order."""
-        if budget in list_memo:
-            return list_memo[budget]
-        out = [()]
-        if budget >= 1:
-            for role in roles:
-                for sub in trees(budget):
-                    head = (role, sub)
-                    for rest in child_lists(budget - sub.size):
-                        if rest and (str(rest[0][0]), rest[0][1]._key) < (str(role), sub._key):
-                            continue
-                        out.append((head,) + rest)
-        seen, result = set(), []
-        for lst in out:
-            key = tuple((str(r), s._key) for r, s in lst)
-            if key not in seen:
-                seen.add(key)
-                result.append(lst)
-        list_memo[budget] = result
-        return result
+def _multisets(edges: list[tuple], cost: int) -> list[tuple]:
+    """The non-decreasing index sequences over `edges` whose subtree sizes
+    sum to exactly `cost`, as tuples of edges."""
+    # per subtree size, the indices of its edges in increasing order
+    by_size: list[list[int]] = [[] for _ in range(cost + 1)]
+    for i, (_, t) in enumerate(edges):
+        by_size[t.size].append(i)
+    out: list[tuple] = []
+    picked: list[tuple] = []
 
-    return trees(size_bound)
+    def extend(start: int, left: int) -> None:
+        if not left:
+            out.append(tuple(picked))
+            return
+        for size in range(1, left + 1):
+            at = by_size[size]
+            for i in at[bisect.bisect_left(at, start):]:
+                picked.append(edges[i])
+                extend(i, left - size)
+                picked.pop()
+
+    extend(0, cost)
+    return out
 
 
 ENUM_CACHE_SIZE = 32

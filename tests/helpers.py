@@ -1,7 +1,9 @@
 """Seeded random generators for ontologies, instances and queries, and
-`root_homs`, a reference path-query evaluator for the tests."""
+reference implementations for the tests: `root_homs`, a path-query
+evaluator, and `enum_trees`, a tree-query enumerator."""
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -187,3 +189,55 @@ def root_homs(onto: Ontology, q: PathQuery, dinst: TInstance) -> list[RootHom]:
     if holds(bodies[0], 0):
         extend(1, [0])
     return out
+
+
+def enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
+    """Every canonical tree query over the signature of size <= size_bound,
+    in (size, key) order: trees and edge multisets built top-down by budget,
+    each through `make_eliq`, with duplicates dropped by key."""
+    names = sorted(sig.concept_names)
+    roles = [Role(r) for r in sorted(sig.role_names)]
+    if inverses:
+        roles = roles + [Role(r, True) for r in sorted(sig.role_names)]
+    roles.sort(key=str)
+    tree_memo: dict[int, list[Eliq]] = {}
+    list_memo: dict[int, list[tuple]] = {}
+
+    def trees(budget: int) -> list[Eliq]:
+        """All canonical trees of size <= budget."""
+        if budget in tree_memo:
+            return tree_memo[budget]
+        out = set()
+        if budget >= 1:
+            for k in range(0, min(budget - 1, len(names)) + 1):
+                for subset in itertools.combinations(names, k):
+                    for children in child_lists(budget - 1 - k):
+                        out.add(make_eliq(subset, children))
+        result = sorted(out, key=lambda q: (q.size, q._key))
+        tree_memo[budget] = result
+        return result
+
+    def child_lists(budget: int) -> list[tuple]:
+        """Edge multisets whose total cost (the subtree sizes) stays within
+        budget, in non-decreasing canonical order."""
+        if budget in list_memo:
+            return list_memo[budget]
+        out = [()]
+        if budget >= 1:
+            for role in roles:
+                for sub in trees(budget):
+                    head = (role, sub)
+                    for rest in child_lists(budget - sub.size):
+                        if rest and (str(rest[0][0]), rest[0][1]._key) < (str(role), sub._key):
+                            continue
+                        out.append((head,) + rest)
+        seen, result = set(), []
+        for lst in out:
+            key = tuple((str(r), s._key) for r, s in lst)
+            if key not in seen:
+                seen.add(key)
+                result.append(lst)
+        list_memo[budget] = result
+        return result
+
+    return trees(size_bound)

@@ -1,6 +1,10 @@
 """Enumeration oracles: completeness counts, determinism, soundness."""
 import itertools
 
+import pytest
+
+from helpers import enum_trees
+
 from tomq.dl import (
     TOP_QUERY,
     Role,
@@ -19,6 +23,8 @@ from tomq.temporal.model import (
     untilquery,
 )
 import tomq.verify as verify
+from tomq.cli import main
+from tomq.textio import print_eliq
 from tomq.verify import (
     ENUM_CACHE_SIZE,
     EnumSpec,
@@ -56,6 +62,37 @@ def test_enum_elq_has_no_inverses():
     got = enum_domain_queries(signature(["A"], ["R"]), "elq", 3)
     assert all(not q.has_inverse() for q in got)
     assert exists(R, A) in got
+
+
+ENUM_CONCEPTS = ([], ["A"], ["A", "B"], ["A", "B", "C"])
+ENUM_ROLES = ([], ["R"], ["R", "S"])
+
+
+@pytest.mark.parametrize("qclass", ["eliq", "elq"])
+def test_enum_trees_agree_with_reference(qclass):
+    """The one-pass enumerator gives the reference's trees, equal and in the
+    same key order, for every signature and bound listed."""
+    inverses = qclass != "elq"
+    checked = 0
+    for concepts in ENUM_CONCEPTS:
+        for roles in ENUM_ROLES:
+            if not concepts and not roles:
+                continue
+            sig = signature(concepts, roles)
+            for bound in range(6):
+                got = verify._enum_trees(sig, bound, inverses)
+                want = enum_trees(sig, bound, inverses)
+                assert got == want, (concepts, roles, bound)
+                assert [q._key for q in got] == [q._key for q in want], (concepts, roles, bound)
+                checked += len(want)
+    assert checked == {"eliq": 17047, "elq": 2691}[qclass]
+
+
+@pytest.mark.parametrize("qclass", ["eliq", "elq"])
+def test_cli_enumerate_lists_the_reference_trees(qclass, capsys):
+    assert main(["enumerate", "--sigma", "A,B,R", "--roles", "R", "--class", qclass, "--bound", "4"]) == 0
+    want = enum_trees(SIG_ABR, 4, qclass != "elq")
+    assert capsys.readouterr().out.splitlines() == [print_eliq(q) for q in want]
 
 
 def test_enum_pathquery_count_matches_closed_form():

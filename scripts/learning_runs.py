@@ -59,8 +59,7 @@ def main():
                 config = LearnerConfig(variant=variant, depth=depth, frontier_bound=5, budget=20000)
                 t0 = time.time()
                 learned = Learner(onto, teacher, config).run(initial)
-                bound = (target.tdp + 1) * (target.strict_count + 2)
-                ok = tequiv_bounded(onto, learned, target, bound)
+                ok = tequiv_bounded(onto, learned, target)
                 print(
                     f"    {variant:8s}: {teacher.membership_count:4d} queries, "
                     f"max size {teacher.max_query_size:4d}, "

@@ -133,18 +133,6 @@ def _candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[E
     return [c for c, weaker in zip(pool, r.contains_all(q, pool)) if weaker and not r.contains(c, q)]
 
 
-def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[list[Eliq]]:
-    """The candidate sets the bounded search would propose, for inspection:
-    what `frontier` searches, then its one-step weakenings alone."""
-    candidates = _candidates(onto, q, qclass, size_bound)
-    sets = [_maximal(onto, candidates)]
-    steps = set(one_step_weakenings(q))
-    weak = [c for c in candidates if c in steps]
-    if weak:
-        sets.append(_maximal(onto, weak))
-    return sets
-
-
 MAX_PATH_PROBES = 20000
 
 # (root name or None, role chain, tip name or None); see path_probes

@@ -1,5 +1,5 @@
 """Temporal entailment: the inductive semantics and a sequence-matcher view
-of path/until queries used for fast evaluation and for the bounded
+of path/until queries used for fast evaluation and for the temporal
 equivalence oracle.
 
 Both the evaluator and the matcher read a query in its flat form
@@ -219,7 +219,8 @@ class SequenceMatcher:
         self.onto = onto
         self.r = reasoner(onto)  # perfbench/spans.py keys traced runs by it
         self.bodies, self.rels, self.fillers = flat_form(q)
-        self._asked = self.bodies + tuple(f for f in self.fillers or () if f is not None)
+        # the domain queries a letter's profile is read from
+        self.asked = self.bodies + tuple(f for f in self.fillers or () if f is not None)
         self.final = n = len(self.bodies) - 1
         self._accepting = 3 << 2 * n
         self._occupied = (4 ** (n + 1) - 1) // 3  # bits 0, 2, .., 2n
@@ -251,6 +252,13 @@ class SequenceMatcher:
             if filler is not None:
                 _spread(fillers, table.bits(filler, window) >> lo, 1 << 2 * i)
         return list(zip(bodies, fillers))
+
+    def profile_of(self, held) -> tuple[int, int]:
+        """The profile of a letter at which exactly the domain queries in
+        `held` hold."""
+        bodies = sum(2 << 2 * i for i, body in enumerate(self.bodies) if body in held)
+        fillers = sum(1 << 2 * i for i, f in enumerate(self.fillers or ()) if f in held)
+        return bodies, fillers
 
     def _close_leq(self, states: int, bodies: int) -> int:
         """Pinned states before a `leq` also match the next body here."""
@@ -297,7 +305,7 @@ class SequenceMatcher:
         if table.unsat:
             return True
         future = table.future
-        width = future if all(map(table.knows, self._asked)) else FIRST_WINDOW
+        width = future if all(map(table.knows, self.asked)) else FIRST_WINDOW
         lo, states = 0, None
         while True:
             hi = lo + width

@@ -1,8 +1,10 @@
-"""Brute-force enumeration oracles.
+"""Brute-force enumeration oracles and an exact temporal-equivalence oracle.
 
-These checks are bounded by construction and say so in their verdicts: a pass
-certifies the property against everything enumerable within the given bounds,
-never beyond them.
+The enumeration checks are bounded by construction and say so in their
+verdicts: a pass certifies the property against everything enumerable
+within the given bounds, never beyond them. Temporal equivalence
+(`tequiv_witness`) is decided exactly, by a product-automaton search over
+every profile a slice can show.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from typing import Iterable, Iterator, Optional
 
 from .dl import (
     BOTTOM_QUERY,
+    TOP_QUERY,
     Eliq,
-    Instance,
     Ontology,
     Pointed,
     Role,
@@ -33,9 +35,7 @@ from .temporal.model import (
     SUC,
     UNTIL,
     ExampleSet,
-    PathQuery,
     TInstance,
-    UntilQuery,
     pathquery_from_ops,
     tinstance,
     untilquery,
@@ -151,7 +151,7 @@ def enum_domain_queries(sig: Signature, qclass: str, size_bound: int) -> tuple[E
 
 @functools.lru_cache(maxsize=ENUM_CACHE_SIZE)
 def _enum_domain_cached(sig: Signature, qclass: str, size_bound: int) -> tuple[Eliq, ...]:
-    if qclass == CLASS_P or not sig.role_names:
+    if qclass == CLASS_P:
         return tuple(_enum_prop(sig, size_bound))
     return tuple(_enum_trees(sig, size_bound, inverses=qclass != CLASS_ELQ))
 
@@ -338,7 +338,8 @@ def _fitting_shapes(groups: list, checks: list) -> Iterator[tuple]:
 
 def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec: EnumSpec) -> Verdict:
     """Pass iff q fits and every enumerated query fitting the example set is
-    equivalent to q (bounded temporal equivalence).
+    temporally equivalent to q, decided exactly; the verdict is bounded by
+    the candidate enumeration alone.
 
     Candidates are decided as flat shapes (`enum_shapes`) by the forward
     bitset pass of `tentail`, per example in order, with the state after
@@ -363,7 +364,6 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
     ]
     if not _matcher_fits(onto, held, q):
         return Verdict(False, [("target-does-not-fit", q)], spec)
-    length_bound = _default_length_bound(q)
     domain, groups = enum_shapes(spec)
     # an inconsistent example entails every query: a positive one accepts
     # every candidate, and a negative one cannot occur once q fits
@@ -375,7 +375,7 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
         cand = shape_query(spec.qclass, domain, shape)
         if not _matcher_fits(onto, held, cand):  # independent re-check
             continue
-        if cand != q and not tequiv_bounded(onto, cand, q, length_bound):
+        if cand != q and not tequiv_bounded(onto, cand, q):
             witnesses.append(cand)
     return Verdict(not witnesses, witnesses, spec)
 
@@ -387,90 +387,77 @@ def _matcher_fits(onto: Ontology, held: list, q) -> bool:
     return all(matcher.run(d, table=table) == want for d, table, want in held)
 
 
-# -------------------------------------------------- bounded temporal equiv
+# ------------------------------------------------------ temporal equivalence
 
-def _default_length_bound(q) -> int:
-    if isinstance(q, PathQuery):
-        b = q.strict_count + 1
-        return (q.tdp + 1) * (b + 1)
-    n = q.depth
-    return (n + 1) * (n + 2)
+def _letter_profiles(onto: Ontology, bodies: Iterable[Eliq]) -> dict[frozenset, Eliq]:
+    """Every profile (the set of `bodies` holding at the point) that a
+    consistent slice can show, each with a conjunction c whose hat shows it:
+    the closure {b : c ⊑ b}; ⊤'s comes first. An inconsistent slice makes
+    every query hold, as a profile of every body would, so it never tells
+    two queries apart; when ⊤ is unsatisfiable, that is ⊤'s profile.
 
-
-def _letters(onto: Ontology, q1, q2, domain_size: int) -> list[Pointed]:
-    """Slice alphabet: hats of the enumerated domain queries over the combined
-    signature plus the bodies of both queries, and the empty slice."""
+    Complete: a slice with profile P entails ⊓P, and whatever ⊓P entails the
+    slice does, so P is the closure of ⊓P. Adding P's members one at a time
+    to ⊤ reaches it, since ⊓P entails each conjunction on the way: it is
+    satisfiable and its closure lies inside P. A kept conjunction is
+    equivalent to ⊓ of its profile, so which one is kept does not matter."""
     r = reasoner(onto)
-    sig = onto.signature
-    bodies: set[Eliq] = set()
-    for q in (q1, q2):
-        if isinstance(q, PathQuery):
-            bodies.update(q.bodies())
-        elif isinstance(q, UntilQuery):
-            bodies.update(q.targets())
-            bodies.update(f for f, _ in q.steps if f is not None)
-    qclass = CLASS_ELIQ if sig.role_names else CLASS_P
-    pool = set(enum_domain_queries(sig, qclass, domain_size)) | bodies
-    pairs = {conjoin(x, y) for x in bodies for y in bodies}
-    pool |= pairs
-    letters = [Pointed(Instance(frozenset(("a",))), "a")]
-    seen = {letters[0].instance._key}
-    for q in sorted(pool, key=lambda q: (q.size, q._key)):
-        if q.is_bottom or not r.query_satisfiable(q):
-            continue
-        h = r.hat(q)
-        if h.instance._key not in seen:
-            seen.add(h.instance._key)
-            letters.append(h)
-    return letters
+    bodies = tuple(dict.fromkeys(bodies))
+
+    def closure(c: Eliq) -> frozenset:
+        return frozenset(b for b, held in zip(bodies, r.contains_all(c, bodies)) if held)
+
+    out = {closure(TOP_QUERY): TOP_QUERY}
+    queue = list(out.items())
+    for held, c in queue:  # grows while it is read: breadth first
+        for b in bodies:
+            if b in held:
+                continue
+            cb = conjoin(c, b)
+            if not r.query_satisfiable(cb):
+                continue
+            got = closure(cb)
+            if got not in out:
+                out[got] = cb
+                queue.append((got, cb))
+    return out
 
 
-def tequiv_bounded(
-    onto: Ontology, q1, q2, length_bound: int, domain_size: int = 2,
-    alphabet: Optional[list[Pointed]] = None,
-) -> bool:
-    got = tequiv_witness(onto, q1, q2, length_bound, domain_size, alphabet)
-    return got is None
+def tequiv_bounded(onto: Ontology, q1, q2, length_bound: Optional[int] = None) -> bool:
+    """No temporal instance (of at most `length_bound` slices, if given)
+    tells q1 and q2 apart under the ontology."""
+    return tequiv_witness(onto, q1, q2, length_bound) is None
 
 
-def tequiv_witness(
-    onto: Ontology, q1, q2, length_bound: int, domain_size: int = 2,
-    alphabet: Optional[list[Pointed]] = None,
-) -> Optional[TInstance]:
-    """A temporal instance on which q1 and q2 disagree, from instances
-    assembled out of the alphabet slices, up to the length bound; None if they
-    agree on all of them. Product-automaton search, so the bound is cheap."""
-    letters = alphabet if alphabet is not None else _letters(onto, q1, q2, domain_size)
+def tequiv_witness(onto: Ontology, q1, q2, length_bound: Optional[int] = None) -> Optional[TInstance]:
+    """A shortest temporal instance on which q1 and q2 disagree at time
+    point 0, or None if there is none (of at most `length_bound` slices, if
+    given).
+
+    The matchers see a slice only through its profile, so the letters are
+    the profiles of `_letter_profiles`, and a word ends in the empty future,
+    whose profile is ⊤'s. The search runs breadth first over pairs of
+    matcher states, each expanded once; there are finitely many, so it is
+    exhaustive. Only the word returned is built, from the hats of its
+    letters' conjunctions."""
     m1, m2 = SequenceMatcher(onto, q1), SequenceMatcher(onto, q2)
-    renamed = [anchored(p, "x") for p in letters]
-    # the letters as the slices of one instance over their shared
-    # individuals: the table's future slice is the empty letter that ends
-    # every word
-    alphabet_inst = tinstance(renamed, "a")
-    slices = alphabet_inst.slices
-    table = SliceTable(onto, alphabet_inst)
-    profiles1, profiles2 = m1.profiles(table), m2.profiles(table)
-    e1, e2 = profiles1.pop(), profiles2.pop()
-    start_items = []
-    for i in range(len(slices)):
-        s1, s2 = m1.start(profiles1[i]), m2.start(profiles2[i])
-        start_items.append(((s1, s2), [i]))
-    seen = set()
-    frontier = start_items
-    for _length in range(1, length_bound + 1):
+    profiles = _letter_profiles(onto, m1.asked + m2.asked)
+    conjunctions = list(profiles.values())
+    letters = [(m1.profile_of(p), m2.profile_of(p)) for p in profiles]
+    e1, e2 = letters[0]  # ⊤'s profile: the empty slices after a word
+    seen: set[tuple[int, int]] = set()
+    level = [((m1.start(p1), m2.start(p2)), (i,)) for i, (p1, p2) in enumerate(letters)]
+    while level:
         nxt = []
-        for (s1, s2), word in frontier:
+        for (s1, s2), word in level:
+            if (s1, s2) in seen:
+                continue
+            seen.add((s1, s2))
             if m1.accepts_at_end(s1, e1) != m2.accepts_at_end(s2, e2):
-                return tinstance([slices[i] for i in word], "a")
-            key = (s1, s2)
-            if key in seen:
-                continue
-            seen.add(key)
-            if _length == length_bound:
-                continue
-            for i in range(len(slices)):
-                nxt.append(((m1.step(s1, profiles1[i]), m2.step(s2, profiles2[i])), word + [i]))
-        frontier = nxt
-        if not frontier:
-            break
+                r = reasoner(onto)
+                return tinstance([anchored(r.hat(conjunctions[i]), "x") for i in word], "a")
+            if len(word) != length_bound:
+                for i, (p1, p2) in enumerate(letters):
+                    nxt.append(((m1.step(s1, p1), m2.step(s2, p2)), word + (i,)))
+        level = nxt
     return None

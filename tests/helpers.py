@@ -1,6 +1,8 @@
 """Seeded random generators for ontologies, instances and queries, and
 reference implementations for the tests: `root_homs`, a path-query
-evaluator, and `enum_trees`, a tree-query enumerator."""
+evaluator, `enum_trees`, a tree-query enumerator, `reference_letters`, a
+slice alphabet built from enumerated domain queries, and
+`frontier_candidates`, the candidate sets of the bounded frontier search."""
 from __future__ import annotations
 
 import itertools
@@ -22,6 +24,7 @@ from tomq.dl import (
     Func,
     Instance,
     Ontology,
+    Pointed,
     Role,
     RoleSub,
     Signature,
@@ -34,12 +37,15 @@ from tomq.dl import (
     make_eliq,
     name_basic,
     ontology,
+    reasoner,
     signature,
     top_basic,
 )
+from tomq.domainchar import _candidates, _maximal, one_step_weakenings
 from tomq.errors import UnsupportedAxiom
 from tomq.temporal.eval import slice_table
-from tomq.temporal.model import LESS, SUC, PathQuery, TInstance
+from tomq.temporal.model import LESS, SUC, PathQuery, TInstance, flat_form
+from tomq.verify import CLASS_ELIQ, CLASS_P, enum_domain_queries
 
 
 def rand_role(rng: random.Random, sig: Signature) -> Role:
@@ -241,3 +247,44 @@ def enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
         return result
 
     return trees(size_bound)
+
+
+def reference_letters(onto: Ontology, q1, q2, domain_size: int = 2) -> list[Pointed]:
+    """A slice alphabet for telling q1 and q2 apart that owes nothing to
+    their profiles: the empty slice, then the hats of the satisfiable
+    domain queries up to `domain_size` over the ontology's signature (class
+    p when it has no role), of the bodies and until fillers of both queries
+    and of their pairwise conjunctions, one letter per distinct hat."""
+    r = reasoner(onto)
+    sig = onto.signature
+    bodies: set[Eliq] = set()
+    for q in (q1, q2):
+        qbodies, _, fillers = flat_form(q)
+        bodies.update(qbodies)
+        bodies.update(f for f in fillers or () if f is not None)
+    qclass = CLASS_ELIQ if sig.role_names else CLASS_P
+    pool = set(enum_domain_queries(sig, qclass, domain_size)) | bodies
+    pool |= {conjoin(x, y) for x in bodies for y in bodies}
+    letters = [Pointed(Instance(frozenset(("a",))), "a")]
+    seen = {letters[0].instance._key}
+    for q in sorted(pool, key=lambda q: (q.size, q._key)):
+        if q.is_bottom or not r.query_satisfiable(q):
+            continue
+        h = r.hat(q)
+        if h.instance._key not in seen:
+            seen.add(h.instance._key)
+            letters.append(h)
+    return letters
+
+
+def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[list[Eliq]]:
+    """The candidate sets the bounded frontier search would propose, for
+    inspection: what `domainchar.frontier` searches, then its one-step
+    weakenings alone."""
+    candidates = _candidates(onto, q, qclass, size_bound)
+    sets = [_maximal(onto, candidates)]
+    steps = set(one_step_weakenings(q))
+    weak = [c for c in candidates if c in steps]
+    if weak:
+        sets.append(_maximal(onto, weak))
+    return sets

@@ -29,7 +29,6 @@ from tomq.dl.reason import general_hom_exists
 from tomq.domainchar import (
     Frontier,
     frontier,
-    frontier_candidates,
     is_meet_reducible,
     negatives_for,
     singular_plus_from_frontier,
@@ -39,6 +38,8 @@ from tomq.domainchar import (
 )
 from tomq.errors import UnsatisfiableQuery
 from tomq.verify import EnumSpec, check_frontier, check_split_partner
+
+from helpers import frontier_candidates
 
 A, B, C = atom("A"), atom("B"), atom("C")
 R = Role("R")

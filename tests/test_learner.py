@@ -72,7 +72,7 @@ def test_learn_diamond_from_noisy_example():
     teacher = Teacher(OE, DIA_A)
     init = ti(("B",), ("A", "B"), ("A",))
     out = Learner(OE, teacher, LearnerConfig(variant="safe", qclass="p")).run(init)
-    assert tequiv_bounded(OE, out, DIA_A, 12)
+    assert tequiv_bounded(OE, out, DIA_A)
     assert teacher.membership_count <= 200
 
 
@@ -87,7 +87,7 @@ def test_learn_with_role_hierarchy_ontology():
     )
     teacher = Teacher(O, target)
     out = Learner(O, teacher, LearnerConfig(variant="safe")).run(init)
-    assert tequiv_bounded(O, out, target, 12)
+    assert tequiv_bounded(O, out, target)
 
 
 def test_learn_rejects_negative_initial_example():
@@ -106,7 +106,7 @@ def test_learn_depth_and_nextdia_variants():
     ]:
         teacher = Teacher(OE, q)
         out = Learner(OE, teacher, config).run(init)
-        assert tequiv_bounded(OE, out, q, 12), (config.variant, out._key)
+        assert tequiv_bounded(OE, out, q), (config.variant, out._key)
 
 
 def test_learn_now_or_later_connector():
@@ -114,7 +114,7 @@ def test_learn_now_or_later_connector():
     init = ti(("A", "B"),)
     teacher = Teacher(OE, q)
     out = Learner(OE, teacher, LearnerConfig(variant="safe", qclass="p")).run(init)
-    assert tequiv_bounded(OE, out, q, 12)
+    assert tequiv_bounded(OE, out, q)
 
 
 def test_unwind_inside_learning_run():
@@ -126,7 +126,7 @@ def test_unwind_inside_learning_run():
     cyc = instance(["a", "b"], [("A", "b")], [("R", "a", "b"), ("R", "b", "a"), ("R", "b", "b")])
     teacher = Teacher(O, target)
     out = Learner(O, teacher, LearnerConfig(variant="safe")).run(tinstance([cyc], "a"))
-    assert tequiv_bounded(O, out, target, 8)
+    assert tequiv_bounded(O, out, target)
 
 
 def test_teacher_confirms_characterisation_of_output():

@@ -53,7 +53,6 @@ from tomq.temporal.model import (
 from tomq.temporal.normal import is_safe, normalize
 from tomq.verify import (
     EnumSpec,
-    _default_length_bound,
     check_unique_characterisation,
     enum_queries,
     tequiv_bounded,
@@ -353,7 +352,7 @@ def reference_unique(onto, q, examples, spec) -> tuple[bool, list[str]]:
             continue
         if any(reference_run(ref, cand, d) for d in examples.negatives):
             continue
-        if not tequiv_bounded(onto, cand, q, _default_length_bound(q)):
+        if not tequiv_bounded(onto, cand, q):
             witnesses.append(str(cand))
     return not witnesses, witnesses
 

@@ -1,13 +1,16 @@
 """Enumeration oracles: completeness counts, determinism, soundness."""
 import itertools
+import random
 
 import pytest
 
-from helpers import enum_trees
+from helpers import enum_trees, rand_eliq, rand_ontology, reference_letters
 
 from tomq.dl import (
+    DIALECTS,
     TOP_QUERY,
     Role,
+    anchored,
     atom,
     conjoin,
     empty_ontology,
@@ -24,7 +27,8 @@ from tomq.temporal.model import (
 )
 import tomq.verify as verify
 from tomq.cli import main
-from tomq.textio import print_eliq
+from tomq.temporal.eval import tentail
+from tomq.textio import parse_pathquery, parse_untilquery, print_eliq
 from tomq.verify import (
     ENUM_CACHE_SIZE,
     EnumSpec,
@@ -56,6 +60,19 @@ def test_enum_eliq_small():
     keys = {q._key for q in got}
     assert {"T", "A", "<R>(T)", "<R->(T)"} <= keys
     assert all(q.size <= 2 for q in got)
+
+
+@pytest.mark.parametrize("qclass", ["eliq", "elq"])
+def test_enum_trees_one_size_measure_with_and_without_roles(qclass):
+    """A role-free signature lists, at every bound, exactly the role-free
+    trees that the same signature with an unused role lists: one size
+    measure, not a conjunct count."""
+    names = ["A", "B", "C"]
+    for bound in range(5):
+        plain = enum_domain_queries(signature(names), qclass, bound)
+        with_role = enum_domain_queries(signature(names, ["R"]), qclass, bound)
+        assert plain == tuple(q for q in with_role if not q.edges), bound
+    assert [q._key for q in enum_domain_queries(signature(["A", "B"]), qclass, 2)] == ["T", "A", "B"]
 
 
 def test_enum_elq_has_no_inverses():
@@ -173,13 +190,13 @@ def test_tequiv_operator_identities():
     dia = pathquery_from_ops([TOP_QUERY, A], ["F"])
     xfr = pathquery_from_ops([TOP_QUERY, TOP_QUERY, A], ["X", "Fr"])
     diar = pathquery_from_ops([TOP_QUERY, A], ["Fr"])
-    assert tequiv_bounded(OE, dia, xfr, 8)
-    w = tequiv_witness(OE, dia, diar, 8)
+    assert tequiv_bounded(OE, dia, xfr)
+    w = tequiv_witness(OE, dia, diar)
     assert w is not None and w.max_time == 0
     assert sorted(w.slices[0].catoms) == [("A", "a")]
     botua = untilquery(TOP_QUERY, [(None, A)])
     xa = pathquery_from_ops([TOP_QUERY, A], ["X"])
-    assert tequiv_bounded(OE, botua, xa, 8)
+    assert tequiv_bounded(OE, botua, xa)
 
 
 def test_tequiv_under_ontology():
@@ -200,7 +217,98 @@ def test_tequiv_under_ontology():
 
     lhs = pathquery([[TOP_QUERY], [A], [atom("D")]], [less(1), leq()])
     rhs = pathquery([[TOP_QUERY], [atom("D")]], [less(1)])
-    assert tequiv_bounded(Op, lhs, rhs, 8)
+    assert tequiv_bounded(Op, lhs, rhs)
+    # with ⊤ unsatisfiable every slice is inconsistent, so every query holds
+    O_bot = ontology([ConjLhs("Top", "Top", "bot")], ELHIF_NF, sig)
+    assert tequiv_bounded(O_bot, lhs, parse_pathquery("bot"))
+
+
+def test_tequiv_exact_beyond_the_old_length_bound():
+    """Three slices tell `A ; U[Top] Top ; U[bot] ex R.Top` from `bot`; the
+    old oracle's bound for a depth-0 target was two, and within two slices
+    the queries agree."""
+    O = empty_ontology(signature(["A"], ["R"]))
+    q1 = parse_untilquery("A ; U[Top] Top ; U[bot] ex R.Top")
+    q2 = parse_pathquery("bot")
+    w = tequiv_witness(O, q1, q2)
+    assert w is not None and len(w.slices) == 3
+    assert tentail(O, w, 0, q1) and not tentail(O, w, 0, q2)
+    assert tequiv_witness(O, q1, q2, length_bound=2) is None
+    assert tequiv_bounded(O, q1, q2, 2) and not tequiv_bounded(O, q1, q2)
+
+
+DIFF_SIG = signature(["A", "B"], ["R"])
+
+
+def _rand_path(rng):
+    k = rng.choice([0, 1, 1, 2, 2])
+    return [rand_eliq(rng, DIFF_SIG, max_size=2) for _ in range(k + 1)], [
+        rng.choice(["X", "F", "Fr"]) for _ in range(k)
+    ]
+
+
+def _rand_pair(rng):
+    """A random query of class dia, nextdia or until over random bodies and
+    operators, and a path-query partner: another random one, the same
+    bodies and operators with one operator or body changed, or a rewrite:
+    F b as X Fr b, else the bodies as bottom-filled untils (equivalent to a
+    chain of X). Rewrites of an until query are near misses."""
+    bodies, ops = _rand_path(rng)
+    kind = rng.choice(["random", "op", "body", "rewrite"])
+    if rng.random() < 0.3:
+        head, *rest = bodies
+        fillers = [None if rng.random() < 0.4 else rand_eliq(rng, DIFF_SIG, max_size=2) for _ in rest]
+        q1 = untilquery(head, list(zip(fillers, rest)))
+    else:
+        if rng.random() < 0.3:
+            ops = [op if op != "Fr" else "F" for op in ops]  # class nextdia
+        q1 = pathquery_from_ops(bodies, ops)
+    if kind == "random" or (kind == "op" and not ops):
+        return q1, pathquery_from_ops(*_rand_path(rng))
+    if kind == "op":
+        i = rng.randrange(len(ops))
+        ops = ops[:i] + [rng.choice([op for op in ("X", "F", "Fr") if op != ops[i]])] + ops[i + 1:]
+        return q1, pathquery_from_ops(bodies, ops)
+    if kind == "body":
+        i = rng.randrange(len(bodies))
+        bodies = bodies[:i] + [rand_eliq(rng, DIFF_SIG, max_size=2)] + bodies[i + 1:]
+        return q1, pathquery_from_ops(bodies, ops)
+    if "F" in ops:
+        i = ops.index("F")
+        return q1, pathquery_from_ops(
+            bodies[: i + 1] + [TOP_QUERY] + bodies[i + 1:], ops[:i] + ["X", "Fr"] + ops[i + 1:]
+        )
+    return q1, untilquery(bodies[0], [(None, b) for b in bodies[1:]])
+
+
+def test_tequiv_exact_against_reference_words():
+    """Differential check of the exact oracle against words of up to three
+    letters of `reference_letters`, each decided by `tentail`: a pair that
+    some such word tells apart gets a witness, and every witness tells its
+    pair apart by `tentail`. The words are enumerated only for pairs the
+    oracle calls equivalent, since a witness already settles the first
+    check; every fifth such pair takes domain queries up to size 3 into
+    the alphabet, the others up to size 2."""
+    rng = random.Random(160016)
+    equivalent = separated = 0
+    for case in range(400):
+        onto = rand_ontology(rng, DIFF_SIG, DIALECTS[case % len(DIALECTS)], max_axioms=4)
+        q1, q2 = _rand_pair(rng)
+        if q1 == q2:
+            continue
+        w = tequiv_witness(onto, q1, q2)
+        if w is not None:
+            separated += 1
+            assert tentail(onto, w, 0, q1) != tentail(onto, w, 0, q2), (case, str(q1), str(q2))
+            continue
+        domain_size = 3 if equivalent % 5 == 0 else 2
+        equivalent += 1
+        letters = [anchored(p, "x") for p in reference_letters(onto, q1, q2, domain_size)]
+        for n in range(1, 4):
+            for word in itertools.product(letters, repeat=n):
+                d = tinstance(word, "a")
+                assert tentail(onto, d, 0, q1) == tentail(onto, d, 0, q2), (case, str(q1), str(q2), str(d))
+    assert equivalent >= 60 and separated >= 200, (equivalent, separated)
 
 
 def test_check_unique_characterisation_direction():

@@ -91,7 +91,3 @@ def equivalent(onto: Ontology, q1: Eliq, q2: Eliq) -> bool:
 
 def compatible(onto: Ontology, q1: Eliq, q2: Eliq) -> bool:
     return reasoner(onto).compatible(q1, q2)
-
-
-def query_satisfiable(onto: Ontology, q: Eliq) -> bool:
-    return reasoner(onto).query_satisfiable(q)

@@ -14,39 +14,43 @@ from ..errors import NotTreeShaped
 from .model import Instance, Pointed, Role, TOP, instance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Eliq:
+    """A query node. Its key, size (symbol count: one for the root plus one
+    per name occurrence and edge), role depth and hash are computed once,
+    when it is built; equality and hashing go through the key, which
+    `make_eliq` makes canonical."""
+
     names: tuple[str, ...] = ()
     edges: tuple[tuple[Role, "Eliq"], ...] = ()
     is_bottom: bool = False
 
-    def __post_init__(self):
-        if self.is_bottom and (self.names or self.edges):
-            raise ValueError("the inconsistency query carries no structure")
+    def __init__(self, names: tuple[str, ...] = (), edges: tuple[tuple[Role, "Eliq"], ...] = (),
+                 is_bottom: bool = False):
+        if is_bottom:
+            if names or edges:
+                raise ValueError("the inconsistency query carries no structure")
+            key, size, depth = "!", 1, 0
+        else:
+            parts = list(names)
+            parts.extend(f"<{r}>({c._key})" for r, c in edges)
+            key = "&".join(parts) if parts else "T"
+            size = 1 + len(names) + sum(c.size for _, c in edges)
+            depth = 1 + max(c.role_depth for _, c in edges) if edges else 0
+        # the dataclass is frozen, so the attributes go straight into the dict
+        self.__dict__.update(names=names, edges=edges, is_bottom=is_bottom, _key=key, size=size,
+                             role_depth=depth, _hash=hash(key))
 
-    @cached_property
-    def _key(self) -> str:
-        if self.is_bottom:
-            return "!"
-        parts = list(self.names)
-        parts.extend(f"<{r}>({c._key})" for r, c in self.edges)
-        return "&".join(parts) if parts else "T"
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Eliq:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "Eliq") -> bool:
         return self._key < other._key
-
-    @cached_property
-    def size(self) -> int:
-        """Symbol count: one for the root plus one per name occurrence and edge."""
-        if self.is_bottom:
-            return 1
-        return 1 + len(self.names) + sum(c.size for _, c in self.edges)
-
-    @cached_property
-    def role_depth(self) -> int:
-        if not self.edges:
-            return 0
-        return 1 + max(c.role_depth for _, c in self.edges)
 
     @cached_property
     def concept_names(self) -> frozenset[str]:

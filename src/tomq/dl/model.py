@@ -311,11 +311,6 @@ class Instance:
     def names_at(self, a: str) -> frozenset[str]:
         return frozenset(c for c, x in self.catoms if x == a)
 
-    def successors(self, a: str, role: Role) -> frozenset[str]:
-        if role.inverted:
-            return frozenset(x for r, x, y in self.ratoms if r == role.name and y == a)
-        return frozenset(y for r, x, y in self.ratoms if r == role.name and x == a)
-
     def with_individuals(self, more: Iterable[str]) -> "Instance":
         inds = self.individuals | frozenset(more)
         if inds == self.individuals:

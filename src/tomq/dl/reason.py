@@ -563,9 +563,12 @@ class Reasoner:
     def hat(self, q: Eliq) -> Pointed:
         """The containment-reduction instance of q: the induced instance,
         quotiented to a fixpoint by functionality over the role-closed atoms."""
-        key = q._key
-        if key in self._hat_cache:
-            return self._hat_cache[key]
+        return self._hat(q).pointed
+
+    def _hat(self, q: Eliq) -> "_Hat":
+        got = self._hat_cache.get(q._key)
+        if got is not None:
+            return got
         if q.is_bottom:
             raise UnsatisfiableQuery("the inconsistency query has no reduction instance")
         pointed = induced_instance(q)
@@ -574,24 +577,30 @@ class Reasoner:
             succ: dict[tuple[str, Role], set[str]] = {}
             for e in self._closed_edges(inst):
                 _index_edge(succ, e)
-            merge = None
-            for f in sorted(self.func_decl, key=str):
-                for a in sorted(inst.individuals):
-                    ss = sorted(succ.get((a, f), ()))
-                    if len(ss) > 1:
-                        merge = (ss[0], ss[1])
-                        break
-                if merge:
-                    break
-            if not merge:
+            # the first (functional role, individual), in sorted order, with two successors
+            merge = next((ss[:2] for f in sorted(self.func_decl, key=str) for a in sorted(inst.individuals)
+                          for ss in [sorted(succ.get((a, f), ()))] if len(ss) > 1), None)
+            if merge is None:
                 break
             keep, drop = merge
             if drop == point:
                 keep, drop = drop, keep
             inst = rename_instance(inst, {drop: keep})
-        out = Pointed(inst, point)
-        self._hat_cache[key] = out
-        return out
+        # racing threads keep one entry, so they share its table
+        return self._hat_cache.setdefault(q._key, _Hat(Pointed(inst, point)))
+
+    def _hom_table(self, q1: Eliq, depth: int) -> tuple["_HomTable", str]:
+        """The homomorphism table into the chase of satisfiable q1's hat, to
+        role depth at least `depth`, and the hat's point. Kept with the hat,
+        so containment tests with q1 on the left share it; a deeper request
+        replaces it, as one chase serves every shallower query (`contains_all`).
+        A thread racing it may put back a shallower table: each caller asks
+        the table it holds, deep enough for it, so that costs only a rebuild."""
+        entry = self._hat(q1)
+        table = entry.table
+        if table is None or table.depth < depth:
+            table = entry.table = _HomTable(self.chase(entry.pointed.instance, depth), depth)
+        return table, entry.pointed.point
 
     def query_satisfiable(self, q: Eliq) -> bool:
         if q.is_bottom:
@@ -610,12 +619,12 @@ class Reasoner:
         """`contains(q1, q2)` for every q2 of qs, in order, each answer also
         written to the containment cache.
 
-        The keys not cached yet are decided through one chase of q1's hat,
-        at the deepest role depth among them, and one homomorphism table
-        into it. One chase serves every depth: anonymous elements hang below
-        a single parent, so a query of role depth d maps from the point only
-        into elements of depth at most d, and the chase, built breadth-first,
-        has the same such elements and atoms at any depth bound from d on."""
+        The keys not cached yet are decided through q1's homomorphism table
+        (`_hom_table`), over a chase at least as deep as the deepest of them.
+        One chase serves every depth: anonymous elements hang below a single
+        parent, so a query of role depth d maps from the point only into
+        elements of depth at most d, and the chase, built breadth-first, has
+        the same such elements and atoms at any depth bound from d on."""
         k1 = q1._key
         cache = self._contains_cache
         got = [cache.get((k1, q2._key)) for q2 in qs]
@@ -624,13 +633,12 @@ class Reasoner:
             return got
         table = None
         if self.query_satisfiable(q1):
-            h = self.hat(q1)
-            table = _HomTable(self.chase(h.instance, max(q2.role_depth for q2 in misses)))
+            table, point = self._hom_table(q1, max(q2.role_depth for q2 in misses))
         for i, known in enumerate(got):
             if known is None:
                 q2 = qs[i]
                 got[i] = cache[(k1, q2._key)] = (
-                    table is None or q2.is_top or (not q2.is_bottom and table.maps(q2, h.point))
+                    table is None or q2.is_top or (not q2.is_bottom and table.maps(q2, point))
                 )
         return got
 
@@ -641,8 +649,8 @@ class Reasoner:
             return True
         if q2.is_bottom:
             return False
-        h = self.hat(q1)
-        return self.certain_answer(h.instance, h.point, q2)
+        table, point = self._hom_table(q1, q2.role_depth)
+        return table.maps(q2, point)
 
     def equivalent(self, q1: Eliq, q2: Eliq) -> bool:
         return self.contains(q1, q2) and self.contains(q2, q1)
@@ -669,15 +677,26 @@ class Reasoner:
         return general_hom_exists(tgt.instance, tgt.point, chased, src.point)
 
 
+class _Hat:
+    """A query's hat, and the table `Reasoner._hom_table` keeps with it."""
+
+    __slots__ = ("pointed", "table")
+
+    def __init__(self, pointed: Pointed):
+        self.pointed, self.table = pointed, None
+
+
 class _HomTable:
-    """Tree homomorphisms of queries into one instance: a successor index,
-    built on first use, and one memo over (subtree key, element) shared by
-    every query asked."""
+    """Tree homomorphisms of queries into one instance, a chase to role depth
+    `depth` when it is a hat's: a successor index, built on first use and
+    published only when complete, and one memo over (subtree key, element)
+    shared by every query asked."""
 
-    __slots__ = ("inst", "succ", "memo")
+    __slots__ = ("inst", "depth", "succ", "memo")
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, depth: int = 0):
         self.inst = inst
+        self.depth = depth
         self.succ: Optional[dict[tuple[str, str, bool], list[str]]] = None
         self.memo: dict[tuple[str, str], bool] = {}
 
@@ -697,10 +716,11 @@ class _HomTable:
     def _successors(self, e: str, role: Role) -> list[str]:
         succ = self.succ
         if succ is None:
-            succ = self.succ = {}
+            succ = {}  # published once full: threads share the table
             for p, a, b in self.inst.ratoms:
                 succ.setdefault((a, p, False), []).append(b)
                 succ.setdefault((b, p, True), []).append(a)
+            self.succ = succ
         return succ.get((e, role.name, role.inverted), ())
 
 

@@ -12,9 +12,12 @@ convexity instead of a tableau.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .dl import (
     BOT,
@@ -139,40 +142,57 @@ MAX_PATH_PROBES = 20000
 ProbeShape = tuple[Optional[str], tuple[Role, ...], Optional[str]]
 
 
-def path_probes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> list[ProbeShape]:
+def path_probes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> "ProbeShapes":
     """Caterpillar probes: a role chain with optional single names at root and
     tip. Cheap to test at lengths the full enumeration cannot reach; they are
     the shapes that defeat would-be frontiers built over looping ontologies.
 
-    A probe is returned as a shape `(root_name, chain, tip_name)`, not as a
+    A probe is given as a shape `(root_name, chain, tip_name)`, not as a
     query: `chain` is a nonempty tuple of roles and either name may be None.
     It stands for `root_name & ex r1. ... ex rk. tip_name`, which
     `probe_eliq` builds. Shapes are listed by chain length, then by chain
     (roles in printed order, inverses included unless the class is `elq`,
     whose frontiers no inverse-role probe may refute), then root name, then
-    tip name, and the list is cut after MAX_PATH_PROBES shapes."""
-    roles = _probe_roles(sig, qclass)
-    names = [None] + sorted(sig.concept_names)
-    probes: list[ProbeShape] = []
-    chains: list[tuple[Role, ...]] = [()]
-    for _ in range(max_len):
-        chains = [c + (r,) for c in chains for r in roles]
-        for chain in chains:
-            for root_name in names:
-                for tip_name in names:
-                    probes.append((root_name, chain, tip_name))
-                    if len(probes) >= MAX_PATH_PROBES:
-                        return probes
-    return probes
-
-
-def _probe_roles(sig: Signature, qclass: str) -> list[Role]:
-    """The roles of probe chains, in listing order (see `path_probes`)."""
+    tip name, and the listing is cut after MAX_PATH_PROBES shapes. It comes
+    as a read-only sequence that decodes each shape from its position."""
     roles = [Role(r) for r in sorted(sig.role_names)]
     if qclass != CLASS_ELQ:
         roles += [r.inverse for r in roles]
-    roles.sort(key=str)
-    return roles
+    return ProbeShapes(sorted(roles, key=str), [None] + sorted(sig.concept_names), max_len)
+
+
+class ProbeShapes(Sequence):
+    """`path_probes`' listing. Level L holds len(roles) ** L chains of
+    len(names) ** 2 shapes each; chain k of a level extends chain k //
+    len(roles) of the level before by roles[k % len(roles)], so a chain's
+    roles are the base-len(roles) digits of its index."""
+
+    __slots__ = ("roles", "names", "_starts", "_len")
+
+    def __init__(self, roles: list[Role], names: list[Optional[str]], max_len: int):
+        self.roles, self.names = roles, names
+        self._starts = [0]  # the position of each level's first shape, then the end
+        while len(self._starts) <= max_len and self._starts[-1] < MAX_PATH_PROBES:
+            self._starts.append(self._starts[-1] + len(names) ** 2 * len(roles) ** len(self._starts))
+        self._len = min(self._starts[-1], MAX_PATH_PROBES)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> ProbeShape:
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("probe position out of range")
+        level = bisect.bisect_right(self._starts, i)
+        k, rest = divmod(i - self._starts[level - 1], len(self.names) ** 2)
+        chain = ()
+        for _ in range(level):
+            k, j = divmod(k, len(self.roles))
+            chain = (self.roles[j],) + chain
+        root, tip = divmod(rest, len(self.names))
+        return (self.names[root], chain, self.names[tip])
 
 
 def probe_eliq(shape: ProbeShape) -> Eliq:
@@ -249,13 +269,11 @@ def _path_probe_witness(
     probe maps homomorphically into the stronger one, so probe ⊑ weaker ⊑ q
     and the probe is no witness. Every weakening is listed earlier, so one
     that was built has been decided by the time the stronger shape comes up."""
-    sig = onto.signature
-    shapes = path_probes(sig, max_len, qclass)
+    shapes = path_probes(onto.signature, max_len, qclass)
     if not shapes:
         return None
     r = reasoner(onto)
-    roles = _probe_roles(sig, qclass)
-    names = [None] + sorted(sig.concept_names)
+    roles, names = shapes.roles, shapes.names
     every = frozenset(names)
     views = [_chase_view(r, x, len(shapes[-1][1]), roles) for x in (q, *members)]
     # per view: the root names it allows, and the elements it reaches along
@@ -388,10 +406,8 @@ def is_meet_reducible(
         for c in enum_domain_queries(onto.signature, qclass, size_bound)
         if r.contains(q, c) and not r.contains(c, q)
     ]
-    for q1, q2 in itertools.combinations(candidates, 2):
-        both = conjoin(q1, q2)
-        if r.contains(both, q):
-            return True
+    if any(r.contains(conjoin(q1, q2), q) for q1, q2 in itertools.combinations(candidates, 2)):
+        return True
     return None
 
 
@@ -415,8 +431,7 @@ def _subconcepts(q: Eliq) -> set[Eliq]:
         if node.is_top or node.is_bottom:
             return
         out.add(node)
-        for n in node.names:
-            out.add(make_eliq([n]))
+        out.update(make_eliq([n]) for n in node.names)
         for role, child in node.edges:
             out.add(make_eliq(edges=[(role, child)]))
             walk(child)
@@ -435,30 +450,15 @@ def _basic_as_query(b: Basic) -> Optional[Eliq]:
 
 def _ontology_subconcepts(onto: Ontology) -> set[Eliq]:
     out: set[Eliq] = set()
-    for ax in sorted(onto.axioms, key=str):
+    for ax in onto.axioms:
         if isinstance(ax, (SubBasic, Disjoint)):
-            for b in (ax.lhs, ax.rhs):
-                q = _basic_as_query(b)
-                if q is not None:
-                    out.add(q)
-        elif isinstance(ax, ExistsRhs):
-            if ax.lhs != TOP:
-                out.add(make_eliq([ax.lhs]))
-            filler = TOP_QUERY if ax.filler == TOP else make_eliq([ax.filler])
-            out.add(exists(ax.role, filler))
-            if ax.filler != TOP:
-                out.add(make_eliq([ax.filler]))
-        elif isinstance(ax, ExistsLhs):
-            filler = TOP_QUERY if ax.filler == TOP else make_eliq([ax.filler])
-            out.add(exists(ax.role, filler))
-            if ax.filler != TOP:
-                out.add(make_eliq([ax.filler]))
-            if ax.rhs != TOP:
-                out.add(make_eliq([ax.rhs]))
+            out.update(q for q in map(_basic_as_query, (ax.lhs, ax.rhs)) if q is not None)
+        elif isinstance(ax, (ExistsRhs, ExistsLhs)):
+            out.add(exists(ax.role, make_eliq([ax.filler])))
+            other = ax.lhs if isinstance(ax, ExistsRhs) else ax.rhs
+            out.update(make_eliq([n]) for n in (other, ax.filler) if n != TOP)
         elif isinstance(ax, ConjLhs):
-            for n in (ax.lhs1, ax.lhs2, ax.rhs):
-                if n not in (TOP, BOT):
-                    out.add(make_eliq([n]))
+            out.update(make_eliq([n]) for n in (ax.lhs1, ax.lhs2, ax.rhs) if n not in (TOP, BOT))
     return out
 
 
@@ -533,12 +533,8 @@ def _two_element_pattern(onto, left: Eliq, right: Eliq, role: Role) -> Optional[
     except UnsatisfiableQuery:
         return None
     base = merge_instances([anchored(hl, "l_", "a"), anchored(hr, "r_", "b")])
-    ratoms = set(base.ratoms)
-    if role.inverted:
-        ratoms.add((role.name, "b", "a"))
-    else:
-        ratoms.add((role.name, "a", "b"))
-    return Instance(base.individuals, base.catoms, frozenset(ratoms))
+    edge = (role.name, "b", "a") if role.inverted else (role.name, "a", "b")
+    return Instance(base.individuals, base.catoms, base.ratoms | {edge})
 
 
 def split_partner(
@@ -563,11 +559,7 @@ def split_partner(
             return False
         return elems[q._key] not in tp
 
-    tuples = []
-    per_query_types = []
-    for q in qs:
-        ok = [i for i, tp in enumerate(atlas.types) if refutes(tp, q)]
-        per_query_types.append(ok)
+    per_query_types = [[i for i, tp in enumerate(atlas.types) if refutes(tp, q)] for q in qs]
     if n and len(atlas.types) ** n * max(1, len(sig.role_names)) > atom_budget:
         raise SplitSizeExceeded("product instance would exceed the atom budget")
     members: list[Pointed] = []
@@ -586,13 +578,10 @@ def split_partner(
 
 
 def _product_instance(atlas: TypeAtlas, n: int):
-    ids = {}
-    for combo in itertools.product(range(len(atlas.types)), repeat=n):
-        ids[combo] = "p" + "_".join(str(c) for c in combo)
+    combos = itertools.product(range(len(atlas.types)), repeat=n)
+    ids = {combo: "p" + "_".join(str(c) for c in combo) for combo in combos}
     catoms = []
-    names_per_type = {
-        i: atlas.type_instance.names_at(atlas.type_ids[i]) for i in range(len(atlas.types))
-    }
+    names_per_type = {i: atlas.type_instance.names_at(tid) for i, tid in enumerate(atlas.type_ids)}
     for combo, ind in ids.items():
         shared = None
         for c in combo:
@@ -619,9 +608,7 @@ def _product_instance(atlas: TypeAtlas, n: int):
 
 def singular_plus_from_frontier(onto: Ontology, q: Eliq, front: Frontier) -> SingularPlus:
     r = reasoner(onto)
-    return SingularPlus(
-        r.hat(q), tuple(r.hat(m) for m in front.members), "frontier"
-    )
+    return SingularPlus(r.hat(q), tuple(r.hat(m) for m in front.members), "frontier")
 
 
 def singular_plus_from_split(onto: Ontology, q: Eliq, split: SplitPartner) -> SingularPlus:
@@ -641,9 +628,7 @@ def negatives_for(
     frontier-backed when a verified frontier exists, else split-backed."""
     def via_frontier():
         front = frontier(onto, q, qclass, size_bound)
-        if front is None:
-            return None
-        return singular_plus_from_frontier(onto, q, front)
+        return None if front is None else singular_plus_from_frontier(onto, q, front)
 
     def via_split():
         try:

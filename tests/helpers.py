@@ -1,8 +1,10 @@
 """Seeded random generators for ontologies, instances and queries, and
-reference implementations for the tests: `root_homs`, a path-query
-evaluator, `enum_trees`, a tree-query enumerator, `reference_letters`, a
-slice alphabet built from enumerated domain queries, and
-`frontier_candidates`, the candidate sets of the bounded frontier search."""
+reference implementations for the tests: `successors`, a scan of an
+instance's role atoms, `root_homs`, a path-query evaluator, `enum_trees`, a
+tree-query enumerator, `reference_letters`, a slice alphabet built from
+enumerated domain queries, `frontier_candidates`, the candidate sets of the
+bounded frontier search, and `reference_probe_shapes`, the path-probe
+listing built as a list."""
 from __future__ import annotations
 
 import itertools
@@ -41,11 +43,11 @@ from tomq.dl import (
     signature,
     top_basic,
 )
-from tomq.domainchar import _candidates, _maximal, one_step_weakenings
+from tomq.domainchar import MAX_PATH_PROBES, _candidates, _maximal, one_step_weakenings
 from tomq.errors import UnsupportedAxiom
 from tomq.temporal.eval import slice_table
 from tomq.temporal.model import LESS, SUC, PathQuery, TInstance, flat_form
-from tomq.verify import CLASS_ELIQ, CLASS_P, enum_domain_queries
+from tomq.verify import CLASS_ELIQ, CLASS_ELQ, CLASS_P, enum_domain_queries
 
 
 def rand_role(rng: random.Random, sig: Signature) -> Role:
@@ -158,6 +160,13 @@ def rand_long_slices(rng: random.Random, sig: Signature, inds: list[str], count:
 
 SMALL_SIG = signature(["A", "B"], ["R"])
 PROP_SIG = signature(["A", "B"])
+
+
+def successors(inst: Instance, a: str, role: Role) -> frozenset[str]:
+    """The individuals a reaches along role in inst, by one scan of its role atoms."""
+    if role.inverted:
+        return frozenset(x for r, x, y in inst.ratoms if r == role.name and y == a)
+    return frozenset(y for r, x, y in inst.ratoms if r == role.name and x == a)
 
 
 @dataclass(frozen=True)
@@ -288,3 +297,25 @@ def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -
     if weak:
         sets.append(_maximal(onto, weak))
     return sets
+
+
+def reference_probe_shapes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> list:
+    """`path_probes`' listing built eagerly as a list: chains level by level,
+    each extended by every role, a row of (root name, tip name) per chain,
+    cut after MAX_PATH_PROBES shapes."""
+    roles = [Role(r) for r in sorted(sig.role_names)]
+    if qclass != CLASS_ELQ:
+        roles += [r.inverse for r in roles]
+    roles.sort(key=str)
+    names = [None] + sorted(sig.concept_names)
+    probes = []
+    chains = [()]
+    for _ in range(max_len):
+        chains = [c + (r,) for c in chains for r in roles]
+        for chain in chains:
+            for root_name in names:
+                for tip_name in names:
+                    probes.append((root_name, chain, tip_name))
+                    if len(probes) >= MAX_PATH_PROBES:
+                        return probes
+    return probes

@@ -41,7 +41,7 @@ from tomq.temporal.model import tinstance
 from tomq.textio import parse_eliq, parse_tinstance, parse_untilquery
 from tomq.verify import EnumSpec, check_unique_characterisation
 
-from helpers import rand_eliq, rand_instance, rand_long_slices, rand_ontology, rand_role
+from helpers import rand_eliq, rand_instance, rand_long_slices, rand_ontology, rand_role, successors
 
 SIG = signature(["A", "B", "C"], ["R", "S"])
 MAX_AXIOMS = 5  # larger ELHIF-NF draws can hit the witness step that never ends
@@ -138,7 +138,7 @@ def _dense_instance(rng: random.Random) -> Instance:
 
 def _clashes(inst: Instance, funcs) -> bool:
     """Has an individual of inst two successors along a role of `funcs`?"""
-    return any(len(inst.successors(a, f)) > 1 for f in funcs for a in inst.individuals)
+    return any(len(successors(inst, a, f)) > 1 for f in funcs for a in inst.individuals)
 
 
 def test_data_rule_agrees_with_saturation_under_func():

@@ -13,14 +13,25 @@ from tomq.dl import (
     ConjLhs,
     Disjoint,
     Func,
+    ELHIF_NF,
+    ExistsRhs,
+    Ontology,
     Reasoner,
     Role,
     RoleSub,
+    SubBasic,
+    atom,
+    conjoin,
+    exists,
+    exists_basic,
     hom_exists,
+    name_basic,
     signature,
 )
+from tomq.errors import UnsupportedAxiom
 
 SIG = signature(["A", "B"], ["R", "S"])
+R = Role("R")
 
 
 def _roles_of(ax):
@@ -81,3 +92,59 @@ def test_contains_all_agrees_with_contains():
               "func": 60, "rolesub": 50, "inverse": 120, "bot": 70}
     assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
+
+
+def _with_r_loop(onto):
+    """onto plus axioms under which A starts an endless R-path, or None when
+    the dialect refuses them."""
+    if onto.dialect == ELHIF_NF:
+        loop = {ExistsRhs("A", R, "A")}
+    else:
+        loop = {SubBasic(name_basic("A"), exists_basic(R)), SubBasic(exists_basic(R.inverse), exists_basic(R))}
+    try:
+        return Ontology(onto.signature, onto.axioms | loop, onto.dialect)
+    except UnsupportedAxiom:
+        return None
+
+
+def test_left_query_table_rebuilt_deeper_and_reused_shallower():
+    """One left query asked, through `contains`, a depth-0, a depth-2, then a
+    depth-1 right query: the first builds q1's table over a chase of depth 0,
+    the second replaces it with one over a depth-2 chase, and the third reads
+    that same table. Every answer matches a fresh reasoner's `contains`. Half
+    the ontologies give A an endless R-path, and then q1 holds A and the
+    depth-2 query is often an R-path, which only the deeper chase answers."""
+    rng = random.Random(20261020)
+    by_depth: dict = {0: [], 1: [], 2: []}
+    while any(len(qs) < 60 for qs in by_depth.values()):
+        q = rand_eliq(rng, SIG, max_size=6)
+        if not q.is_top and q.role_depth in by_depth:
+            by_depth[q.role_depth].append(q)
+    paths = [exists(R, exists(R)), exists(R, exists(R, atom("A"))), conjoin(atom("A"), exists(R, exists(R)))]
+    counts = dict.fromkeys(("satisfiable", "true", "false", "needs_depth_2"), 0)
+    for k in range(400):
+        onto = rand_ontology(rng, SIG, DIALECTS[k % len(DIALECTS)], max_axioms=8)
+        q1 = rand_eliq(rng, SIG, max_size=5)
+        right = [rng.choice(by_depth[d]) for d in (0, 2, 1)]
+        looped = _with_r_loop(onto) if k % 2 else None
+        if looped is not None:
+            onto, q1, right[1] = looped, conjoin(atom("A"), q1), rng.choice(paths + by_depth[2][:3])
+        r = Reasoner(onto)
+        satisfiable = r.query_satisfiable(q1)
+        tables = []
+        for q2 in right:
+            assert r.contains(q1, q2) == Reasoner(onto).contains(q1, q2), (onto, q1, q2)
+            if satisfiable:
+                tables.append(r._hat_cache[q1._key].table)
+        if satisfiable:
+            counts["satisfiable"] += 1
+            assert [t.depth for t in tables] == [0, 2, 2] and tables[1] is tables[2]
+            h = r.hat(q1)
+            deep = right[1]
+            counts["needs_depth_2"] += r.contains(q1, deep) and not hom_exists(
+                deep, r.chase(h.instance, 1), h.point)
+        answers = [r.contains(q1, q2) for q2 in right]
+        counts["true"] += sum(answers)
+        counts["false"] += len(answers) - sum(answers)
+    floors = {"satisfiable": 250, "true": 150, "false": 250, "needs_depth_2": 40}
+    assert all(counts[name] >= floor for name, floor in floors.items()), counts

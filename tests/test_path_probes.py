@@ -4,7 +4,8 @@ already entails the query, the probe listing and its cut, and the ELQ
 frontiers that inverse-role probes used to refuse."""
 import random
 
-from helpers import rand_eliq, rand_ontology
+import pytest
+from helpers import rand_eliq, rand_ontology, reference_probe_shapes
 
 import tomq.domainchar as domainchar
 from tomq.dl import (
@@ -48,27 +49,14 @@ R, S = Role("R"), Role("S")
 
 def reference_probes(sig, max_len, forward_only=False):
     """Every probe built as a query, in the listing order, under the cut."""
-    roles = [Role(r) for r in sorted(sig.role_names)]
-    if not forward_only:
-        roles += [r.inverse for r in roles]
-    roles.sort(key=str)
-    names = [None] + sorted(sig.concept_names)
     probes = []
-    chains = [()]
-    for _ in range(max_len):
-        chains = [c + (r,) for c in chains for r in roles]
-        for chain in chains:
-            for root_name in names:
-                for tip_name in names:
-                    tip = TOP_QUERY if tip_name is None else make_eliq([tip_name])
-                    node = tip
-                    for role in reversed(chain):
-                        node = exists(role, node)
-                    if root_name is not None:
-                        node = conjoin(make_eliq([root_name]), node)
-                    probes.append(node)
-                    if len(probes) >= MAX_PATH_PROBES:
-                        return probes
+    for root_name, chain, tip_name in reference_probe_shapes(sig, max_len, "elq" if forward_only else "eliq"):
+        node = TOP_QUERY if tip_name is None else make_eliq([tip_name])
+        for role in reversed(chain):
+            node = exists(role, node)
+        if root_name is not None:
+            node = conjoin(make_eliq([root_name]), node)
+        probes.append(node)
     return probes
 
 
@@ -186,6 +174,34 @@ def test_probe_listing_and_cut():
     assert [probe_eliq(s) for s in shapes] == reference_probes(sig, 9)
     small = signature(["A"], ["R", "S"])
     assert [probe_eliq(s) for s in path_probes(small, 3, "elq")] == reference_probes(small, 3, True)
+
+
+def test_probe_shapes_decoded_like_the_eager_listing():
+    """`path_probes` decodes each shape from its position; the eager builder
+    it replaced lists the same shapes, cut at the same place. Positions are
+    also read one by one around every level start and around the cut, which
+    falls inside a level for {A,B,C},{R,S} and inside a row for {A,B},{R,S}."""
+    sigs = (signature(["A"], ["R"]), signature(["A", "B"], ["R", "S"]),
+            signature(["A", "B", "C"], ["R", "S"]))
+    cuts = 0
+    for sig in sigs:
+        for qclass in ("eliq", "elq"):
+            for max_len in range(1, 10):
+                want = reference_probe_shapes(sig, max_len, qclass)
+                shapes = path_probes(sig, max_len, qclass)
+                assert list(shapes) == want and len(shapes) == len(want)
+                assert shapes[-1] == want[-1] and shapes[-len(want)] == want[0]
+                for outside in (len(want), len(want) + 1, -len(want) - 1):
+                    with pytest.raises(IndexError):
+                        shapes[outside]
+                starts = [i for i in range(1, len(want)) if len(want[i][1]) > len(want[i - 1][1])]
+                cut = [len(want)] if len(want) == MAX_PATH_PROBES else []
+                cuts += len(cut)
+                for edge in starts + cut:
+                    for i in range(max(0, edge - 20), min(len(want), edge + 20)):
+                        assert shapes[i] == want[i] and shapes[i - len(want)] == want[i]
+    # {A,B},{R,S} and {A,B,C},{R,S} are cut from length 6 and 5 on, for eliq
+    assert cuts == 4 + 5
 
 
 def path_query(chain, tip=TOP_QUERY):

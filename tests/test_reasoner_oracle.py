@@ -22,7 +22,7 @@ from tomq.dl import (
     signature,
 )
 
-from helpers import rand_instance
+from helpers import rand_instance, successors
 
 NAMES = ["A", "B", "C"]
 ROLES = ["R", "S"]
@@ -101,7 +101,7 @@ class Completion:
             changed = False
             for a in inst.individuals:
                 for ax in self.exl:
-                    for b in inst.successors(a, Role(ax.role.name)):
+                    for b in successors(inst, a, Role(ax.role.name)):
                         if (ax.filler in names[b] or ax.filler == TOP) and ax.rhs not in names[a]:
                             names[a].add(ax.rhs)
                             changed = True
@@ -146,7 +146,7 @@ class Completion:
                 if role.inverted:
                     return False
                 named_hit = any(
-                    holds(b, child) for b in inst.successors(a, role)
+                    holds(b, child) for b in successors(inst, a, role)
                 )
                 anon_hit = any(
                     r == role.name and self.holds_anon(f, child)

@@ -171,7 +171,6 @@ def main(argv=None) -> int:
     p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--mode", default="safe")
     p.add_argument("--bound", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--initial", help="positive example file; derived from the target if absent")
     p.add_argument("--transcript")
 

@@ -24,6 +24,7 @@ from .model import (
     DL_LITE_H,
     ELHIF_NF,
     TOP,
+    TOP_KEY,
     Basic,
     ConjLhs,
     Disjoint,

@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from ..errors import NotTreeShaped
-from .model import Instance, Pointed, Role, TOP, instance
+from .model import Instance, Pointed, Role, TOP, TOP_KEY, instance
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -34,7 +34,7 @@ class Eliq:
         else:
             parts = list(names)
             parts.extend(f"<{r}>({c._key})" for r, c in edges)
-            key = "&".join(parts) if parts else "T"
+            key = "&".join(parts) if parts else TOP_KEY
             size = 1 + len(names) + sum(c.size for _, c in edges)
             depth = 1 + max(c.role_depth for _, c in edges) if edges else 0
         # the dataclass is frozen, so the attributes go straight into the dict
@@ -86,6 +86,8 @@ TOP_QUERY = Eliq()
 
 def make_eliq(names: Iterable[str] = (), edges: Iterable[tuple[Role, Eliq]] = ()) -> Eliq:
     names = tuple(sorted(set(n for n in names if n != TOP)))
+    if TOP_KEY in names:
+        raise ValueError(f"{TOP_KEY!r} is reserved: it is the key of Top")
     edges = tuple(sorted(edges, key=lambda e: (str(e[0]), e[1]._key)))
     return Eliq(names, edges)
 

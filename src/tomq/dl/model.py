@@ -12,6 +12,7 @@ from ..errors import UnsupportedAxiom
 
 TOP = "Top"
 BOT = "bot"
+TOP_KEY = "T"  # Top's `Eliq` key, so no concept or role may be named so
 
 DL_LITE_H = "dl-lite-h"
 DL_LITE_F = "dl-lite-f"
@@ -128,7 +129,7 @@ class Signature:
         overlap = self.concept_names & self.role_names
         if overlap:
             raise ValueError(f"identifiers used as both concept and role: {sorted(overlap)}")
-        for reserved in (TOP, BOT):
+        for reserved in (TOP, BOT, TOP_KEY):
             if reserved in self.concept_names or reserved in self.role_names:
                 raise ValueError(f"{reserved!r} is reserved")
 

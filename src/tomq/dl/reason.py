@@ -589,11 +589,12 @@ class Reasoner:
         # racing threads keep one entry, so they share its table
         return self._hat_cache.setdefault(q._key, _Hat(Pointed(inst, point)))
 
-    def _hom_table(self, q1: Eliq, depth: int) -> tuple["_HomTable", str]:
+    def hom_table(self, q1: Eliq, depth: int) -> tuple["_HomTable", str]:
         """The homomorphism table into the chase of satisfiable q1's hat, to
         role depth at least `depth`, and the hat's point. Kept with the hat,
-        so containment tests with q1 on the left share it; a deeper request
-        replaces it, as one chase serves every shallower query (`contains_all`).
+        so containment tests with q1 on the left and the path-probe walk of
+        `domainchar` share it; a deeper request replaces it, as one chase
+        serves every shallower query (`contains_all`).
         A thread racing it may put back a shallower table: each caller asks
         the table it holds, deep enough for it, so that costs only a rebuild."""
         entry = self._hat(q1)
@@ -620,7 +621,7 @@ class Reasoner:
         written to the containment cache.
 
         The keys not cached yet are decided through q1's homomorphism table
-        (`_hom_table`), over a chase at least as deep as the deepest of them.
+        (`hom_table`), over a chase at least as deep as the deepest of them.
         One chase serves every depth: anonymous elements hang below a single
         parent, so a query of role depth d maps from the point only into
         elements of depth at most d, and the chase, built breadth-first, has
@@ -633,7 +634,7 @@ class Reasoner:
             return got
         table = None
         if self.query_satisfiable(q1):
-            table, point = self._hom_table(q1, max(q2.role_depth for q2 in misses))
+            table, point = self.hom_table(q1, max(q2.role_depth for q2 in misses))
         for i, known in enumerate(got):
             if known is None:
                 q2 = qs[i]
@@ -649,7 +650,7 @@ class Reasoner:
             return True
         if q2.is_bottom:
             return False
-        table, point = self._hom_table(q1, q2.role_depth)
+        table, point = self.hom_table(q1, q2.role_depth)
         return table.maps(q2, point)
 
     def equivalent(self, q1: Eliq, q2: Eliq) -> bool:
@@ -678,7 +679,7 @@ class Reasoner:
 
 
 class _Hat:
-    """A query's hat, and the table `Reasoner._hom_table` keeps with it."""
+    """A query's hat, and the table `Reasoner.hom_table` keeps with it."""
 
     __slots__ = ("pointed", "table")
 
@@ -707,13 +708,14 @@ class _HomTable:
         if got is None:
             catoms = self.inst.catoms
             got = all((c, e) in catoms for c in node.names) and all(
-                any(self.maps(child, e2) for e2 in self._successors(e, role))
+                any(self.maps(child, e2) for e2 in self.successors(e, role))
                 for role, child in node.edges
             )
             self.memo[k] = got
         return got
 
-    def _successors(self, e: str, role: Role) -> list[str]:
+    def successors(self, e: str, role: Role) -> list[str]:
+        """The elements e reaches along role, from the successor index."""
         succ = self.succ
         if succ is None:
             succ = {}  # published once full: threads share the table

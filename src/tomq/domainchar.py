@@ -1,14 +1,15 @@
-"""Frontiers, split-partners, meet-reducibility and singular-positive
-characterisations of domain queries.
+"""Frontiers, split-partners, meet-reducibility and the negative examples
+of singular-positive characterisations of domain queries.
 
 Frontier search is generate-and-verify: candidates come from one-step
 weakenings plus plain enumeration, and a set is only returned when the
 brute-force frontier check passes at the same bound. Which candidates q
 entails is decided for the whole pool through one chase of q's canonical
 instance (`Reasoner.contains_all`), whose answers the check then reads back
-from the containment cache. Split-partners follow
-the type/product construction, with type consistency decided through Horn
-convexity instead of a tableau.
+from the containment cache. Split-partners follow the type/product
+construction. The consistent types over the closure are the satisfiable
+closed profiles that the closure search of the equivalence oracle finds
+(`verify.closed_profiles`), so no sign assignment is tried one by one.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .dl import (
     BOT,
@@ -32,7 +33,6 @@ from .dl import (
     Instance,
     Ontology,
     Pointed,
-    Reasoner,
     Role,
     Signature,
     SubBasic,
@@ -45,11 +45,11 @@ from .dl import (
     point_component,
     reasoner,
 )
+from .dl.reason import _HomTable
 from .errors import NoCharacterisationFound, SplitSizeExceeded, UnsatisfiableQuery, UnsupportedDialect
-from .verify import CLASS_ELIQ, CLASS_ELQ, CLASS_P, EnumSpec, check_frontier, enum_domain_queries
-
-PREFER_FRONTIER = "prefer-frontier"
-PREFER_SPLIT = "prefer-split"
+from .verify import (
+    CLASS_ELIQ, CLASS_ELQ, CLASS_P, EnumSpec, check_frontier, closed_profiles, enum_domain_queries,
+)
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,6 @@ class Frontier:
 @dataclass(frozen=True)
 class SplitPartner:
     members: tuple[Pointed, ...]
-
-
-@dataclass(frozen=True)
-class SingularPlus:
-    positive: Pointed
-    negatives: tuple[Pointed, ...]
-    provenance: str  # "frontier" | "split"
 
 
 def _sorted_queries(qs: Iterable[Eliq]) -> list[Eliq]:
@@ -206,34 +199,6 @@ def probe_eliq(shape: ProbeShape) -> Eliq:
     return node
 
 
-class _ChaseView(NamedTuple):
-    """`chase(hat(x), depth)` as the chain walk reads it."""
-
-    point: str
-    succ: list[dict[str, list[str]]]  # per role index: element -> elements one step away
-    names: dict[str, set[str]]        # element -> its concept names
-
-
-def _chase_view(r: Reasoner, x: Eliq, depth: int, roles: Sequence[Role]) -> Optional[_ChaseView]:
-    """The chase of x's hat with successors indexed like `roles`, or None
-    when x is unsatisfiable, as it then entails every probe."""
-    if not r.query_satisfiable(x):
-        return None
-    h = r.hat(x)
-    chased = r.chase(h.instance, depth)
-    index = {(role.name, role.inverted): i for i, role in enumerate(roles)}
-    succ: list[dict[str, list[str]]] = [{} for _ in roles]
-    for p, a, b in chased.ratoms:
-        for key, src, dst in (((p, False), a, b), ((p, True), b, a)):
-            i = index.get(key)
-            if i is not None:
-                succ[i].setdefault(src, []).append(dst)
-    names: dict[str, set[str]] = {}
-    for c, a in chased.catoms:
-        names.setdefault(a, set()).add(c)
-    return _ChaseView(h.point, succ, names)
-
-
 def _path_probe_witness(
     onto: Ontology, q: Eliq, members: Sequence[Eliq], max_len: int, qclass: str
 ) -> Optional[Eliq]:
@@ -241,11 +206,13 @@ def _path_probe_witness(
     entails and that does not entail q, or None. Such a probe is a strict
     weakening of q that no member covers, so the members are no frontier.
 
-    The probes are checked as shapes, without building them: q and each
-    member is chased once, to the longest chain listed (`_chase_view`), and
-    the chains are walked level by level through that chase. `path_probes`
-    lists level L as `c + (r,)` for each chain c of level L-1 and each role
-    r, so chain k of level L extends chain k // len(roles) of level L-1 by
+    The probes are checked as shapes, without building them: the chains are
+    walked level by level through the homomorphism table that the reasoner
+    keeps for q and for each member (`Reasoner.hom_table`), over a chase at
+    least as deep as the longest chain listed; an unsatisfiable query has
+    none, as it entails every probe. `path_probes` lists level L as
+    `c + (r,)` for each chain c of level L-1 and each role r, so chain k of
+    level L extends chain k // len(roles) of level L-1 by
     roles[k % len(roles)]; the elements each query reaches along every chain
     of a level are kept in a list indexed that way, with no chain tuple ever
     hashed. The shapes of one chain come in a row, one per (root name, tip
@@ -275,29 +242,30 @@ def _path_probe_witness(
     r = reasoner(onto)
     roles, names = shapes.roles, shapes.names
     every = frozenset(names)
-    views = [_chase_view(r, x, len(shapes[-1][1]), roles) for x in (q, *members)]
-    # per view: the root names it allows, and the elements it reaches along
-    # each chain of the current level (None for an unsatisfiable view)
-    roots = [every if v is None else frozenset((None, *v.names.get(v.point, ()))) for v in views]
-    ends = [None if v is None else [frozenset((v.point,))] for v in views]
+    depth = len(shapes[-1][1])
+    # per query: its (table, point), or None; the root names it allows; and
+    # the elements it reaches along each chain of the current level
+    tables = [r.hom_table(x, depth) if r.query_satisfiable(x) else None for x in (q, *members)]
+    roots = [every if t is None else _tip_names(t[0], names, (t[1],)) for t in tables]
+    ends = [None if t is None else [frozenset((t[1],))] for t in tables]
     run, width = len(names) ** 2, len(roles)
     entailing: set[ProbeShape] = set()
     start = 0
     while start < len(shapes):
         count = min(width, -(-(len(shapes) - start) // run))
         live = None
-        for i, view in enumerate(views):
-            if view is not None:
-                ends[i] = _next_level(view.succ, ends[i], count, live)
+        for i, t in enumerate(tables):
+            if t is not None:
+                ends[i] = _next_level(t[0], roles, ends[i], count, live)
                 if i == 0:
                     live = ends[0]
         for k in range(count):
-            q_tips = every if views[0] is None else _tip_names(views[0], ends[0][k])
+            q_tips = every if tables[0] is None else _tip_names(tables[0][0], names, ends[0][k])
             if not q_tips:
                 continue
             member_sets = [
-                (m_roots, every if view is None else _tip_names(view, m_ends[k]))
-                for view, m_roots, m_ends in zip(views[1:], roots[1:], ends[1:])
+                (m_roots, every if t is None else _tip_names(t[0], names, m_ends[k]))
+                for t, m_roots, m_ends in zip(tables[1:], roots[1:], ends[1:])
             ]
             lo = start + k * run
             hi = min(lo + run, len(shapes))
@@ -324,29 +292,31 @@ def _path_probe_witness(
     return None
 
 
-def _next_level(succ: list[dict[str, list[str]]], prev: list[frozenset[str]], count: int,
+def _next_level(table: _HomTable, roles: list[Role], prev: list[frozenset[str]], count: int,
                 live: Optional[list[frozenset[str]]]) -> list[frozenset[str]]:
     """The elements reached along the first `count` chains of the next level,
-    chain k being chain k // len(succ) of `prev`'s level extended by role
-    k % len(succ). Left empty where `live` (q's reach, when given) is empty:
-    those chains are never decided."""
+    chain k being chain k // len(roles) of `prev`'s level extended by role
+    roles[k % len(roles)]. Left empty where `live` (q's reach, when given) is
+    empty: those chains are never decided."""
     out = []
     for k in range(count):
-        src = prev[k // len(succ)]
+        src = prev[k // len(roles)]
         if not src or (live is not None and not live[k]):
             out.append(frozenset())
         else:
-            step = succ[k % len(succ)]
-            out.append(frozenset(b for a in src for b in step.get(a, ())))
+            role = roles[k % len(roles)]
+            out.append(frozenset(b for a in src for b in table.successors(a, role)))
     return out
 
 
-def _tip_names(view: _ChaseView, ends: frozenset[str]) -> frozenset:
-    """The tip names a shape may carry at these chain ends: None and every
-    name on some end, or nothing when there is no end."""
+def _tip_names(table: _HomTable, names: list[Optional[str]], ends: Iterable[str]) -> frozenset:
+    """The names of `names` (None among them) that a shape may carry at these
+    chain ends: None and every name on some end, or nothing when there is no
+    end."""
     if not ends:
         return frozenset()
-    return frozenset((None,)).union(*(view.names.get(a, ()) for a in ends))
+    catoms = table.inst.catoms
+    return frozenset(c for c in names if c is None or any((c, a) in catoms for a in ends))
 
 
 def _weakenings(shape: ProbeShape) -> Iterable[ProbeShape]:
@@ -468,8 +438,11 @@ DEFAULT_ATOM_BUDGET = 10 ** 6
 
 def type_atlas(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> TypeAtlas:
     """Maximal consistent sign assignments over the closure, and the instance
-    over them. Consistency of a candidate type is the Horn convexity test:
-    the positives are satisfiable and entail no negated member."""
+    over them. An assignment is consistent iff its positives are satisfiable
+    and entail no negated element, that is iff they form a satisfiable closed
+    profile (`closed_profiles`); the search reaches every such profile. The
+    types come in the order of their sign vectors, negative before positive
+    and the first element deciding first."""
     r = reasoner(onto)
     elements: set[Eliq] = set()
     for name in sorted(sig.concept_names):
@@ -481,16 +454,12 @@ def type_atlas(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> TypeA
     elems = _sorted_queries(elements)
     if len(elems) > MAX_CLOSURE:
         raise SplitSizeExceeded(f"closure of {len(elems)} concepts is beyond the atlas budget")
-    types: list[frozenset[int]] = []
-    for signs in itertools.product((False, True), repeat=len(elems)):
-        pos = [e for e, s in zip(elems, signs) if s]
-        neg = [e for e, s in zip(elems, signs) if not s]
-        posq = conjoin_all(pos)
-        if not r.query_satisfiable(posq):
-            continue
-        if any(r.contains(posq, d) for d in neg):
-            continue
-        types.append(frozenset(i for i, s in enumerate(signs) if s))
+    index = {e: j for j, e in enumerate(elems)}
+    profiles = closed_profiles(onto, elems)
+    types = sorted(
+        (frozenset(map(index.get, p)) for p, c in profiles.items() if r.query_satisfiable(c)),
+        key=lambda tp: [j in tp for j in range(len(elems))],
+    )
     type_ids = tuple(f"t{i}" for i in range(len(types)))
     catoms = []
     for i, tp in enumerate(types):
@@ -537,12 +506,7 @@ def _two_element_pattern(onto, left: Eliq, right: Eliq, role: Role) -> Optional[
     return Instance(base.individuals, base.catoms, base.ratoms | {edge})
 
 
-def split_partner(
-    onto: Ontology,
-    sig: Signature,
-    queries: Sequence[Eliq],
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
-) -> SplitPartner:
+def split_partner(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> SplitPartner:
     """The n-fold product of the type instance, pointed at every tuple whose
     i-th type refutes the i-th query; components are trimmed to the point."""
     if onto.dialect not in ("dl-lite-h", "dl-lite-f", "dl-lite-f-minus", "elhif-nf"):
@@ -560,7 +524,7 @@ def split_partner(
         return elems[q._key] not in tp
 
     per_query_types = [[i for i, tp in enumerate(atlas.types) if refutes(tp, q)] for q in qs]
-    if n and len(atlas.types) ** n * max(1, len(sig.role_names)) > atom_budget:
+    if n and len(atlas.types) ** n * max(1, len(sig.role_names)) > DEFAULT_ATOM_BUDGET:
         raise SplitSizeExceeded("product instance would exceed the atom budget")
     members: list[Pointed] = []
     seen = set()
@@ -604,42 +568,18 @@ def _product_instance(atlas: TypeAtlas, n: int):
     return inst, ids
 
 
-# --------------------------------------------------- singular+ constructions
-
-def singular_plus_from_frontier(onto: Ontology, q: Eliq, front: Frontier) -> SingularPlus:
-    r = reasoner(onto)
-    return SingularPlus(r.hat(q), tuple(r.hat(m) for m in front.members), "frontier")
-
-
-def singular_plus_from_split(onto: Ontology, q: Eliq, split: SplitPartner) -> SingularPlus:
-    r = reasoner(onto)
-    return SingularPlus(r.hat(q), tuple(split.members), "split")
-
+# ------------------------------------------------------------- negatives
 
 def negatives_for(
-    onto: Ontology,
-    q: Eliq,
-    sig: Signature,
-    policy: str = PREFER_FRONTIER,
-    qclass: str = CLASS_ELIQ,
-    size_bound: int = 6,
-) -> SingularPlus:
-    """Negative examples for a singular-positive characterisation of q:
-    frontier-backed when a verified frontier exists, else split-backed."""
-    def via_frontier():
-        front = frontier(onto, q, qclass, size_bound)
-        return None if front is None else singular_plus_from_frontier(onto, q, front)
-
-    def via_split():
-        try:
-            split = split_partner(onto, sig, [q])
-        except (SplitSizeExceeded, UnsupportedDialect):
-            return None
-        return singular_plus_from_split(onto, q, split)
-
-    order = (via_frontier, via_split) if policy == PREFER_FRONTIER else (via_split, via_frontier)
-    for attempt in order:
-        got = attempt()
-        if got is not None:
-            return got
-    raise NoCharacterisationFound(f"no negatives found for {q!r}")
+    onto: Ontology, q: Eliq, sig: Signature, qclass: str = CLASS_ELIQ, size_bound: int = 6
+) -> tuple[Pointed, ...]:
+    """The negative examples of a singular-positive characterisation of q:
+    the hats of a verified frontier's members (none for a trivial q), else
+    the members of q's split-partner."""
+    front = frontier(onto, q, qclass, size_bound)
+    if front is not None:
+        return tuple(map(reasoner(onto).hat, front.members))
+    try:
+        return split_partner(onto, sig, [q]).members
+    except (SplitSizeExceeded, UnsupportedDialect):
+        raise NoCharacterisationFound(f"no negatives found for {q!r}") from None

@@ -31,7 +31,7 @@ from .dl import (
     empty_ontology,
     reasoner,
 )
-from .domainchar import PREFER_FRONTIER, SingularPlus, negatives_for, split_partner
+from .domainchar import negatives_for, split_partner
 from .errors import (
     NoCharacterisationFound,
     NotPeerless,
@@ -101,14 +101,15 @@ def tagged_from_queries(
     onto: Ontology,
     b: int,
     query_blocks: Sequence[Sequence[Eliq]],
-    supplier: Callable[[Eliq], Optional[SingularPlus]],
+    supplier: Callable[[Eliq], Optional[Sequence[Pointed]]],
 ) -> TaggedBNormal:
+    """The tagged instance of the query blocks: one slice per query, its hat,
+    tagged with the query and `supplier`'s negatives for it (none for None)."""
     r = reasoner(onto)
 
     def tagged(q: Eliq) -> TaggedSlice:
         hat = r.hat(q)
-        sp = supplier(q)
-        return TaggedSlice(hat, q, tuple(sp.negatives) if sp is not None else ())
+        return TaggedSlice(hat, q, tuple(supplier(q) or ()))
 
     return TaggedBNormal(onto, b, tuple(tuple(tagged(q) for q in qb) for qb in query_blocks))
 
@@ -204,7 +205,6 @@ def characterise_dia(
     q: PathQuery,
     sig: Signature,
     mode: tuple = (MODE_SAFE,),
-    policy: str = PREFER_FRONTIER,
     size_bound: int = 6,
     qclass: Optional[str] = None,
 ) -> ExampleSet:
@@ -219,7 +219,7 @@ def characterise_dia(
     nq = normalize(onto, q)
     if qclass is None:
         qclass = infer_body_class(onto, nq)
-    meta = (("mode", mode[0] + (f"={mode[1]}" if len(mode) > 1 else "")), ("negatives", policy))
+    meta = (("mode", mode[0] + (f"={mode[1]}" if len(mode) > 1 else "")), ("negatives", "prefer-frontier"))
     if len(nq.blocks) == 1 and len(nq.blocks[0]) == 1 and r.trivial(nq.blocks[0][0]):
         return example_set([tinstance([empty_instance()], "a")], [], meta)
     if mode[0] == MODE_SAFE:
@@ -233,13 +233,11 @@ def characterise_dia(
 
     supplier_cache: dict = {}
 
-    def supplier(body: Eliq) -> Optional[SingularPlus]:
+    def supplier(body: Eliq) -> tuple[Pointed, ...]:
         key = body._key
         if key not in supplier_cache:
             try:
-                supplier_cache[key] = negatives_for(
-                    onto, body, sig, policy, qclass, size_bound
-                )
+                supplier_cache[key] = negatives_for(onto, body, sig, qclass, size_bound)
             except NoCharacterisationFound:
                 raise NoCharacterisationFound(
                     f"no negatives available for block body {body!r}"

@@ -126,10 +126,6 @@ class SliceTable:
         """Whether `bits(q)` would ask the reasoner nothing."""
         return q.is_top or type(self._bits.get(q._key)) is int
 
-    def holds(self, q: Eliq, m: int) -> bool:
-        """q holds at time point m."""
-        return self.bits(q, 1 << min(m, self.future)) != 0
-
 
 # a builder checks that its example set fits before the uniqueness check
 # takes the same tables, so a bound above the largest example set (75 in the

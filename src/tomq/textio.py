@@ -15,6 +15,7 @@ from .dl import (
     DIALECTS,
     ELHIF_NF,
     TOP,
+    TOP_KEY,
     TOP_QUERY,
     Basic,
     ConjLhs,
@@ -45,7 +46,7 @@ from .temporal.model import (
 )
 
 OP_TOKENS = ("X", "F", "Fr")
-RESERVED = {TOP, BOT, "ex", "func", "U"} | set(OP_TOKENS)
+RESERVED = {TOP, BOT, TOP_KEY, "ex", "func", "U"} | set(OP_TOKENS)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 

@@ -389,7 +389,7 @@ def _matcher_fits(onto: Ontology, held: list, q) -> bool:
 
 # ------------------------------------------------------ temporal equivalence
 
-def _letter_profiles(onto: Ontology, bodies: Iterable[Eliq]) -> dict[frozenset, Eliq]:
+def closed_profiles(onto: Ontology, bodies: Iterable[Eliq]) -> dict[frozenset, Eliq]:
     """Every profile (the set of `bodies` holding at the point) that a
     consistent slice can show, each with a conjunction c whose hat shows it:
     the closure {b : c ⊑ b}; ⊤'s comes first. An inconsistent slice makes
@@ -435,13 +435,13 @@ def tequiv_witness(onto: Ontology, q1, q2, length_bound: Optional[int] = None) -
     given).
 
     The matchers see a slice only through its profile, so the letters are
-    the profiles of `_letter_profiles`, and a word ends in the empty future,
+    the profiles of `closed_profiles`, and a word ends in the empty future,
     whose profile is ⊤'s. The search runs breadth first over pairs of
     matcher states, each expanded once; there are finitely many, so it is
     exhaustive. Only the word returned is built, from the hats of its
     letters' conjunctions."""
     m1, m2 = SequenceMatcher(onto, q1), SequenceMatcher(onto, q2)
-    profiles = _letter_profiles(onto, m1.asked + m2.asked)
+    profiles = closed_profiles(onto, m1.asked + m2.asked)
     conjunctions = list(profiles.values())
     letters = [(m1.profile_of(p), m2.profile_of(p)) for p in profiles]
     e1, e2 = letters[0]  # ⊤'s profile: the empty slices after a word

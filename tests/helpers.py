@@ -3,8 +3,9 @@ reference implementations for the tests: `successors`, a scan of an
 instance's role atoms, `root_homs`, a path-query evaluator, `enum_trees`, a
 tree-query enumerator, `reference_letters`, a slice alphabet built from
 enumerated domain queries, `frontier_candidates`, the candidate sets of the
-bounded frontier search, and `reference_probe_shapes`, the path-probe
-listing built as a list."""
+bounded frontier search, `reference_probe_shapes`, the path-probe listing
+built as a list, and `reference_types`, the sign-vector loop over a type
+closure."""
 from __future__ import annotations
 
 import itertools
@@ -27,12 +28,14 @@ from tomq.dl import (
     Instance,
     Ontology,
     Pointed,
+    Reasoner,
     Role,
     RoleSub,
     Signature,
     SubBasic,
     atom,
     conjoin,
+    conjoin_all,
     exists,
     exists_basic,
     instance,
@@ -181,7 +184,11 @@ def root_homs(onto: Ontology, q: PathQuery, dinst: TInstance) -> list[RootHom]:
     """All root homomorphisms within the evaluation horizon, lexicographically:
     body i of q sits at time point ti, each body holds at its point, and the
     points respect the relations of q's chain."""
-    holds = slice_table(onto, dinst).holds
+    table = slice_table(onto, dinst)
+
+    def holds(body: Eliq, m: int) -> bool:
+        return table.bits(body, 1 << min(m, table.future)) != 0
+
     bodies, rels = q.chain
     horizon = dinst.max_time + q.tdp + 1
     out: list[RootHom] = []
@@ -319,3 +326,20 @@ def reference_probe_shapes(sig: Signature, max_len: int, qclass: str = CLASS_ELI
                     if len(probes) >= MAX_PATH_PROBES:
                         return probes
     return probes
+
+
+def reference_types(onto: Ontology, elems) -> list[frozenset[int]]:
+    """The consistent types over the closure `elems` by the sign-vector test
+    that `type_atlas` once ran: every assignment of signs, in
+    `itertools.product` order, whose positives are satisfiable and entail no
+    negated element, each given by its positive indices. Asks a reasoner of
+    its own."""
+    r = Reasoner(onto)
+    types = []
+    for signs in itertools.product((False, True), repeat=len(elems)):
+        posq = conjoin_all(e for e, s in zip(elems, signs) if s)
+        if r.query_satisfiable(posq) and not any(
+            r.contains(posq, e) for e, s in zip(elems, signs) if not s
+        ):
+            types.append(frozenset(i for i, s in enumerate(signs) if s))
+    return types

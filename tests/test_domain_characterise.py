@@ -1,4 +1,5 @@
-"""Frontiers, split-partners, meet-reducibility, singular+ characterisations."""
+"""Frontiers, split-partners, meet-reducibility, and the negatives of
+singular+ characterisations."""
 import itertools
 
 import pytest
@@ -25,14 +26,12 @@ from tomq.dl import (
     reasoner,
     signature,
 )
+from tomq import domainchar
 from tomq.dl.reason import general_hom_exists
 from tomq.domainchar import (
-    Frontier,
     frontier,
     is_meet_reducible,
     negatives_for,
-    singular_plus_from_frontier,
-    singular_plus_from_split,
     split_partner,
     type_atlas,
 )
@@ -166,34 +165,43 @@ def test_split_partner_members_project_to_type_instance():
 
 
 def test_singular_plus_constructions():
+    """Frontier-backed negatives are the hats of the frontier members;
+    split-backed ones are the split-partner's members."""
     Oe = empty_ontology(SIG_AB)
-    sp = singular_plus_from_frontier(Oe, A, Frontier((TOP_QUERY,)))
-    assert sp.positive.instance.catoms == frozenset({("A", "a")})
-    assert [p.instance.catoms for p in sp.negatives] == [frozenset()]
+    r = reasoner(Oe)
+    assert frontier(Oe, A, "p", 6).members == (TOP_QUERY,)
+    assert r.hat(A).instance.catoms == frozenset({("A", "a")})  # the positive
+    assert [p.instance.catoms for p in negatives_for(Oe, A, SIG_AB, "p")] == [frozenset()]
 
-    sp2 = singular_plus_from_frontier(Oe, conjoin(A, B), Frontier((A, B)))
-    assert {tuple(sorted(p.instance.catoms)) for p in sp2.negatives} == {
-        (("A", "a"),),
-        (("B", "a"),),
-    }
+    negs = negatives_for(Oe, conjoin(A, B), SIG_AB, "p")
+    assert negs == tuple(r.hat(m) for m in frontier(Oe, conjoin(A, B), "p", 6).members)
+    assert {tuple(sorted(p.instance.catoms)) for p in negs} == {(("A", "a"),), (("B", "a"),)}
 
-    sp3 = singular_plus_from_frontier(Oe, TOP_QUERY, Frontier(()))
-    assert sp3.negatives == ()
+    assert negatives_for(Oe, TOP_QUERY, SIG_AB, "p") == ()
 
     s = split_partner(EL_LOOP, SIG_ABR, [conjoin(A, B)])
-    sp4 = singular_plus_from_split(EL_LOOP, conjoin(A, B), s)
-    assert sp4.provenance == "split"
-    assert len(sp4.negatives) == len(s.members)
+    assert s.members
+    assert negatives_for(EL_LOOP, conjoin(A, B), SIG_ABR, "eliq", 6) == s.members
 
 
-def test_negatives_for_policy():
+def test_negatives_for_policy(monkeypatch):
+    """A verified frontier is used whenever there is one; the split-partner
+    only when the search refuses. ⊤'s frontier is empty, so its negatives
+    are (), an answer, and the split path is never asked."""
     Oe = empty_ontology(SIG_ABR)
+    front = frontier(Oe, A, "eliq", 4)
+    assert front is not None and front.members
+    assert frontier(EL_LOOP, conjoin(A, B), "eliq", 6) is None
+    split = split_partner(EL_LOOP, SIG_ABR, [conjoin(A, B)]).members
+    assert negatives_for(EL_LOOP, conjoin(A, B), SIG_ABR, qclass="eliq", size_bound=6) == split
+
+    def no_split(*args):
+        raise AssertionError("split path asked")
+
+    monkeypatch.setattr(domainchar, "split_partner", no_split)
     n1 = negatives_for(Oe, A, SIG_ABR, qclass="eliq", size_bound=4)
-    assert n1.provenance == "frontier"
-    n2 = negatives_for(EL_LOOP, conjoin(A, B), SIG_ABR, qclass="eliq", size_bound=6)
-    assert n2.provenance == "split"
-    n3 = negatives_for(Oe, TOP_QUERY, SIG_ABR, qclass="eliq", size_bound=4)
-    assert n3.negatives == ()
+    assert n1 == tuple(reasoner(Oe).hat(m) for m in front.members)
+    assert negatives_for(Oe, TOP_QUERY, SIG_ABR, qclass="eliq", size_bound=4) == ()
 
 
 def test_el_loop_candidates_beaten_by_path_family():

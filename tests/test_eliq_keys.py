@@ -7,8 +7,10 @@ import random
 
 import pytest
 
-from tomq.dl import TOP_QUERY, Eliq, conjoin, signature
+from tomq.dl import TOP_QUERY, Eliq, atom, conjoin, make_eliq, signature
 from tomq.domainchar import _sorted_queries, one_step_weakenings
+from tomq.errors import ParseError
+from tomq.textio import parse_eliq
 from tomq.verify import enum_domain_queries
 
 
@@ -76,3 +78,20 @@ def test_top_and_sorted_order(qs):
     want = sorted(unique.values(), key=lambda q: (ref_size(q), ref_key(q)))
     assert _sorted_queries(qs) == want
     assert [q._key for q in _sorted_queries(reversed(qs))] == [q._key for q in want]
+
+
+def test_the_name_T_is_reserved():
+    """⊤'s key is "T", so a query naming a concept T would equal ⊤ and share
+    its cache entries; the name is refused wherever Top and bot are."""
+    for build in (
+        lambda: signature(["T", "A"], ["R"]),
+        lambda: signature(["A"], ["T"]),
+        lambda: atom("T"),
+        lambda: make_eliq(["A", "T"]),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    for text in ("T", "A & T", "ex R.T"):
+        with pytest.raises(ParseError):
+            parse_eliq(text)
+    assert atom("A") != TOP_QUERY and make_eliq(["Top"]) == TOP_QUERY

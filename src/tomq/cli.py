@@ -51,6 +51,7 @@ from .textio import (
     print_tinstance,
     print_transcript,
     print_untilquery,
+    reject_reserved,
 )
 from .verify import (
     EnumSpec,
@@ -87,15 +88,16 @@ def _load_ontology(args, sigma: Signature | None = None):
     return empty_ontology(sigma)
 
 
-def _parse_sigma(args, onto=None, extra_roles=()):  # noqa: C901
+def _parse_sigma(args, onto=None):  # noqa: C901
     names = []
     if getattr(args, "sigma", None):
         names = [t.strip() for t in args.sigma.split(",") if t.strip()]
-    roles = set(extra_roles)
+    roles = set()
     if getattr(args, "roles", None):
         roles |= {t.strip() for t in args.roles.split(",") if t.strip()}
     if onto is not None:
         roles |= {n for n in names if n in onto.signature.role_names}
+    reject_reserved(set(names) | roles)
     concepts = [n for n in names if n not in roles]
     if onto is not None:
         concepts += sorted(onto.signature.concept_names - set(concepts))

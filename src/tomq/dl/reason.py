@@ -609,49 +609,42 @@ class Reasoner:
         return self.is_satisfiable(self.hat(q).instance)
 
     def contains(self, q1: Eliq, q2: Eliq) -> bool:
-        key = (q1._key, q2._key)
-        if key in self._contains_cache:
-            return self._contains_cache[key]
-        out = self._contains(q1, q2)
-        self._contains_cache[key] = out
-        return out
+        got = self._contains_cache.get((q1._key, q2._key))
+        return self.contains_all(q1, (q2,))[0] if got is None else got
 
     def contains_all(self, q1: Eliq, qs: Sequence[Eliq]) -> list[bool]:
         """`contains(q1, q2)` for every q2 of qs, in order, each answer also
         written to the containment cache.
 
-        The keys not cached yet are decided through q1's homomorphism table
-        (`hom_table`), over a chase at least as deep as the deepest of them.
+        Unsatisfiable q1 is contained in everything, and ⊤ contains every
+        query and ⊥ none other. The remaining keys not cached yet are decided
+        through q1's homomorphism table (`hom_table`), over a chase at least
+        as deep as the deepest of them; with none, no chase is built.
         One chase serves every depth: anonymous elements hang below a single
         parent, so a query of role depth d maps from the point only into
         elements of depth at most d, and the chase, built breadth-first, has
         the same such elements and atoms at any depth bound from d on."""
         k1 = q1._key
         cache = self._contains_cache
-        got = [cache.get((k1, q2._key)) for q2 in qs]
-        misses = [q2 for q2, known in zip(qs, got) if known is None]
-        if not misses:
+        got = []
+        depth = -1  # of the deepest miss other than ⊤ and ⊥
+        for q2 in qs:
+            known = cache.get((k1, q2._key))
+            got.append(known)
+            if known is None and q2.role_depth > depth and not (q2.is_top or q2.is_bottom):
+                depth = q2.role_depth
+        if None not in got:
             return got
-        table = None
-        if self.query_satisfiable(q1):
-            table, point = self.hom_table(q1, max(q2.role_depth for q2 in misses))
+        unsat = not self.query_satisfiable(q1)
+        if depth >= 0 and not unsat:
+            table, point = self.hom_table(q1, depth)
         for i, known in enumerate(got):
             if known is None:
                 q2 = qs[i]
                 got[i] = cache[(k1, q2._key)] = (
-                    table is None or q2.is_top or (not q2.is_bottom and table.maps(q2, point))
+                    unsat or q2.is_top or (not q2.is_bottom and table.maps(q2, point))
                 )
         return got
-
-    def _contains(self, q1: Eliq, q2: Eliq) -> bool:
-        if not self.query_satisfiable(q1):
-            return True
-        if q2.is_top:
-            return True
-        if q2.is_bottom:
-            return False
-        table, point = self.hom_table(q1, q2.role_depth)
-        return table.maps(q2, point)
 
     def equivalent(self, q1: Eliq, q2: Eliq) -> bool:
         return self.contains(q1, q2) and self.contains(q2, q1)

@@ -105,7 +105,9 @@ def frontier(
     if r.trivial(q):
         return Frontier(())
     if qclass == CLASS_P:
-        return Frontier(tuple(_prop_frontier(onto, q)))
+        sig = onto.signature
+        pool = enum_domain_queries(sig, CLASS_P, len(sig.concept_names))
+        return Frontier(tuple(_maximal(onto, _strict_weakenings(onto, q, pool))))
     members = _maximal(onto, _candidates(onto, q, qclass, size_bound))
     spec = EnumSpec(onto.signature, qclass, size_bound=size_bound)
     verdict = check_frontier(onto, q, members, spec)
@@ -117,15 +119,20 @@ def frontier(
 def _candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[Eliq]:
     """The strict weakenings of q that `frontier` searches: one-step
     weakenings plus the class enumerated up to the bound, in the class (no
-    inverse role for `elq`), in size-then-key order.
-
-    q ⊑ c is decided for the whole pool at once (`Reasoner.contains_all`:
-    one chase of q's hat and one homomorphism table), and c ⊑ q, a chase of
-    c's own hat, only for the candidates q entails."""
-    r = reasoner(onto)
+    inverse role for `elq`), in size-then-key order."""
     pool = set(one_step_weakenings(q))
     pool.update(enum_domain_queries(onto.signature, qclass, size_bound))
     pool = [c for c in _sorted_queries(pool) if not (qclass == CLASS_ELQ and c.has_inverse())]
+    return _strict_weakenings(onto, q, pool)
+
+
+def _strict_weakenings(onto: Ontology, q: Eliq, pool: Sequence[Eliq]) -> list[Eliq]:
+    """The members c of pool, in order, with q ⊑ c and not c ⊑ q.
+
+    q ⊑ c is decided for the whole pool at once (`Reasoner.contains_all`:
+    one chase of q's hat and one homomorphism table), and c ⊑ q, a chase of
+    c's own hat, only for the members q entails."""
+    r = reasoner(onto)
     return [c for c, weaker in zip(pool, r.contains_all(q, pool)) if weaker and not r.contains(c, q)]
 
 
@@ -332,18 +339,6 @@ def _weakenings(shape: ProbeShape) -> Iterable[ProbeShape]:
         yield (None, chain[:k], None)
 
 
-def _prop_frontier(onto: Ontology, q: Eliq) -> list[Eliq]:
-    names = sorted(onto.signature.concept_names)
-    r = reasoner(onto)
-    candidates = []
-    for k in range(len(names) + 1):
-        for combo in itertools.combinations(names, k):
-            s = make_eliq(combo)
-            if r.contains(q, s) and not r.contains(s, q):
-                candidates.append(s)
-    return _maximal(onto, candidates)
-
-
 def _maximal(onto: Ontology, candidates: Sequence[Eliq]) -> list[Eliq]:
     """Containment-maximal candidates, one representative per equivalence class."""
     r = reasoner(onto)
@@ -371,11 +366,7 @@ def is_meet_reducible(
     if front is not None:
         # a frontier is an antichain, one member per equivalence class
         return len(front.members) >= 2
-    candidates = [
-        c
-        for c in enum_domain_queries(onto.signature, qclass, size_bound)
-        if r.contains(q, c) and not r.contains(c, q)
-    ]
+    candidates = _strict_weakenings(onto, q, enum_domain_queries(onto.signature, qclass, size_bound))
     if any(r.contains(conjoin(q1, q2), q) for q1, q2 in itertools.combinations(candidates, 2)):
         return True
     return None
@@ -389,9 +380,6 @@ class TypeAtlas:
     types: tuple[frozenset[int], ...]   # positive element indices per type
     type_instance: Instance
     type_ids: tuple[str, ...]
-
-    def positives(self, i: int) -> list[Eliq]:
-        return [self.elements[j] for j in sorted(self.types[i])]
 
 
 def _subconcepts(q: Eliq) -> set[Eliq]:
@@ -478,12 +466,14 @@ def type_atlas(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> TypeA
 
 
 def _edge_possible(onto, elems, tp_from, tp_to, role: Role) -> bool:
+    """Can an element of type tp_from have a role-successor of type tp_to?
+    Asked of the two types' hats joined by one role edge, "a" to "b"."""
     r = reasoner(onto)
-    left = conjoin_all(elems[j] for j in sorted(tp_from))
-    right = conjoin_all(elems[j] for j in sorted(tp_to))
-    pattern = _two_element_pattern(onto, left, right, role)
-    if pattern is None:
-        return False
+    hl = r.hat(conjoin_all(elems[j] for j in sorted(tp_from)))
+    hr = r.hat(conjoin_all(elems[j] for j in sorted(tp_to)))
+    base = merge_instances([anchored(hl, "l_", "a"), anchored(hr, "r_", "b")])
+    edge = (role.name, "b", "a") if role.inverted else (role.name, "a", "b")
+    pattern = Instance(base.individuals, base.catoms, base.ratoms | {edge})
     if not r.is_satisfiable(pattern):
         return False
     for j, e in enumerate(elems):
@@ -492,18 +482,6 @@ def _edge_possible(onto, elems, tp_from, tp_to, role: Role) -> bool:
         if j not in tp_to and r.certain_answer(pattern, "b", e):
             return False
     return True
-
-
-def _two_element_pattern(onto, left: Eliq, right: Eliq, role: Role) -> Optional[Instance]:
-    r = reasoner(onto)
-    try:
-        hl = r.hat(left)
-        hr = r.hat(right)
-    except UnsatisfiableQuery:
-        return None
-    base = merge_instances([anchored(hl, "l_", "a"), anchored(hr, "r_", "b")])
-    edge = (role.name, "b", "a") if role.inverted else (role.name, "a", "b")
-    return Instance(base.individuals, base.catoms, base.ratoms | {edge})
 
 
 def split_partner(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> SplitPartner:

@@ -266,7 +266,7 @@ class Learner:
             except NotTreeShaped as exc:  # pragma: no cover - treeify precedes
                 raise RuntimeError("non-tree slice after shaping") from exc
             negs = () if self.r.trivial(q) else tuple(self.negatives_of(q))
-            return TaggedSlice(Pointed(comp if comp.individuals else s, point), q, negs)
+            return TaggedSlice(Pointed(comp, point), q, negs)
 
         return TaggedBNormal(self.onto, b, tuple(tuple(tagged(s) for s in blk) for blk in blocks))
 

@@ -3,7 +3,8 @@ sets and transcripts, plus their printers. Formats are line-oriented and
 diffable; parse(print(x)) is the identity on canonical forms.
 
 Reserved words: Top, bot, ex, func, and the temporal operator tokens X, F,
-Fr, U; R- denotes the inverse of R.
+Fr, U; R- denotes the inverse of R. No concept or role may be named Top,
+bot or T (⊤'s query key).
 """
 from __future__ import annotations
 
@@ -49,6 +50,14 @@ OP_TOKENS = ("X", "F", "Fr")
 RESERVED = {TOP, BOT, TOP_KEY, "ex", "func", "U"} | set(OP_TOKENS)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_RESERVED_NAMES = frozenset((TOP, BOT, TOP_KEY))
+
+
+def reject_reserved(names: set, line=None) -> None:
+    """Raise `ParseError` when a concept or role of `names` has a reserved name."""
+    bad = _RESERVED_NAMES & names
+    if bad:
+        raise ParseError(f"{min(bad)!r} is reserved and names no concept or role", line)
 
 
 # ------------------------------------------------------------------- roles
@@ -82,9 +91,11 @@ def parse_ontology(text: str) -> Ontology:
             declared_roles |= {
                 t.strip() for t in line.split(":", 1)[1].split(",") if t.strip()
             }
+            reject_reserved(declared_roles, ln)
             continue
         if line.startswith("concepts:"):
             concepts |= {t.strip() for t in line.split(":", 1)[1].split(",") if t.strip()}
+            reject_reserved(concepts, ln)
             continue
         if dialect is None:
             raise ParseError("the dialect header must come first", ln)
@@ -98,10 +109,12 @@ def parse_ontology(text: str) -> Ontology:
     for ln, line in axioms:
         for m in re.finditer(r"\b(?:ex|func)\s+([A-Za-z_][A-Za-z0-9_]*)-?", line):
             roles.add(m.group(1))
+        reject_reserved(roles, ln)
 
     parsed = []
     for ln, line in axioms:
         parsed.append(_parse_axiom(line, dialect, roles, concepts, ln))
+        reject_reserved(concepts, ln)
     sig = Signature(frozenset(concepts - roles), frozenset(roles))
     return Ontology(sig, frozenset(parsed), dialect)
 

@@ -3,9 +3,10 @@ reference implementations for the tests: `successors`, a scan of an
 instance's role atoms, `root_homs`, a path-query evaluator, `enum_trees`, a
 tree-query enumerator, `reference_letters`, a slice alphabet built from
 enumerated domain queries, `frontier_candidates`, the candidate sets of the
-bounded frontier search, `reference_probe_shapes`, the path-probe listing
-built as a list, and `reference_types`, the sign-vector loop over a type
-closure."""
+bounded frontier search, `reference_contains`, containment decided pair by
+pair, `reference_prop_frontier`, the class-`p` frontier by a loop over
+subsets of names, `reference_probe_shapes`, the path-probe listing built as
+a list, and `reference_types`, the sign-vector loop over a type closure."""
 from __future__ import annotations
 
 import itertools
@@ -38,6 +39,7 @@ from tomq.dl import (
     conjoin_all,
     exists,
     exists_basic,
+    hom_exists,
     instance,
     make_eliq,
     name_basic,
@@ -304,6 +306,35 @@ def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -
     if weak:
         sets.append(_maximal(onto, weak))
     return sets
+
+
+def reference_contains(r: Reasoner, q1: Eliq, q2: Eliq) -> bool:
+    """q1 ⊑ q2 decided for one pair, without the containment cache or a
+    homomorphism table kept with the hat: true when q1 is unsatisfiable or q2
+    is ⊤, false when q2 is ⊥, and otherwise whether q2 maps to the point of
+    the chase of q1's hat to q2's role depth (`hom_exists`)."""
+    if not r.query_satisfiable(q1) or q2.is_top:
+        return True
+    if q2.is_bottom:
+        return False
+    h = r.hat(q1)
+    return hom_exists(q2, r.chase(h.instance, q2.role_depth), h.point)
+
+
+def reference_prop_frontier(onto: Ontology, q: Eliq) -> list[Eliq]:
+    """The class-`p` frontier of q by the subset loop `frontier` once ran:
+    every conjunction of signature names, by number of names, that q entails
+    and that does not entail q, decided pair by pair (`reference_contains`),
+    then the containment-maximal ones."""
+    names = sorted(onto.signature.concept_names)
+    r = Reasoner(onto)
+    candidates = []
+    for k in range(len(names) + 1):
+        for combo in itertools.combinations(names, k):
+            s = make_eliq(combo)
+            if reference_contains(r, q, s) and not reference_contains(r, s, q):
+                candidates.append(s)
+    return _maximal(onto, candidates)
 
 
 def reference_probe_shapes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> list:

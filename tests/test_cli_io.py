@@ -278,6 +278,24 @@ def test_cli_characterise_trailing_top_until(tmp_path, capsys):
     assert "concept names" in capsys.readouterr().err
 
 
+def test_cli_reserved_names_are_usage_errors(tmp_path, capsys):
+    """A concept or role named Top, bot or T, in --sigma or in an ontology
+    file, is an `error:` line and the usage exit code, not a traceback."""
+    assert main(["enumerate", "--sigma", "T,A", "--class", "eliq", "--bound", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: 'T' is reserved")
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: bot,A\n")
+    query = tmp_path / "q.q"
+    query.write_text("A\n")
+    assert main(["frontier", "--ontology", str(onto), "--query", str(query), "--class", "p"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'bot' is reserved") and "at line 2" in err
+    with pytest.raises(ParseError, match="at line 3"):
+        parse_ontology("dialect: dl-lite-h\nA [= B\nTop & T [= bot\n")
+    with pytest.raises(ParseError, match="at line 2"):
+        parse_ontology("dialect: dl-lite-h\nA [= ex bot\n")
+
+
 def test_cli_learn_roundtrip(tmp_path):
     onto = tmp_path / "o.onto"
     onto.write_text("dialect: dl-lite-h\nconcepts: A\n")

@@ -1,8 +1,9 @@
-"""`Reasoner.contains_all`, the batched containment test of the frontier
-search, against one `contains` call per pair on a reasoner of its own."""
+"""`Reasoner.contains_all`, the one containment procedure (`contains` asks
+it about one pair), against containment decided pair by pair on a reasoner
+of its own (`helpers.reference_contains`)."""
 import random
 
-from helpers import rand_eliq, rand_ontology
+from helpers import rand_eliq, rand_ontology, reference_contains
 
 from tomq.dl import (
     BOT,
@@ -50,7 +51,7 @@ def _needs_chase(r: Reasoner, q1, q2) -> bool:
     return not hom_exists(q2, h.instance, h.point)
 
 
-def test_contains_all_agrees_with_contains():
+def test_contains_all_agrees_with_reference():
     rng = random.Random(20261019)
     counts = dict.fromkeys(
         ("pairs", "true", "false", "unsat_left", "needs_chase", "func", "rolesub", "inverse", "bot"), 0)
@@ -73,7 +74,7 @@ def test_contains_all_agrees_with_contains():
             for q2 in rng.sample(qs, 3):
                 batch.contains(q1, q2)
             got = batch.contains_all(q1, qs)
-            want = [single.contains(q1, q2) for q2 in qs]
+            want = [reference_contains(single, q1, q2) for q2 in qs]
             assert got == want, (onto, q1, [q2 for q2, g, w in zip(qs, got, want) if g != w])
             # every answer is cached, so a later one-pair test hits
             assert [batch._contains_cache[(q1._key, q2._key)] for q2 in qs] == want
@@ -111,7 +112,7 @@ def test_left_query_table_rebuilt_deeper_and_reused_shallower():
     """One left query asked, through `contains`, a depth-0, a depth-2, then a
     depth-1 right query: the first builds q1's table over a chase of depth 0,
     the second replaces it with one over a depth-2 chase, and the third reads
-    that same table. Every answer matches a fresh reasoner's `contains`. Half
+    that same table. Every answer matches `reference_contains`. Half
     the ontologies give A an endless R-path, and then q1 holds A and the
     depth-2 query is often an R-path, which only the deeper chase answers."""
     rng = random.Random(20261020)
@@ -133,7 +134,7 @@ def test_left_query_table_rebuilt_deeper_and_reused_shallower():
         satisfiable = r.query_satisfiable(q1)
         tables = []
         for q2 in right:
-            assert r.contains(q1, q2) == Reasoner(onto).contains(q1, q2), (onto, q1, q2)
+            assert r.contains(q1, q2) == reference_contains(Reasoner(onto), q1, q2), (onto, q1, q2)
             if satisfiable:
                 tables.append(r._hat_cache[q1._key].table)
         if satisfiable:
@@ -148,3 +149,25 @@ def test_left_query_table_rebuilt_deeper_and_reused_shallower():
         counts["false"] += len(answers) - sum(answers)
     floors = {"satisfiable": 250, "true": 150, "false": 250, "needs_depth_2": 40}
     assert all(counts[name] >= floor for name, floor in floors.items()), counts
+
+
+def test_top_and_bottom_on_the_right_build_no_chase():
+    """`contains(q, ⊤)`, `contains(q, ⊥)` and a batch of only those two,
+    each asked of a fresh reasoner, answer without chasing q's hat; the
+    first other query asked builds q's table."""
+    rng = random.Random(20261021)
+    counts = dict.fromkeys(("satisfiable", "unsatisfiable"), 0)
+    for k in range(120):
+        onto = rand_ontology(rng, SIG, DIALECTS[k % len(DIALECTS)], max_axioms=8)
+        q = rand_eliq(rng, SIG, max_size=5)
+        single, batch = Reasoner(onto), Reasoner(onto)
+        unsat = not single.query_satisfiable(q)
+        assert single.contains(q, TOP_QUERY) is True
+        assert single.contains(q, BOTTOM_QUERY) is unsat
+        assert batch.contains_all(q, [BOTTOM_QUERY, TOP_QUERY, BOTTOM_QUERY]) == [unsat, True, unsat]
+        assert not single._chase_cache and not batch._chase_cache
+        counts["unsatisfiable" if unsat else "satisfiable"] += 1
+        if not unsat and not q.is_top:
+            batch.contains_all(q, [TOP_QUERY, q])
+            assert batch._hat_cache[q._key].table is not None
+    assert counts["satisfiable"] >= 60 and counts["unsatisfiable"] >= 10, counts

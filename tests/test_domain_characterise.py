@@ -1,11 +1,13 @@
 """Frontiers, split-partners, meet-reducibility, and the negatives of
 singular+ characterisations."""
 import itertools
+import random
 
 import pytest
 
 from tomq.dl import (
     BOTTOM_QUERY,
+    DIALECTS,
     DL_LITE_H,
     ELHIF_NF,
     TOP_QUERY,
@@ -38,7 +40,7 @@ from tomq.domainchar import (
 from tomq.errors import UnsatisfiableQuery
 from tomq.verify import EnumSpec, check_frontier, check_split_partner
 
-from helpers import frontier_candidates
+from helpers import frontier_candidates, rand_eliq, rand_ontology, reference_prop_frontier
 
 A, B, C = atom("A"), atom("B"), atom("C")
 R = Role("R")
@@ -63,6 +65,29 @@ def test_frontier_of_top_is_empty():
 def test_frontier_prop_conjunction():
     f = frontier(empty_ontology(SIG_AB), conjoin(A, B), "p", 6)
     assert set(f.members) == {A, B}
+
+
+def test_prop_frontier_matches_subset_loop():
+    """The class-`p` frontier, the strict weakenings among every conjunction
+    of names, against the subset loop with pairwise containment
+    (`helpers.reference_prop_frontier`), over seeded concept-only ontologies
+    of all four dialects. The bound does not change a class-`p` frontier."""
+    rng = random.Random(20261022)
+    sig = signature(["A", "B", "C", "D"])
+    counts = dict.fromkeys(("queries", "trivial", "single", "several", "axioms"), 0)
+    for k in range(160):
+        onto = rand_ontology(rng, sig, DIALECTS[k % len(DIALECTS)], max_axioms=6)
+        counts["axioms"] += bool(onto.axioms)
+        for _ in range(3):
+            q = rand_eliq(rng, sig, max_size=4)
+            if not reasoner(onto).query_satisfiable(q):
+                continue
+            got = frontier(onto, q, "p", rng.randint(0, 6)).members
+            assert list(got) == reference_prop_frontier(onto, q), (onto, q)
+            counts["queries"] += 1
+            counts[("trivial", "single", "several")[min(len(got), 2)]] += 1
+    floors = {"queries": 300, "trivial": 30, "single": 60, "several": 60, "axioms": 120}
+    assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
 
 def test_frontier_closure_algebra():

@@ -37,7 +37,7 @@ from tomq.temporal.model import (
     tinstance,
     untilquery,
 )
-from tomq.temporal.normal import is_safe, normalize
+from tomq.temporal.normal import is_safe, normalize, until_truncate
 from tomq.verify import EnumSpec, check_unique_characterisation
 
 from helpers import rand_ontology, root_homs
@@ -348,3 +348,30 @@ def test_builder_outputs_are_unique_within_bounds():
         if not v.passed:
             failed.append((mode, kind, str(q), [str(w) for w in v.witnesses[:2]]))
     assert not failed, f"{len(failed)} of {len(builds)} sets not unique, first {failed[:3]}"
+
+
+def test_suffix_search_returns_a_later_candidate():
+    """The suffix search of the until construction does not always stop at
+    its first candidate, so it cannot be cut to that one. For
+    A ; U[B] D ; U[C] D ; U[D] G over {A, B, C, D, G}, with the split slice
+    A,C,D,G put after the first target, the search tries filler counts
+    (0, 0), (0, 1), (1, 0) for the fillers C and D: the first two words
+    entail the query truncated there, the third does not, and it is a
+    negative of the built set."""
+    C, D, G = atom("C"), atom("D"), atom("G")
+    q = untilquery(A, [(B, D), (C, D), (D, G)])
+    sig = signature(["A", "B", "C", "D", "G"])
+    onto = empty_ontology(sig)
+
+    def word(*slices):  # each slice a string of one-letter names
+        return tinstance([instance(["a"], [(n, "a") for n in s]) for s in slices], "a")
+
+    truncated = until_truncate(q, 1)
+    first = word("A", "ACDG", "D", "D", "G")
+    second = word("A", "ACDG", "D", "D", "D", "G")
+    third = word("A", "ACDG", "D", "C", "D", "G")
+    assert tentail(onto, first, 0, truncated) and tentail(onto, second, 0, truncated)
+    assert not tentail(onto, third, 0, truncated)
+    negatives = [slices_of(d) for d in characterise_prop_until(q, sig).negatives]
+    assert slices_of(third) in negatives
+    assert slices_of(first) not in negatives and slices_of(second) not in negatives

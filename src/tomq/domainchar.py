@@ -6,10 +6,14 @@ weakenings plus plain enumeration, and a set is only returned when the
 brute-force frontier check passes at the same bound. Which candidates q
 entails is decided for the whole pool through one chase of q's canonical
 instance (`Reasoner.contains_all`), whose answers the check then reads back
-from the containment cache. Split-partners follow the type/product
-construction. The consistent types over the closure are the satisfiable
-closed profiles that the closure search of the equivalence oracle finds
-(`verify.closed_profiles`), so no sign assignment is tried one by one.
+from the containment cache. The members are kept in one ordered pass
+(`_least_weakenings`): an entailed candidate is first tested against the
+kept members, from their homomorphism tables, and only one that none covers
+is chased to test whether it entails q; the check tests in the same order.
+Split-partners follow the type/product construction. The consistent types
+over the closure are the satisfiable closed profiles that the closure
+search of the equivalence oracle finds (`verify.closed_profiles`), so no
+sign assignment is tried one by one.
 """
 from __future__ import annotations
 
@@ -104,26 +108,43 @@ def frontier(
         raise UnsatisfiableQuery("frontier of an unsatisfiable query")
     if r.trivial(q):
         return Frontier(())
+    sig = onto.signature
     if qclass == CLASS_P:
-        sig = onto.signature
         pool = enum_domain_queries(sig, CLASS_P, len(sig.concept_names))
-        return Frontier(tuple(_maximal(onto, _strict_weakenings(onto, q, pool))))
-    members = _maximal(onto, _candidates(onto, q, qclass, size_bound))
-    spec = EnumSpec(onto.signature, qclass, size_bound=size_bound)
-    verdict = check_frontier(onto, q, members, spec)
+        return Frontier(tuple(_least_weakenings(onto, q, pool)))
+    pool = set(one_step_weakenings(q)).union(enum_domain_queries(sig, qclass, size_bound))
+    if qclass == CLASS_ELQ:
+        pool = [c for c in pool if not c.has_inverse()]
+    members = _least_weakenings(onto, q, pool)
+    verdict = check_frontier(onto, q, members, EnumSpec(sig, qclass, size_bound=size_bound))
     if verdict.passed and not _path_probe_witness(onto, q, members, size_bound + 3, qclass):
         return Frontier(tuple(members))
     return None
 
 
-def _candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[Eliq]:
-    """The strict weakenings of q that `frontier` searches: one-step
-    weakenings plus the class enumerated up to the bound, in the class (no
-    inverse role for `elq`), in size-then-key order."""
-    pool = set(one_step_weakenings(q))
-    pool.update(enum_domain_queries(onto.signature, qclass, size_bound))
-    pool = [c for c in _sorted_queries(pool) if not (qclass == CLASS_ELQ and c.has_inverse())]
-    return _strict_weakenings(onto, q, pool)
+def _least_weakenings(onto: Ontology, q: Eliq, pool: Iterable[Eliq]) -> list[Eliq]:
+    """The containment-least strict weakenings of q in pool, one per
+    equivalence class (the first in size-then-key order), in that order.
+
+    One ordered pass keeps an antichain `least`. q ⊑ c is decided for the
+    whole pool at once (`Reasoner.contains_all`). A c that q entails is
+    skipped when some m in `least` has m ⊑ c, a test read from m's
+    homomorphism table, so c's hat is never chased; else it is skipped when
+    c ⊑ q, as then c ≡ q; else every m with c ⊑ m leaves `least`, and c
+    joins it. After each step, `least` holds the first representative of
+    every minimal class among the strict weakenings read so far, and some
+    member entails each of them. A c ≡ q is never covered, as m ⊑ c would
+    give m ⊑ q; so the result is exactly the pairwise filter's, the minimal
+    classes of every strict weakening in the pool."""
+    r = reasoner(onto)
+    pool = _sorted_queries(pool)
+    least: list[Eliq] = []
+    for c, weaker in zip(pool, r.contains_all(q, pool)):
+        if not weaker or any(r.contains(m, c) for m in least) or r.contains(c, q):
+            continue
+        least = [m for m in least if not r.contains(c, m)]
+        least.append(c)
+    return least
 
 
 def _strict_weakenings(onto: Ontology, q: Eliq, pool: Sequence[Eliq]) -> list[Eliq]:
@@ -337,23 +358,6 @@ def _weakenings(shape: ProbeShape) -> Iterable[ProbeShape]:
     for k in range(1, len(chain)):
         yield (root_name, chain[:k], None)
         yield (None, chain[:k], None)
-
-
-def _maximal(onto: Ontology, candidates: Sequence[Eliq]) -> list[Eliq]:
-    """Containment-maximal candidates, one representative per equivalence class."""
-    r = reasoner(onto)
-    picked: list[Eliq] = []
-    for c in _sorted_queries(candidates):
-        if any(r.equivalent(c, p) for p in picked):
-            continue
-        picked.append(c)
-    out = []
-    for c in picked:
-        if not any(
-            r.contains(d, c) and not r.contains(c, d) for d in picked if d is not c
-        ):
-            out.append(c)
-    return _sorted_queries(out)
 
 
 def is_meet_reducible(

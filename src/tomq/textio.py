@@ -472,11 +472,11 @@ def _parse_atoms(body: str, ln: int) -> list[tuple]:
         if len(args) == 1:
             if inv:
                 raise ParseError("only roles can be inverted", ln)
-            if pred == TOP:
-                out.append((TOP, args[0]))
-            else:
-                out.append((pred, args[0]))
+            if pred == TOP_KEY:  # Top(a) holds anyway and bot(a) is a clash, but T names nothing
+                reject_reserved({pred}, ln)
+            out.append((pred, args[0]))
         elif len(args) == 2:
+            reject_reserved({pred}, ln)
             x, y = args
             if inv:
                 x, y = y, x

@@ -222,7 +222,13 @@ def enum_queries(spec: EnumSpec) -> Iterator:
 
 def check_frontier(onto: Ontology, q: Eliq, frontier: Iterable[Eliq], spec: EnumSpec) -> Verdict:
     """Frontier conditions: (a) each member strictly weaker than q, exactly;
-    (b) everything weaker than q within the bound is covered by a member."""
+    (b) everything weaker than q within the bound is covered by a member.
+
+    A candidate of (b) is tested cheapest first: q ⊑ cand (read from q's
+    homomorphism table), then whether some member covers it (read from the
+    members' tables), and only then cand ⊑ q, a chase of the candidate's
+    own hat. The three tests are one conjunction, so the order changes no
+    verdict and no witness."""
     r = reasoner(onto)
     members = sorted(set(frontier), key=lambda m: (m.size, m._key))
     witnesses = []
@@ -232,11 +238,8 @@ def check_frontier(onto: Ontology, q: Eliq, frontier: Iterable[Eliq], spec: Enum
     for cand in enum_queries(spec):
         if len(witnesses) >= spec.max_witnesses:
             break
-        if not r.contains(q, cand):
-            continue
-        if r.contains(cand, q):
-            continue
-        if not any(r.contains(m, cand) for m in members):
+        if (r.contains(q, cand) and not any(r.contains(m, cand) for m in members)
+                and not r.contains(cand, q)):
             witnesses.append(("condition-b", cand))
     return Verdict(not witnesses, witnesses, spec)
 

@@ -2,11 +2,14 @@
 reference implementations for the tests: `successors`, a scan of an
 instance's role atoms, `root_homs`, a path-query evaluator, `enum_trees`, a
 tree-query enumerator, `reference_letters`, a slice alphabet built from
-enumerated domain queries, `frontier_candidates`, the candidate sets of the
-bounded frontier search, `reference_contains`, containment decided pair by
-pair, `reference_prop_frontier`, the class-`p` frontier by a loop over
-subsets of names, `reference_probe_shapes`, the path-probe listing built as
-a list, and `reference_types`, the sign-vector loop over a type closure."""
+enumerated domain queries, `reference_contains`, containment decided pair
+by pair, `reference_strict_weakenings` and `reference_maximal`, the pairwise
+filter the frontier search once ran, `frontier_pool` and
+`frontier_candidates`, the pool of that search and its candidate sets,
+`reference_prop_frontier`, the class-`p` frontier by a loop
+over subsets of names, `reference_probe_shapes`, the path-probe listing
+built as a list, and `reference_types`, the sign-vector loop over a type
+closure."""
 from __future__ import annotations
 
 import itertools
@@ -48,7 +51,7 @@ from tomq.dl import (
     signature,
     top_basic,
 )
-from tomq.domainchar import MAX_PATH_PROBES, _candidates, _maximal, one_step_weakenings
+from tomq.domainchar import MAX_PATH_PROBES, one_step_weakenings
 from tomq.errors import UnsupportedAxiom
 from tomq.temporal.eval import slice_table
 from tomq.temporal.model import LESS, SUC, PathQuery, TInstance, flat_form
@@ -295,19 +298,6 @@ def reference_letters(onto: Ontology, q1, q2, domain_size: int = 2) -> list[Poin
     return letters
 
 
-def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[list[Eliq]]:
-    """The candidate sets the bounded frontier search would propose, for
-    inspection: what `domainchar.frontier` searches, then its one-step
-    weakenings alone."""
-    candidates = _candidates(onto, q, qclass, size_bound)
-    sets = [_maximal(onto, candidates)]
-    steps = set(one_step_weakenings(q))
-    weak = [c for c in candidates if c in steps]
-    if weak:
-        sets.append(_maximal(onto, weak))
-    return sets
-
-
 def reference_contains(r: Reasoner, q1: Eliq, q2: Eliq) -> bool:
     """q1 ⊑ q2 decided for one pair, without the containment cache or a
     homomorphism table kept with the hat: true when q1 is unsatisfiable or q2
@@ -321,20 +311,64 @@ def reference_contains(r: Reasoner, q1: Eliq, q2: Eliq) -> bool:
     return hom_exists(q2, r.chase(h.instance, q2.role_depth), h.point)
 
 
+def reference_strict_weakenings(r: Reasoner, q: Eliq, pool) -> list[Eliq]:
+    """The members c of pool, in order, with q ⊑ c and not c ⊑ q, decided
+    pair by pair (`reference_contains`)."""
+    return [c for c in pool if reference_contains(r, q, c) and not reference_contains(r, c, q)]
+
+
+def reference_maximal(r: Reasoner, candidates) -> list[Eliq]:
+    """The containment-least candidates by the pairwise filter `frontier` once
+    ran: in size-then-key order, the first of each equivalence class is
+    picked, then the picked ones that no other picked one strictly entails
+    are kept, each pair decided by `reference_contains`."""
+    picked: list[Eliq] = []
+    for c in sorted(set(candidates), key=lambda c: (c.size, c._key)):
+        if not any(reference_contains(r, c, p) and reference_contains(r, p, c) for p in picked):
+            picked.append(c)
+    return [
+        c for c in picked
+        if not any(reference_contains(r, d, c) and not reference_contains(r, c, d) for d in picked if d is not c)
+    ]
+
+
+def frontier_pool(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[Eliq]:
+    """The pool `domainchar.frontier` reads, in size-then-key order: every
+    conjunction of names for class `p`, else the one-step weakenings of q
+    plus the class enumerated up to the bound, with no inverse role for
+    `elq`."""
+    sig = onto.signature
+    if qclass == CLASS_P:
+        pool = set(enum_domain_queries(sig, CLASS_P, len(sig.concept_names)))
+    else:
+        pool = set(one_step_weakenings(q)) | set(enum_domain_queries(sig, qclass, size_bound))
+    pool = [c for c in pool if not (qclass == CLASS_ELQ and c.has_inverse())]
+    return sorted(pool, key=lambda c: (c.size, c._key))
+
+
+def frontier_candidates(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[list[Eliq]]:
+    """The candidate sets the bounded frontier search would propose, for
+    inspection: what `domainchar.frontier` searches, then its one-step
+    weakenings alone, each by the pairwise reference filter."""
+    r = Reasoner(onto)
+    candidates = reference_strict_weakenings(r, q, frontier_pool(onto, q, qclass, size_bound))
+    sets = [reference_maximal(r, candidates)]
+    steps = set(one_step_weakenings(q))
+    weak = [c for c in candidates if c in steps]
+    if weak:
+        sets.append(reference_maximal(r, weak))
+    return sets
+
+
 def reference_prop_frontier(onto: Ontology, q: Eliq) -> list[Eliq]:
     """The class-`p` frontier of q by the subset loop `frontier` once ran:
     every conjunction of signature names, by number of names, that q entails
-    and that does not entail q, decided pair by pair (`reference_contains`),
-    then the containment-maximal ones."""
+    and that does not entail q, then the containment-least ones, all decided
+    pair by pair (`reference_contains`)."""
     names = sorted(onto.signature.concept_names)
     r = Reasoner(onto)
-    candidates = []
-    for k in range(len(names) + 1):
-        for combo in itertools.combinations(names, k):
-            s = make_eliq(combo)
-            if reference_contains(r, q, s) and not reference_contains(r, s, q):
-                candidates.append(s)
-    return _maximal(onto, candidates)
+    pool = [make_eliq(combo) for k in range(len(names) + 1) for combo in itertools.combinations(names, k)]
+    return reference_maximal(r, reference_strict_weakenings(r, q, pool))
 
 
 def reference_probe_shapes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> list:

@@ -296,6 +296,26 @@ def test_cli_reserved_names_are_usage_errors(tmp_path, capsys):
         parse_ontology("dialect: dl-lite-h\nA [= ex bot\n")
 
 
+def test_reserved_atoms_in_instance_files_are_usage_errors(tmp_path, capsys):
+    """A concept atom T, or a role atom named T, Top or bot, in an instance
+    or example-set file is an `error:` line with its line number and the
+    usage exit code, not a traceback; bot(a) and Top(a) are data."""
+    target = tmp_path / "t.q"
+    target.write_text("A & F(B)\n")
+    initial = tmp_path / "init.ti"
+    initial.write_text("point: a\nt=0: A(a), T(a)\nt=1: B(a)\n")
+    assert main(["learn", "--sigma", "A,B", "--target", str(target), "--initial", str(initial)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'T' is reserved") and "at line 2" in err
+    for name in ("T", "Top", "bot"):
+        with pytest.raises(ParseError, match=f"'{name}' is reserved.*at line 3"):
+            parse_tinstance(f"point: a\nt=0: A(a)\nt=1: {name}(a,b)\n")
+        with pytest.raises(ParseError, match=f"'{name}' is reserved"):
+            parse_exampleset(f"[positive]\npoint: a\nt=0: {name}-(a,b)\n")
+    d = parse_tinstance("point: a\nt=0: bot(a), Top(a)\n")
+    assert d.slices[0].catoms == frozenset({("bot", "a"), ("Top", "a")})
+
+
 def test_cli_learn_roundtrip(tmp_path):
     onto = tmp_path / "o.onto"
     onto.write_text("dialect: dl-lite-h\nconcepts: A\n")

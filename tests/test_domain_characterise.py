@@ -29,8 +29,9 @@ from tomq.dl import (
     signature,
 )
 from tomq import domainchar
-from tomq.dl.reason import general_hom_exists
+from tomq.dl.reason import Reasoner, general_hom_exists
 from tomq.domainchar import (
+    _least_weakenings,
     frontier,
     is_meet_reducible,
     negatives_for,
@@ -38,9 +39,18 @@ from tomq.domainchar import (
     type_atlas,
 )
 from tomq.errors import UnsatisfiableQuery
+from tomq.textio import parse_eliq, print_eliq
 from tomq.verify import EnumSpec, check_frontier, check_split_partner
 
-from helpers import frontier_candidates, rand_eliq, rand_ontology, reference_prop_frontier
+from helpers import (
+    frontier_candidates,
+    frontier_pool,
+    rand_eliq,
+    rand_ontology,
+    reference_maximal,
+    reference_prop_frontier,
+    reference_strict_weakenings,
+)
 
 A, B, C = atom("A"), atom("B"), atom("C")
 R = Role("R")
@@ -56,6 +66,7 @@ ALGEBRA = ontology(
 EL_LOOP = ontology(
     [ExistsRhs("A", R, "A"), ExistsLhs(R, "A", "A")], ELHIF_NF, SIG_ABR
 )
+BACK_LOOP = ontology([ExistsRhs("A", R.inverse, "A")], ELHIF_NF, signature(["A"], ["R"]))  # A ⊑ ∃R⁻.A
 
 
 def test_frontier_of_top_is_empty():
@@ -88,6 +99,85 @@ def test_prop_frontier_matches_subset_loop():
             counts[("trivial", "single", "several")[min(len(got), 2)]] += 1
     floors = {"queries": 300, "trivial": 30, "single": 60, "several": 60, "axioms": 120}
     assert all(counts[name] >= floor for name, floor in floors.items()), counts
+
+
+def test_least_weakenings_match_pairwise_filter():
+    """`_least_weakenings`, one ordered pass keeping an antichain, against the
+    pairwise filter it replaced (`helpers.reference_maximal` over
+    `helpers.reference_strict_weakenings`, containment pair by pair), element
+    for element: seeded ontologies of all four dialects with classes p, elq
+    and eliq, the looping EL_LOOP and the cyclic existential A ⊑ ∃R⁻.A. The
+    pool comes shuffled, as the pass orders it itself; a class-`p` frontier
+    is the pass's result, and a verified one of elq or eliq is too."""
+    rng = random.Random(20261019)
+    cases = [
+        (EL_LOOP, conjoin(A, B), "eliq", 6),
+        (EL_LOOP, A, "eliq", 4),
+        (EL_LOOP, conjoin(A, B), "elq", 5),
+        (BACK_LOOP, A, "eliq", 5),
+        (BACK_LOOP, A, "elq", 5),
+        (BACK_LOOP, exists(R, A), "eliq", 4),
+    ]
+    for k in range(150):
+        onto = rand_ontology(rng, SIG_ABR, DIALECTS[k % len(DIALECTS)], max_axioms=5)
+        qclass = ("p", "elq", "eliq")[k % 3]
+        q = rand_eliq(rng, SIG_AB if qclass == "p" else SIG_ABR, max_size=3)
+        cases.append((onto, q, qclass, 3))
+    counts = dict.fromkeys(("cases", "several", "dropped", "verified"), 0)
+    for onto, q, qclass, bound in cases:
+        if not reasoner(onto).query_satisfiable(q):
+            continue
+        pool = frontier_pool(onto, q, qclass, bound)
+        r = Reasoner(onto)
+        weaker = reference_strict_weakenings(r, q, pool)
+        want = reference_maximal(r, weaker)
+        got = _least_weakenings(onto, q, rng.sample(pool, len(pool)))
+        assert got == want, (onto, q, qclass)
+        front = frontier(onto, q, qclass, bound)
+        if front is not None:
+            assert list(front.members) == want, (onto, q, qclass)
+            counts["verified"] += 1
+        counts["cases"] += 1
+        counts["several"] += len(want) >= 2
+        counts["dropped"] += len(weaker) > len(want)
+    floors = {"cases": 120, "several": 25, "dropped": 40, "verified": 100}
+    assert all(counts[name] >= floor for name, floor in floors.items()), counts
+
+
+def test_check_frontier_witnesses_on_refused_case():
+    """`check_frontier`'s verdicts and witness lists on EL_LOOP and A & B,
+    whose frontier the bounded search refuses, as recorded before the
+    member-cover test was moved ahead of cand ⊑ q: the search's members
+    pass the check (the path probes refute them), and two smaller sets fail
+    it with these witnesses, in this order."""
+    q = conjoin(A, B)
+
+    def witnesses(members, bound):
+        verdict = check_frontier(EL_LOOP, q, [parse_eliq(m) for m in members], EnumSpec(SIG_ABR, "eliq", bound))
+        assert verdict.passed == (not verdict.witnesses)
+        return [(kind, print_eliq(c)) for kind, c in verdict.witnesses]
+
+    searched = [
+        "ex R.(A & ex R-.B)", "B & ex R.ex R-.(A & B)", "B & ex R.ex R.ex R-.A",
+        "B & ex R.ex R.ex R.ex R.Top", "B & ex R.(ex R.Top & ex R-.A)",
+    ]
+    assert [print_eliq(m) for m in frontier_candidates(EL_LOOP, q, "eliq", 6)[0]] == searched
+    assert witnesses(searched, 6) == []
+    assert witnesses(["A", "B"], 4) == [
+        ("condition-b", "B & ex R.Top"),
+        ("condition-b", "ex R.ex R-.B"),
+        ("condition-b", "B & ex R.ex R-.Top"),
+        ("condition-b", "B & ex R.ex R.Top"),
+        ("condition-b", "B & ex R.Top & ex R.Top"),
+    ]
+    assert witnesses(["A", "B & ex R.ex R.Top"], 5) == [
+        ("condition-b", "ex R.ex R-.(A & B)"),
+        ("condition-b", "ex R.(A & ex R-.B)"),
+        ("condition-b", "A & ex R.ex R-.B"),
+        ("condition-b", "B & ex R.ex R-.A"),
+        ("condition-b", "B & ex R.ex R.ex R.Top"),
+    ]
+    assert len(witnesses(["A", "B & ex R.ex R.Top"], 6)) == 20
 
 
 def test_frontier_closure_algebra():
@@ -134,6 +224,16 @@ def test_meet_reducible():
     assert is_meet_reducible(Oe, conjoin(A, B), "p", 6) is True
     assert is_meet_reducible(ALGEBRA, A, "p", 6) is True
     assert is_meet_reducible(Oe, A, "p", 6) is False
+
+
+def test_meet_reducible_fallback_when_search_refuses():
+    """With no verified frontier, `is_meet_reducible` searches the strict
+    weakenings for two whose conjunction entails q: A & B is the meet of A
+    and B, and for A nothing within the bound decides."""
+    assert frontier(EL_LOOP, conjoin(A, B), "eliq", 4) is None
+    assert frontier(EL_LOOP, A, "eliq", 4) is None
+    assert is_meet_reducible(EL_LOOP, conjoin(A, B), "eliq", 4) is True
+    assert is_meet_reducible(EL_LOOP, A, "eliq", 4) is None
 
 
 def test_meet_reducible_matches_minimal_frontier_size():

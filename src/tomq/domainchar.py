@@ -10,6 +10,9 @@ from the containment cache. The members are kept in one ordered pass
 (`_least_weakenings`): an entailed candidate is first tested against the
 kept members, from their homomorphism tables, and only one that none covers
 is chased to test whether it entails q; the check tests in the same order.
+Each search runs once per process for its arguments: `frontier` is a
+bounded memo over it, which the learner, the example-set builders and
+meet-reducibility share.
 Split-partners follow the type/product construction. The consistent types
 over the closure are the satisfiable closed profiles that the closure
 search of the equivalence oracle finds (`verify.closed_profiles`), so no
@@ -18,6 +21,7 @@ sign assignment is tried one by one.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 from collections.abc import Sequence
@@ -94,6 +98,9 @@ def one_step_weakenings(q: Eliq) -> list[Eliq]:
     return _sorted_queries(variants(q))
 
 
+FRONTIER_CACHE_SIZE = 1024
+
+
 def frontier(
     onto: Ontology,
     q: Eliq,
@@ -102,7 +109,14 @@ def frontier(
 ) -> Optional[Frontier]:
     """A frontier of q within the class, or None when the bounded verified
     search cannot certify one. For the propositional class the construction
-    is exact, not merely verified."""
+    is exact, not merely verified. The result, a refusal too, depends only
+    on the arguments and is memoised per process (at most
+    FRONTIER_CACHE_SIZE keys, emptied by `clear_frontier_cache`)."""
+    return _frontier_cached(onto, q, qclass, size_bound)
+
+
+@functools.lru_cache(maxsize=FRONTIER_CACHE_SIZE)
+def _frontier_cached(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> Optional[Frontier]:
     r = reasoner(onto)
     if not r.query_satisfiable(q):
         raise UnsatisfiableQuery("frontier of an unsatisfiable query")
@@ -120,6 +134,11 @@ def frontier(
     if verdict.passed and not _path_probe_witness(onto, q, members, size_bound + 3, qclass):
         return Frontier(tuple(members))
     return None
+
+
+def clear_frontier_cache() -> None:
+    """Forget every memoised `frontier` result."""
+    _frontier_cached.cache_clear()
 
 
 def _least_weakenings(onto: Ontology, q: Eliq, pool: Iterable[Eliq]) -> list[Eliq]:
@@ -145,16 +164,6 @@ def _least_weakenings(onto: Ontology, q: Eliq, pool: Iterable[Eliq]) -> list[Eli
         least = [m for m in least if not r.contains(c, m)]
         least.append(c)
     return least
-
-
-def _strict_weakenings(onto: Ontology, q: Eliq, pool: Sequence[Eliq]) -> list[Eliq]:
-    """The members c of pool, in order, with q ⊑ c and not c ⊑ q.
-
-    q ⊑ c is decided for the whole pool at once (`Reasoner.contains_all`:
-    one chase of q's hat and one homomorphism table), and c ⊑ q, a chase of
-    c's own hat, only for the members q entails."""
-    r = reasoner(onto)
-    return [c for c, weaker in zip(pool, r.contains_all(q, pool)) if weaker and not r.contains(c, q)]
 
 
 MAX_PATH_PROBES = 20000
@@ -364,14 +373,20 @@ def is_meet_reducible(
     onto: Ontology, q: Eliq, qclass: str = CLASS_ELIQ, size_bound: int = 6
 ) -> Optional[bool]:
     """True/False via a verified frontier; falls back to a bounded search for
-    a witnessing conjunction, returning None when neither path decides."""
+    a witnessing conjunction, returning None when neither path decides.
+
+    The fallback pairs only the least strict weakenings in the enumeration
+    (`_least_weakenings`), which decides the same as pairing every strict
+    weakening: a kept m_i entails each strict weakening c_i, so c_1 ⊓ c_2 ⊑ q
+    gives m_1 ⊓ m_2 ⊑ q; and m_1 ≠ m_2, as m_1 = m_2 would entail q, which
+    no strict weakening does."""
     r = reasoner(onto)
     front = frontier(onto, q, qclass, size_bound)
     if front is not None:
         # a frontier is an antichain, one member per equivalence class
         return len(front.members) >= 2
-    candidates = _strict_weakenings(onto, q, enum_domain_queries(onto.signature, qclass, size_bound))
-    if any(r.contains(conjoin(q1, q2), q) for q1, q2 in itertools.combinations(candidates, 2)):
+    least = _least_weakenings(onto, q, enum_domain_queries(onto.signature, qclass, size_bound))
+    if any(r.contains(conjoin(q1, q2), q) for q1, q2 in itertools.combinations(least, 2)):
         return True
     return None
 
@@ -524,28 +539,24 @@ def split_partner(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> Sp
 
 
 def _product_instance(atlas: TypeAtlas, n: int):
+    """The n-fold product of the type instance: a tuple of types carries the
+    names its types share, and the role atoms of a role are the n-fold
+    products of that role's type edges."""
     combos = itertools.product(range(len(atlas.types)), repeat=n)
     ids = {combo: "p" + "_".join(str(c) for c in combo) for combo in combos}
-    catoms = []
-    names_per_type = {i: atlas.type_instance.names_at(tid) for i, tid in enumerate(atlas.type_ids)}
-    for combo, ind in ids.items():
-        shared = None
-        for c in combo:
-            ns = names_per_type[c]
-            shared = ns if shared is None else (shared & ns)
-        for nm in shared or ():
-            catoms.append((nm, ind))
-    redges = {}
-    for r, x, y in atlas.type_instance.ratoms:
-        redges.setdefault(r, set()).add((x, y))
-    ratoms = []
+    names = [atlas.type_instance.names_at(tid) for tid in atlas.type_ids]
+    catoms = [
+        (nm, ind) for combo, ind in ids.items() for nm in frozenset.intersection(*(names[c] for c in combo))
+    ]
     index = {tid: i for i, tid in enumerate(atlas.type_ids)}
-    for r, pairs in redges.items():
-        pairset = {(index[x], index[y]) for x, y in pairs}
-        for combo1, i1 in ids.items():
-            for combo2, i2 in ids.items():
-                if all((c1, c2) in pairset for c1, c2 in zip(combo1, combo2)):
-                    ratoms.append((r, i1, i2))
+    edges: dict[str, set] = {}
+    for r, x, y in atlas.type_instance.ratoms:
+        edges.setdefault(r, set()).add((index[x], index[y]))
+    ratoms = [
+        (r, ids[tuple(x for x, _ in tup)], ids[tuple(y for _, y in tup)])
+        for r, pairs in edges.items()
+        for tup in itertools.product(pairs, repeat=n)
+    ]
     inst = Instance(frozenset(ids.values()), frozenset(catoms), frozenset(ratoms))
     return inst, ids
 

@@ -165,7 +165,6 @@ class Learner:
         self.teacher = teacher
         self.config = config
         self.r = reasoner(onto)
-        self._frontier_cache: dict[str, Optional[Frontier]] = {}
         self.rule_a_commits = 0
         teacher.budget = config.budget
 
@@ -175,12 +174,7 @@ class Learner:
         return self.teacher.membership(tinstance(list(slices), point))
 
     def frontier_of(self, q: Eliq) -> Optional[Frontier]:
-        key = q._key
-        if key not in self._frontier_cache:
-            self._frontier_cache[key] = frontier(
-                self.onto, q, self.config.qclass, self.config.frontier_bound
-            )
-        return self._frontier_cache[key]
+        return frontier(self.onto, q, self.config.qclass, self.config.frontier_bound)
 
     def negatives_of(self, q: Eliq) -> list[Pointed]:
         front = self.frontier_of(q)

@@ -13,6 +13,7 @@ positive example under them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from .dl import (
 )
 from .domainchar import negatives_for, split_partner
 from .errors import (
-    NoCharacterisationFound,
     NotPeerless,
     NotPropositional,
     TrailingTopTarget,
@@ -231,18 +231,9 @@ def characterise_dia(
     if mode[0] == MODE_NEXTDIA and nq.has_leq():
         raise UnsafeQuery("now-or-later connectors are outside the next/later class")
 
-    supplier_cache: dict = {}
-
+    @functools.cache
     def supplier(body: Eliq) -> tuple[Pointed, ...]:
-        key = body._key
-        if key not in supplier_cache:
-            try:
-                supplier_cache[key] = negatives_for(onto, body, sig, qclass, size_bound)
-            except NoCharacterisationFound:
-                raise NoCharacterisationFound(
-                    f"no negatives available for block body {body!r}"
-                )
-        return supplier_cache[key]
+        return negatives_for(onto, body, sig, qclass, size_bound)
 
     b = nq.strict_count + 1
     base = tagged_from_queries(onto, b, nq.blocks, supplier)
@@ -344,9 +335,11 @@ def characterise_prop_until(q: UntilQuery, sig: Signature) -> ExampleSet:
     return _until_examples(onto, q, complement_slices, "until-propositional")
 
 
-def characterise_until(
-    onto: Ontology, q: UntilQuery, sig: Signature, combo_cap: int = 64
-) -> ExampleSet:
+# words of bottom slices the split-partner until construction uses at most
+UNTIL_COMBO_CAP = 64
+
+
+def characterise_until(onto: Ontology, q: UntilQuery, sig: Signature) -> ExampleSet:
     """Example set for a peerless until query wrt a Horn ontology, negatives
     drawn from split-partner members. A trivial final target is refused here
     only: the propositional family builds example sets for those."""
@@ -363,7 +356,7 @@ def characterise_until(
             split_cache[key] = [anchored(p, f"s{k}_") for k, p in enumerate(members)]
         return split_cache[key]
 
-    return _until_examples(onto, q, split_slices, "until-split", combo_cap)
+    return _until_examples(onto, q, split_slices, "until-split", UNTIL_COMBO_CAP)
 
 
 def _until_examples(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..dl import Eliq, Ontology, reasoner
+from ..dl.model import _axiom_roles
 from ..domainchar import is_meet_reducible
 from ..verify import CLASS_ELIQ, CLASS_P
 from .model import Conn, LEQ, LESS, PathQuery, UntilQuery, leq, less, pathquery
@@ -119,19 +120,10 @@ def normalize(onto: Ontology, q: PathQuery) -> PathQuery:
     return pathquery(blocks, conns)
 
 
-def _axiom_uses_roles(ax) -> bool:
-    if getattr(ax, "role", None) is not None or getattr(ax, "sub", None) is not None:
-        return True
-    for side in (getattr(ax, "lhs", None), getattr(ax, "rhs", None)):
-        if getattr(side, "kind", "") == "exists":
-            return True
-    return False
-
-
 def infer_body_class(onto: Ontology, q: PathQuery) -> str:
     has_roles = bool(onto.signature.role_names) and (
         any(b.role_names for b in q.bodies())
-        or any(_axiom_uses_roles(ax) for ax in onto.axioms)
+        or any(True for ax in onto.axioms for _ in _axiom_roles(ax))
     )
     return CLASS_ELIQ if has_roles else CLASS_P
 

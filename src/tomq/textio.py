@@ -9,7 +9,7 @@ bot or T (⊤'s query key).
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Iterable, Optional
 
 from .dl import (
     BOT,
@@ -422,10 +422,16 @@ _ATOM = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(-?)\(([^)]*)\)")
 
 
 def parse_tinstance(text: str) -> TInstance:
+    return _parse_tinstance_lines(enumerate(text.splitlines(), start=1))
+
+
+def _parse_tinstance_lines(lines: Iterable[tuple[int, str]]) -> TInstance:
+    """A temporal instance from its (line number, line) pairs; errors name
+    those line numbers."""
     point = None
     per_time: dict[int, list] = {}
     max_t = -1
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -497,8 +503,8 @@ def print_tinstance(d: TInstance) -> str:
 
 def parse_exampleset(text: str) -> ExampleSet:
     section = None
-    chunks: dict[str, list[list[str]]] = {"positive": [], "negative": []}
-    for raw in text.splitlines():
+    chunks: dict[str, list[list[tuple[int, str]]]] = {"positive": [], "negative": []}
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         stripped = line.strip()
         if not stripped:
@@ -507,14 +513,14 @@ def parse_exampleset(text: str) -> ExampleSet:
             section = stripped[1:-1]
             continue
         if section is None:
-            raise ParseError("example sets start with [positive] or [negative]")
+            raise ParseError("example sets start with [positive] or [negative]", ln)
         if stripped.startswith("point:"):
             chunks[section].append([])
         if not chunks[section]:
-            raise ParseError("an instance starts with its `point:` line")
-        chunks[section][-1].append(stripped)
-    pos = [parse_tinstance("\n".join(c)) for c in chunks["positive"]]
-    neg = [parse_tinstance("\n".join(c)) for c in chunks["negative"]]
+            raise ParseError("an instance starts with its `point:` line", ln)
+        chunks[section][-1].append((ln, stripped))
+    pos = [_parse_tinstance_lines(c) for c in chunks["positive"]]
+    neg = [_parse_tinstance_lines(c) for c in chunks["negative"]]
     return ExampleSet(tuple(pos), tuple(neg))
 
 

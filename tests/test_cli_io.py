@@ -316,6 +316,16 @@ def test_reserved_atoms_in_instance_files_are_usage_errors(tmp_path, capsys):
     assert d.slices[0].catoms == frozenset({("bot", "a"), ("Top", "a")})
 
 
+def test_exampleset_errors_name_file_lines():
+    """A `ParseError` inside an example-set file names the line of the file,
+    not the line within its instance; comments and blank lines count."""
+    text = "[positive]\npoint: a\nt=0: A(a)\n\n[negative]  # refuted\npoint: b\nt=1: T(b)\n"
+    with pytest.raises(ParseError, match="'T' is reserved.*at line 7$"):
+        parse_exampleset(text)
+    with pytest.raises(ParseError, match="at line 3$"):
+        parse_exampleset("# a set\n[positive]\nt=0: A(a)\n")
+
+
 def test_cli_learn_roundtrip(tmp_path):
     onto = tmp_path / "o.onto"
     onto.write_text("dialect: dl-lite-h\nconcepts: A\n")

@@ -32,6 +32,7 @@ from tomq import domainchar
 from tomq.dl.reason import Reasoner, general_hom_exists
 from tomq.domainchar import (
     _least_weakenings,
+    clear_frontier_cache,
     frontier,
     is_meet_reducible,
     negatives_for,
@@ -40,13 +41,14 @@ from tomq.domainchar import (
 )
 from tomq.errors import UnsatisfiableQuery
 from tomq.textio import parse_eliq, print_eliq
-from tomq.verify import EnumSpec, check_frontier, check_split_partner
+from tomq.verify import EnumSpec, check_frontier, check_split_partner, enum_domain_queries
 
 from helpers import (
     frontier_candidates,
     frontier_pool,
     rand_eliq,
     rand_ontology,
+    reference_contains,
     reference_maximal,
     reference_prop_frontier,
     reference_strict_weakenings,
@@ -101,15 +103,10 @@ def test_prop_frontier_matches_subset_loop():
     assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
 
-def test_least_weakenings_match_pairwise_filter():
-    """`_least_weakenings`, one ordered pass keeping an antichain, against the
-    pairwise filter it replaced (`helpers.reference_maximal` over
-    `helpers.reference_strict_weakenings`, containment pair by pair), element
-    for element: seeded ontologies of all four dialects with classes p, elq
-    and eliq, the looping EL_LOOP and the cyclic existential A ⊑ ∃R⁻.A. The
-    pool comes shuffled, as the pass orders it itself; a class-`p` frontier
-    is the pass's result, and a verified one of elq or eliq is too."""
-    rng = random.Random(20261019)
+def weakening_cases(rng: random.Random) -> list:
+    """(ontology, query, class, bound): EL_LOOP and A ⊑ ∃R⁻.A, then 150
+    seeded ontologies over {A, B},{R} in all four dialects with classes p,
+    elq and eliq."""
     cases = [
         (EL_LOOP, conjoin(A, B), "eliq", 6),
         (EL_LOOP, A, "eliq", 4),
@@ -123,6 +120,19 @@ def test_least_weakenings_match_pairwise_filter():
         qclass = ("p", "elq", "eliq")[k % 3]
         q = rand_eliq(rng, SIG_AB if qclass == "p" else SIG_ABR, max_size=3)
         cases.append((onto, q, qclass, 3))
+    return cases
+
+
+def test_least_weakenings_match_pairwise_filter():
+    """`_least_weakenings`, one ordered pass keeping an antichain, against the
+    pairwise filter it replaced (`helpers.reference_maximal` over
+    `helpers.reference_strict_weakenings`, containment pair by pair), element
+    for element: seeded ontologies of all four dialects with classes p, elq
+    and eliq, the looping EL_LOOP and the cyclic existential A ⊑ ∃R⁻.A. The
+    pool comes shuffled, as the pass orders it itself; a class-`p` frontier
+    is the pass's result, and a verified one of elq or eliq is too."""
+    rng = random.Random(20261019)
+    cases = weakening_cases(rng)
     counts = dict.fromkeys(("cases", "several", "dropped", "verified"), 0)
     for onto, q, qclass, bound in cases:
         if not reasoner(onto).query_satisfiable(q):
@@ -142,6 +152,31 @@ def test_least_weakenings_match_pairwise_filter():
         counts["dropped"] += len(weaker) > len(want)
     floors = {"cases": 120, "several": 25, "dropped": 40, "verified": 100}
     assert all(counts[name] >= floor for name, floor in floors.items()), counts
+
+
+def test_memoised_frontier_matches_fresh_search():
+    """`frontier` memoises each search per process: over the cases of
+    `test_least_weakenings_match_pairwise_filter`, all of them memoised
+    together, a second call is a cache hit that returns the same object,
+    and each result, a refusal too, equals a fresh search made after
+    `clear_frontier_cache` and the search run without the memo."""
+    search = domainchar._frontier_cached.__wrapped__
+    clear_frontier_cache()
+    cases = [
+        (onto, q, qclass, bound)
+        for onto, q, qclass, bound in weakening_cases(random.Random(20261019))
+        if reasoner(onto).query_satisfiable(q)
+    ]
+    memo = [frontier(*case) for case in cases]
+    hits = domainchar._frontier_cached.cache_info().hits
+    assert all(frontier(*case) is got for case, got in zip(cases, memo))
+    assert domainchar._frontier_cached.cache_info().hits == hits + len(cases)
+    for case, got in zip(cases, memo):
+        clear_frontier_cache()
+        assert domainchar._frontier_cached.cache_info().currsize == 0
+        assert frontier(*case) == search(*case) == got, case
+    assert sum(got is None for got in memo) >= 10
+    assert len({onto.dialect for onto, _, _, _ in cases}) == len(DIALECTS)
 
 
 def test_check_frontier_witnesses_on_refused_case():
@@ -234,6 +269,31 @@ def test_meet_reducible_fallback_when_search_refuses():
     assert frontier(EL_LOOP, A, "eliq", 4) is None
     assert is_meet_reducible(EL_LOOP, conjoin(A, B), "eliq", 4) is True
     assert is_meet_reducible(EL_LOOP, A, "eliq", 4) is None
+
+
+def test_meet_reducible_fallback_matches_pairwise_search():
+    """Where `frontier` refuses, `is_meet_reducible` pairs only the least
+    strict weakenings in the enumeration; on seeded cases over {A, B},{R}
+    in all four dialects it decides as the pairwise search does: every
+    strict weakening (`helpers.reference_strict_weakenings`), then every
+    pair, containment decided pair by pair."""
+    rng = random.Random(20261021)
+    counts = {"refused": 0, True: 0, None: 0}
+    for k in range(400):
+        onto = rand_ontology(rng, SIG_ABR, DIALECTS[k % len(DIALECTS)], max_axioms=6)
+        qclass = ("elq", "eliq")[k % 2]
+        q = rand_eliq(rng, SIG_ABR, max_size=3)
+        if not reasoner(onto).query_satisfiable(q) or frontier(onto, q, qclass, 3) is not None:
+            continue
+        r = Reasoner(onto)
+        weaker = reference_strict_weakenings(r, q, enum_domain_queries(onto.signature, qclass, 3))
+        meet = any(reference_contains(r, conjoin(c1, c2), q) for c1, c2 in itertools.combinations(weaker, 2))
+        want = True if meet else None
+        assert is_meet_reducible(onto, q, qclass, 3) is want, (onto, q, qclass)
+        counts["refused"] += 1
+        counts[want] += 1
+    floors = {"refused": 25, True: 10, None: 10}
+    assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
 
 def test_meet_reducible_matches_minimal_frontier_size():

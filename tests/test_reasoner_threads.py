@@ -6,7 +6,8 @@ but must neither fail nor cache a wrong answer. The same holds for the
 process-wide memo of slice tables that the sequence matcher and the
 temporal evaluator share, and that they fill on demand: threads starting
 from cold or partly filled tables, and filling one table bit by bit, get
-one thread's answers.
+one thread's answers. So does the process-wide frontier memo, which
+threads fill from cold while they share fresh reasoners.
 """
 import random
 import sys
@@ -14,6 +15,7 @@ import threading
 
 from tomq.dl import DIALECTS, Reasoner, signature
 from tomq.dl import reason
+from tomq.domainchar import clear_frontier_cache, frontier
 from tomq.temporal.eval import (
     SLICE_TABLE_CACHE_SIZE,
     SequenceMatcher,
@@ -157,3 +159,38 @@ def test_threads_sharing_slice_tables_agree_with_one_thread():
     assert not errors, errors[:5]
     wrong = [(n, i) for n in range(THREADS) for i, want in enumerate(expected) if got[n][i] != want]
     assert not wrong, f"{len(wrong)} answers differ from one thread's, first {wrong[:5]}"
+
+
+def test_threads_sharing_the_frontier_memo_agree_with_one_thread():
+    rng = random.Random(5051)
+    sig = signature(["A", "B"], ["R"])
+    work = []
+    for k in range(60):
+        onto = rand_ontology(rng, sig, DIALECTS[k % len(DIALECTS)], max_axioms=5)
+        q = rand_eliq(rng, sig, max_size=5)
+        if Reasoner(onto).query_satisfiable(q):
+            work.append((onto, q, ("elq", "eliq")[k % 2], 4))
+    clear_frontier_cache()
+    expected = [frontier(*case) for case in work]
+    # start the threads cold: no memoised frontier, and fresh reasoners that
+    # the threads fill together through `reasoner(onto)`
+    clear_frontier_cache()
+    for onto, _, _, _ in work:
+        reason._REASONERS.pop(onto, None)
+    got = [[None] * len(work) for _ in range(THREADS)]
+    errors = []
+
+    def worker(n: int) -> None:
+        idx = list(range(len(work)))
+        random.Random(n).shuffle(idx)
+        try:
+            for i in idx:
+                got[n][i] = frontier(*work[i])
+        except Exception as exc:  # reported below, with the thread that raised it
+            errors.append((n, repr(exc)))
+
+    _run_threads(worker)
+    assert not errors, errors[:5]
+    assert len(work) >= 50 and any(f is None for f in expected), len(work)
+    wrong = [(n, i) for n in range(THREADS) for i, want in enumerate(expected) if got[n][i] != want]
+    assert not wrong, f"{len(wrong)} frontiers differ from one thread's, first {wrong[:5]}"

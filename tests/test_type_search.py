@@ -7,7 +7,8 @@ as the same list in the same order, over seeded random ontologies in all
 four dialects with role-carrying signatures. The second pins digests of
 `split_partner`'s members (points, individuals and atoms, in order) on
 seeded role-carrying cases; a case whose closure is over the atlas budget
-is digested as such.
+is digested as such. The third pins where the split-partner check passes
+and where it fails.
 
 Re-record only after a deliberate change of the split-partner construction:
 
@@ -19,9 +20,10 @@ import random
 import sys
 from pathlib import Path
 
-from tomq.dl import DIALECTS, signature
+from tomq.dl import DIALECTS, Func, signature
 from tomq.domainchar import split_partner, type_atlas
 from tomq.errors import SplitSizeExceeded
+from tomq.verify import EnumSpec, check_split_partner
 
 from helpers import rand_eliq, rand_ontology, reference_types
 
@@ -79,6 +81,39 @@ def test_split_partner_members_match_golden_digests():
     assert sorted(got) == sorted(stored)
     failed = [cid for cid in got if got[cid] != stored[cid]]
     assert not failed, f"split-partner members changed in cases {failed}"
+
+
+# The split-partner check fails on these cases, each with a `Func` axiom.
+# This is a defect of `split_partner`, not its spec: the type instance
+# refuses role edges out of a type that already holds ∃R under `func R`
+# (`_edge_possible` joins the two hats by a second R edge, and the clash
+# check refuses it; dl-lite-f/3 has no role atom at all), and the product
+# may give an element two successors along a functional role, which makes a
+# member inconsistent (the `bot` witnesses).
+FUNC_SPLIT_FAILURES = [
+    "dl-lite-f/3", "dl-lite-f/6", "dl-lite-f/8", "dl-lite-f/9", "dl-lite-f/11",
+    "dl-lite-f/13", "dl-lite-f/15", "dl-lite-f/24",
+    "dl-lite-f-minus/7", "dl-lite-f-minus/9", "dl-lite-f-minus/14", "dl-lite-f-minus/17",
+    "dl-lite-f-minus/20", "dl-lite-f-minus/21", "dl-lite-f-minus/22", "dl-lite-f-minus/23",
+    "elhif-nf/4", "elhif-nf/7", "elhif-nf/14", "elhif-nf/15", "elhif-nf/22",
+]
+
+
+def test_split_partner_check_passes_without_func():
+    """`check_split_partner` (class eliq, bound 4) on the members of every
+    split case: it passes on all the cases without a `Func` axiom, and fails
+    on exactly FUNC_SPLIT_FAILURES among those with one, a known defect
+    pinned here so that a change to it shows."""
+    spec = EnumSpec(SIG, "eliq", size_bound=4)
+    counts = {"plain": 0, "func": 0}
+    failed = []
+    for cid, onto, q in split_cases():
+        kind = "func" if any(isinstance(ax, Func) for ax in onto.axioms) else "plain"
+        counts[kind] += 1
+        if not check_split_partner(onto, SIG, [q], split_partner(onto, SIG, [q]).members, spec).passed:
+            failed.append((kind, cid))
+    assert counts == {"plain": 58, "func": 42}
+    assert failed == [("func", cid) for cid in FUNC_SPLIT_FAILURES]
 
 
 if __name__ == "__main__":

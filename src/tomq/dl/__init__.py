@@ -51,7 +51,7 @@ from .model import (
     top_basic,
     validate_ontology,
 )
-from .reason import Reasoner, general_hom_exists, hom_exists, reasoner
+from .reason import Reasoner, clear_reasoners, general_hom_exists, hom_exists, reasoner
 
 
 class _Inconsistent:

@@ -38,10 +38,15 @@ satisfiability reduces to the same check, Calvanese et al., JAR 2007).
 
 Saturations, chases and certain answers are cached under the `Instance`
 itself: equal instances are exactly those with equal `key()`, and hashing
-one reads the cached hashes of its three frozensets.
+one reads the cached hashes of its three frozensets. A saturation whose
+caller reads only its verdict is not cached (`keep=False`). Each cache holds
+at most its module-constant bound of entries and is emptied when full
+(`_put`); the registry `reasoner(onto)` keeps at most REASONER_CACHE_SIZE
+reasoners, the least recently used leaving first.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,6 +71,26 @@ from .model import (
 )
 
 _EMPTY: frozenset = frozenset()
+
+# Entries per cache of one reasoner. Each sits well above the highest fill
+# measured on the benchmark's ops (CHANGES.md), so that no op evicts.
+SAT_CACHE_SIZE = 1024
+CHASE_CACHE_SIZE = 1024
+HAT_CACHE_SIZE = 1024
+CERTAIN_CACHE_SIZE = 4096
+CONTAINS_CACHE_SIZE = 8192
+WITNESS_CACHE_SIZE = 4096
+
+
+def _put(cache: dict, key, value, bound: int):
+    """Store value under key in a cache of at most `bound` entries, and
+    return the entry kept. A full cache is first emptied by one
+    `dict.clear()`, which a racing thread cannot break as it can an
+    iteration over the cache; each racing writer may add one entry past the
+    bound. Of two threads storing one key, both get the first value."""
+    if len(cache) >= bound:
+        cache.clear()
+    return cache.setdefault(key, value)
 
 
 @dataclass(frozen=True)
@@ -215,7 +240,9 @@ class _Fixpoint:
             value = self.visit(key)
             if not self.changed:
                 break
-        self.r._anon.update({k: self.est[k] for k in self.done})
+        anon = self.r._anon
+        for k in self.done:
+            _put(anon, k, self.est[k], WITNESS_CACHE_SIZE)
         return value
 
     def visit(self, key):
@@ -405,10 +432,15 @@ class Reasoner:
 
     # ------------------------------------------------------------- saturation
 
-    def saturate(self, inst: Instance) -> Saturation:
+    def saturate(self, inst: Instance, keep: bool = True) -> Saturation:
+        """The saturation of inst, cached unless `keep` is False: a caller
+        that reads only its verdict, and chases inst no further, stores
+        nothing that no later call would read."""
         got = self._sat_cache.get(inst)
         if got is None:
-            got = self._sat_cache[inst] = self._saturate(inst)
+            got = self._saturate(inst)
+            if keep:
+                got = _put(self._sat_cache, inst, got, SAT_CACHE_SIZE)
         return got
 
     def _saturate(self, inst: Instance) -> Saturation:
@@ -448,6 +480,7 @@ class Reasoner:
                     changed = True
                 if BOT in el.t:
                     consistent = False
+                    break
             # only `force` adds edges, and only a new edge can clash
             if len(edges) != known and _func_clash(self._funcs, edges):
                 consistent = False
@@ -485,8 +518,9 @@ class Reasoner:
 
     def chase(self, inst: Instance, depth: int) -> Instance:
         key = (inst, depth)
-        if key in self._chase_cache:
-            return self._chase_cache[key]
+        got = self._chase_cache.get(key)
+        if got is not None:
+            return got
         sat = self.saturate(inst)
         if not sat.consistent:
             raise UnsatisfiableQuery("cannot chase an unsatisfiable instance")
@@ -513,8 +547,7 @@ class Reasoner:
             for cg in children:
                 frontier.append((w, cg, tp, d + 1))
         out = Instance(frozenset(inds), frozenset(cat), frozenset(rat))
-        self._chase_cache[key] = out
-        return out
+        return _put(self._chase_cache, key, out, CHASE_CACHE_SIZE)
 
     @staticmethod
     def _witness_name(parent: str, g: Group, taken: set[str]) -> str:
@@ -530,22 +563,24 @@ class Reasoner:
 
     # -------------------------------------------------------- certain answers
 
-    def is_satisfiable(self, inst: Instance) -> bool:
+    def is_satisfiable(self, inst: Instance, keep: bool = True) -> bool:
         """Saturates only when ⊥ axioms, `bot` data or role inclusions under
-        `Func` can make the verdict differ from the data's (module docstring)."""
+        `Func` can make the verdict differ from the data's (module docstring);
+        `keep` as for `saturate`."""
         if not self._bot_axioms and not any(c == BOT for c, _ in inst.catoms):
             if not self.func_decl:
                 return True
             if not self._role_incl:
                 got = self._sat_cache.get(inst)
                 return not _func_clash(self._funcs, inst.ratoms) if got is None else got.consistent
-        return self.saturate(inst).consistent
+        return self.saturate(inst, keep).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
         ckey = (inst, point, q._key)
         got = self._certain_cache.get(ckey)
         if got is None:
-            got = self._certain_cache[ckey] = self._certain_answer(inst, point, q)
+            got = self._certain_answer(inst, point, q)
+            got = _put(self._certain_cache, ckey, got, CERTAIN_CACHE_SIZE)
         return got
 
     def _certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
@@ -587,7 +622,7 @@ class Reasoner:
                 keep, drop = drop, keep
             inst = rename_instance(inst, {drop: keep})
         # racing threads keep one entry, so they share its table
-        return self._hat_cache.setdefault(q._key, _Hat(Pointed(inst, point)))
+        return _put(self._hat_cache, q._key, _Hat(Pointed(inst, point)), HAT_CACHE_SIZE)
 
     def hom_table(self, q1: Eliq, depth: int) -> tuple["_HomTable", str]:
         """The homomorphism table into the chase of satisfiable q1's hat, to
@@ -641,9 +676,8 @@ class Reasoner:
         for i, known in enumerate(got):
             if known is None:
                 q2 = qs[i]
-                got[i] = cache[(k1, q2._key)] = (
-                    unsat or q2.is_top or (not q2.is_bottom and table.maps(q2, point))
-                )
+                answer = unsat or q2.is_top or (not q2.is_bottom and table.maps(q2, point))
+                got[i] = _put(cache, (k1, q2._key), answer, CONTAINS_CACHE_SIZE)
         return got
 
     def equivalent(self, q1: Eliq, q2: Eliq) -> bool:
@@ -760,13 +794,25 @@ def general_hom_exists(src: Instance, spoint: str, tgt: Instance, tpoint: str) -
     return search(0)
 
 
-_REASONERS: dict[Ontology, Reasoner] = {}
+# ontologies whose reasoners the registry keeps: above the 165-178 that the
+# benchmark's characterise ops reason over at seeds 1, 7 and 11, which they
+# reuse
+REASONER_CACHE_SIZE = 256
 
 
 def reasoner(onto: Ontology) -> Reasoner:
-    """The one `Reasoner` of this ontology. Threads racing on a new ontology
-    all get the one `setdefault` kept."""
-    got = _REASONERS.get(onto)
-    if got is None:
-        got = _REASONERS.setdefault(onto, Reasoner(onto))
-    return got
+    """The `Reasoner` of this ontology, memoised per process (at most
+    REASONER_CACHE_SIZE ontologies, the least recently used evicted first,
+    emptied by `clear_reasoners`). An evicted reasoner is built anew on the
+    next call, so eviction costs recomputation, never an answer; a reasoner
+    a caller holds on to, as a `SliceTable` does, stays valid. Two threads
+    missing on one ontology may each build one."""
+    return _reasoners(onto)
+
+
+_reasoners = functools.lru_cache(maxsize=REASONER_CACHE_SIZE)(Reasoner)
+
+
+def clear_reasoners() -> None:
+    """Forget every memoised `reasoner`."""
+    _reasoners.cache_clear()

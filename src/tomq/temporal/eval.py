@@ -59,16 +59,18 @@ class SliceTable:
     query; it is decided when the table is built, since one clash anywhere
     settles every query. Otherwise a slice is read as the point's connected
     component only, cut out when a query first asks about it, on which every
-    certain answer at the point is the same (see the README). Threads may
-    fill one table together: each publishes a correct pair, so a racing
-    reader at worst asks again for bits another thread knew.
+    certain answer at the point is the same (see the README). The table
+    holds on to its reasoner, which the registry may meanwhile evict.
+    Threads may fill one table together: each publishes a correct pair, so
+    a racing reader at worst asks again for bits another thread knew.
     """
 
     def __init__(self, onto: Ontology, dinst: TInstance):
         self.r = r = reasoner(onto)
         self.point = dinst.point
         self.future = dinst.max_time + 1
-        self.unsat = not all(r.is_satisfiable(s) for s in dinst.slices)
+        # a verdict on a full slice is read once: its saturation is not kept
+        self.unsat = not all(r.is_satisfiable(s, keep=False) for s in dinst.slices)
         self.slices = dinst.slices + (dinst.slice_at(self.future),)
         self.everywhere = (2 << self.future) - 1
         # the slices that `certain_answer` reads, each cut out on first use

@@ -236,6 +236,18 @@ class TInstance:
     def _key(self):
         return (tuple(s._key for s in self.slices), self.point)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.slices, self.point))
+
+    def __hash__(self) -> int:
+        # a long instance is hashed on every `slice_table` lookup
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt rather than copied: the cached hash holds for one process
+        return TInstance, (self.slices, self.point)
+
     def slice_at(self, m: int) -> Instance:
         if m <= self.max_time:
             return self.slices[m]

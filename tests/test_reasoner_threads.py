@@ -7,13 +7,16 @@ process-wide memo of slice tables that the sequence matcher and the
 temporal evaluator share, and that they fill on demand: threads starting
 from cold or partly filled tables, and filling one table bit by bit, get
 one thread's answers. So does the process-wide frontier memo, which
-threads fill from cold while they share fresh reasoners.
+threads fill from cold while they share fresh reasoners. And so do threads
+under bounds of a few entries on every reasoner cache and on the registry,
+so that eviction runs all the time.
 """
+import functools
 import random
 import sys
 import threading
 
-from tomq.dl import DIALECTS, Reasoner, signature
+from tomq.dl import DIALECTS, Reasoner, clear_reasoners, reasoner, signature
 from tomq.dl import reason
 from tomq.domainchar import clear_frontier_cache, frontier
 from tomq.temporal.eval import (
@@ -139,8 +142,7 @@ def test_threads_sharing_slice_tables_agree_with_one_thread():
     # the threads fill together through `reasoner(onto)`; then a third of
     # the tables partly filled, by `tentail` at time point 0 alone
     clear_slice_tables()
-    for onto, _, _ in work:
-        reason._REASONERS.pop(onto, None)
+    clear_reasoners()
     for onto, dinst, q in work[::3]:
         tentail(onto, dinst, 0, q)
     got = [[None] * len(work) for _ in range(THREADS)]
@@ -175,8 +177,7 @@ def test_threads_sharing_the_frontier_memo_agree_with_one_thread():
     # start the threads cold: no memoised frontier, and fresh reasoners that
     # the threads fill together through `reasoner(onto)`
     clear_frontier_cache()
-    for onto, _, _, _ in work:
-        reason._REASONERS.pop(onto, None)
+    clear_reasoners()
     got = [[None] * len(work) for _ in range(THREADS)]
     errors = []
 
@@ -194,3 +195,85 @@ def test_threads_sharing_the_frontier_memo_agree_with_one_thread():
     assert len(work) >= 50 and any(f is None for f in expected), len(work)
     wrong = [(n, i) for n in range(THREADS) for i, want in enumerate(expected) if got[n][i] != want]
     assert not wrong, f"{len(wrong)} frontiers differ from one thread's, first {wrong[:5]}"
+
+
+# every new bound, shrunk so that evictions run all the time
+SMALL_BOUNDS = {
+    "SAT_CACHE_SIZE": 2,
+    "CHASE_CACHE_SIZE": 3,
+    "HAT_CACHE_SIZE": 2,
+    "CERTAIN_CACHE_SIZE": 4,
+    "CONTAINS_CACHE_SIZE": 3,
+    "WITNESS_CACHE_SIZE": 2,
+}
+CACHES = ("_sat_cache", "_chase_cache", "_hat_cache", "_certain_cache", "_contains_cache", "_anon")
+
+
+def test_threads_agree_with_one_thread_while_every_cache_evicts(monkeypatch):
+    """The threads take the ontologies in one order, each shuffling the
+    items of an ontology its own way, so that they share its reasoner while
+    the registry of three evicts the ones before."""
+    rng = random.Random(4041)
+    sig = signature(["A", "B"], ["R"])
+    by_onto: dict = {}
+    for item in _temporal_workload():
+        by_onto.setdefault(item[0], []).append(("tentail", item))
+    for k in range(40):
+        onto = rand_ontology(rng, sig, DIALECTS[k % len(DIALECTS)], max_axioms=5)
+        qs = [rand_eliq(rng, sig, max_size=4) for _ in range(6)]
+        by_onto.setdefault(onto, []).extend(("contains", (onto, q1, q2)) for q1 in qs for q2 in qs)
+    groups = list(by_onto.values())
+    rng.shuffle(groups)
+    work = [w for group in groups for w in group]
+
+    def answer(kind, item):
+        if kind == "tentail":
+            return _answers(*item)
+        onto, q1, q2 = item
+        r = reasoner(onto)
+        return r.contains(q1, q2), r.contains_all(q1, [q2, q1])
+
+    clear_slice_tables()
+    clear_reasoners()
+    expected = [answer(*w) for w in work]
+    for name, bound in SMALL_BOUNDS.items():
+        monkeypatch.setattr(reason, name, bound)
+    monkeypatch.setattr(reason, "_reasoners", functools.lru_cache(maxsize=3)(Reasoner))
+    evictions, seen = [], []
+    put = reason._put
+
+    def counting_put(cache, key, value, bound):
+        if len(cache) >= bound:
+            evictions.append(bound)
+        return put(cache, key, value, bound)
+
+    monkeypatch.setattr(reason, "_put", counting_put)
+    clear_slice_tables()
+    got = [[None] * len(work) for _ in range(THREADS)]
+    errors = []
+
+    def worker(n: int) -> None:
+        order, start = random.Random(n), 0
+        try:
+            for group in groups:
+                idx = list(range(start, start + len(group)))
+                start += len(group)
+                order.shuffle(idx)
+                for i in idx:
+                    got[n][i] = answer(*work[i])
+                seen.append(reasoner(group[0][1][0]))
+        except Exception as exc:  # reported below, with the thread that raised it
+            errors.append((n, repr(exc)))
+
+    try:
+        _run_threads(worker)
+    finally:
+        clear_slice_tables()
+    assert not errors, errors[:5]
+    assert len(evictions) > 500, len(evictions)
+    wrong = [(n, i) for n in range(THREADS) for i, want in enumerate(expected) if got[n][i] != want]
+    assert not wrong, f"{len(wrong)} answers differ from one thread's, first {wrong[:5]}"
+    # each racing writer may add one entry past a bound before the next clear
+    for r in set(seen):
+        for cache, bound in zip(CACHES, SMALL_BOUNDS.values()):
+            assert len(getattr(r, cache)) < bound + THREADS, (cache, len(getattr(r, cache)))

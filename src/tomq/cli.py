@@ -54,6 +54,11 @@ from .textio import (
     reject_reserved,
 )
 from .verify import (
+    CLASS_DIA,
+    CLASS_ELIQ,
+    CLASS_UNTIL,
+    DOMAIN_CLASSES,
+    TEMPORAL_CLASSES,
     EnumSpec,
     check_frontier,
     check_split_partner,
@@ -111,10 +116,9 @@ def _parse_sigma(args, onto=None):  # noqa: C901
 
 def _load_query(args):
     text = _read(args.query)
-    qclass = getattr(args, "qclass", None) or "dia"
-    if qclass == "until":
+    if args.qclass == CLASS_UNTIL:
         return parse_untilquery(text)
-    if qclass in ("p", "elq", "eliq"):
+    if args.qclass in DOMAIN_CLASSES:
         return parse_eliq(text)
     return parse_pathquery(text)
 
@@ -126,7 +130,10 @@ def _mode(args):
     if m == "nextdiamond":
         return (MODE_NEXTDIA,)
     if m.startswith("depth="):
-        return (MODE_DEPTH, int(m.split("=", 1)[1]))
+        n = m.split("=", 1)[1]
+        if not n.isdecimal():
+            raise ParseError(f"mode depth=N needs a non-negative integer N, got {n!r}")
+        return (MODE_DEPTH, int(n))
     raise ParseError(f"unknown mode {m!r}")
 
 
@@ -142,10 +149,11 @@ def main(argv=None) -> int:
         p.add_argument("--out")
         return p
 
+    every_class = DOMAIN_CLASSES + TEMPORAL_CLASSES
     p = add("entail", help="does the instance entail the query at time 0")
     p.add_argument("--query", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--class", dest="qclass", default="dia")
+    p.add_argument("--class", dest="qclass", default=CLASS_DIA, choices=every_class)
 
     p = add("normalform", help="print the normal form of a path query")
     p.add_argument("--query", required=True)
@@ -156,7 +164,7 @@ def main(argv=None) -> int:
 
     p = add("frontier", help="bounded verified frontier of a domain query")
     p.add_argument("--query", required=True)
-    p.add_argument("--class", dest="qclass", default="eliq")
+    p.add_argument("--class", dest="qclass", default=CLASS_ELIQ, choices=DOMAIN_CLASSES)
     p.add_argument("--bound", type=int, default=6)
 
     p = add("split-partner", help="split-partner of a set of domain queries")
@@ -164,7 +172,7 @@ def main(argv=None) -> int:
 
     p = add("characterise", help="uniquely characterising example set")
     p.add_argument("--query", required=True)
-    p.add_argument("--class", dest="qclass", default="dia")
+    p.add_argument("--class", dest="qclass", default=CLASS_DIA, choices=TEMPORAL_CLASSES)
     p.add_argument("--mode", default="safe")
     p.add_argument("--bound", type=int, default=6)
 
@@ -179,14 +187,14 @@ def main(argv=None) -> int:
     p = add("verify", help="re-check a characterisation, frontier or split-partner")
     p.add_argument("--what", choices=["characterisation", "frontier", "split-partner"], required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--class", dest="qclass", default="dia")
+    p.add_argument("--class", dest="qclass", default=CLASS_DIA, choices=every_class)
     p.add_argument("--examples", help="example-set file (characterisation)")
     p.add_argument("--members", help="file of members: example-set sections or queries")
     p.add_argument("--bound", type=int, default=4)
     p.add_argument("--depth", type=int, default=2)
 
     p = add("enumerate", help="list every query of a class within bounds")
-    p.add_argument("--class", dest="qclass", default="eliq")
+    p.add_argument("--class", dest="qclass", default=CLASS_ELIQ, choices=every_class)
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--depth", type=int, default=1)
 
@@ -261,7 +269,7 @@ def _dispatch(args) -> int:  # noqa: C901
     if cmd == "characterise":
         onto = _load_ontology(args, _parse_sigma(args))
         sigma = _parse_sigma(args, onto)
-        if args.qclass == "until":
+        if args.qclass == CLASS_UNTIL:
             q = parse_untilquery(_read(args.query))
             try:
                 es = characterise_until(onto, q, sigma)
@@ -309,7 +317,7 @@ def _dispatch(args) -> int:  # noqa: C901
         if args.what == "characterisation":
             q = (
                 parse_untilquery(_read(args.query))
-                if args.qclass == "until"
+                if args.qclass == CLASS_UNTIL
                 else parse_pathquery(_read(args.query))
             )
             es = parse_exampleset(_read(args.examples))
@@ -318,13 +326,13 @@ def _dispatch(args) -> int:  # noqa: C901
         elif args.what == "frontier":
             q = parse_eliq(_read(args.query))
             members = [parse_eliq(l) for l in _read(args.members).splitlines() if l.strip()]
-            spec = EnumSpec(sigma, "eliq", size_bound=args.bound)
+            spec = EnumSpec(sigma, CLASS_ELIQ, size_bound=args.bound)
             verdict = check_frontier(onto, q, members, spec)
         else:
             queries = [parse_eliq(l) for l in _read(args.query).splitlines() if l.strip()]
             es = parse_exampleset(_read(args.members))
             members = [dl.Pointed(d.slices[0], d.point) for d in es.positives]
-            spec = EnumSpec(sigma, "eliq", size_bound=args.bound)
+            spec = EnumSpec(sigma, CLASS_ELIQ, size_bound=args.bound)
             verdict = check_split_partner(onto, sigma, queries, members, spec)
         print("pass" if verdict.passed else f"fail ({len(verdict.witnesses)} witnesses)")
         return EXIT_OK if verdict.passed else EXIT_NEGATIVE

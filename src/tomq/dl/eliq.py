@@ -92,6 +92,11 @@ def make_eliq(names: Iterable[str] = (), edges: Iterable[tuple[Role, Eliq]] = ()
     return Eliq(names, edges)
 
 
+def sorted_queries(qs: Iterable[Eliq]) -> list[Eliq]:
+    """The distinct queries of qs, smallest first and equal sizes by key."""
+    return sorted(set(qs), key=lambda q: (q.size, q._key))
+
+
 def atom(name: str) -> Eliq:
     return make_eliq([name])
 

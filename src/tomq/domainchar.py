@@ -29,11 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .dl import (
-    BOT,
-    TOP,
     TOP_QUERY,
-    Basic,
-    ConjLhs,
     Disjoint,
     Eliq,
     ExistsLhs,
@@ -52,7 +48,9 @@ from .dl import (
     merge_instances,
     point_component,
     reasoner,
+    sorted_queries,
 )
+from .dl.model import _axiom_names
 from .dl.reason import _HomTable
 from .errors import NoCharacterisationFound, SplitSizeExceeded, UnsatisfiableQuery, UnsupportedDialect
 from .verify import (
@@ -68,10 +66,6 @@ class Frontier:
 @dataclass(frozen=True)
 class SplitPartner:
     members: tuple[Pointed, ...]
-
-
-def _sorted_queries(qs: Iterable[Eliq]) -> list[Eliq]:
-    return sorted(set(qs), key=lambda q: (q.size, q._key))
 
 
 def one_step_weakenings(q: Eliq) -> list[Eliq]:
@@ -95,7 +89,7 @@ def one_step_weakenings(q: Eliq) -> list[Eliq]:
                 vs.append(make_eliq(names, rest + ((role, sub),)))
         return vs
 
-    return _sorted_queries(variants(q))
+    return sorted_queries(variants(q))
 
 
 FRONTIER_CACHE_SIZE = 1024
@@ -156,7 +150,7 @@ def _least_weakenings(onto: Ontology, q: Eliq, pool: Iterable[Eliq]) -> list[Eli
     give m ⊑ q; so the result is exactly the pairwise filter's, the minimal
     classes of every strict weakening in the pool."""
     r = reasoner(onto)
-    pool = _sorted_queries(pool)
+    pool = sorted_queries(pool)
     least: list[Eliq] = []
     for c, weaker in zip(pool, r.contains_all(q, pool)):
         if not weaker or any(r.contains(m, c) for m in least) or r.contains(c, q):
@@ -417,25 +411,14 @@ def _subconcepts(q: Eliq) -> set[Eliq]:
     return out
 
 
-def _basic_as_query(b: Basic) -> Optional[Eliq]:
-    if b.kind == "top":
-        return None
-    if b.kind == "name":
-        return make_eliq([b.name])
-    return exists(b.role)
-
-
 def _ontology_subconcepts(onto: Ontology) -> set[Eliq]:
-    out: set[Eliq] = set()
+    """The concept names of the axioms, and their existentials with fillers."""
+    out = {make_eliq([n]) for ax in onto.axioms for n in _axiom_names(ax)}
     for ax in onto.axioms:
         if isinstance(ax, (SubBasic, Disjoint)):
-            out.update(q for q in map(_basic_as_query, (ax.lhs, ax.rhs)) if q is not None)
+            out.update(exists(b.role) for b in (ax.lhs, ax.rhs) if b.kind == "exists")
         elif isinstance(ax, (ExistsRhs, ExistsLhs)):
             out.add(exists(ax.role, make_eliq([ax.filler])))
-            other = ax.lhs if isinstance(ax, ExistsRhs) else ax.rhs
-            out.update(make_eliq([n]) for n in (other, ax.filler) if n != TOP)
-        elif isinstance(ax, ConjLhs):
-            out.update(make_eliq([n]) for n in (ax.lhs1, ax.lhs2, ax.rhs) if n not in (TOP, BOT))
     return out
 
 
@@ -458,7 +441,7 @@ def type_atlas(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> TypeA
     for q in queries:
         if not q.is_bottom:
             elements |= _subconcepts(q)
-    elems = _sorted_queries(elements)
+    elems = sorted_queries(elements)
     if len(elems) > MAX_CLOSURE:
         raise SplitSizeExceeded(f"closure of {len(elems)} concepts is beyond the atlas budget")
     index = {e: j for j, e in enumerate(elems)}

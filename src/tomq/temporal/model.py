@@ -3,7 +3,8 @@
 Path queries are stored in block form: maximal next-connected runs of domain
 queries, joined by connectors that are either a single `now-or-later` step or
 a chain of n strict `later` steps. Parsing maps the operators X -> suc,
-F -> <, Fr -> <= so a freshly parsed query has all connectors of count 1.
+F -> <, Fr -> <= (`REL_OF_OP`, the one operator table) so a freshly parsed
+query has all connectors of count 1.
 """
 from __future__ import annotations
 
@@ -17,6 +18,10 @@ LEQ = "leq"
 LESS = "less"
 SUC = "suc"
 UNTIL = "until"
+
+# the path operators, each with the relation it puts between neighbouring bodies
+REL_OF_OP = {"X": SUC, "F": LESS, "Fr": LEQ}
+OP_OF_REL = {rel: op for op, rel in REL_OF_OP.items()}
 
 
 @dataclass(frozen=True)
@@ -142,16 +147,14 @@ def pathquery_from_ops(bodies: Sequence[Eliq], ops: Sequence[str]) -> PathQuery:
     blocks: list[list[Eliq]] = [[bodies[0]]]
     conns: list[Conn] = []
     for op, body in zip(ops, bodies[1:]):
-        if op == "X":
-            blocks[-1].append(body)
-        elif op == "F":
-            conns.append(less(1))
-            blocks.append([body])
-        elif op == "Fr":
-            conns.append(leq())
-            blocks.append([body])
-        else:
+        rel = REL_OF_OP.get(op)
+        if rel is None:
             raise ValueError(f"unknown operator {op!r}")
+        if rel == SUC:
+            blocks[-1].append(body)
+        else:
+            conns.append(Conn(rel))
+            blocks.append([body])
     return pathquery(blocks, conns)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..dl import Eliq, Ontology, reasoner
+from ..dl import Ontology, reasoner
 from ..dl.model import _axiom_roles
 from ..domainchar import is_meet_reducible
 from ..verify import CLASS_ELIQ, CLASS_P
@@ -38,9 +38,6 @@ def normalize(onto: Ontology, q: PathQuery) -> PathQuery:
     r = reasoner(onto)
     blocks = [list(b) for b in q.blocks]
     conns: list = list(q.connectors)
-
-    def trivial(body: Eliq) -> bool:
-        return r.trivial(body)
 
     def drop_first(i: int):
         if len(blocks[i]) > 1:
@@ -73,10 +70,10 @@ def normalize(onto: Ontology, q: PathQuery) -> PathQuery:
         for i in range(len(blocks)):
             first_matters = i > 0
             last_matters = i > 0 or len(blocks[i]) > 1
-            if first_matters and trivial(blocks[i][0]):
+            if first_matters and r.trivial(blocks[i][0]):
                 drop_first(i)
                 return True
-            if last_matters and trivial(blocks[i][-1]):
+            if last_matters and r.trivial(blocks[i][-1]):
                 drop_last(i)
                 return True
         return False

@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from .dl import (
     BOT,
+    BOTTOM_QUERY,
     DIALECTS,
     ELHIF_NF,
     TOP,
@@ -31,6 +32,7 @@ from .dl import (
     RoleSub,
     Signature,
     SubBasic,
+    conjoin_all,
     exists_basic,
     make_eliq,
     name_basic,
@@ -38,15 +40,18 @@ from .dl import (
 )
 from .errors import ParseError
 from .temporal.model import (
+    OP_OF_REL,
+    REL_OF_OP,
     ExampleSet,
     PathQuery,
     TInstance,
     UntilQuery,
+    pathquery_from_ops,
     tinstance,
     untilquery,
 )
 
-OP_TOKENS = ("X", "F", "Fr")
+OP_TOKENS = tuple(REL_OF_OP)
 RESERVED = {TOP, BOT, TOP_KEY, "ex", "func", "U"} | set(OP_TOKENS)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -231,23 +236,15 @@ def _axiom_sort_key(ax):
     return (type(ax).__name__, str(ax))
 
 
-def _print_basic(b: Basic) -> str:
-    if b.kind == "top":
-        return TOP
-    if b.kind == "name":
-        return b.name
-    return f"ex {b.role}"
-
-
 def _print_axiom(ax, dialect: str) -> str:
     if isinstance(ax, Func):
         return f"func {ax.role}"
     if isinstance(ax, RoleSub):
         return f"{ax.sub} [= {ax.sup}"
     if isinstance(ax, SubBasic):
-        return f"{_print_basic(ax.lhs)} [= {_print_basic(ax.rhs)}"
+        return f"{ax.lhs} [= {ax.rhs}"
     if isinstance(ax, Disjoint):
-        return f"{_print_basic(ax.lhs)} & {_print_basic(ax.rhs)} [= {BOT}"
+        return f"{ax.lhs} & {ax.rhs} [= {BOT}"
     if isinstance(ax, ExistsRhs):
         return f"{ax.lhs} [= ex {ax.role} . {ax.filler}"
     if isinstance(ax, ExistsLhs):
@@ -297,12 +294,7 @@ def _parse_eliq_conj(ts: _Tokens, stop_at_ops: bool) -> Eliq:
             ts.pos = save
             break
         parts.append(_parse_eliq_atom(ts, stop_at_ops))
-    out = parts[0]
-    for p in parts[1:]:
-        out = make_eliq(out.names + p.names, out.edges + p.edges) if not (
-            out.is_bottom or p.is_bottom
-        ) else Eliq(is_bottom=True)
-    return out
+    return conjoin_all(parts)
 
 
 def _parse_eliq_atom(ts: _Tokens, stop_at_ops: bool) -> Eliq:
@@ -323,7 +315,7 @@ def _parse_eliq_atom(ts: _Tokens, stop_at_ops: bool) -> Eliq:
         return TOP_QUERY
     if tok == BOT:
         ts.next()
-        return Eliq(is_bottom=True)
+        return BOTTOM_QUERY
     if tok and _NAME.fullmatch(tok) and tok not in RESERVED:
         ts.next()
         return make_eliq([tok])
@@ -349,8 +341,6 @@ def parse_pathquery(text: str) -> PathQuery:
     bodies, ops = _parse_path_tail(ts)
     if ts.peek() is not None:
         raise ParseError(f"trailing input {ts.peek()!r}")
-    from .temporal.model import pathquery_from_ops
-
     return pathquery_from_ops(bodies, ops)
 
 
@@ -383,8 +373,7 @@ def print_pathquery(q: PathQuery) -> str:
     bodies, rels = q.chain
     out = print_eliq(bodies[-1])
     for body, rel in zip(reversed(bodies[:-1]), reversed(rels)):
-        op = {"suc": "X", "less": "F", "leq": "Fr"}[rel]
-        inner = f"{op}({out})"
+        inner = f"{OP_OF_REL[rel]}({out})"
         if body.is_top:
             out = inner
         else:
@@ -444,6 +433,8 @@ def _parse_tinstance_lines(lines: Iterable[tuple[int, str]]) -> TInstance:
         t = int(m.group(1))
         if t < 0:
             raise ParseError("timestamps start at 0", ln)
+        if t in per_time:
+            raise ParseError(f"t={t} is given twice", ln)
         per_time[t] = _parse_atoms(m.group(2).strip(), ln)
         max_t = max(max_t, t)
     if point is None:
@@ -492,12 +483,17 @@ def _parse_atoms(body: str, ln: int) -> list[tuple]:
     return out
 
 
+def _slice_atoms(s: Instance, sep: str) -> str:
+    """A slice's atoms in sorted order, concept atoms first, joined by
+    `sep`; "-" for an empty slice."""
+    atoms = [f"{c}({a})" for c, a in sorted(s.catoms)]
+    atoms += [f"{r}({a},{b})" for r, a, b in sorted(s.ratoms)]
+    return sep.join(atoms) if atoms else "-"
+
+
 def print_tinstance(d: TInstance) -> str:
     lines = [f"point: {d.point}"]
-    for t, s in enumerate(d.slices):
-        atoms = [f"{c}({a})" for c, a in sorted(s.catoms)]
-        atoms += [f"{r}({a},{b})" for r, a, b in sorted(s.ratoms)]
-        lines.append(f"t={t}: " + (", ".join(atoms) if atoms else "-"))
+    lines += [f"t={t}: " + _slice_atoms(s, ", ") for t, s in enumerate(d.slices)]
     return "\n".join(lines) + "\n"
 
 
@@ -538,11 +534,7 @@ def print_exampleset(es: ExampleSet) -> str:
 # --------------------------------------------------------------- transcript
 
 def print_transcript_line(d: TInstance, answer: bool, count: int) -> str:
-    fields = [d.point]
-    for s in d.slices:
-        atoms = [f"{c}({a})" for c, a in sorted(s.catoms)]
-        atoms += [f"{r}({a},{b})" for r, a, b in sorted(s.ratoms)]
-        fields.append(" ".join(atoms) if atoms else "-")
+    fields = [d.point] + [_slice_atoms(s, " ") for s in d.slices]
     return "|".join(fields) + "\t" + ("yes" if answer else "no") + f"\t{count}"
 
 

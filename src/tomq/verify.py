@@ -27,12 +27,13 @@ from .dl import (
     conjoin,
     make_eliq,
     reasoner,
+    sorted_queries,
 )
 from .temporal.eval import SequenceMatcher, SliceTable, advance, slice_table
 from .temporal.model import (
     LEQ,
-    LESS,
-    SUC,
+    OP_OF_REL,
+    REL_OF_OP,
     UNTIL,
     ExampleSet,
     TInstance,
@@ -47,6 +48,8 @@ CLASS_ELIQ = "eliq"
 CLASS_DIA = "dia"
 CLASS_NEXTDIA = "nextdia"
 CLASS_UNTIL = "until"
+DOMAIN_CLASSES = (CLASS_P, CLASS_ELQ, CLASS_ELIQ)
+TEMPORAL_CLASSES = (CLASS_DIA, CLASS_NEXTDIA, CLASS_UNTIL)
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,6 @@ def clear_enum_cache() -> None:
     _enum_domain_cached.cache_clear()
 
 
-_REL_OF_OP = {"X": SUC, "F": LESS, "Fr": LEQ}
-_OP_OF_REL = {rel: op for op, rel in _REL_OF_OP.items()}
-
-
 def enum_shapes(spec: EnumSpec) -> tuple[tuple[Eliq, ...], list[tuple[list, ...]]]:
     """Every query of the class within the bounds as a flat shape over the
     domain, grouped, in the order of `enum_queries`: the domain, and groups
@@ -176,10 +175,9 @@ def enum_shapes(spec: EnumSpec) -> tuple[tuple[Eliq, ...], list[tuple[list, ...]
     A domain query's shape is (b0,). Within a group the last body varies
     fastest, so shapes sharing a prefix come one after another, and every
     step of a level is one shared object."""
-    domain_classes = (CLASS_P, CLASS_ELQ, CLASS_ELIQ)
-    if spec.qclass not in domain_classes + (CLASS_DIA, CLASS_NEXTDIA, CLASS_UNTIL):
+    if spec.qclass not in DOMAIN_CLASSES + TEMPORAL_CLASSES:
         raise ValueError(f"unknown query class {spec.qclass!r}")
-    if spec.qclass in domain_classes:
+    if spec.qclass in DOMAIN_CLASSES:
         domain = enum_domain_queries(spec.signature, spec.qclass, spec.size_bound)
         return domain, [(range(len(domain)),)]
     domain = enum_domain_queries(spec.signature, CLASS_P, spec.size_bound)
@@ -187,8 +185,8 @@ def enum_shapes(spec: EnumSpec) -> tuple[tuple[Eliq, ...], list[tuple[list, ...]
     if spec.qclass == CLASS_UNTIL:
         until_steps = [(UNTIL, f, b) for f in (None, *bodies) for b in bodies]
         return domain, [(bodies,) + (until_steps,) * k for k in range(spec.depth_bound + 1)]
-    ops_menu = ["X", "F"] if spec.qclass == CLASS_NEXTDIA else ["X", "F", "Fr"]
-    steps = {op: [(_REL_OF_OP[op], None, b) for b in bodies] for op in ops_menu}
+    ops_menu = [op for op, rel in REL_OF_OP.items() if rel != LEQ or spec.qclass == CLASS_DIA]
+    steps = {op: [(REL_OF_OP[op], None, b) for b in bodies] for op in ops_menu}
     return domain, [
         (bodies,) + tuple(steps[op] for op in ops)
         for k in range(spec.depth_bound + 1)
@@ -205,7 +203,7 @@ def shape_query(qclass: str, domain: tuple[Eliq, ...], shape: tuple):
         ])
     if qclass in (CLASS_DIA, CLASS_NEXTDIA):
         return pathquery_from_ops(
-            [head] + [domain[b] for _, _, b in steps], [_OP_OF_REL[rel] for rel, _, _ in steps]
+            [head] + [domain[b] for _, _, b in steps], [OP_OF_REL[rel] for rel, _, _ in steps]
         )
     return head
 
@@ -230,7 +228,7 @@ def check_frontier(onto: Ontology, q: Eliq, frontier: Iterable[Eliq], spec: Enum
     own hat. The three tests are one conjunction, so the order changes no
     verdict and no witness."""
     r = reasoner(onto)
-    members = sorted(set(frontier), key=lambda m: (m.size, m._key))
+    members = sorted_queries(frontier)
     witnesses = []
     for m in members:
         if not (r.contains(q, m) and not r.contains(m, q)):

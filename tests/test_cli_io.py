@@ -358,3 +358,73 @@ def test_cli_learn_roundtrip(tmp_path):
     assert lines and all("\t" in l for l in lines)
     counts = [int(l.rsplit("\t", 1)[1]) for l in lines]
     assert counts == sorted(counts)
+
+
+def _usage_error(capsys, argv) -> str:
+    """Run the CLI on argv, expecting the usage exit code with one `error:`
+    line and no traceback on stderr; return stderr."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len([l for l in err.splitlines() if "error:" in l]) == 1 and "Traceback" not in err, err
+    return err
+
+
+def test_repeated_timestamp_is_a_parse_error(tmp_path, capsys):
+    """A second `t=<n>:` line for the same n is refused, naming that line,
+    in instance and example-set files alike; it never replaces the first."""
+    text = "point: a\nt=0: A(a)\nt=0: B(a)\n"
+    with pytest.raises(ParseError, match="t=0 is given twice at line 3$"):
+        parse_tinstance(text)
+    with pytest.raises(ParseError, match="t=1 is given twice at line 6$"):
+        parse_exampleset("[positive]\npoint: a\nt=0: -\nt=1: A(a)\n# again\nt=1: -\n")
+    query = tmp_path / "q.q"
+    query.write_text("A\n")
+    inst = tmp_path / "d.ti"
+    inst.write_text(text)
+    args = ["entail", "--sigma", "A,B", "--class", "eliq", "--query", str(query), "--instance", str(inst)]
+    assert "at line 3" in _usage_error(capsys, args)
+    inst.write_text("point: a\nt=0: A(a)\nt=1: B(a)\n")
+    assert main(args) == 0
+
+
+def test_cli_class_values_per_subcommand(tmp_path, capsys):
+    """Each subcommand takes only the --class values it serves; any other
+    value is a usage error that lists them. `enumerate` runs with every
+    class, `entail` and `frontier` with every domain class."""
+    from tomq.verify import DOMAIN_CLASSES, TEMPORAL_CLASSES
+
+    query = tmp_path / "q.q"
+    query.write_text("A\n")
+    inst = tmp_path / "d.ti"
+    inst.write_text("point: a\nt=0: A(a)\n")
+    every = DOMAIN_CLASSES + TEMPORAL_CLASSES
+    subcommands = {
+        "entail": (every, ["--query", str(query), "--instance", str(inst)]),
+        "verify": (every, ["--what", "frontier", "--query", str(query), "--members", str(query)]),
+        "enumerate": (every, []),
+        "frontier": (DOMAIN_CLASSES, ["--query", str(query)]),
+        "characterise": (TEMPORAL_CLASSES, ["--query", str(query)]),
+    }
+    assert set(every) == {"p", "elq", "eliq", "dia", "nextdia", "until"}
+    for cmd, (allowed, rest) in subcommands.items():
+        for bad in ["x", "ELIQ"] + [c for c in every if c not in allowed]:
+            err = _usage_error(capsys, [cmd, "--sigma", "A", "--class", bad] + rest)
+            assert f"invalid choice: '{bad}'" in err
+            assert all(f"'{c}'" in err.split("choose from", 1)[1] for c in allowed)
+    for qclass in every:
+        assert main(["enumerate", "--sigma", "A", "--class", qclass, "--bound", "1"]) == 0
+    for qclass in DOMAIN_CLASSES:
+        assert main(["entail", "--sigma", "A", "--class", qclass] + subcommands["entail"][1]) == 0
+        assert main(["frontier", "--sigma", "A", "--class", qclass, "--query", str(query)]) == 0
+
+
+def test_cli_mode_depth_needs_a_non_negative_integer(tmp_path, capsys):
+    """`--mode depth=N` with N not a non-negative integer is a usage error,
+    for `characterise` and `learn` alike, not a traceback."""
+    query = tmp_path / "q.q"
+    query.write_text("F A\n")
+    for n in ("x", "-1", "1.5", ""):
+        for cmd in (["characterise", "--query"], ["learn", "--target"]):
+            err = _usage_error(capsys, cmd + [str(query), "--sigma", "A", "--mode", f"depth={n}"])
+            assert err.startswith(f"error: mode depth=N needs a non-negative integer N, got {n!r}")
+    assert main(["characterise", "--query", str(query), "--sigma", "A", "--mode", "depth=1"]) == 0

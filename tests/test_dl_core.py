@@ -9,7 +9,6 @@ from tomq.dl import (
     DL_LITE_F_MINUS,
     DL_LITE_H,
     ELHIF_NF,
-    INCONSISTENT,
     ConjLhs,
     Disjoint,
     ExistsLhs,
@@ -21,17 +20,11 @@ from tomq.dl import (
     RoleSub,
     SubBasic,
     atom,
-    certain_answer,
-    chase,
-    compatible,
     conjoin,
-    contains,
     cycle_edge,
     empty_ontology,
-    equivalent,
     exists,
     exists_basic,
-    hat,
     induced_instance,
     instance,
     instance_to_eliq,
@@ -39,7 +32,6 @@ from tomq.dl import (
     name_basic,
     ontology,
     reasoner,
-    saturate,
     signature,
 )
 from tomq.dl.reason import general_hom_exists, hom_exists
@@ -55,24 +47,26 @@ A, B, C = atom("A"), atom("B"), atom("C")
 
 def test_saturate_one_step_implication():
     O = ontology([SubBasic(name_basic("A"), name_basic("B"))], DL_LITE_H, signature(["A", "B"]))
-    out = saturate(O, instance(["a"], [("A", "a")]))
+    inst = instance(["a"], [("A", "a")])
+    out = reasoner(O).saturate(inst).instance(inst)
     assert out.catoms == frozenset({("A", "a"), ("B", "a")})
 
 
 def test_saturate_conjunction_clash():
     O = ontology([ConjLhs("A", "B", BOT)], ELHIF_NF, signature(["A", "B"]))
-    assert saturate(O, instance(["a"], [("A", "a"), ("B", "a")])) is INCONSISTENT
+    assert not reasoner(O).saturate(instance(["a"], [("A", "a"), ("B", "a")])).consistent
 
 
 def test_saturate_functionality_clash_named():
     O = ontology([Func(P)], DL_LITE_F, signature(["A"], ["P"]))
-    got = saturate(O, instance(["a", "b", "c"], [], [("P", "a", "b"), ("P", "a", "c")]))
-    assert got is INCONSISTENT
+    got = reasoner(O).saturate(instance(["a", "b", "c"], [], [("P", "a", "b"), ("P", "a", "c")]))
+    assert not got.consistent
 
 
 def test_saturate_role_inclusion_closure():
     O = ontology([RoleSub(R, S), ExistsLhs(S, "A", "B")], ELHIF_NF, signature(["A", "B"], ["R", "S"]))
-    out = saturate(O, instance(["a", "b"], [("A", "b")], [("R", "a", "b")]))
+    inst = instance(["a", "b"], [("A", "b")], [("R", "a", "b")])
+    out = reasoner(O).saturate(inst).instance(inst)
     assert ("S", "a", "b") in out.ratoms
     assert ("B", "a") in out.catoms
 
@@ -80,7 +74,7 @@ def test_saturate_role_inclusion_closure():
 def test_chase_two_rounds():
     O = ontology([ExistsRhs("A", R, "A")], ELHIF_NF, signature(["A"], ["R"]))
     base = instance(["a"], [("A", "a")])
-    out = chase(O, base, 2)
+    out = reasoner(O).chase(base, 2)
     assert len(out.individuals) == 3
     x1 = next(b for r, x, b in out.ratoms if x == "a")
     x2 = next(b for r, x, b in out.ratoms if x == x1)
@@ -90,7 +84,7 @@ def test_chase_two_rounds():
 def test_chase_depth_zero_unchanged():
     O = empty_ontology(signature(["A"], ["R"]))
     base = instance(["a", "b"], [("A", "a")], [("R", "a", "b")])
-    assert chase(O, base, 0).individuals == base.individuals
+    assert reasoner(O).chase(base, 0).individuals == base.individuals
 
 
 def test_chase_functional_reuse():
@@ -99,7 +93,7 @@ def test_chase_functional_reuse():
         DL_LITE_F,
         signature(["A"], ["S"]),
     )
-    out = chase(O, instance(["a", "b"], [("A", "a")], [("S", "a", "b")]), 3)
+    out = reasoner(O).chase(instance(["a", "b"], [("A", "a")], [("S", "a", "b")]), 3)
     assert out.individuals == frozenset({"a", "b"})
 
 
@@ -113,39 +107,39 @@ def test_chase_monotone_in_depth():
         if not r.is_satisfiable(inst):
             continue
         d = rng.randint(0, 2)
-        small, big = chase(O, inst, d), chase(O, inst, d + 1)
+        small, big = r.chase(inst, d), r.chase(inst, d + 1)
         assert small.catoms <= big.catoms and small.ratoms <= big.ratoms
 
 
 def test_certain_answer_basics():
     sig = signature(["A"], ["R"])
-    assert certain_answer(empty_ontology(sig), instance(["a"], [("A", "a")]), "a", A)
+    assert reasoner(empty_ontology(sig)).certain_answer(instance(["a"], [("A", "a")]), "a", A)
     O = ontology([ExistsLhs(R, "A", "A")], ELHIF_NF, sig)
-    assert certain_answer(O, instance(["a", "b"], [("A", "b")], [("R", "a", "b")]), "a", A)
+    assert reasoner(O).certain_answer(instance(["a", "b"], [("A", "b")], [("R", "a", "b")]), "a", A)
     zig = exists(R, exists(R.inverse, exists(R)))
-    assert certain_answer(empty_ontology(sig), instance(["a", "b"], [], [("R", "a", "b")]), "a", zig)
+    assert reasoner(empty_ontology(sig)).certain_answer(instance(["a", "b"], [], [("R", "a", "b")]), "a", zig)
 
 
 def test_certain_answer_unsatisfiable_is_all_yes():
     O = ontology([Disjoint(name_basic("A"), name_basic("B"))], DL_LITE_H, signature(["A", "B", "C"]))
     bad = instance(["a"], [("A", "a"), ("B", "a")])
-    assert certain_answer(O, bad, "a", atom("C"))
-    assert certain_answer(O, bad, "a", make_eliq())
+    assert reasoner(O).certain_answer(bad, "a", atom("C"))
+    assert reasoner(O).certain_answer(bad, "a", make_eliq())
 
 
 def test_hat_examples():
     sig = signature(["A", "B"], ["R", "S"])
-    h = hat(empty_ontology(sig), exists(R, A))
+    h = reasoner(empty_ontology(sig)).hat(exists(R, A))
     assert len(h.instance.individuals) == 2
     assert h.instance.ratoms == frozenset({("R", "a", "a.0")})
 
     O = ontology([Func(S)], DL_LITE_F, signature(["A", "B"], ["S"]))
-    h2 = hat(O, conjoin(exists(S, A), exists(S, B)))
+    h2 = reasoner(O).hat(conjoin(exists(S, A), exists(S, B)))
     assert len(h2.instance.individuals) == 2
     (merged,) = [i for i in h2.instance.individuals if i != "a"]
     assert h2.instance.names_at(merged) == frozenset({"A", "B"})
 
-    h3 = hat(empty_ontology(sig), conjoin(A, B))
+    h3 = reasoner(empty_ontology(sig)).hat(conjoin(A, B))
     assert h3.instance.catoms == frozenset({("A", "a"), ("B", "a")})
     assert len(h3.instance.individuals) == 1
 
@@ -160,7 +154,7 @@ def test_hat_surjective_quotient_hom():
         if q.is_top:
             continue
         ind = induced_instance(q)
-        h = hat(O, q)
+        h = reasoner(O).hat(q)
         assert general_hom_exists(ind.instance, ind.point, h.instance, h.point)
         # surjectivity: every hat individual is the image of an induced one;
         # the quotient never invents individuals, so sizes certify it
@@ -169,18 +163,18 @@ def test_hat_surjective_quotient_hom():
 
 def test_contains_examples():
     Oe = empty_ontology(signature(["A", "B"]))
-    assert contains(Oe, conjoin(A, B), A)
-    assert not contains(Oe, A, conjoin(A, B))
+    assert reasoner(Oe).contains(conjoin(A, B), A)
+    assert not reasoner(Oe).contains(A, conjoin(A, B))
 
     Of = ontology([Func(S)], DL_LITE_F, signature(["A", "B"], ["S"]))
-    assert contains(Of, conjoin(exists(S, A), exists(S, B)), exists(S, conjoin(A, B)))
+    assert reasoner(Of).contains(conjoin(exists(S, A), exists(S, B)), exists(S, conjoin(A, B)))
 
     Oc = ontology(
         [ExistsRhs("A", R, "A"), ExistsLhs(R, "A", "A")],
         ELHIF_NF,
         signature(["A", "B"], ["R"]),
     )
-    assert contains(Oc, conjoin(B, exists(R, A)), conjoin(A, B))
+    assert reasoner(Oc).contains(conjoin(B, exists(R, A)), conjoin(A, B))
 
 
 def test_contains_agrees_with_chase_hom_oracle():
@@ -195,7 +189,7 @@ def test_contains_agrees_with_chase_hom_oracle():
             continue
         h = r.hat(q1)
         oracle = hom_exists(q2, r.chase(h.instance, q2.role_depth), h.point)
-        assert contains(O, q1, q2) == oracle
+        assert r.contains(q1, q2) == oracle
         checked += 1
     assert checked > 100
 
@@ -206,12 +200,14 @@ def test_saturate_idempotent_and_monotone():
     for _ in range(40):
         O = rand_ontology(rng, sig, rng.choice([DL_LITE_H, ELHIF_NF]))
         inst = rand_instance(rng, sig)
-        out = saturate(O, inst)
-        if out is INCONSISTENT:
+        r = reasoner(O)
+        sat = r.saturate(inst)
+        if not sat.consistent:
             continue
-        again = saturate(O, out)
-        assert again is not INCONSISTENT
-        assert again.catoms == out.catoms and again.ratoms == out.ratoms
+        out = sat.instance(inst)
+        again = r.saturate(out)
+        assert again.consistent
+        assert again.instance(out) == out
         assert inst.catoms <= out.catoms
 
 
@@ -234,8 +230,8 @@ def test_certain_answer_preserved_under_homomorphisms():
             continue
         point = sorted(small.individuals)[0]
         q = rand_eliq(rng, sig)
-        if certain_answer(O, small, point, q):
-            assert certain_answer(O, big, point, q)
+        if r.certain_answer(small, point, q):
+            assert r.certain_answer(big, point, q)
         checked += 1
 
 
@@ -333,8 +329,8 @@ def test_cycle_edge_agrees_with_instance_to_eliq():
 
 def test_compatible_and_conjoin():
     O = ontology([ConjLhs("A", "B", BOT)], ELHIF_NF, signature(["A", "B"]))
-    assert not compatible(O, A, B)
-    assert compatible(empty_ontology(signature(["A", "B"])), A, B)
+    assert not reasoner(O).compatible(A, B)
+    assert reasoner(empty_ontology(signature(["A", "B"]))).compatible(A, B)
     assert conjoin(A, exists(R, B)) == make_eliq(["A"], [(R, B)])
 
 
@@ -344,6 +340,6 @@ def test_equivalence_via_containment():
         ELHIF_NF,
         signature(["A", "B", "C"]),
     )
-    assert equivalent(O, A, conjoin(B, C))
-    assert not equivalent(O, A, B)
-    assert equivalent(empty_ontology(signature(["A"])), A, A)
+    assert reasoner(O).equivalent(A, conjoin(B, C))
+    assert not reasoner(O).equivalent(A, B)
+    assert reasoner(empty_ontology(signature(["A"]))).equivalent(A, A)

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from tomq.dl import TOP_QUERY, Eliq, atom, conjoin, make_eliq, signature
-from tomq.domainchar import _sorted_queries, one_step_weakenings
+from tomq.dl import TOP_QUERY, Eliq, atom, conjoin, make_eliq, signature, sorted_queries
+from tomq.domainchar import one_step_weakenings
 from tomq.errors import ParseError
 from tomq.textio import parse_eliq
 from tomq.verify import enum_domain_queries
@@ -76,8 +76,8 @@ def test_top_and_sorted_order(qs):
     assert TOP_QUERY != Eliq(is_bottom=True)
     unique = {structure(q): q for q in qs}
     want = sorted(unique.values(), key=lambda q: (ref_size(q), ref_key(q)))
-    assert _sorted_queries(qs) == want
-    assert [q._key for q in _sorted_queries(reversed(qs))] == [q._key for q in want]
+    assert sorted_queries(qs) == want
+    assert [q._key for q in sorted_queries(reversed(qs))] == [q._key for q in want]
 
 
 def test_the_name_T_is_reserved():

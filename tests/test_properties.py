@@ -7,16 +7,13 @@ from tomq.dl import (
     DL_LITE_F,
     DL_LITE_H,
     ELHIF_NF,
-    INCONSISTENT,
     Instance,
     Role,
     conjoin,
-    contains,
     empty_ontology,
     instance_to_eliq,
     make_eliq,
     reasoner,
-    saturate,
     signature,
 )
 from tomq.errors import NotTreeShaped
@@ -113,12 +110,14 @@ def tinstances(draw):
 
 @given(dl_lite_h_ontologies(), instances())
 def test_saturate_idempotent(onto, inst):
-    out = saturate(onto, inst)
-    if out is INCONSISTENT:
+    r = reasoner(onto)
+    sat = r.saturate(inst)
+    if not sat.consistent:
         return
-    again = saturate(onto, out)
-    assert again is not INCONSISTENT
-    assert again.catoms == out.catoms and again.ratoms == out.ratoms
+    out = sat.instance(inst)
+    again = r.saturate(out)
+    assert again.consistent
+    assert again.instance(out) == out
 
 
 @given(dl_lite_h_ontologies(), eliqs(), eliqs())

@@ -1,10 +1,12 @@
 """Golden digests of saturation and the bounded chase where no oracle reaches.
 
 `tests/test_reasoner_oracle.py` cross-checks the reasoner against an
-independent completion, but only for inverse-free, functionality-free EL.
-This file pins everything else: seeded random ontologies in all four
-dialects (inverse roles, `Func`, role inclusions) with a random instance and
-the reduction instance of a random query each. Per case it stores a digest of
+independent completion, but only for inverse-free, functionality-free EL,
+and `tests/test_dllite_oracle.py` checks the three DL-Lite dialects against
+their canonical model. ELHIF-NF with inverse roles, `Func` or role
+inclusions has no oracle, and stays pinned here: seeded random ontologies in
+all four dialects with a random instance and the reduction instance of a
+random query each. Per case it stores a digest of
 `saturate` (names, edges and witness groups of every individual) and of
 `chase(., 3)`; an inconsistent instance is digested as such, since nothing
 reads the partial state of an inconsistent saturation.

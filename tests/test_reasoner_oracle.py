@@ -5,7 +5,6 @@ import random
 
 from tomq.dl import (
     ELHIF_NF,
-    INCONSISTENT,
     BOT,
     ConjLhs,
     Eliq,
@@ -15,10 +14,8 @@ from tomq.dl import (
     Ontology,
     Role,
     TOP,
-    certain_answer,
     make_eliq,
     reasoner,
-    saturate,
     signature,
 )
 
@@ -188,11 +185,11 @@ def test_saturation_agrees_with_independent_completion():
     for onto, inst in cases + [ALTERNATING_CASE[:2]]:
         oracle = Completion(onto)
         names, _, consistent = oracle.saturate_named(inst)
-        got = saturate(onto, inst)
-        if got is INCONSISTENT:
-            assert not consistent
+        sat = reasoner(onto).saturate(inst)
+        assert sat.consistent == consistent
+        if not consistent:
             continue
-        assert consistent
+        got = sat.instance(inst)
         for a in inst.individuals:
             mine = got.names_at(a)
             theirs = {n for n in names[a] if n not in (TOP, BOT)}
@@ -212,7 +209,7 @@ def test_certain_answers_agree_with_independent_completion():
     for onto, inst, q in cases + [ALTERNATING_CASE]:
         point = sorted(inst.individuals)[0]
         oracle = Completion(onto)
-        assert certain_answer(onto, inst, point, q) == oracle.certain(inst, point, q), (
+        assert reasoner(onto).certain_answer(inst, point, q) == oracle.certain(inst, point, q), (
             sorted(map(str, onto.axioms)),
             sorted(inst.catoms),
             sorted(inst.ratoms),

@@ -56,6 +56,7 @@ from .textio import (
 from .verify import (
     CLASS_DIA,
     CLASS_ELIQ,
+    CLASS_NEXTDIA,
     CLASS_UNTIL,
     DOMAIN_CLASSES,
     TEMPORAL_CLASSES,
@@ -137,6 +138,16 @@ def _mode(args):
     raise ParseError(f"unknown mode {m!r}")
 
 
+def _characterise_mode(args):
+    """`--class nextdia` builds the next/later example set, as `--mode
+    nextdiamond` does; any other `--mode` with it is a usage error."""
+    if args.qclass != CLASS_NEXTDIA:
+        return _mode(args)
+    if args.mode not in (None, "nextdiamond"):
+        raise ParseError(f"--class nextdia builds with mode nextdiamond, got --mode {args.mode}")
+    return (MODE_NEXTDIA,)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tomq")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -173,7 +184,7 @@ def main(argv=None) -> int:
     p = add("characterise", help="uniquely characterising example set")
     p.add_argument("--query", required=True)
     p.add_argument("--class", dest="qclass", default=CLASS_DIA, choices=TEMPORAL_CLASSES)
-    p.add_argument("--mode", default="safe")
+    p.add_argument("--mode", help="safe (the default), depth=N or nextdiamond")
     p.add_argument("--bound", type=int, default=6)
 
     p = add("learn", help="learn a hidden path query with membership queries")
@@ -187,7 +198,8 @@ def main(argv=None) -> int:
     p = add("verify", help="re-check a characterisation, frontier or split-partner")
     p.add_argument("--what", choices=["characterisation", "frontier", "split-partner"], required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--class", dest="qclass", default=CLASS_DIA, choices=every_class)
+    p.add_argument("--class", dest="qclass", choices=every_class,
+                   help="dia for a characterisation by default, eliq otherwise")
     p.add_argument("--examples", help="example-set file (characterisation)")
     p.add_argument("--members", help="file of members: example-set sections or queries")
     p.add_argument("--bound", type=int, default=4)
@@ -279,7 +291,7 @@ def _dispatch(args) -> int:  # noqa: C901
                 es = characterise_prop_until(q, sigma)
         else:
             q = parse_pathquery(_read(args.query))
-            es = characterise_dia(onto, q, sigma, _mode(args), size_bound=args.bound)
+            es = characterise_dia(onto, q, sigma, _characterise_mode(args), size_bound=args.bound)
         _write_out(args, print_exampleset(es))
         return EXIT_OK
 
@@ -315,25 +327,29 @@ def _dispatch(args) -> int:  # noqa: C901
         onto = _load_ontology(args, _parse_sigma(args))
         sigma = _parse_sigma(args, onto)
         if args.what == "characterisation":
+            qclass = args.qclass or CLASS_DIA
             q = (
                 parse_untilquery(_read(args.query))
-                if args.qclass == CLASS_UNTIL
+                if qclass == CLASS_UNTIL
                 else parse_pathquery(_read(args.query))
             )
             es = parse_exampleset(_read(args.examples))
-            spec = EnumSpec(sigma, args.qclass, size_bound=args.bound, depth_bound=args.depth)
+            spec = EnumSpec(sigma, qclass, size_bound=args.bound, depth_bound=args.depth)
             verdict = check_unique_characterisation(onto, q, es, spec)
-        elif args.what == "frontier":
-            q = parse_eliq(_read(args.query))
-            members = [parse_eliq(l) for l in _read(args.members).splitlines() if l.strip()]
-            spec = EnumSpec(sigma, CLASS_ELIQ, size_bound=args.bound)
-            verdict = check_frontier(onto, q, members, spec)
         else:
-            queries = [parse_eliq(l) for l in _read(args.query).splitlines() if l.strip()]
-            es = parse_exampleset(_read(args.members))
-            members = [dl.Pointed(d.slices[0], d.point) for d in es.positives]
-            spec = EnumSpec(sigma, CLASS_ELIQ, size_bound=args.bound)
-            verdict = check_split_partner(onto, sigma, queries, members, spec)
+            qclass = args.qclass or CLASS_ELIQ
+            if qclass not in DOMAIN_CLASSES:
+                raise ParseError(f"--what {args.what} takes a domain class, got {qclass!r}")
+            spec = EnumSpec(sigma, qclass, size_bound=args.bound)
+            if args.what == "frontier":
+                q = parse_eliq(_read(args.query))
+                members = [parse_eliq(l) for l in _read(args.members).splitlines() if l.strip()]
+                verdict = check_frontier(onto, q, members, spec)
+            else:
+                queries = [parse_eliq(l) for l in _read(args.query).splitlines() if l.strip()]
+                es = parse_exampleset(_read(args.members))
+                members = [dl.Pointed(d.slices[0], d.point) for d in es.positives]
+                verdict = check_split_partner(onto, sigma, queries, members, spec)
         print("pass" if verdict.passed else f"fail ({len(verdict.witnesses)} witnesses)")
         return EXIT_OK if verdict.passed else EXIT_NEGATIVE
 

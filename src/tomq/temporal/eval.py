@@ -24,8 +24,9 @@ last timestamp are empty, so entailment of a fixed subquery is constant
 there; quantified operators therefore only ever need that one
 representative timestamp beyond the data. A table asks the reasoner for a
 bit the first time a reader needs it, and only then: the evaluator masks
-its reads to the points it reaches, and the matcher reads windows of
-slices growing from slice 0, so a query settled in the first slices costs
+its reads to the points it reaches, and the matcher steps one slice at a
+time and asks a slice only for the bodies its states advance into and the
+until fillers they wait on, so a query settled in the first slices costs
 certain answers at those slices only. Tables are memoised per process
 (`slice_table`), so the candidates of one uniqueness check share one table
 per example and ask the reasoner at most once per example, slice and
@@ -38,6 +39,7 @@ bit 2i the same with body i strictly before it.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Optional
 
 from ..dl import Eliq, Instance, Ontology, point_component, reasoner
@@ -200,11 +202,6 @@ def tentail(onto: Ontology, dinst: TInstance, ell: int, q) -> bool:
 
 # ------------------------------------------------------- sequence matchers
 
-# the slices a matcher reads in its first window: a run that a query's first
-# body settles at slice 0 asks the reasoner about no more slices than these
-FIRST_WINDOW = 2
-
-
 class SequenceMatcher:
     """NFA view of a path or until query over a stream of slice letters.
 
@@ -236,21 +233,6 @@ class SequenceMatcher:
         # only the final one of an until query's
         self._stay = self._occupied if self.fillers is None else 1 << 2 * n
 
-    def profiles(self, table: SliceTable, lo: int = 0, hi: Optional[int] = None) -> list[tuple[int, int]]:
-        """The profiles of slices lo..hi-1 of the table; by default of every
-        slice, the empty future last."""
-        if hi is None:
-            hi = table.future + 1
-        window = (1 << hi) - (1 << lo)
-        bodies = [0] * (hi - lo)
-        fillers = [0] * (hi - lo)
-        for i, body in enumerate(self.bodies):
-            _spread(bodies, table.bits(body, window) >> lo, 2 << 2 * i)
-        for i, filler in enumerate(self.fillers or ()):
-            if filler is not None:
-                _spread(fillers, table.bits(filler, window) >> lo, 1 << 2 * i)
-        return list(zip(bodies, fillers))
-
     def profile_of(self, held) -> tuple[int, int]:
         """The profile of a letter at which exactly the domain queries in
         `held` hold."""
@@ -266,14 +248,19 @@ class SequenceMatcher:
                 return states
             states |= more
 
+    def _moves(self, states: int) -> tuple[int, int]:
+        """The occupied states (as bits 2i) and those of them that advance
+        on a letter where the next body holds."""
+        occupied = (states | states >> 1) & self._occupied
+        return occupied, (states >> 1 & self._suc) | (occupied & self._later)
+
     def start(self, profile: tuple[int, int]) -> int:
         bodies, _ = profile
         return self._close_leq(bodies & 2, bodies)
 
     def step(self, states: int, profile: tuple[int, int]) -> int:
         bodies, fillers = profile
-        occupied = (states | states >> 1) & self._occupied
-        advancing = (states >> 1 & self._suc) | (occupied & self._later)
+        occupied, advancing = self._moves(states)
         new = (advancing << 3 & bodies) | (occupied & (self._stay | fillers))
         return self._close_leq(new, bodies)
 
@@ -289,45 +276,52 @@ class SequenceMatcher:
             states = self.step(states, future)
         return self.accepts(states)
 
+    def _read(self, table: SliceTable, j: int, want: int, wait: int) -> tuple[int, int]:
+        """The profile of slice j restricted to the bodies of `want` (bits
+        2i+1) and the fillers of `wait` (bits 2i): the bodies in ascending
+        order, a pinned body before a `leq` wanting the next one too."""
+        point, bodies, fillers = 1 << j, 0, 0
+        while want:
+            low = want & -want
+            want ^= low
+            if table.bits(self.bodies[low.bit_length() // 2 - 1], point):
+                bodies |= low
+                want |= (low & self._leq) << 2
+        while wait:
+            low = wait & -wait
+            wait ^= low
+            filler = self.fillers[low.bit_length() // 2]
+            if filler is not None and table.bits(filler, point):
+                fillers |= low
+        return bodies, fillers
+
     def run(self, dinst: TInstance, *, table: SliceTable | None = None) -> bool:
         """q holds at time point 0 of dinst; `table` is dinst's slice table
-        when the caller already holds it. The slices are read in windows
-        from slice 0, each twice as wide as the one before, until the states
-        are empty or accept. The window that reaches the end takes the
-        empty future along: on it a query's certain answer is about the
-        point alone, the same for every instance with that point, which the
-        reasoner has cached after the first. A table that already knows
-        every body and filler is read in one window."""
+        when the caller already holds it. The slices are stepped one at a
+        time from slice 0, until the states are empty or accept, and then
+        the empty future up to `final + 2` times.
+
+        A slice is read lazily: slice 0 for body 0 alone, and a later one
+        for body i+1 only when a state advances into it, and for the until
+        filler after body i only when state i is occupied and not staying
+        anyway. This is sound: `step` reads a body bit only where
+        `advancing << 3` is set, or where `_close_leq` carries a pinned body
+        across a `leq` (which `_read` follows, reading in ascending order),
+        and a filler bit only for occupied states outside `_stay`; `start`
+        reads body 0 and the same cascade. So the restricted profile gives
+        the same next states as the full one."""
         if table is None:
             table = slice_table(self.onto, dinst)
         if table.unsat:
             return True
         future = table.future
-        width = future if all(map(table.knows, self.asked)) else FIRST_WINDOW
-        lo, states = 0, None
-        while True:
-            hi = lo + width
-            if hi >= future:
-                *profiles, end = self.profiles(table, lo)
-            else:
-                profiles, end = self.profiles(table, lo, hi), None
-            for p in profiles:
-                states = self.start(p) if states is None else self.step(states, p)
-                if not states or self.accepts(states):
-                    return states != 0
-            if end is not None:
-                return self.accepts_at_end(states, end)
-            lo, width = hi, 2 * width
-
-
-def _spread(out: list[int], bits: int, mark: int) -> None:
-    """Set `mark` in out[j] for every bit j of `bits`."""
-    j = 0
-    while bits:
-        if bits & 1:
-            out[j] |= mark
-        bits >>= 1
-        j += 1
+        states = self.start(self._read(table, 0, 2, 0))
+        for j in itertools.chain(range(1, future), itertools.repeat(future, self.final + 2)):
+            if not states or self.accepts(states):
+                break
+            occupied, advancing = self._moves(states)
+            states = self.step(states, self._read(table, j, advancing << 3, occupied & ~self._stay))
+        return self.accepts(states)
 
 
 def fits(onto: Ontology, examples: ExampleSet, q) -> bool:

@@ -428,3 +428,47 @@ def test_cli_mode_depth_needs_a_non_negative_integer(tmp_path, capsys):
             err = _usage_error(capsys, cmd + [str(query), "--sigma", "A", "--mode", f"depth={n}"])
             assert err.startswith(f"error: mode depth=N needs a non-negative integer N, got {n!r}")
     assert main(["characterise", "--query", str(query), "--sigma", "A", "--mode", "depth=1"]) == 0
+
+
+def test_cli_verify_frontier_honours_a_domain_class(tmp_path, capsys):
+    """Under DL-Lite_H with A ⊑ ∃R, the class-p frontier of A ⊓ B is A, B:
+    `verify --what frontier --class p` passes on it, while ELIQs (the
+    class when none is given) such as B ⊓ ∃R.⊤ are left uncovered. A
+    temporal class is a usage error there."""
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A,B\nroles: R\nA [= ex R\n")
+    query = tmp_path / "q.q"
+    query.write_text("A & B\n")
+    members = tmp_path / "members.txt"
+    base = ["--ontology", str(onto), "--query", str(query)]
+    assert main(["frontier", "--class", "p", "--out", str(members)] + base) == 0
+    assert members.read_text() == "A\nB\n"
+    capsys.readouterr()
+    verify = ["verify", "--what", "frontier", "--members", str(members)] + base
+    assert main(verify + ["--class", "p"]) == 0
+    assert capsys.readouterr().out == "pass\n"
+    for eliq in ([], ["--class", "eliq"]):
+        assert main(verify + eliq) == 1
+        assert capsys.readouterr().out == "fail (4 witnesses)\n"
+    assert "takes a domain class, got 'dia'" in _usage_error(capsys, verify + ["--class", "dia"])
+
+
+def test_cli_characterise_class_nextdia_builds_the_next_later_set(tmp_path, capsys):
+    """`characterise --class nextdia` of F A over {A, B} prints the set that
+    `--mode nextdiamond` does, not the `dia` one; any other `--mode` with
+    it is a usage error."""
+    query = tmp_path / "q.q"
+    query.write_text("F A\n")
+    base = ["characterise", "--sigma", "A,B", "--query", str(query)]
+
+    def printed(*extra) -> str:
+        assert main(base + list(extra)) == 0
+        return capsys.readouterr().out
+
+    nextdia = printed("--mode", "nextdiamond")
+    assert printed("--class", "nextdia") == nextdia
+    assert printed("--class", "nextdia", "--mode", "nextdiamond") == nextdia
+    assert printed("--class", "dia") != nextdia
+    for mode in ("safe", "depth=1"):
+        err = _usage_error(capsys, base + ["--class", "nextdia", "--mode", mode])
+        assert err.startswith(f"error: --class nextdia builds with mode nextdiamond, got --mode {mode}")

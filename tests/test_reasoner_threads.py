@@ -9,16 +9,31 @@ from cold or partly filled tables, and filling one table bit by bit, get
 one thread's answers. So does the process-wide frontier memo, which
 threads fill from cold while they share fresh reasoners. And so do threads
 under bounds of a few entries on every reasoner cache and on the registry,
-so that eviction runs all the time.
+so that eviction runs all the time. Last, threads sharing reasoners and
+every process-wide memo build example sets and run the learner, and each
+output is the one a single thread prints.
 """
 import functools
 import random
 import sys
 import threading
 
-from tomq.dl import DIALECTS, Reasoner, clear_reasoners, reasoner, signature
+from tomq.dl import (
+    DIALECTS,
+    DL_LITE_H,
+    ELHIF_NF,
+    Reasoner,
+    clear_reasoners,
+    empty_ontology,
+    make_eliq,
+    reasoner,
+    signature,
+)
 from tomq.dl import reason
 from tomq.domainchar import clear_frontier_cache, frontier
+from tomq.errors import TomqError
+from tomq.learn import Learner, LearnerConfig, Teacher
+from tomq.tempchar import characterise_dia, characterise_until, tagged_from_queries
 from tomq.temporal.eval import (
     SLICE_TABLE_CACHE_SIZE,
     SequenceMatcher,
@@ -27,6 +42,8 @@ from tomq.temporal.eval import (
     tentail,
 )
 from tomq.temporal.model import flat_form, pathquery_from_ops, tinstance, untilquery
+from tomq.temporal.normal import is_safe, normalize
+from tomq.textio import print_exampleset, print_pathquery, print_transcript
 
 from helpers import rand_eliq, rand_instance, rand_ontology
 
@@ -277,3 +294,99 @@ def test_threads_agree_with_one_thread_while_every_cache_evicts(monkeypatch):
     for r in set(seen):
         for cache, bound in zip(CACHES, SMALL_BOUNDS.values()):
             assert len(getattr(r, cache)) < bound + THREADS, (cache, len(getattr(r, cache)))
+
+
+def _build_jobs() -> list:
+    """Seeded example-set builds over {A, B, C}, the empty ontology or a
+    small one with role axioms, cycling through `safe`, `nextdiamond` and
+    until sets of depth 1."""
+    rng = random.Random(3301)
+    names = ["A", "B", "C"]
+    sig, role_sig = signature(names), signature(names, ["R"])
+
+    def body():
+        return make_eliq(sorted(rng.sample(names, rng.randint(1, 2))))
+
+    jobs = []
+    for k in range(24):
+        if k % 2:
+            onto = rand_ontology(rng, role_sig, rng.choice([DL_LITE_H, ELHIF_NF]), max_axioms=3)
+        else:
+            onto = empty_ontology(sig)
+        if k % 3 == 2:
+            q = untilquery(body(), [(None if rng.random() < 0.4 else body(), body())])
+            jobs.append(functools.partial(characterise_until, onto, q, sig))
+        else:
+            q = pathquery_from_ops([body(), body()], [rng.choice(["X", "F", "Fr"])])
+            jobs.append(functools.partial(characterise_dia, onto, q, sig, (("safe", "nextdia")[k % 3],)))
+    return jobs
+
+
+def _learn(onto, target, config):
+    teacher = Teacher(onto, target, budget=config.budget)
+    initial = tagged_from_queries(onto, target.strict_count + 1, target.blocks, lambda q: None)
+    learned = Learner(onto, teacher, config).run(initial.to_tinstance())
+    return print_pathquery(learned), teacher.membership_count, print_transcript(teacher.transcript)
+
+
+def _learn_jobs() -> list:
+    """Seeded learner runs drawn as `scripts/learning_runs.py` draws them,
+    each in one variant: `depth`, `nextdia` or `safe` in turn, `depth` where
+    the turn's variant does not apply."""
+    rng = random.Random(20260809)
+    jobs = []
+    while len(jobs) < 10:
+        sig = signature(["A", "B", "C"][: rng.randint(1, 3)], ["R", "S"][: rng.randint(0, 2)])
+        onto = rand_ontology(rng, sig, rng.choice([DL_LITE_H, ELHIF_NF]), max_axioms=6)
+        k = rng.randint(0, 3)
+        bodies = [rand_eliq(rng, sig, max_size=3) for _ in range(k + 1)]
+        raw = pathquery_from_ops(bodies, [rng.choice(["X", "F", "Fr"]) for _ in range(k)])
+        if not all(reasoner(onto).query_satisfiable(b) for b in bodies):
+            continue
+        target = normalize(onto, raw)
+        variant = ("depth", "nextdia", "safe")[len(jobs) % 3]
+        if variant == "nextdia" and target.has_leq():
+            variant = "depth"
+        if variant == "safe" and is_safe(onto, target, 5) is not True:
+            variant = "depth"
+        depth = target.tdp if variant == "depth" else None
+        config = LearnerConfig(variant=variant, depth=depth, frontier_bound=5, budget=20000)
+        jobs.append(functools.partial(_learn, onto, target, config))
+    return jobs
+
+
+def _output(job):
+    """What a job prints, or the name of the refusal it raises."""
+    try:
+        got = job()
+    except TomqError as exc:
+        return type(exc).__name__
+    return got if type(got) is tuple else print_exampleset(got)
+
+
+def test_threads_building_and_learning_agree_with_one_thread():
+    """Example-set builds and learner runs, started cold in four threads
+    that share reasoners and the slice-table and frontier memos."""
+    jobs = _build_jobs() + _learn_jobs()
+    expected = [_output(job) for job in jobs]
+    clear_slice_tables()
+    clear_reasoners()
+    clear_frontier_cache()
+    got = [[None] * len(jobs) for _ in range(THREADS)]
+    errors = []
+
+    def worker(n: int) -> None:
+        idx = list(range(len(jobs)))
+        random.Random(n).shuffle(idx)
+        try:
+            for i in idx:
+                got[n][i] = _output(jobs[i])
+        except Exception as exc:  # reported below, with the thread that raised it
+            errors.append((n, repr(exc)))
+
+    _run_threads(worker)
+    assert not errors, errors[:5]
+    assert sum(type(e) is tuple for e in expected) == 10
+    assert sum(type(e) is str and e.startswith("#") for e in expected) >= 20
+    wrong = [(n, i) for n in range(THREADS) for i, want in enumerate(expected) if got[n][i] != want]
+    assert not wrong, f"{len(wrong)} outputs differ from one thread's, first {wrong[:5]}"

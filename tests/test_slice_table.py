@@ -8,7 +8,8 @@ Over seeded random ontologies in all four dialects, `SequenceMatcher.run`,
 `tentail` at every time point from 0 to `max_time + 2`, and the bits of the
 slice table must all agree with it, also when a fresh table is read under
 random masks in random orders, and on 100-slice instances like the
-benchmark's, where the table fills only the slices a pass reaches. The
+benchmark's, where the table fills only the slices a pass reaches and the
+matcher asks only for what a state of the reference needs there. The
 uniqueness check must give the same verdict, and the same witnesses in the
 same order, as a candidate loop over the reference matcher.
 """
@@ -33,7 +34,6 @@ from tomq.dl import (
 from tomq.errors import TomqError
 from tomq.tempchar import characterise_dia, characterise_until
 from tomq.temporal.eval import (
-    FIRST_WINDOW,
     SLICE_TABLE_CACHE_SIZE,
     SequenceMatcher,
     SliceTable,
@@ -300,14 +300,14 @@ def test_long_instances_agree_with_reference():
 
 
 def test_a_first_body_failing_at_the_start_asks_little(monkeypatch):
-    """When body 0 fails at the time point asked, `tentail` asks the
-    reasoner exactly one certain answer, and `SequenceMatcher.run` at time
-    point 0 asks only about the slices of its first window."""
+    """When body 0 fails at the time point asked, `tentail` and
+    `SequenceMatcher.run` (at time point 0) each ask the reasoner exactly
+    one certain answer: body 0's at that point."""
     answer = Reasoner.certain_answer
     asked = []
 
     def counting(self, inst, point, q):
-        asked.append(inst)
+        asked.append((inst, q))
         return answer(self, inst, point, q)
 
     monkeypatch.setattr(Reasoner, "certain_answer", counting)
@@ -316,21 +316,72 @@ def test_a_first_body_failing_at_the_start_asks_little(monkeypatch):
         ref = Reasoner(onto)
         if any(not ref.is_satisfiable(s) for s in dinst.slices):
             continue
-        first = {point_component(s, dinst.point) for s in dinst.slices[:FIRST_WINDOW]}
+        first = point_component(dinst.slices[0], dinst.point)
         for q in queries:
             head = flat_form(q)[0][0]
             if head.is_top or answer(ref, dinst.slices[0], dinst.point, head):
                 continue
             seen += 1
-            clear_slice_tables()
-            asked.clear()
-            assert not tentail(onto, dinst, 0, q)
-            assert len(asked) == 1, (cid, str(q))
-            clear_slice_tables()
-            asked.clear()
-            assert not SequenceMatcher(onto, q).run(dinst)
-            assert asked and all(inst in first for inst in asked), (cid, str(q))
+            for holds in (lambda: tentail(onto, dinst, 0, q), lambda: SequenceMatcher(onto, q).run(dinst)):
+                clear_slice_tables()
+                asked.clear()
+                assert not holds()
+                assert asked == [(first, head)], (cid, str(q))
     assert seen >= 12
+
+
+def _needed(r: Reasoner, q, dinst) -> tuple[bool, list[set]]:
+    """`reference_run(r, q, dinst)`, and per slice that it steps through,
+    the domain queries that some state there needs: a body that a state
+    advances into, also across a `leq` from a body entered at that slice,
+    and a filler that a state waits on. The needs of the empty future are
+    gathered over every time it is stepped."""
+    if any(not r.is_satisfiable(s) for s in dinst.slices):
+        return True, []
+    bodies, rels, fillers = parts = flat_form(q)
+    final = len(bodies) - 1
+    empty = Instance(dinst.slices[0].individuals)
+    needs = [set() for _ in range(dinst.max_time + 2)]
+    states = None
+    for j, letter in enumerate(list(dinst.slices) + [empty] * (final + 2)):
+        if states is not None and any(i == final for i, _ in states):
+            break
+        profile = _profile(r, parts, letter, dinst.point)
+        need = needs[min(j, dinst.max_time + 1)]
+        if states is None:
+            need.add(bodies[0])
+            states = _close_leq(parts, {(0, True)}, profile[0]) if 0 in profile[0] else frozenset()
+        else:
+            for i, pinned in states:
+                if i < final and (pinned or rels[i] != SUC):
+                    need.add(bodies[i + 1])
+                if fillers and i < final and fillers[i] is not None:
+                    need.add(fillers[i])
+            states = _step(parts, states, profile)
+        need |= {bodies[i + 1] for i, pinned in states if pinned and i < final and rels[i] == LEQ}
+    return any(i == final for i, _ in states), needs
+
+
+def test_matcher_reads_only_what_a_state_needs():
+    """Every (domain query, slice) pair that `SequenceMatcher.run` asks of a
+    fresh table on the long instances is one that the eager reference,
+    stepped alongside, needed there; and many of the pairs that an eager
+    read of each slice it steps through would ask are skipped."""
+    extra, skipped = [], 0
+    for cid, onto, dinst, queries in long_cases():
+        ref = Reasoner(onto)
+        for q in queries:
+            table = SliceTable(onto, dinst)
+            asked, bits = set(), table.bits
+            table.bits = lambda b, mask: asked.add((b, mask.bit_length() - 1)) or bits(b, mask)
+            matcher = SequenceMatcher(onto, q)
+            holds, needs = _needed(ref, q, dinst)
+            assert matcher.run(dinst, table=table) == holds, (cid, str(q))
+            extra += [(cid, str(q), str(b), j) for b, j in asked if b not in needs[j]]
+            # an eager read asks every body and filler at each slice it reads
+            skipped += len({j for _, j in asked}) * len(set(matcher.asked)) - len(asked)
+    assert not extra, f"{len(extra)} reads no state needed, first {extra[:3]}"
+    assert skipped >= 900, skipped  # 955 with these seeds
 
 
 # --------------------------------------------------------- uniqueness verdicts

@@ -36,7 +36,7 @@ from .tempchar import (
     tagged_from_queries,
 )
 from .temporal.eval import tentail
-from .temporal.model import PathQuery, UntilQuery, tinstance
+from .temporal.model import PathQuery, tinstance
 from .temporal.normal import is_safe, normalize
 from .textio import (
     parse_eliq,
@@ -50,7 +50,6 @@ from .textio import (
     print_pathquery,
     print_tinstance,
     print_transcript,
-    print_untilquery,
     reject_reserved,
 )
 from .verify import (
@@ -358,15 +357,7 @@ def _dispatch(args) -> int:  # noqa: C901
         if sigma is None:
             raise ParseError("enumerate needs --sigma")
         spec = EnumSpec(sigma, args.qclass, size_bound=args.bound, depth_bound=args.depth)
-        lines = []
-        for q in enum_queries(spec):
-            if isinstance(q, PathQuery):
-                lines.append(print_pathquery(q))
-            elif isinstance(q, UntilQuery):
-                lines.append(print_untilquery(q))
-            else:
-                lines.append(print_eliq(q))
-        _write_out(args, "".join(l + "\n" for l in lines))
+        _write_out(args, "".join(f"{q}\n" for q in enum_queries(spec)))
         return EXIT_OK
 
     raise ParseError(f"unknown command {cmd!r}")

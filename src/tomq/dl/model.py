@@ -333,9 +333,6 @@ class Instance:
             object.__setattr__(self, "_key_cache", cached)
         return cached
 
-    def key(self) -> tuple:
-        return self._key
-
 
 def instance(individuals: Iterable[str], catoms=(), ratoms=()) -> Instance:
     """Build an instance, normalising inverse role atoms given as (Role, a, b)."""
@@ -369,9 +366,6 @@ class Pointed:
     def __post_init__(self):
         if self.point not in self.instance.individuals:
             raise ValueError(f"point {self.point!r} not in the instance")
-
-    def key(self):
-        return (self.instance.key(), self.point)
 
 
 def merge_instances(parts: Iterable[Instance]) -> Instance:

@@ -37,7 +37,7 @@ two distinct successors along a functional role (`_func_clash`; DL-Lite_F
 satisfiability reduces to the same check, Calvanese et al., JAR 2007).
 
 Saturations, chases and certain answers are cached under the `Instance`
-itself: equal instances are exactly those with equal `key()`, and hashing
+itself: equal instances are exactly those with equal `_key`, and hashing
 one reads the cached hashes of its three frozensets. A saturation whose
 caller reads only its verdict is not cached (`keep=False`). Each cache holds
 at most its module-constant bound of entries and is emptied when full

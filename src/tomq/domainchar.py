@@ -20,11 +20,9 @@ sign assignment is tried one by one.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
-import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -177,46 +175,41 @@ def path_probes(sig: Signature, max_len: int, qclass: str = CLASS_ELIQ) -> "Prob
     `probe_eliq` builds. Shapes are listed by chain length, then by chain
     (roles in printed order, inverses included unless the class is `elq`,
     whose frontiers no inverse-role probe may refute), then root name, then
-    tip name, and the listing is cut after MAX_PATH_PROBES shapes. It comes
-    as a read-only sequence that decodes each shape from its position."""
+    tip name, and the listing is cut after MAX_PATH_PROBES shapes."""
     roles = [Role(r) for r in sorted(sig.role_names)]
     if qclass != CLASS_ELQ:
         roles += [r.inverse for r in roles]
     return ProbeShapes(sorted(roles, key=str), [None] + sorted(sig.concept_names), max_len)
 
 
-class ProbeShapes(Sequence):
-    """`path_probes`' listing. Level L holds len(roles) ** L chains of
-    len(names) ** 2 shapes each; chain k of a level extends chain k //
-    len(roles) of the level before by roles[k % len(roles)], so a chain's
-    roles are the base-len(roles) digits of its index."""
+class ProbeShapes:
+    """`path_probes`' listing, iterated in order. Level L holds
+    len(roles) ** L chains, each with a row of len(names) ** 2 shapes, one
+    per (root name, tip name); chain k of a level extends chain
+    k // len(roles) of the level before by roles[k % len(roles)]. `levels`
+    is the length of the longest chain listed."""
 
-    __slots__ = ("roles", "names", "_starts", "_len")
+    __slots__ = ("roles", "names", "levels", "_len")
 
     def __init__(self, roles: list[Role], names: list[Optional[str]], max_len: int):
         self.roles, self.names = roles, names
-        self._starts = [0]  # the position of each level's first shape, then the end
-        while len(self._starts) <= max_len and self._starts[-1] < MAX_PATH_PROBES:
-            self._starts.append(self._starts[-1] + len(names) ** 2 * len(roles) ** len(self._starts))
-        self._len = min(self._starts[-1], MAX_PATH_PROBES)
+        self.levels = self._len = 0
+        while roles and self.levels < max_len and self._len < MAX_PATH_PROBES:
+            self.levels += 1
+            self._len += len(names) ** 2 * len(roles) ** self.levels
+        self._len = min(self._len, MAX_PATH_PROBES)
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> ProbeShape:
-        i = operator.index(i)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("probe position out of range")
-        level = bisect.bisect_right(self._starts, i)
-        k, rest = divmod(i - self._starts[level - 1], len(self.names) ** 2)
-        chain = ()
-        for _ in range(level):
-            k, j = divmod(k, len(self.roles))
-            chain = (self.roles[j],) + chain
-        root, tip = divmod(rest, len(self.names))
-        return (self.names[root], chain, self.names[tip])
+    def __iter__(self) -> Iterator[ProbeShape]:
+        shapes = (
+            (root_name, chain, tip_name)
+            for level in range(1, self.levels + 1)
+            for chain in itertools.product(self.roles, repeat=level)
+            for root_name, tip_name in itertools.product(self.names, repeat=2)
+        )
+        return itertools.islice(shapes, self._len)
 
 
 def probe_eliq(shape: ProbeShape) -> Eliq:
@@ -237,21 +230,21 @@ def _path_probe_witness(
     entails and that does not entail q, or None. Such a probe is a strict
     weakening of q that no member covers, so the members are no frontier.
 
+    q is satisfiable: `frontier` raises UnsatisfiableQuery before it walks.
+    An unsatisfiable member entails every probe, so then there is no witness.
+
     The probes are checked as shapes, without building them: the chains are
-    walked level by level through the homomorphism table that the reasoner
-    keeps for q and for each member (`Reasoner.hom_table`), over a chase at
-    least as deep as the longest chain listed; an unsatisfiable query has
-    none, as it entails every probe. `path_probes` lists level L as
-    `c + (r,)` for each chain c of level L-1 and each role r, so chain k of
-    level L extends chain k // len(roles) of level L-1 by
-    roles[k % len(roles)]; the elements each query reaches along every chain
-    of a level are kept in a list indexed that way, with no chain tuple ever
-    hashed. The shapes of one chain come in a row, one per (root name, tip
-    name), and are decided by set lookups: the root name must be at the
-    point, and the tip name on some element reached (any element, without
-    one). A chain along which q reaches nothing is skipped whole, and so are
-    its extensions. The walk follows the listing up to its cut, which may end
-    inside a level or inside a chain's row.
+    walked breadth first through the homomorphism table that the reasoner
+    keeps for q and for each member (`Reasoner.hom_table`), over a chase as
+    deep as the longest chain listed. Only the chains along which q reaches
+    some element are walked (`_reached_chains`); every shape of another
+    chain is one q does not entail. A chain's row of shapes, one per (root
+    name, tip name), starts k rows after its level's first shape, k being
+    its index in the level, and is decided by set lookups: the root name
+    must be at the point, and the tip name on some element reached (any
+    element, without one). The walk returns None at the first position at
+    or past the listing's cut, which may fall inside a level or inside a
+    row.
 
     One chase serves every length: anonymous chase elements hang below a
     single parent, so a chain of length L from the named point reaches only
@@ -268,76 +261,68 @@ def _path_probe_witness(
     and the probe is no witness. Every weakening is listed earlier, so one
     that was built has been decided by the time the stronger shape comes up."""
     shapes = path_probes(onto.signature, max_len, qclass)
-    if not shapes:
-        return None
     r = reasoner(onto)
-    roles, names = shapes.roles, shapes.names
-    every = frozenset(names)
-    depth = len(shapes[-1][1])
-    # per query: its (table, point), or None; the root names it allows; and
-    # the elements it reaches along each chain of the current level
-    tables = [r.hom_table(x, depth) if r.query_satisfiable(x) else None for x in (q, *members)]
-    roots = [every if t is None else _tip_names(t[0], names, (t[1],)) for t in tables]
-    ends = [None if t is None else [frozenset((t[1],))] for t in tables]
-    run, width = len(names) ** 2, len(roles)
+    if not shapes or not all(map(r.query_satisfiable, members)):
+        return None
+    names = shapes.names
+    homs = [r.hom_table(x, shapes.levels) for x in (q, *members)]
+    tables = [table for table, _ in homs]
+    points = [frozenset((point,)) for _, point in homs]
+    roots = [_tip_names(table, names, point) for table, point in zip(tables, points)]
     entailing: set[ProbeShape] = set()
-    start = 0
-    while start < len(shapes):
-        count = min(width, -(-(len(shapes) - start) // run))
-        live = None
-        for i, t in enumerate(tables):
-            if t is not None:
-                ends[i] = _next_level(t[0], roles, ends[i], count, live)
-                if i == 0:
-                    live = ends[0]
-        for k in range(count):
-            q_tips = every if tables[0] is None else _tip_names(tables[0][0], names, ends[0][k])
-            if not q_tips:
+    for lo, chain, reach in _reached_chains(tables, points, shapes):
+        q_tips = _tip_names(tables[0], names, reach[0])
+        member_sets = [
+            (m_roots, _tip_names(table, names, ends))
+            for table, m_roots, ends in zip(tables[1:], roots[1:], reach[1:])
+        ]
+        for pos, (root_name, tip_name) in enumerate(itertools.product(names, repeat=2), lo):
+            if pos >= len(shapes):
+                return None
+            if root_name not in roots[0] or tip_name not in q_tips or any(
+                root_name in m_roots and tip_name in m_tips for m_roots, m_tips in member_sets
+            ):
                 continue
-            member_sets = [
-                (m_roots, every if t is None else _tip_names(t[0], names, m_ends[k]))
-                for t, m_roots, m_ends in zip(tables[1:], roots[1:], ends[1:])
-            ]
-            lo = start + k * run
-            hi = min(lo + run, len(shapes))
-            for ri, root_name in enumerate(names):
-                if root_name not in roots[0]:
-                    continue
-                for ti, tip_name in enumerate(names):
-                    pos = lo + ri * len(names) + ti
-                    if pos >= hi:
-                        break
-                    if tip_name not in q_tips or any(
-                        root_name in m_roots and tip_name in m_tips for m_roots, m_tips in member_sets
-                    ):
-                        continue
-                    shape = shapes[pos]
-                    if any(w in entailing for w in _weakenings(shape)):
-                        continue
-                    probe = probe_eliq(shape)
-                    if not r.contains(probe, q):
-                        return probe
-                    entailing.add(shape)
-        start += count * run
-        width *= len(roles)
+            shape = (root_name, chain, tip_name)
+            if any(w in entailing for w in _weakenings(shape)):
+                continue
+            probe = probe_eliq(shape)
+            if not r.contains(probe, q):
+                return probe
+            entailing.add(shape)
     return None
 
 
-def _next_level(table: _HomTable, roles: list[Role], prev: list[frozenset[str]], count: int,
-                live: Optional[list[frozenset[str]]]) -> list[frozenset[str]]:
-    """The elements reached along the first `count` chains of the next level,
-    chain k being chain k // len(roles) of `prev`'s level extended by role
-    roles[k % len(roles)]. Left empty where `live` (q's reach, when given) is
-    empty: those chains are never decided."""
-    out = []
-    for k in range(count):
-        src = prev[k // len(roles)]
-        if not src or (live is not None and not live[k]):
-            out.append(frozenset())
-        else:
-            role = roles[k % len(roles)]
-            out.append(frozenset(b for a in src for b in table.successors(a, role)))
-    return out
+def _reached_chains(
+    tables: list[_HomTable], points: list[frozenset[str]], shapes: ProbeShapes
+) -> Iterator[tuple[int, tuple[Role, ...], list[frozenset[str]]]]:
+    """The chains of `shapes` along which the first table's query reaches
+    some element, in listing order, each as (the position of its row's first
+    shape, its roles, the elements each table's query reaches along it from
+    its point). Breadth first: a level keeps only such chains, each with its
+    index k in the level, whose child along roles[j] has index
+    k * len(roles) + j; the other queries' reach is computed only there."""
+    roles, row = shapes.roles, len(shapes.names) ** 2
+    level = [(0, (), points)]
+    start = 0  # the position of the current level's first shape
+    for length in range(1, shapes.levels + 1):
+        kept = []
+        for k, chain, reach in level:
+            for j, role in enumerate(roles):
+                q_reach = _successors(tables[0], reach[0], role)
+                if not q_reach:
+                    continue
+                index, longer = k * len(roles) + j, chain + (role,)
+                ends = [q_reach] + [_successors(t, e, role) for t, e in zip(tables[1:], reach[1:])]
+                kept.append((index, longer, ends))
+                yield start + index * row, longer, ends
+        level = kept
+        start += row * len(roles) ** length
+
+
+def _successors(table: _HomTable, ends: frozenset[str], role: Role) -> frozenset[str]:
+    """The elements one `role` step from `ends` in the table's instance."""
+    return frozenset(b for a in ends for b in table.successors(a, role))
 
 
 def _tip_names(table: _HomTable, names: list[Optional[str]], ends: Iterable[str]) -> frozenset:
@@ -515,8 +500,9 @@ def split_partner(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> Sp
         point = tuple_ids[combo]
         comp = point_component(product_inst, point)
         p = Pointed(anchored(Pointed(comp, point), "u"), "a")
-        if p.key() not in seen:
-            seen.add(p.key())
+        key = (p.instance._key, p.point)
+        if key not in seen:
+            seen.add(key)
             members.append(p)
     return SplitPartner(tuple(members))
 

@@ -281,24 +281,17 @@ class Learner:
     # --------------------------------------------------------- step 3: rules
 
     def close_under_rules(self, t: TaggedBNormal) -> TaggedBNormal:
-        progress = True
-        while progress:
-            progress = False
-            for rule in ("b", "c"):
-                committed, t = self._try_rule(t, rule)
-                if committed:
-                    progress = True
-                    break
-        progress = True
-        while progress:
-            progress = False
-            for rule in ("a", "d", "e"):
-                committed, t = self._try_rule(t, rule)
-                if committed:
-                    if rule == "a":
-                        self.rule_a_commits += 1
-                    progress = True
-                    break
+        """Rules b and c to a fixpoint, then rules a, d and e; each pass
+        commits the first rule, in group order, that keeps t positive."""
+        for group in (("b", "c"), ("a", "d", "e")):
+            progress = True
+            while progress:
+                for rule in group:
+                    progress, t = self._try_rule(t, rule)
+                    if progress:
+                        if rule == "a":
+                            self.rule_a_commits += 1
+                        break
         return t
 
     def _try_rule(self, t: TaggedBNormal, rule: str) -> tuple[bool, TaggedBNormal]:

@@ -347,8 +347,10 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
     each shape prefix kept per example for the check. A prefix on which a
     positive example's pass is already empty is skipped whole. Only a shape
     that fits becomes a query; `SequenceMatcher.run` re-checks it on every
-    example, independently of the pass, before `tequiv_bounded` compares it
-    with q; a candidate equal to q needs no comparison. The matcher also
+    example, independently of the pass, and a disagreement raises
+    RuntimeError rather than dropping a candidate that may be the only
+    witness. Then `tequiv_bounded` compares the candidate with q; a
+    candidate equal to q needs no comparison. The matcher also
     decides whether q fits. Every example's table is fetched once and held
     for the whole check.
 
@@ -375,7 +377,7 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
             break
         cand = shape_query(spec.qclass, domain, shape)
         if not _matcher_fits(onto, held, cand):  # independent re-check
-            continue
+            raise RuntimeError(f"the bitset pass and the sequence matcher disagree on whether {cand} fits")
         if cand != q and not tequiv_bounded(onto, cand, q):
             witnesses.append(cand)
     return Verdict(not witnesses, witnesses, spec)

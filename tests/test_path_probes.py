@@ -4,7 +4,6 @@ already entails the query, the probe listing and its cut, and the ELQ
 frontiers that inverse-role probes used to refuse."""
 import random
 
-import pytest
 from helpers import rand_eliq, rand_ontology, reference_probe_shapes
 
 import tomq.domainchar as domainchar
@@ -164,10 +163,12 @@ def test_weaker_probe_entailing_q_skips_stronger(monkeypatch):
 
 def test_probe_listing_and_cut():
     sig = signature(["A", "B", "C"], ["R", "S"])
-    shapes = path_probes(sig, 9)
+    probes = path_probes(sig, 9)
+    shapes = list(probes)
     # 16 shapes per chain over 4 roles: lengths 1-4 give 5440, the cut falls
     # after 910 of the 1024 chains of length 5
-    assert len(shapes) == MAX_PATH_PROBES
+    assert len(probes) == len(shapes) == MAX_PATH_PROBES
+    assert probes.levels == 5
     assert shapes[0] == (None, (R,), None)
     assert shapes[5440] == (None, (R, R, R, R, R), None)
     assert shapes[-1] == ("C", (S.inverse, S, R, S.inverse, R.inverse), "C")
@@ -177,10 +178,10 @@ def test_probe_listing_and_cut():
 
 
 def test_probe_shapes_decoded_like_the_eager_listing():
-    """`path_probes` decodes each shape from its position; the eager builder
-    it replaced lists the same shapes, cut at the same place. Positions are
-    also read one by one around every level start and around the cut, which
-    falls inside a level for {A,B,C},{R,S} and inside a row for {A,B},{R,S}."""
+    """`path_probes` lists, lazily, the same shapes as the eager builder it
+    replaced, cut at the same place, which falls inside a level for
+    {A,B,C},{R,S} and inside a row for {A,B},{R,S}; `levels` is the length
+    of the longest chain listed, and a signature with no role lists none."""
     sigs = (signature(["A"], ["R"]), signature(["A", "B"], ["R", "S"]),
             signature(["A", "B", "C"], ["R", "S"]))
     cuts = 0
@@ -188,20 +189,14 @@ def test_probe_shapes_decoded_like_the_eager_listing():
         for qclass in ("eliq", "elq"):
             for max_len in range(1, 10):
                 want = reference_probe_shapes(sig, max_len, qclass)
-                shapes = path_probes(sig, max_len, qclass)
-                assert list(shapes) == want and len(shapes) == len(want)
-                assert shapes[-1] == want[-1] and shapes[-len(want)] == want[0]
-                for outside in (len(want), len(want) + 1, -len(want) - 1):
-                    with pytest.raises(IndexError):
-                        shapes[outside]
-                starts = [i for i in range(1, len(want)) if len(want[i][1]) > len(want[i - 1][1])]
-                cut = [len(want)] if len(want) == MAX_PATH_PROBES else []
-                cuts += len(cut)
-                for edge in starts + cut:
-                    for i in range(max(0, edge - 20), min(len(want), edge + 20)):
-                        assert shapes[i] == want[i] and shapes[i - len(want)] == want[i]
+                probes = path_probes(sig, max_len, qclass)
+                assert list(probes) == want and len(probes) == len(want)
+                assert probes.levels == len(want[-1][1])
+                cuts += len(want) == MAX_PATH_PROBES
     # {A,B},{R,S} and {A,B,C},{R,S} are cut from length 6 and 5 on, for eliq
     assert cuts == 4 + 5
+    roleless = path_probes(signature(["A"], []), 3)
+    assert list(roleless) == [] and len(roleless) == roleless.levels == 0
 
 
 def path_query(chain, tip=TOP_QUERY):
@@ -231,7 +226,7 @@ def test_chain_walk_matches_per_probe_containment_at_the_cut():
          (None, (R, S.inverse, R.inverse, R.inverse, S, S), "A")),
     )
     for sig, dialect, clash, clashing, last_shape in cases:
-        shapes = path_probes(sig, 9)
+        shapes = list(path_probes(sig, 9))
         assert len(shapes) == MAX_PATH_PROBES and shapes[-1] == last_shape
         last = last_shape[1]
         onto, q0 = with_loop(rng, Ontology(sig, frozenset({clash}), dialect))

@@ -338,3 +338,17 @@ def test_witnesses_rechecked_by_direct_entailment():
     assert not verdict.passed
     for w in verdict.witnesses:
         assert fits(OE, loose, w)
+
+
+def test_matcher_disagreement_raises(monkeypatch):
+    """A candidate the bitset pass says fits but the matcher refuses is an
+    evaluator disagreement: the check raises instead of dropping it, which
+    would turn the failing verdict above into a pass."""
+    dia = pathquery_from_ops([TOP_QUERY, A], ["F"])
+    loose = example_set(
+        [tinstance([instance(["a"]), instance(["a"], [("A", "a")])], "a")], []
+    )
+    spec = EnumSpec(SIG_AB, "dia", size_bound=2, depth_bound=2)
+    monkeypatch.setattr(verify, "_matcher_fits", lambda onto, held, q: q == dia)
+    with pytest.raises(RuntimeError, match="disagree"):
+        check_unique_characterisation(OE, dia, loose, spec)

@@ -134,10 +134,7 @@ def induced_instance(q: Eliq, root: str = "a") -> Pointed:
         for i, (role, child) in enumerate(node.edges):
             cname = f"{name}.{i}"
             inds.append(cname)
-            if role.inverted:
-                rat.append((role.name, cname, name))
-            else:
-                rat.append((role.name, name, cname))
+            rat.append(role.ratom(name, cname))
             walk(child, cname)
 
     walk(q, root)

@@ -33,6 +33,10 @@ class Role:
     def inverse(self) -> "Role":
         return Role(self.name, not self.inverted)
 
+    def ratom(self, a: str, b: str) -> tuple[str, str, str]:
+        """The stored atom of this role from a to b: P-(a,b) is stored as (P,b,a)."""
+        return (self.name, b, a) if self.inverted else (self.name, a, b)
+
     def __str__(self) -> str:
         return self.name + ("-" if self.inverted else "")
 
@@ -283,7 +287,7 @@ def empty_ontology(sig: Signature) -> Ontology:
 class Instance:
     """A data instance: unary and binary atoms over a finite individual set.
 
-    Inverse role atoms are normalised away: P-(a,b) is stored as (P,b,a).
+    Inverse role atoms are normalised away by `Role.ratom`'s rule.
     Top(a) holds implicitly for every individual.
     """
 
@@ -345,11 +349,7 @@ def instance(individuals: Iterable[str], catoms=(), ratoms=()) -> Instance:
         cat.add((c, a))
         inds.add(a)
     for r, a, b in ratoms:
-        if isinstance(r, Role):
-            if r.inverted:
-                a, b = b, a
-            r = r.name
-        rat.add((r, a, b))
+        rat.add(r.ratom(a, b) if isinstance(r, Role) else (r, a, b))
         inds.update((a, b))
     return Instance(frozenset(inds), frozenset(cat), frozenset(rat))
 

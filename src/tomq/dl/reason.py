@@ -37,12 +37,12 @@ two distinct successors along a functional role (`_func_clash`; DL-Lite_F
 satisfiability reduces to the same check, Calvanese et al., JAR 2007).
 
 Saturations, chases and certain answers are cached under the `Instance`
-itself: equal instances are exactly those with equal `_key`, and hashing
-one reads the cached hashes of its three frozensets. A saturation whose
-caller reads only its verdict is not cached (`keep=False`). Each cache holds
-at most its module-constant bound of entries and is emptied when full
-(`_put`); the registry `reasoner(onto)` keeps at most REASONER_CACHE_SIZE
-reasoners, the least recently used leaving first.
+itself, a frozen value whose hash reads the cached hashes of its three
+frozensets. A saturation whose caller reads only its verdict is not cached
+(`keep=False`). Each cache holds at most its module-constant bound of
+entries and is emptied when full (`_put`); the registry `reasoner(onto)`
+keeps at most REASONER_CACHE_SIZE reasoners, the least recently used
+leaving first.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import UnsatisfiableQuery
-from .eliq import Eliq, conjoin, induced_instance
+from .eliq import Eliq, conjoin, induced_instance, point_component
 from .model import (
     BOT,
     TOP,
@@ -111,11 +111,13 @@ class Saturation:
     edges: frozenset[tuple[str, str, str]]  # role-closure of the stored atoms
     groups: dict[str, list[Group]]
 
+    @property
+    def catoms(self) -> frozenset[tuple[str, str]]:
+        """The saturated concept atoms, Top and bot left out."""
+        return frozenset((c, a) for a, ns in self.names.items() for c in ns if c not in (TOP, BOT))
+
     def instance(self, base: Instance) -> Instance:
-        cat = frozenset(
-            (c, a) for a, ns in self.names.items() for c in ns if c not in (TOP, BOT)
-        )
-        return Instance(base.individuals, cat, self.edges)
+        return Instance(base.individuals, self.catoms, self.edges)
 
 
 def _func_clash(funcs: dict[str, tuple[bool, ...]], edges) -> bool:
@@ -131,9 +133,13 @@ def _func_clash(funcs: dict[str, tuple[bool, ...]], edges) -> bool:
     return False
 
 
-def _index_edge(succ: dict, e: tuple[str, str, str]) -> None:
-    succ.setdefault((e[1], Role(e[0])), set()).add(e[2])
-    succ.setdefault((e[2], Role(e[0], True)), set()).add(e[1])
+def _index_edge(succ: dict, atom: tuple[str, str, str]) -> None:
+    """Index the stored atom (P, a, b) in a successor index keyed by
+    (element, role name, inverted): b follows a along P, and a follows b
+    along P-."""
+    p, a, b = atom
+    succ.setdefault((a, p, False), set()).add(b)
+    succ.setdefault((b, p, True), set()).add(a)
 
 
 class _Named:
@@ -156,7 +162,7 @@ class _Named:
     def neighbour_has(self, role: Role, filler: str) -> bool:
         """Has a named `role`-successor of a type containing `filler`?"""
         names = self.names
-        for b in self.succ.get((self.a, role), ()):
+        for b in self.succ.get((self.a, role.name, role.inverted), ()):
             if filler == TOP or filler in names[b]:
                 return True
         return False
@@ -167,13 +173,13 @@ class _Named:
         whether anything changed."""
         targets = set()
         for f in fsup:
-            targets |= self.succ.get((self.a, f), _EMPTY)
+            targets |= self.succ.get((self.a, f.name, f.inverted), _EMPTY)
         if not targets:
             return None
         changed = False
         for b in sorted(targets):
             for s in self.r.super_roles(role):
-                e = (s.name, b, self.a) if s.inverted else (s.name, self.a, b)
+                e = s.ratom(self.a, b)
                 if e not in self.edges:
                     self.edges.add(e)
                     changed = True
@@ -327,7 +333,7 @@ class Reasoner:
         out = set()
         for p, a, b in inst.ratoms:
             for s in self.super_roles(Role(p)):
-                out.add((s.name, b, a) if s.inverted else (s.name, a, b))
+                out.add(s.ratom(a, b))
         return frozenset(out)
 
     # -------------------------------------------------------------- rule step
@@ -448,7 +454,7 @@ class Reasoner:
         names: dict[str, set[str]] = {a: set() for a in inst.individuals}
         for c, a in inst.catoms:
             names[a].add(c)
-        succ: dict[tuple[str, Role], set[str]] = {}
+        succ: dict[tuple[str, str, bool], set[str]] = {}
         for e in edges:
             _index_edge(succ, e)
         groups: dict[str, list[Group]] = {a: [] for a in inst.individuals}
@@ -525,7 +531,7 @@ class Reasoner:
         if not sat.consistent:
             raise UnsatisfiableQuery("cannot chase an unsatisfiable instance")
         inds = set(inst.individuals)
-        cat = {(c, a) for a, ns in sat.names.items() for c in ns if c not in (TOP, BOT)}
+        cat = set(sat.catoms)
         rat = set(sat.edges)
         frontier: list[tuple[str, Group, frozenset[str], int]] = []
         for a in sorted(inst.individuals):
@@ -543,7 +549,7 @@ class Reasoner:
                     cat.add((c, w))
             for r in sorted(g.roles, key=str):
                 for s in sorted(self.super_roles(r), key=str):
-                    rat.add((s.name, w, parent) if s.inverted else (s.name, parent, w))
+                    rat.add(s.ratom(parent, w))
             for cg in children:
                 frontier.append((w, cg, tp, d + 1))
         out = Instance(frozenset(inds), frozenset(cat), frozenset(rat))
@@ -571,8 +577,7 @@ class Reasoner:
             if not self.func_decl:
                 return True
             if not self._role_incl:
-                got = self._sat_cache.get(inst)
-                return not _func_clash(self._funcs, inst.ratoms) if got is None else got.consistent
+                return not _func_clash(self._funcs, inst.ratoms)
         return self.saturate(inst, keep).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
@@ -609,12 +614,12 @@ class Reasoner:
         pointed = induced_instance(q)
         inst, point = pointed.instance, pointed.point
         while True:
-            succ: dict[tuple[str, Role], set[str]] = {}
+            succ: dict[tuple[str, str, bool], set[str]] = {}
             for e in self._closed_edges(inst):
                 _index_edge(succ, e)
             # the first (functional role, individual), in sorted order, with two successors
             merge = next((ss[:2] for f in sorted(self.func_decl, key=str) for a in sorted(inst.individuals)
-                          for ss in [sorted(succ.get((a, f), ()))] if len(ss) > 1), None)
+                          for ss in [sorted(succ.get((a, f.name, f.inverted), ()))] if len(ss) > 1), None)
             if merge is None:
                 break
             keep, drop = merge
@@ -695,9 +700,12 @@ class Reasoner:
     def pointed_entails(self, src: Pointed, tgt: Pointed) -> bool:
         """Does the pointed instance `src`, read as a query, entail `tgt`'s query?
 
-        Works for arbitrary (possibly cyclic) instances via a backtracking
-        homomorphism search into the bounded chase of `src`.
+        `tgt` may be cyclic but must be connected to its point, else
+        ValueError: it is mapped by backtracking into the chase of `src` to
+        depth |tgt.individuals|, which holds every element it can reach.
         """
+        if point_component(tgt.instance, tgt.point) is not tgt.instance:
+            raise ValueError("pointed_entails needs a target connected to its point")
         if not self.is_satisfiable(src.instance):
             return True
         depth = max(1, len(tgt.instance.individuals))
@@ -725,7 +733,7 @@ class _HomTable:
     def __init__(self, inst: Instance, depth: int = 0):
         self.inst = inst
         self.depth = depth
-        self.succ: Optional[dict[tuple[str, str, bool], list[str]]] = None
+        self.succ: Optional[dict[tuple[str, str, bool], set[str]]] = None
         self.memo: dict[tuple[str, str], bool] = {}
 
     def maps(self, node: Eliq, e: str) -> bool:
@@ -741,14 +749,13 @@ class _HomTable:
             self.memo[k] = got
         return got
 
-    def successors(self, e: str, role: Role) -> list[str]:
+    def successors(self, e: str, role: Role) -> set[str]:
         """The elements e reaches along role, from the successor index."""
         succ = self.succ
         if succ is None:
             succ = {}  # published once full: threads share the table
-            for p, a, b in self.inst.ratoms:
-                succ.setdefault((a, p, False), []).append(b)
-                succ.setdefault((b, p, True), []).append(a)
+            for atom in self.inst.ratoms:
+                _index_edge(succ, atom)
             self.succ = succ
         return succ.get((e, role.name, role.inverted), ())
 

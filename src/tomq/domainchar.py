@@ -459,8 +459,7 @@ def _edge_possible(onto, elems, tp_from, tp_to, role: Role) -> bool:
     hl = r.hat(conjoin_all(elems[j] for j in sorted(tp_from)))
     hr = r.hat(conjoin_all(elems[j] for j in sorted(tp_to)))
     base = merge_instances([anchored(hl, "l_", "a"), anchored(hr, "r_", "b")])
-    edge = (role.name, "b", "a") if role.inverted else (role.name, "a", "b")
-    pattern = Instance(base.individuals, base.catoms, base.ratoms | {edge})
+    pattern = Instance(base.individuals, base.catoms, base.ratoms | {role.ratom("a", "b")})
     if not r.is_satisfiable(pattern):
         return False
     for j, e in enumerate(elems):
@@ -479,14 +478,14 @@ def split_partner(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> Sp
     qs = list(queries)
     atlas = type_atlas(onto, sig, qs)
     n = len(qs)
-    elems = {e._key: i for i, e in enumerate(atlas.elements)}
+    elems = {e: i for i, e in enumerate(atlas.elements)}
 
     def refutes(tp: frozenset[int], q: Eliq) -> bool:
         if q.is_bottom:
             return True
         if q.is_top:
             return False
-        return elems[q._key] not in tp
+        return elems[q] not in tp
 
     per_query_types = [[i for i, tp in enumerate(atlas.types) if refutes(tp, q)] for q in qs]
     if n and len(atlas.types) ** n * max(1, len(sig.role_names)) > DEFAULT_ATOM_BUDGET:
@@ -500,9 +499,8 @@ def split_partner(onto: Ontology, sig: Signature, queries: Sequence[Eliq]) -> Sp
         point = tuple_ids[combo]
         comp = point_component(product_inst, point)
         p = Pointed(anchored(Pointed(comp, point), "u"), "a")
-        key = (p.instance._key, p.point)
-        if key not in seen:
-            seen.add(key)
+        if p not in seen:
+            seen.add(p)
             members.append(p)
     return SplitPartner(tuple(members))
 

@@ -28,6 +28,7 @@ from .errors import (
     BudgetExceeded,
     NotPositiveInitialExample,
     NotTreeShaped,
+    UnsafeQuery,
     UnsupportedDialect,
 )
 from .temporal.eval import SequenceMatcher
@@ -92,10 +93,7 @@ def saturate_names(onto: Ontology, inst: Instance) -> Instance:
     sat = reasoner(onto).saturate(inst)
     if not sat.consistent:
         raise NotPositiveInitialExample("instance is unsatisfiable wrt the ontology")
-    cat = frozenset(
-        (c, a) for a, ns in sat.names.items() for c in ns if c not in ("Top", "bot")
-    )
-    return Instance(inst.individuals, cat, inst.ratoms)
+    return Instance(inst.individuals, sat.catoms, inst.ratoms)
 
 
 def unwind_step(inst: Instance, edge: tuple[str, str, str], fresh_prefix: str) -> Instance:
@@ -355,7 +353,11 @@ class Learner:
             while not self.tagged_positive(splice_word(t, i, word * k)):
                 k *= 2
                 if k > 4096:
-                    raise RuntimeError("no positive frontier-word exponent found")
+                    raise UnsafeQuery(
+                        f"no power up to 4096 of the frontier word of {t.blocks[i][0].tag} "
+                        "is positive: the target has a lone conjunct, which the safe variant "
+                        "cannot learn; try the depth variant (--mode depth=N)"
+                    )
             lo, hi = max(1, k // 2), k
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -372,19 +374,19 @@ class Learner:
         while progress:
             progress = False
             for i in self._eligible_blocks(t, need_reducible=False):
-                key = t.blocks[i][0].slice.instance._key
-                if key in processed:
+                inst = t.blocks[i][0].slice.instance
+                if inst in processed:
                     continue
                 word = self.negatives_of(t.blocks[i][0].tag)
                 if not word:
-                    processed.add(key)
+                    processed.add(inst)
                     continue
                 t2 = splice_word(t, i, word * max(1, exponent))
                 if self.tagged_positive(t2):
                     t = self.close_under_rules(self._commit(t2))
                     progress = True
                     break
-                processed.add(key)
+                processed.add(inst)
         return t
 
     # ------------------------------------------------- step 5: connector read

@@ -288,10 +288,10 @@ def _join_variant(t: TaggedBNormal, i: int) -> TaggedBNormal:
 
 def _finish(onto, positives, negatives, q, meta=()) -> ExampleSet:
     es = example_set(positives, negatives, meta)
-    pos_keys = {d._key for d in es.positives}
+    pos = set(es.positives)
     kept = []
     for d in es.negatives:
-        if d._key in pos_keys:
+        if d in pos:
             warnings.warn("negative example coincides with a positive; dropped")
             continue
         kept.append(d)
@@ -430,13 +430,7 @@ def _until_members(split_slices, filler, target) -> list[Instance]:
     """Split slices of (filler, target), of the filler, and of bottom, each
     slice once; a bottom filler drops out."""
     qs = (target,) if filler is None else (filler, target)
-    out = []
-    seen = set()
-    for mem in split_slices(qs) + split_slices(qs[:-1]) + split_slices(()):
-        if mem._key not in seen:
-            seen.add(mem._key)
-            out.append(mem)
-    return out
+    return list(dict.fromkeys(split_slices(qs) + split_slices(qs[:-1]) + split_slices(())))
 
 
 def _search_suffix(onto, q, hats, fhats, i, mem) -> Optional[TInstance]:

@@ -285,11 +285,6 @@ def example_set(
     meta: Iterable[tuple[str, str]] = (),
 ) -> ExampleSet:
     def dedup(items):
-        seen, out = set(), []
-        for d in items:
-            if d._key not in seen:
-                seen.add(d._key)
-                out.append(d)
-        return tuple(sorted(out, key=lambda d: d._key))
+        return tuple(sorted(set(items), key=lambda d: d._key))
 
     return ExampleSet(dedup(positives), dedup(negatives), tuple(meta))

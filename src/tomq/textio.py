@@ -474,10 +474,7 @@ def _parse_atoms(body: str, ln: int) -> list[tuple]:
             out.append((pred, args[0]))
         elif len(args) == 2:
             reject_reserved({pred}, ln)
-            x, y = args
-            if inv:
-                x, y = y, x
-            out.append((pred, x, y))
+            out.append(Role(pred, bool(inv)).ratom(*args))
         else:
             raise ParseError(f"atoms take one or two individuals, got {m.group(0)!r}", ln)
     return out

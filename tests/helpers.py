@@ -287,13 +287,13 @@ def reference_letters(onto: Ontology, q1, q2, domain_size: int = 2) -> list[Poin
     pool = set(enum_domain_queries(sig, qclass, domain_size)) | bodies
     pool |= {conjoin(x, y) for x in bodies for y in bodies}
     letters = [Pointed(Instance(frozenset(("a",))), "a")]
-    seen = {letters[0].instance._key}
+    seen = {letters[0].instance}
     for q in sorted(pool, key=lambda q: (q.size, q._key)):
         if q.is_bottom or not r.query_satisfiable(q):
             continue
         h = r.hat(q)
-        if h.instance._key not in seen:
-            seen.add(h.instance._key)
+        if h.instance not in seen:
+            seen.add(h.instance)
             letters.append(h)
     return letters
 

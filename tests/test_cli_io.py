@@ -1,9 +1,11 @@
 """Parsers, printers, round-trips, and the command-line exit codes."""
+import random
 import re
 
 import pytest
 
 from tomq.dl import (
+    DIALECTS,
     ConjLhs,
     Disjoint,
     ExistsLhs,
@@ -15,6 +17,7 @@ from tomq.dl import (
     atom,
     exists,
     make_eliq,
+    signature,
 )
 from tomq.cli import main
 from tomq.errors import ParseError
@@ -32,6 +35,8 @@ from tomq.textio import (
     print_tinstance,
     print_untilquery,
 )
+
+from helpers import rand_ontology
 
 A, B = atom("A"), atom("B")
 R = Role("R")
@@ -83,6 +88,18 @@ def test_ontology_roundtrip():
     O = parse_ontology(src)
     printed = print_ontology(O)
     assert print_ontology(parse_ontology(printed)) == printed
+
+
+def test_seeded_ontologies_roundtrip():
+    """Printing and re-parsing gives back the axioms, dialect and signature
+    of seeded random ontologies in every dialect."""
+    rng = random.Random(20261019)
+    sig = signature(["A", "B", "C"], ["R", "S"])
+    for dialect in DIALECTS:
+        for _ in range(400):
+            O = rand_ontology(rng, sig, dialect)
+            back = parse_ontology(print_ontology(O))
+            assert (back.axioms, back.dialect, back.signature) == (O.axioms, O.dialect, O.signature)
 
 
 def test_query_roundtrips():
@@ -358,6 +375,19 @@ def test_cli_learn_roundtrip(tmp_path):
     assert lines and all("\t" in l for l in lines)
     counts = [int(l.rsplit("\t", 1)[1]) for l in lines]
     assert counts == sorted(counts)
+
+
+def test_cli_learn_rejects_an_unsafe_target_in_safe_mode(tmp_path, capsys):
+    """F (A & B) has a lone conjunct: the safe variant finds no positive
+    frontier word, and the CLI says so in one `rejected:` line."""
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A,B\n")
+    target = tmp_path / "t.q"
+    target.write_text("F (A & B)\n")
+    assert main(["learn", "--ontology", str(onto), "--target", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert len([l for l in err.splitlines() if l.startswith("rejected:")]) == 1, err
+    assert "--mode depth=N" in err and "Traceback" not in err, err
 
 
 def _usage_error(capsys, argv) -> str:

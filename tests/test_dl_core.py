@@ -16,6 +16,7 @@ from tomq.dl import (
     Func,
     Instance,
     Ontology,
+    Pointed,
     Role,
     RoleSub,
     SubBasic,
@@ -343,3 +344,19 @@ def test_equivalence_via_containment():
     assert reasoner(O).equivalent(A, conjoin(B, C))
     assert not reasoner(O).equivalent(A, B)
     assert reasoner(empty_ontology(signature(["A"]))).equivalent(A, A)
+
+
+def test_pointed_entails_refuses_targets_away_from_their_point():
+    # src's chase holds C six R-steps down, deeper than the two individuals
+    # of tgt would make it chase; an unconnected target is refused
+    names = ["A", "B1", "B2", "B3", "B4", "B5", "C"]
+    chain = [ExistsRhs(x, R, y) for x, y in zip(names, names[1:])]
+    O = ontology(chain, ELHIF_NF, signature(names, ["R"]))
+    r = reasoner(O)
+    src = Pointed(instance(["a"], [("A", "a")]), "a")
+    with pytest.raises(ValueError):
+        r.pointed_entails(src, Pointed(instance(["x", "y"], [("C", "y")]), "x"))
+    deep = C
+    for _ in names[1:]:
+        deep = exists(R, deep)
+    assert r.pointed_entails(src, r.hat(deep))

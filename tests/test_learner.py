@@ -129,6 +129,28 @@ def test_unwind_inside_learning_run():
     assert tequiv_bounded(O, out, target)
 
 
+class _StarRecorder(Learner):
+    """A learner that records whether its star step changed the grid."""
+
+    def star_step(self, t):
+        out = super().star_step(t)
+        self.star_changed = out.slices() != t.slices()
+        return out
+
+
+def test_star_step_splices_a_frontier_word():
+    # the one slice holding A and B must be split for F (A & Fr B): each
+    # variant commits one splice of the frontier word of A & B
+    q = pathquery_from_ops([TOP_QUERY, A, B], ["F", "Fr"])
+    init = ti((), ("A", "B"))
+    for config in [LearnerConfig(variant="safe"), LearnerConfig(variant="depth", depth=q.tdp)]:
+        teacher = Teacher(OE, q)
+        learner = _StarRecorder(OE, teacher, config)
+        out = learner.run(init)
+        assert learner.star_changed, config.variant
+        assert tequiv_bounded(OE, out, q), (config.variant, out._key)
+
+
 def test_teacher_confirms_characterisation_of_output():
     from tomq.tempchar import characterise_dia
 

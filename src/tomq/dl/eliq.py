@@ -49,6 +49,10 @@ class Eliq:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt rather than copied: the stored hash holds for one process
+        return Eliq, (self.names, self.edges, self.is_bottom)
+
     def __lt__(self, other: "Eliq") -> bool:
         return self._key < other._key
 

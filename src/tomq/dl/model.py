@@ -283,6 +283,32 @@ def empty_ontology(sig: Signature) -> Ontology:
     return EMPTY_ONTOLOGY_CACHE[sig]
 
 
+def _put(cache: dict, key, value, bound: int):
+    """Store value under key in a cache of at most `bound` entries, and
+    return the entry kept. A full cache is first emptied by one
+    `dict.clear()`, which a racing thread cannot break as it can an
+    iteration over the cache; each racing writer may add one entry past the
+    bound. Of two threads storing one key, both get the first value."""
+    if len(cache) >= bound:
+        cache.clear()
+    return cache.setdefault(key, value)
+
+
+# entries of each memo that a value object keeps of what is derived from it
+DERIVED_MEMO_SIZE = 32
+
+
+def _memo(obj, name: str) -> dict:
+    """The memo `name` kept on the frozen value object obj, made on first
+    use: the derived values depend on obj's value alone, so value-equal
+    objects may keep different memos. Bounded by DERIVED_MEMO_SIZE through
+    `_put`, and never pickled (`__reduce__`)."""
+    got = obj.__dict__.get(name)
+    if got is None:
+        got = obj.__dict__.setdefault(name, {})
+    return got
+
+
 @dataclass(frozen=True)
 class Instance:
     """A data instance: unary and binary atoms over a finite individual set.
@@ -317,10 +343,17 @@ class Instance:
         return frozenset(c for c, x in self.catoms if x == a)
 
     def with_individuals(self, more: Iterable[str]) -> "Instance":
+        """This instance over its individuals and `more`. A padded copy is
+        kept on the instance per individual set (see `_memo`), so slices
+        padded alike are one object."""
         inds = self.individuals | frozenset(more)
         if inds == self.individuals:
             return self
-        return Instance(inds, self.catoms, self.ratoms)
+        memo = _memo(self, "_padded")
+        got = memo.get(inds)
+        if got is None:
+            got = _put(memo, inds, Instance(inds, self.catoms, self.ratoms), DERIVED_MEMO_SIZE)
+        return got
 
     def is_trivial(self) -> bool:
         return not self.catoms and not self.ratoms
@@ -336,6 +369,10 @@ class Instance:
             )
             object.__setattr__(self, "_key_cache", cached)
         return cached
+
+    def __reduce__(self):
+        # rebuilt rather than copied: the key and the memos stay behind
+        return Instance, (self.individuals, self.catoms, self.ratoms)
 
 
 def instance(individuals: Iterable[str], catoms=(), ratoms=()) -> Instance:
@@ -367,6 +404,10 @@ class Pointed:
         if self.point not in self.instance.individuals:
             raise ValueError(f"point {self.point!r} not in the instance")
 
+    def __reduce__(self):
+        # rebuilt rather than copied: the memo of `anchored` stays behind
+        return Pointed, (self.instance, self.point)
+
 
 def merge_instances(parts: Iterable[Instance]) -> Instance:
     inds, cat, rat = set(), set(), set()
@@ -388,7 +429,14 @@ def rename_instance(inst: Instance, mapping: dict[str, str]) -> Instance:
 
 def anchored(p: Pointed, prefix: str, at: str = "a") -> Instance:
     """The pointed instance renamed so that its point is `at` and its k-th
-    other individual, in sorted order, is `prefix` followed by k."""
-    ren = {ind: f"{prefix}{k}" for k, ind in enumerate(sorted(p.instance.individuals - {p.point}))}
-    ren[p.point] = at
-    return rename_instance(p.instance, ren)
+    other individual, in sorted order, is `prefix` followed by k. The result
+    is kept on p (see `_memo`) per `at` and, when p has another individual,
+    per prefix, so that value-equal anchorings of p are one object."""
+    key = (prefix if len(p.instance.individuals) > 1 else "", at)
+    memo = _memo(p, "_anchored")
+    got = memo.get(key)
+    if got is None:
+        ren = {ind: f"{prefix}{k}" for k, ind in enumerate(sorted(p.instance.individuals - {p.point}))}
+        ren[p.point] = at
+        got = _put(memo, key, rename_instance(p.instance, ren), DERIVED_MEMO_SIZE)
+    return got

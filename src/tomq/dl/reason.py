@@ -67,6 +67,7 @@ from .model import (
     Role,
     RoleSub,
     SubBasic,
+    _put,
     rename_instance,
 )
 
@@ -80,17 +81,6 @@ HAT_CACHE_SIZE = 1024
 CERTAIN_CACHE_SIZE = 4096
 CONTAINS_CACHE_SIZE = 8192
 WITNESS_CACHE_SIZE = 4096
-
-
-def _put(cache: dict, key, value, bound: int):
-    """Store value under key in a cache of at most `bound` entries, and
-    return the entry kept. A full cache is first emptied by one
-    `dict.clear()`, which a racing thread cannot break as it can an
-    iteration over the cache; each racing writer may add one entry past the
-    bound. Of two threads storing one key, both get the first value."""
-    if len(cache) >= bound:
-        cache.clear()
-    return cache.setdefault(key, value)
 
 
 @dataclass(frozen=True)

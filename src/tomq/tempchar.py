@@ -21,6 +21,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .dl import (
     BOTTOM_QUERY,
+    TOP_QUERY,
     Eliq,
     Instance,
     Ontology,
@@ -84,13 +85,22 @@ class TaggedBNormal:
 
     def to_tinstance(self, gaps: Optional[dict[int, int]] = None) -> TInstance:
         """The realisation: the block slices in order, `b` empty slices
-        between blocks i and i+1, or `gaps[i]` where given."""
+        between blocks i and i+1, or `gaps[i]` where given.
+
+        Every slice is anchored and padded through the memos that
+        `anchored` and `Instance.with_individuals` keep on it, and every gap
+        is ⊤'s hat (cached by the reasoner) anchored as a slice is, so a gap
+        and a ⊤ negative are one object. The variants of one base thus
+        realise a value-equal slice as one object, anchored once and padded
+        once per individual set, and builds over the same hats share them
+        too."""
+        empty = anchored(reasoner(self.onto).hat(TOP_QUERY), "")
         slices: list[Instance] = []
         tag = 0
         for i, block in enumerate(self.blocks):
             if i:
                 gap = self.b if gaps is None else gaps.get(i - 1, self.b)
-                slices.extend(empty_instance() for _ in range(gap))
+                slices.extend([empty] * gap)
             for s in block:
                 slices.append(anchored(s.slice, f"s{tag}_"))
                 tag += 1

@@ -8,8 +8,10 @@ filter the frontier search once ran, `frontier_pool` and
 `frontier_candidates`, the pool of that search and its candidate sets,
 `reference_prop_frontier`, the class-`p` frontier by a loop
 over subsets of names, `reference_probe_shapes`, the path-probe listing
-built as a list, and `reference_types`, the sign-vector loop over a type
-closure."""
+built as a list, `reference_types`, the sign-vector loop over a type
+closure, `reference_fitting_shapes`, the uniqueness check's pass that tests
+every candidate on every example in turn, and `reference_realisation`, a
+tagged instance realised without the anchoring and padding memos."""
 from __future__ import annotations
 
 import itertools
@@ -48,6 +50,7 @@ from tomq.dl import (
     name_basic,
     ontology,
     reasoner,
+    rename_instance,
     signature,
     top_basic,
 )
@@ -408,3 +411,48 @@ def reference_types(onto: Ontology, elems) -> list[frozenset[int]]:
         ):
             types.append(frozenset(i for i, s in enumerate(signs) if s))
     return types
+
+
+def reference_fitting_shapes(groups: list, checks: list):
+    """The shapes `verify._fitting_shapes` yields, by the loop it once ran:
+    each last entry of a prefix is tested on every check's example in turn
+    (`_ExamplePass.extend` from its state after the prefix) up to the first
+    that refuses, and a prefix that a positive refuses as a whole is
+    skipped."""
+    serial = 0
+    for levels in groups:
+        *inner, last = levels
+        for prefix in itertools.product(*inner):
+            serial += 1
+            for entry in last:
+                for ex, want in checks:
+                    if ex.serial != serial:
+                        ex.enter(prefix, serial)
+                    if (ex.state != 0 and ex.extend(ex.state, entry) != 0) != want:
+                        break
+                else:
+                    yield prefix + (entry,)
+                    continue
+                if want and not ex.state:
+                    break
+
+
+def reference_realisation(t, gaps=None) -> TInstance:
+    """What `TaggedBNormal.to_tinstance` realises, built afresh: every block
+    slice renamed from its pointed instance, and every empty slice and
+    every padded slice a new `Instance`."""
+    slices: list[Instance] = []
+    tag = 0
+    for i, block in enumerate(t.blocks):
+        if i:
+            gap = t.b if gaps is None else gaps.get(i - 1, t.b)
+            slices.extend(Instance(frozenset(("a",))) for _ in range(gap))
+        for s in block:
+            p = s.slice
+            others = sorted(p.instance.individuals - {p.point})
+            ren = {ind: f"s{tag}_{k}" for k, ind in enumerate(others)}
+            ren[p.point] = "a"
+            slices.append(rename_instance(p.instance, ren))
+            tag += 1
+    inds = frozenset().union(*(s.individuals for s in slices))
+    return TInstance(tuple(Instance(inds, s.catoms, s.ratoms) for s in slices), "a")

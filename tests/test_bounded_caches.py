@@ -5,16 +5,25 @@ evicted ontology gets a fresh reasoner, with a fresh reasoner's answers, and a
 `SliceTable` keeps answering with the reasoner it was built with. The
 consistency sweep of a `SliceTable` saturates full slices but keeps none of
 those saturations, since only the point's component is chased afterwards. A
-`TInstance` caches its hash and is pickled without it.
+`TInstance` and an `Eliq` cache their hashes and are pickled without them,
+and an `Instance` or `Pointed` is pickled without its memos.
 """
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import tomq
 
 from tomq.dl import (
     DIALECTS,
     DL_LITE_H,
     Disjoint,
+    Pointed,
     Reasoner,
+    anchored,
     clear_reasoners,
     instance,
     name_basic,
@@ -105,3 +114,34 @@ def test_tinstance_hash_is_cached_and_not_pickled():
     assert d == e and hash(d) == hash(e) == hash((d.slices, d.point))
     back = pickle.loads(pickle.dumps(d))
     assert back == d and "_hash" not in back.__dict__ and hash(back) == hash(d)
+
+
+def _python(code: str, hashseed: int, stdin: bytes = b"") -> bytes:
+    """The standard output of `code` run by a fresh interpreter under the
+    given hash seed, with this checkout's tomq importable."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
+               PYTHONPATH=str(Path(tomq.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, check=True)
+    return done.stdout
+
+
+def test_eliq_pickled_in_one_process_hashes_as_built_in_another():
+    """An `Eliq` keeps the hash of its key, which string hashing makes
+    differ between processes, so it is rebuilt on unpickling."""
+    built = "from tomq.dl import Role, atom, exists; q = exists(Role('R'), atom('A'))"
+    data = _python(f"import pickle, sys; {built}; sys.stdout.buffer.write(pickle.dumps(q))", 1)
+    check = (f"import pickle, sys; {built}; back = pickle.loads(sys.stdin.buffer.read()); "
+             "print(back == q, hash(back) == hash(q), back in {q})")
+    assert _python(check, 2, data).split() == [b"True", b"True", b"True"]
+
+
+def test_pickled_instances_and_pointed_carry_no_memo():
+    p = Pointed(instance(["a", "b"], [("A", "a")], [("R", "a", "b")]), "a")
+    inst = anchored(p, "s0_")
+    padded = inst.with_individuals(["c"])
+    assert inst._key and "_padded" in inst.__dict__ and "_anchored" in p.__dict__
+    for obj in (p, inst, padded):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+        assert set(back.__dict__) == set(type(obj).__dataclass_fields__), back.__dict__.keys()

@@ -23,6 +23,8 @@ from tomq.tempchar import (
     MODE_DEPTH,
     MODE_NEXTDIA,
     MODE_SAFE,
+    _join_variant,
+    _point_weakenings,
     characterise_dia,
     characterise_prop_until,
     characterise_until,
@@ -40,7 +42,7 @@ from tomq.temporal.model import (
 from tomq.temporal.normal import is_safe, normalize, until_truncate
 from tomq.verify import EnumSpec, check_unique_characterisation
 
-from helpers import rand_ontology, root_homs
+from helpers import rand_ontology, reference_realisation, root_homs
 
 A, B = atom("A"), atom("B")
 SIG_A = signature(["A"])
@@ -375,3 +377,57 @@ def test_suffix_search_returns_a_later_candidate():
     negatives = [slices_of(d) for d in characterise_prop_until(q, sig).negatives]
     assert slices_of(third) in negatives
     assert slices_of(first) not in negatives and slices_of(second) not in negatives
+
+
+def _tagged_variants(t):
+    """The tagged instance and every variant the next/later builder
+    realises from it: each gap tightened to 0 or 1 empty slices, the joined
+    borders, the point weakenings and each rule a-f applied once, as
+    (tagged instance, gaps) pairs."""
+    out = [(t, None)]
+    for i in range(len(t.blocks) - 1):
+        out += [(t, {i: 0}), (t, {i: 1}), (_join_variant(t, i), None)]
+    out += [(v, None) for v in _point_weakenings(t)]
+    out += [(v, None) for rule in "abcdef" for _, v in rule_variants(t, rule)]
+    return out
+
+
+def test_realisations_share_value_equal_slices():
+    """Every realisation of a build's variants equals, by value, one built
+    afresh without the anchoring and padding memos, and value-equal slices
+    across the variants are one object. A second build realises the same
+    instances, and its base, made of hats, shares the first's slices."""
+    rng = random.Random(20261020)
+    variants = 0
+    for k in range(16):
+        sig = ROLE_SIG if k % 2 else NAMES_SIG
+        names = sorted(sig.concept_names)
+        onto = rand_ontology(rng, sig, (DL_LITE_H, ELHIF_NF)[k // 2 % 2], max_axioms=3) if k % 4 > 1 \
+            else empty_ontology(sig)
+        body = (lambda: _edge_body(rng)) if sig is ROLE_SIG else (lambda: _names_body(rng, names))
+        q = pathquery_from_ops([body() for _ in range(3)], [rng.choice(["X", "F", "Fr"]) for _ in range(2)])
+        if not all(reasoner(onto).query_satisfiable(b) for b in q.bodies()):
+            continue
+        nq = normalize(onto, q)
+
+        members: dict = {}
+
+        def supplier(b):
+            # one object per value, as a hat is: a split-partner member is
+            # built afresh on each call, so its slices are not shared
+            negatives = negatives_for(onto, b, sig, "eliq" if sig is ROLE_SIG else "p", 3)
+            return tuple(members.setdefault(p, p) for p in negatives)
+
+        seen: dict = {}
+        realised = []
+        for t, gaps in _tagged_variants(tagged_from_queries(onto, nq.strict_count + 1, nq.blocks, supplier)):
+            d = t.to_tinstance(gaps)
+            assert d == reference_realisation(t, gaps), (k, str(q))
+            assert all(seen.setdefault(s, s) is s for s in d.slices), (k, str(q))
+            realised.append(d)
+        # the base's slices are hats and empty slices, which a second build shares
+        again = _tagged_variants(tagged_from_queries(onto, nq.strict_count + 1, nq.blocks, supplier))
+        assert [t.to_tinstance(gaps) for t, gaps in again] == realised
+        assert all(seen[s] is s for s in again[0][0].to_tinstance().slices)
+        variants += len(realised)
+    assert variants >= 150, variants

@@ -4,11 +4,21 @@ import random
 
 import pytest
 
-from helpers import enum_trees, rand_eliq, rand_ontology, reference_letters
+from helpers import (
+    enum_trees,
+    rand_eliq,
+    rand_instance,
+    rand_ontology,
+    reference_fitting_shapes,
+    reference_letters,
+)
 
 from tomq.dl import (
     DIALECTS,
+    DL_LITE_H,
     TOP_QUERY,
+    Disjoint,
+    Reasoner,
     Role,
     anchored,
     atom,
@@ -16,6 +26,8 @@ from tomq.dl import (
     empty_ontology,
     exists,
     instance,
+    name_basic,
+    ontology,
     signature,
 )
 from tomq.temporal.model import (
@@ -27,7 +39,8 @@ from tomq.temporal.model import (
 )
 import tomq.verify as verify
 from tomq.cli import main
-from tomq.temporal.eval import tentail
+from tomq.tempchar import characterise_dia
+from tomq.temporal.eval import SliceTable, tentail
 from tomq.textio import parse_pathquery, parse_untilquery, print_eliq
 from tomq.verify import (
     ENUM_CACHE_SIZE,
@@ -352,3 +365,66 @@ def test_matcher_disagreement_raises(monkeypatch):
     monkeypatch.setattr(verify, "_matcher_fits", lambda onto, held, q: q == dia)
     with pytest.raises(RuntimeError, match="disagree"):
         check_unique_characterisation(OE, dia, loose, spec)
+
+
+FIT_CLASSES = ("dia", "nextdia", "until", "p", "elq", "eliq")
+CLASH_AB = ontology([Disjoint(name_basic("A"), name_basic("B"))], DL_LITE_H, SIG_ABR)
+
+
+def _rand_tinstance(rng):
+    return tinstance([rand_instance(rng, SIG_ABR, 2, 4) for _ in range(rng.randint(1, 3))], "i0")
+
+
+def _fitting_cases(qclass):
+    """Seeded example sets for one class: random ones over the empty
+    ontology and small random ones, a built set with half its negatives,
+    one with an inconsistent positive, one whose first consistent example
+    is a negative and one with no consistent example."""
+    rng = random.Random(4040 + FIT_CLASSES.index(qclass))
+    cases = []
+    for k in range(10):
+        onto = OER if k % 2 else rand_ontology(rng, SIG_ABR, DIALECTS[k // 2 % len(DIALECTS)], 4)
+        cases.append((onto, example_set(
+            [_rand_tinstance(rng) for _ in range(rng.randint(1, 3))],
+            [_rand_tinstance(rng) for _ in range(rng.randint(0, 3))],
+        )))
+    built = characterise_dia(OE, pathquery_from_ops([A, B], ["F"]), SIG_AB)
+    cases.append((OE, example_set(built.positives, built.negatives[::2])))
+    clash = tinstance([instance(["a"], [("A", "a"), ("B", "a")])], "a")
+    ok = [_rand_tinstance(rng) for _ in range(3)]
+    cases.append((CLASH_AB, example_set([clash, ok[0]], ok[1:])))
+    cases.append((CLASH_AB, example_set([clash], ok)))
+    cases.append((CLASH_AB, example_set([clash], [])))
+    return cases
+
+
+@pytest.mark.parametrize("qclass", FIT_CLASSES)
+def test_fitting_shapes_agree_with_the_reference_loop(qclass, monkeypatch):
+    """The per-run pass of the uniqueness check yields the shapes of the
+    entry-by-entry loop it replaced, in order, and asks the reasoner for
+    the same number of certain answers, every table read from scratch."""
+    calls = [0]
+    certain_answer = Reasoner.certain_answer
+
+    def counted(self, *args):
+        calls[0] += 1
+        return certain_answer(self, *args)
+
+    monkeypatch.setattr(Reasoner, "certain_answer", counted)
+    fitted = 0
+    for onto, examples in _fitting_cases(qclass):
+        spec = EnumSpec(SIG_ABR if qclass in ("elq", "eliq") else SIG_AB, qclass, 3, 2)
+        domain, groups = verify.enum_shapes(spec)
+        got = []
+        for fitting in (reference_fitting_shapes, verify._fitting_shapes):
+            tables = [
+                (SliceTable(onto, d), want)
+                for want, ds in ((True, examples.positives), (False, examples.negatives))
+                for d in ds
+            ]
+            checks = [(verify._ExamplePass(t, domain), want) for t, want in tables if not t.unsat]
+            calls[0] = 0
+            got.append((list(fitting(groups, checks)), calls[0]))
+        assert got[0] == got[1], (qclass, examples)
+        fitted += len(got[0][0])
+    assert fitted >= 5, fitted

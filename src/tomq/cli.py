@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import dl
-from .dl import Signature, empty_ontology, signature
+from .dl import Ontology, Signature, empty_ontology, signature
 from .domainchar import frontier, split_partner
 from .errors import (
     BudgetExceeded,
@@ -123,6 +123,22 @@ def _load_query(args):
     return parse_pathquery(text)
 
 
+def _at_least(low: int):
+    """An argparse `type` reading an integer no smaller than `low`."""
+    def read(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return read
+
+
+NON_NEGATIVE, POSITIVE = _at_least(0), _at_least(1)
+
+
 def _mode(args):
     m = getattr(args, "mode", None) or "safe"
     if m == "safe":
@@ -170,12 +186,12 @@ def main(argv=None) -> int:
 
     p = add("safe", help="is the path query safe wrt the ontology")
     p.add_argument("--query", required=True)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=NON_NEGATIVE, default=6)
 
     p = add("frontier", help="bounded verified frontier of a domain query")
     p.add_argument("--query", required=True)
     p.add_argument("--class", dest="qclass", default=CLASS_ELIQ, choices=DOMAIN_CLASSES)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=NON_NEGATIVE, default=6)
 
     p = add("split-partner", help="split-partner of a set of domain queries")
     p.add_argument("--query", required=True, help="file with one domain query per line")
@@ -184,13 +200,13 @@ def main(argv=None) -> int:
     p.add_argument("--query", required=True)
     p.add_argument("--class", dest="qclass", default=CLASS_DIA, choices=TEMPORAL_CLASSES)
     p.add_argument("--mode", help="safe (the default), depth=N or nextdiamond")
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=NON_NEGATIVE, default=6)
 
     p = add("learn", help="learn a hidden path query with membership queries")
     p.add_argument("--target", required=True)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=POSITIVE, default=10000)
     p.add_argument("--mode", default="safe")
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=NON_NEGATIVE, default=6)
     p.add_argument("--initial", help="positive example file; derived from the target if absent")
     p.add_argument("--transcript")
 
@@ -201,13 +217,13 @@ def main(argv=None) -> int:
                    help="dia for a characterisation by default, eliq otherwise")
     p.add_argument("--examples", help="example-set file (characterisation)")
     p.add_argument("--members", help="file of members: example-set sections or queries")
-    p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--bound", type=NON_NEGATIVE, default=4)
+    p.add_argument("--depth", type=NON_NEGATIVE, default=2)
 
     p = add("enumerate", help="list every query of a class within bounds")
     p.add_argument("--class", dest="qclass", default=CLASS_ELIQ, choices=every_class)
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--bound", type=NON_NEGATIVE, default=3)
+    p.add_argument("--depth", type=NON_NEGATIVE, default=1)
 
     try:
         args = parser.parse_args(argv)
@@ -258,6 +274,9 @@ def _dispatch(args) -> int:  # noqa: C901
 
     if cmd == "frontier":
         onto = _load_ontology(args, _parse_sigma(args))
+        sigma = _parse_sigma(args, onto)
+        if sigma != onto.signature:
+            onto = Ontology(sigma, onto.axioms, onto.dialect)
         q = parse_eliq(_read(args.query))
         front = frontier(onto, q, args.qclass, args.bound)
         if front is None:

@@ -274,13 +274,10 @@ def _axiom_roles(ax):
         yield ax.role
 
 
-EMPTY_ONTOLOGY_CACHE: dict[Signature, Ontology] = {}
-
-
 def empty_ontology(sig: Signature) -> Ontology:
-    if sig not in EMPTY_ONTOLOGY_CACHE:
-        EMPTY_ONTOLOGY_CACHE[sig] = Ontology(sig, frozenset(), DL_LITE_H)
-    return EMPTY_ONTOLOGY_CACHE[sig]
+    """The ontology with no axioms over sig. It is built anew on each call;
+    equal ontologies share one `reasoner`, which is keyed by value."""
+    return Ontology(sig, frozenset(), DL_LITE_H)
 
 
 def _put(cache: dict, key, value, bound: int):

@@ -272,11 +272,10 @@ class _ExamplePass:
     """The forward pass of `tentail` at time point 0 of one example, over the
     shapes of one uniqueness check. The state after each shape prefix is
     kept for the check, so a shape pays only for its last entry, and each
-    domain query's bits are read once. For the last entries of a prefix the
-    pass is aimed at one run of them (`aim`, `_runs`) at a time: the body
-    of the run's step may sit at the points of `reach`, so the shape ending
-    in body b holds when b holds at one of them. The first check reads that
-    for every b at once (`holding`), a later one for one b at a time."""
+    domain query's bits are read once. `fitting` narrows a run of a
+    prefix's last entries (`_runs`) to those the example decides as wanted;
+    the shape ending in body b holds when b holds at one of the points of
+    `reach`, and each body is tested once per reach."""
 
     def __init__(self, table: SliceTable, domain: tuple[Eliq, ...]):
         self.table = table
@@ -287,8 +286,7 @@ class _ExamplePass:
         self.serial = -1
         self.reach = 1                           # where the run aimed at last puts its body
         self.run = -1
-        self._columns: Optional[list[int]] = None
-        self._over: dict[int, int] = {}          # reached points -> `holding`'s bits
+        self._held: dict[int, tuple[int, int]] = {}  # reach -> (bodies asked, those holding)
 
     def points(self, b: int) -> int:
         got = self._points[b]
@@ -318,40 +316,34 @@ class _ExamplePass:
         self.serial = serial
         self.run = -1
 
-    def aim(self, run: int, rel: Optional[str], filler: Optional[int]) -> None:
-        """Aim at run number `run` of the entered prefix's last entries,
-        whose steps are (rel, filler, body), or bare bodies when rel is
-        None: `reach` becomes the points at which its body may sit."""
-        reach = self.state
-        if rel is not None and reach:
-            fill = 0 if filler is None else self.points(filler)
-            reach = advance(reach, rel, fill, self.table.future)
-        self.reach = reach
-        self.run = run
-
-    def holding(self) -> int:
-        """Every body, as a bit, with which the run aimed at holds: the OR
-        of the columns over the points in `reach`. Bit b of column t says
-        that domain query b holds at t; the columns are read from `points`,
-        every domain query's once, when first asked for."""
-        got = self._over.get(self.reach)
-        if got is None:
-            columns = self._columns
-            if columns is None:
-                columns = self._columns = [0] * (self.table.future + 1)
-                for b in range(len(self.domain)):
-                    bits = self.points(b)
-                    while bits:
-                        low = bits & -bits
-                        columns[low.bit_length() - 1] |= 1 << b
-                        bits ^= low
-            got, left = 0, self.reach
-            while left:
-                low = left & -left
-                got |= columns[low.bit_length() - 1]
-                left ^= low
-            self._over[self.reach] = got
-        return got
+    def fitting(self, serial: int, prefix: tuple, k: int, run: tuple, fit: int, want: bool) -> int:
+        """The bodies of `fit` (bits) with which run number k of the last
+        entries of prefix number `serial` holds (want) or fails (not want).
+        The run's steps are (rel, filler, body) for `run` = (rel, filler),
+        or bare bodies when rel is None; the prefix is entered and the run
+        aimed at once, and nothing is read when the run reaches no point."""
+        if self.serial != serial:
+            self.enter(prefix, serial)
+        if self.run != k:
+            (rel, filler), reach = run, self.state
+            if rel is not None and reach:
+                fill = 0 if filler is None else self.points(filler)
+                reach = advance(reach, rel, fill, self.table.future)
+            self.reach, self.run = reach, k
+        reach = self.reach
+        if not reach:
+            return 0 if want else fit
+        asked, held = self._held.get(reach, (0, 0))
+        todo = fit & ~asked
+        if todo:
+            asked |= todo
+            while todo:
+                low = todo & -todo
+                if reach & self.points(low.bit_length() - 1):
+                    held |= low
+                todo ^= low
+            self._held[reach] = (asked, held)
+        return fit & held if want else fit & ~held
 
 
 def _runs(last) -> list[tuple]:
@@ -373,50 +365,32 @@ def _fitting_shapes(groups: list, checks: list) -> Iterator[tuple]:
     """The shapes of the groups, in order, that every check's example entails
     (a positive) or does not (a negative).
 
-    The first check decides the last entries of a prefix a run at a time
-    (`_runs`, `_ExamplePass.holding`). The entries it lets through go to the
-    later checks one at a time, in order, each stopping at the first check
-    that refuses. A prefix that a positive refuses as a whole is skipped.
-    The shapes, and the bits each example reads, are those of the
-    entry-by-entry loop that `tests/helpers.py` keeps as the reference."""
-    if not checks:
-        for levels in groups:
-            yield from itertools.product(*levels)
-        return
-    (first, first_want), later = checks[0], checks[1:]
+    The last entries of a prefix are taken a run at a time (`_runs`): the
+    run's bodies go through the checks in order, each example narrowing
+    them (`_ExamplePass.fitting`) until none is left, and the survivors
+    are yielded in body order. A prefix that a positive refuses as a whole
+    is skipped. The shapes, and the bits each example reads, are those of
+    the entry-by-entry loop that `tests/helpers.py` keeps as the
+    reference."""
     serial = 0
     for levels in groups:
         *inner, last = levels
         runs = _runs(last)
         for prefix in itertools.product(*inner):
             serial += 1
-            first.enter(prefix, serial)
-            if first_want and not first.state:
-                continue
-            for k, ((rel, filler), bodies, entry_of) in enumerate(runs):
-                first.aim(k, rel, filler)
-                held = first.holding() & bodies
-                fit = held if first_want else bodies ^ held
-                while fit:
-                    low = fit & -fit
-                    fit ^= low
-                    body = low.bit_length() - 1
-                    for ex, want in later:
-                        if ex.serial != serial:
-                            ex.enter(prefix, serial)
-                        if ex.run != k:
-                            ex.aim(k, rel, filler)
-                        reach = ex.reach
-                        if (reach != 0 and reach & ex.points(body) != 0) != want:
-                            break
-                    else:
-                        yield prefix + (entry_of[body],)
-                        continue
-                    if want and not ex.state:
+            for k, (run, fit, entry_of) in enumerate(runs):
+                for ex, want in checks:
+                    fit = ex.fitting(serial, prefix, k, run, fit, want)
+                    if not fit:
                         break
                 else:
+                    while fit:
+                        low = fit & -fit
+                        fit ^= low
+                        yield prefix + (entry_of[low.bit_length() - 1],)
                     continue
-                break  # a positive refuses the prefix as a whole
+                if want and not ex.state:
+                    break  # a positive refuses the prefix as a whole
 
 
 def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec: EnumSpec) -> Verdict:
@@ -426,11 +400,10 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
 
     Candidates are decided as flat shapes (`enum_shapes`) by the forward
     bitset pass of `tentail`, per example in order, with the state after
-    each shape prefix kept per example for the check. The first consistent
-    example decides the last entries of a prefix a run at a time, from one
-    bitmask of domain queries per time point; the later ones test the
-    entries it lets through one at a time (`_fitting_shapes`). A prefix on
-    which a positive example's pass is already empty is skipped whole. Only
+    each shape prefix kept per example for the check. The last entries of
+    a prefix are decided a run at a time, every consistent example in turn
+    narrowing the run's bodies the same way (`_fitting_shapes`). A prefix
+    on which a positive example's pass is already empty is skipped whole. Only
     a shape that fits becomes a query; `SequenceMatcher.run` re-checks it
     on every example, independently of the pass, and a disagreement raises
     RuntimeError rather than dropping a candidate that may be the only

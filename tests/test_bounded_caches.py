@@ -8,11 +8,13 @@ those saturations, since only the point's component is chased afterwards. A
 `TInstance` and an `Eliq` cache their hashes and are pickled without them,
 and an `Instance` or `Pointed` is pickled without its memos.
 """
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import tomq
@@ -25,6 +27,7 @@ from tomq.dl import (
     Reasoner,
     anchored,
     clear_reasoners,
+    empty_ontology,
     instance,
     name_basic,
     ontology,
@@ -80,6 +83,17 @@ def test_registry_holds_at_most_its_bound_and_answers_as_fresh_reasoners():
     assert tentail(ontos[0], dinst, 0, path) == entails
     clear_reasoners()
     assert reason._reasoners.cache_info().currsize == 0
+
+
+def test_empty_ontologies_share_a_reasoner_and_are_not_kept():
+    """Equal empty ontologies share one reasoner through the value-keyed
+    registry, and once it is cleared nothing keeps them alive."""
+    sig = signature(["A", "C"], ["S"])
+    assert reasoner(empty_ontology(sig)) is reasoner(empty_ontology(sig))
+    kept = weakref.ref(empty_ontology(sig))
+    clear_reasoners()
+    gc.collect()
+    assert kept() is None
 
 
 def test_consistency_sweep_keeps_no_full_slice_saturation():

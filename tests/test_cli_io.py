@@ -502,3 +502,61 @@ def test_cli_characterise_class_nextdia_builds_the_next_later_set(tmp_path, caps
     for mode in ("safe", "depth=1"):
         err = _usage_error(capsys, base + ["--class", "nextdia", "--mode", mode])
         assert err.startswith(f"error: --class nextdia builds with mode nextdiamond, got --mode {mode}")
+
+
+def test_cli_bounds_are_non_negative_and_budgets_positive(tmp_path, capsys):
+    """A negative `--bound` or `--depth` and a non-positive `--budget` are
+    usage errors, not a vacuous pass or a traceback. Within a bound of 1 or
+    more, `verify --what frontier` of A ⊓ B with the member A finds B
+    uncovered."""
+    query = tmp_path / "q.q"
+    query.write_text("A & B\n")
+    members = tmp_path / "members.txt"
+    members.write_text("A\n")
+    path = tmp_path / "path.q"
+    path.write_text("A\n")
+    sigma = ["--sigma", "A,B"]
+    verify = ["verify", "--what", "frontier", "--class", "p", "--query", str(query),
+              "--members", str(members)] + sigma
+    calls = [
+        (verify + ["--bound", "-1"], "--bound", 0),
+        (verify + ["--depth", "-1"], "--depth", 0),
+        (["frontier", "--class", "p", "--query", str(query), "--bound", "-1"] + sigma, "--bound", 0),
+        (["enumerate", "--class", "dia", "--bound", "-2"] + sigma, "--bound", 0),
+        (["enumerate", "--class", "dia", "--depth", "-1"] + sigma, "--depth", 0),
+        (["characterise", "--query", str(path), "--bound", "-1"] + sigma, "--bound", 0),
+        (["safe", "--query", str(path), "--bound", "-3"] + sigma, "--bound", 0),
+        (["learn", "--target", str(path), "--bound", "-1"] + sigma, "--bound", 0),
+        (["learn", "--target", str(path), "--budget", "0"] + sigma, "--budget", 1),
+        (["learn", "--target", str(path), "--budget", "x"] + sigma, "--budget", None),
+    ]
+    for argv, flag, low in calls:
+        err = _usage_error(capsys, argv)
+        want = "expected an integer" if low is None else f"must be at least {low}"
+        assert f"argument {flag}: {want}" in err, err
+    for bound in ("1", "3"):
+        assert main(verify + ["--bound", bound]) == 1
+        assert capsys.readouterr().out == "fail (1 witnesses)\n"
+
+
+def test_cli_frontier_reads_sigma_with_an_ontology(tmp_path, capsys):
+    """`frontier` searches over `--sigma` and the ontology's own signature
+    together, as `verify` checks: with A ⊑ ∃R and B given by `--sigma`
+    alone, the frontier of A ⊓ B is that of the ontology declaring B, and
+    `verify --what frontier` passes on it."""
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nA [= ex R\n")
+    declared = tmp_path / "declared.onto"
+    declared.write_text("dialect: dl-lite-h\nconcepts: A,B\nA [= ex R\n")
+    query = tmp_path / "q.q"
+    query.write_text("A & B\n")
+    members = tmp_path / "members.txt"
+    base = ["--query", str(query), "--class", "eliq"]
+    assert main(["frontier", "--ontology", str(declared)] + base) == 0
+    want = capsys.readouterr().out
+    assert want == "A & ex R.ex R-.(A & B)\nB & ex R.ex R-.(A & B)\n"
+    with_sigma = ["--ontology", str(onto), "--sigma", "A,B"] + base
+    assert main(["frontier", "--out", str(members)] + with_sigma) == 0
+    assert members.read_text() == want
+    assert main(["verify", "--what", "frontier", "--members", str(members)] + with_sigma) == 0
+    assert capsys.readouterr().out == "pass\n"

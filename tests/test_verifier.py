@@ -39,7 +39,7 @@ from tomq.temporal.model import (
 )
 import tomq.verify as verify
 from tomq.cli import main
-from tomq.tempchar import characterise_dia
+from tomq.tempchar import MODE_DEPTH, characterise_dia, characterise_until
 from tomq.temporal.eval import SliceTable, tentail
 from tomq.textio import parse_pathquery, parse_untilquery, print_eliq
 from tomq.verify import (
@@ -378,8 +378,10 @@ def _rand_tinstance(rng):
 def _fitting_cases(qclass):
     """Seeded example sets for one class: random ones over the empty
     ontology and small random ones, a built set with half its negatives,
-    one with an inconsistent positive, one whose first consistent example
-    is a negative and one with no consistent example."""
+    a built `until` set and a built depth-mode set with all their examples,
+    whose many later examples narrow the runs the first lets through, one
+    with an inconsistent positive, one whose first consistent example is a
+    negative and one with no consistent example."""
     rng = random.Random(4040 + FIT_CLASSES.index(qclass))
     cases = []
     for k in range(10):
@@ -390,6 +392,9 @@ def _fitting_cases(qclass):
         )))
     built = characterise_dia(OE, pathquery_from_ops([A, B], ["F"]), SIG_AB)
     cases.append((OE, example_set(built.positives, built.negatives[::2])))
+    cases.append((OE, characterise_until(OE, untilquery(B, [(B, A), (None, B)]), SIG_AB)))
+    depth = pathquery_from_ops([A, B, A], ["X", "F"])
+    cases.append((OE, characterise_dia(OE, depth, SIG_AB, (MODE_DEPTH, 2))))
     clash = tinstance([instance(["a"], [("A", "a"), ("B", "a")])], "a")
     ok = [_rand_tinstance(rng) for _ in range(3)]
     cases.append((CLASH_AB, example_set([clash, ok[0]], ok[1:])))

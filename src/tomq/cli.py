@@ -114,6 +114,14 @@ def _parse_sigma(args, onto=None):  # noqa: C901
     return signature(concepts, roles)
 
 
+def _widened_ontology(args) -> Ontology:
+    """The ontology over its own signature widened by the names `--sigma`
+    and `--roles` add, so that frontiers are searched over them too."""
+    onto = _load_ontology(args, _parse_sigma(args))
+    sigma = _parse_sigma(args, onto)
+    return onto if sigma == onto.signature else Ontology(sigma, onto.axioms, onto.dialect)
+
+
 def _load_query(args):
     text = _read(args.query)
     if args.qclass == CLASS_UNTIL:
@@ -273,10 +281,7 @@ def _dispatch(args) -> int:  # noqa: C901
         return EXIT_OK if verdict else EXIT_NEGATIVE
 
     if cmd == "frontier":
-        onto = _load_ontology(args, _parse_sigma(args))
-        sigma = _parse_sigma(args, onto)
-        if sigma != onto.signature:
-            onto = Ontology(sigma, onto.axioms, onto.dialect)
+        onto = _widened_ontology(args)
         q = parse_eliq(_read(args.query))
         front = frontier(onto, q, args.qclass, args.bound)
         if front is None:
@@ -297,8 +302,8 @@ def _dispatch(args) -> int:  # noqa: C901
         return EXIT_OK
 
     if cmd == "characterise":
-        onto = _load_ontology(args, _parse_sigma(args))
-        sigma = _parse_sigma(args, onto)
+        onto = _widened_ontology(args)
+        sigma = onto.signature
         if args.qclass == CLASS_UNTIL:
             q = parse_untilquery(_read(args.query))
             try:
@@ -314,7 +319,7 @@ def _dispatch(args) -> int:  # noqa: C901
         return EXIT_OK
 
     if cmd == "learn":
-        onto = _load_ontology(args, _parse_sigma(args))
+        onto = _widened_ontology(args)
         target = parse_pathquery(_read(args.target))
         teacher = Teacher(onto, target, budget=args.budget)
         mode = _mode(args)

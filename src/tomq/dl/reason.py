@@ -35,6 +35,10 @@ derive ⊥ nor add an edge: with no `Disjoint`, no `ConjLhs … ⊑ bot`, no
 stored, so saturation's verdict is its initial check for an individual with
 two distinct successors along a functional role (`_func_clash`; DL-Lite_F
 satisfiability reduces to the same check, Calvanese et al., JAR 2007).
+Otherwise a caller that reads only the verdict (`keep=False`) saturates only
+the individuals that some role atom links: saturation is local to connected
+components, so an individual no role atom touches is consistent exactly when
+its names are, a verdict each reasoner keeps per name set.
 
 Saturations, chases and certain answers are cached under the `Instance`
 itself, a frozen value whose hash reads the cached hashes of its three
@@ -81,6 +85,9 @@ HAT_CACHE_SIZE = 1024
 CERTAIN_CACHE_SIZE = 4096
 CONTAINS_CACHE_SIZE = 8192
 WITNESS_CACHE_SIZE = 4096
+# name sets of unlinked individuals: one key per subset of the data's
+# concept names, at most 8 per reasoner on the benchmark's `answer` ops
+LONE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -276,6 +283,7 @@ class Reasoner:
         self._certain_cache: dict = {}
         self._contains_cache: dict = {}
         self._anon: dict = {}
+        self._lone: dict = {}
         self._subbasic = onto.axioms_of(SubBasic)
         self._disjoint = onto.axioms_of(Disjoint)
         self._exrhs = onto.axioms_of(ExistsRhs)
@@ -561,14 +569,38 @@ class Reasoner:
 
     def is_satisfiable(self, inst: Instance, keep: bool = True) -> bool:
         """Saturates only when ⊥ axioms, `bot` data or role inclusions under
-        `Func` can make the verdict differ from the data's (module docstring);
-        `keep` as for `saturate`."""
+        `Func` can make the verdict differ from the data's, and then, unless
+        `keep` (as for `saturate`), only the individuals role atoms link
+        (module docstring)."""
         if not self._bot_axioms and not any(c == BOT for c, _ in inst.catoms):
             if not self.func_decl:
                 return True
             if not self._role_incl:
                 return not _func_clash(self._funcs, inst.ratoms)
-        return self.saturate(inst, keep).consistent
+        if keep or inst in self._sat_cache:
+            return self.saturate(inst).consistent
+        return self._linked_consistent(inst)
+
+    def _linked_consistent(self, inst: Instance) -> bool:
+        """`saturate(inst).consistent`, saturating only the individuals that
+        role atoms link; each other individual is decided by its names alone
+        (module docstring)."""
+        linked = {x for _, a, b in inst.ratoms for x in (a, b)}
+        lone: dict[str, set[str]] = {a: set() for a in inst.individuals - linked}
+        for c, a in inst.catoms:
+            if a in lone:
+                lone[a].add(c)
+        for names in {frozenset(ns) for ns in lone.values()}:
+            got = self._lone.get(names)
+            if got is None:
+                one = Instance(frozenset(("a",)), frozenset((c, "a") for c in names))
+                got = _put(self._lone, names, self._saturate(one).consistent, LONE_CACHE_SIZE)
+            if not got:
+                return False
+        if not linked:
+            return True
+        catoms = frozenset(x for x in inst.catoms if x[1] in linked)
+        return self._saturate(Instance(frozenset(linked), catoms, inst.ratoms)).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
         ckey = (inst, point, q._key)
@@ -579,12 +611,19 @@ class Reasoner:
         return got
 
     def _certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
+        """True on an inconsistent inst. Else a query without edges holds
+        when its names are in the point's saturated type, as the chase adds
+        no concept atom to a named individual and a depth-0 homomorphism
+        reads only the point's; any other query is mapped into the chase to
+        its role depth."""
         if not self.is_satisfiable(inst):
             return True
         if q.is_bottom:
             return False
         if q.is_top:
             return True
+        if not q.edges:
+            return self.saturate(inst).names.get(point, _EMPTY).issuperset(q.names)
         chased = self.chase(inst, q.role_depth)
         return hom_exists(q, chased, point)
 

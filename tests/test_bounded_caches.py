@@ -3,10 +3,11 @@
 The registry `reasoner(onto)` holds at most REASONER_CACHE_SIZE reasoners; an
 evicted ontology gets a fresh reasoner, with a fresh reasoner's answers, and a
 `SliceTable` keeps answering with the reasoner it was built with. The
-consistency sweep of a `SliceTable` saturates full slices but keeps none of
-those saturations, since only the point's component is chased afterwards. A
-`TInstance` and an `Eliq` cache their hashes and are pickled without them,
-and an `Instance` or `Pointed` is pickled without its memos.
+consistency sweep of a `SliceTable` keeps no saturation of a slice, since
+only the point's component is chased afterwards. `split_partner` is
+memoised up to its bound until `clear_split_partner_cache`. A `TInstance`
+and an `Eliq` cache their hashes and are pickled without them, and an
+`Instance` or `Pointed` is pickled without its memos.
 """
 import gc
 import os
@@ -36,6 +37,8 @@ from tomq.dl import (
     signature,
 )
 from tomq.dl import reason
+from tomq import domainchar
+from tomq.domainchar import clear_split_partner_cache, split_partner
 from tomq.temporal.eval import SliceTable, clear_slice_tables, slice_table, tentail
 from tomq.temporal.model import pathquery_from_ops, tinstance
 from tomq.textio import parse_eliq
@@ -96,10 +99,25 @@ def test_empty_ontologies_share_a_reasoner_and_are_not_kept():
     assert kept() is None
 
 
+def test_split_partner_is_memoised_until_cleared():
+    """Two calls on one (ontology, signature, queries) key share one result,
+    a list and a tuple of the queries alike; `clear_split_partner_cache`
+    forgets it, and the next call builds a value-equal one."""
+    onto, sig = empty_ontology(SIG), signature(["A", "B"])
+    a = parse_eliq("A & B")
+    clear_split_partner_cache()
+    first = split_partner(onto, sig, [a])
+    assert split_partner(onto, sig, (a,)) is first
+    assert domainchar._split_partner_cached.cache_info().maxsize == domainchar.SPLIT_PARTNER_CACHE_SIZE
+    clear_split_partner_cache()
+    again = split_partner(onto, sig, [a])
+    assert again == first and again is not first
+
+
 def test_consistency_sweep_keeps_no_full_slice_saturation():
-    """Under `Disjoint` every slice is saturated by the sweep; slices of
-    several components are then read through the point's component, so no
-    saturation of a full slice is kept."""
+    """Under `Disjoint` the sweep decides every slice by saturation; slices
+    of several components are then read through the point's component, so
+    no saturation of a full slice is kept."""
     onto = ontology([Disjoint(name_basic("A"), name_basic("B"))], DL_LITE_H, SIG)
     slices = [
         instance(["a", "b", "c"], [("A", "a"), ("A", "c")], [("R", "a", "b")]),

@@ -560,3 +560,35 @@ def test_cli_frontier_reads_sigma_with_an_ontology(tmp_path, capsys):
     assert members.read_text() == want
     assert main(["verify", "--what", "frontier", "--members", str(members)] + with_sigma) == 0
     assert capsys.readouterr().out == "pass\n"
+
+
+def test_cli_characterise_and_learn_read_sigma_with_an_ontology(tmp_path, capsys):
+    """`characterise` and `learn` search over the ontology widened by
+    `--sigma`, as `frontier` does: with A ⊑ ∃R and B given by `--sigma`
+    alone, they print what they print over the ontology declaring B. The
+    depth-1 set of F(A ⊓ B) is then fitted by the target and no longer by
+    F(B ⊓ ∃R.⊤), which is not equivalent to it."""
+    from tomq.temporal.eval import fits
+
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nA [= ex R\n")
+    declared = tmp_path / "declared.onto"
+    declared.write_text("dialect: dl-lite-h\nconcepts: A,B\nA [= ex R\n")
+    query = tmp_path / "q.q"
+    query.write_text("F (A & B)\n")
+    depth = ["--mode", "depth=1"]
+
+    def printed(cmd, given) -> tuple[str, str]:
+        assert main([cmd, "--ontology", str(given), "--query" if cmd == "characterise" else "--target",
+                     str(query)] + depth + (["--sigma", "A,B"] if given is onto else [])) == 0
+        got = capsys.readouterr()
+        return got.out, got.err
+
+    out, _ = printed("characterise", onto)
+    assert (out, "") == printed("characterise", declared)
+    es, parsed = parse_exampleset(out), parse_ontology(onto.read_text())
+    assert fits(parsed, es, parse_pathquery("F (A & B)"))
+    assert not fits(parsed, es, parse_pathquery("F (B & ex R.Top)"))
+    learned = printed("learn", onto)
+    assert learned == printed("learn", declared)
+    assert learned[0] == "F(A & B)\n"

@@ -4,10 +4,14 @@
 ontology can derive ⊥ and no data atom is `bot`: from the data's
 functional-role clashes when the ontology has `Func` and no role inclusion,
 else outright. It must agree with `saturate(inst).consistent`, and role
-inclusions under `Func` must still saturate. A consistent `SliceTable`
-reasons over the point's connected component of each slice only; its bits must agree with
-the full-slice answer `not consistent or hom_exists(q, chase(s), point)`.
-The uniqueness check holds one table per example for its whole run.
+inclusions under `Func` must still saturate; a verdict-only check
+(`keep=False`) that saturates reads unlinked individuals by their names
+alone and must agree too. `certain_answer` reads a query without edges off
+the point's saturated type; it must agree with `hom_exists(q, chase(inst,
+0), point)`. A consistent `SliceTable` reasons over the point's connected
+component of each slice only; its bits must agree with the full-slice
+answer `not consistent or hom_exists(q, chase(s), point)`. The uniqueness
+check holds one table per example for its whole run.
 """
 import random
 
@@ -28,6 +32,7 @@ from tomq.dl import (
     TOP,
     empty_ontology,
     hom_exists,
+    make_eliq,
     point_component,
     reasoner,
     signature,
@@ -187,6 +192,66 @@ def test_role_inclusion_under_func_needs_saturation():
     assert fast._role_incl and not _func_clash(fast._funcs, inst.ratoms)
     assert not Reasoner(onto).saturate(inst).consistent
     assert not fast.is_satisfiable(inst)
+
+
+def test_verdict_only_check_reads_unlinked_individuals_by_their_names():
+    """Where `is_satisfiable` saturates, `keep=False` saturates only the
+    individuals that role atoms link and decides each other one by its
+    names, remembered per name set: against a separate reasoner's full
+    saturation, with clashes on a lone individual and in the linked part
+    alike, and nothing written to the saturation cache."""
+    seen = {(where, want): 0 for where in ("lone", "linked", "none") for want in (True, False)}
+    for d, dialect in enumerate(DIALECTS):
+        rng = random.Random(7717 + d)
+        for _ in range(150):
+            onto = rand_ontology(rng, SIG, dialect, max_axioms=MAX_AXIOMS)
+            fast, slow = Reasoner(onto), Reasoner(onto)
+            for _ in range(6):
+                inst = _with_bot(rng, rand_instance(rng, SIG, max_inds=6, max_atoms=8))
+                if _path(fast, inst) != "saturate":
+                    continue
+                want = slow.saturate(inst).consistent
+                assert fast.is_satisfiable(inst, keep=False) == want, (dialect, sorted(map(str, onto.axioms)), inst)
+                assert inst not in fast._sat_cache
+                linked = {x for _, a, b in inst.ratoms for x in (a, b)}
+                alone = [
+                    Instance(frozenset((a,)), frozenset(x for x in inst.catoms if x[1] == a))
+                    for a in inst.individuals - linked
+                ]
+                lone_clash = not all(slow.saturate(one).consistent for one in alone)
+                seen["lone" if lone_clash else "linked" if linked else "none", want] += 1
+    assert seen["lone", False] >= 320 and seen["linked", False] >= 370, seen
+    assert seen["linked", True] >= 280 and seen["none", True] >= 260, seen
+    assert seen["lone", True] == seen["none", False] == 0, seen
+
+
+# ------------------------------------------------------- name-only answers
+
+def test_edge_free_answers_agree_with_the_depth_0_chase():
+    """On consistent instances of every dialect, a query without edges holds
+    at a point, also one the data gives no name, exactly when it maps into
+    the chase to depth 0."""
+    names = sorted(SIG.concept_names)
+    seen = {(bare, want): 0 for bare in (True, False) for want in (True, False)}
+    for d, dialect in enumerate(DIALECTS):
+        rng = random.Random(5209 + d)
+        for _ in range(120):
+            onto = rand_ontology(rng, SIG, dialect, max_axioms=MAX_AXIOMS)
+            fast, ref = Reasoner(onto), Reasoner(onto)
+            for _ in range(3):
+                inst = rand_instance(rng, SIG, max_inds=4, max_atoms=8)
+                if not ref.saturate(inst).consistent:
+                    continue
+                chased = ref.chase(inst, 0)
+                for point in sorted(inst.individuals):
+                    bare = not any(a == point for _, a in inst.catoms)
+                    for _ in range(3):
+                        q = make_eliq(rng.sample(names, rng.randint(1, len(names))))
+                        want = hom_exists(q, chased, point)
+                        assert fast.certain_answer(inst, point, q) == want, (dialect, str(q), inst, point)
+                        seen[bare, want] += 1
+    assert seen[True, True] >= 50 and seen[True, False] >= 4000, seen  # names only derived
+    assert seen[False, True] >= 1200 and seen[False, False] >= 2600, seen
 
 
 # ------------------------------------------------------------ component rule

@@ -8,13 +8,17 @@ obligations are summarised as witness groups: the obligations of one element
 whose roles share a functional super-role collapse into a single group,
 otherwise one group per (role, filler). A clash puts `bot` into the type.
 
-The step sees an element's neighbours through a view. `saturate` runs it over
-every named individual (`_Named`: the neighbours are the named individuals
-linked by stored edges) until nothing changes. A witness type is the same
-step run to a fixpoint on one anonymous element (`_Anon`): its one neighbour
-is its parent, frozen at type `ptype` and linked by the inverses of
-`uproles`, and what functional roles force onto the parent is collected as
-the witness's pushed names and roles.
+The step sees an element's neighbours through a view. `saturate` runs it, in
+rounds until nothing changes (`_rounds`), over the named individuals that
+role atoms link (`_Named`: the neighbours are the named individuals linked
+by stored edges). Saturation is local to connected components, and `force`
+adds edges only between individuals already linked, so an individual no
+role atom touches has the type, groups and verdict of a lone individual
+with its names: each reasoner keeps these per name set. A witness type is
+the same step run to a fixpoint on one anonymous element (`_Anon`): its one
+neighbour is its parent, frozen at type `ptype` and linked by the inverses
+of `uproles`, and what functional roles force onto the parent is collected
+as the witness's pushed names and roles.
 
 Witness types are memoised under (fillers, up-roles, parent type) and depend
 on each other cyclically. Each top-level evaluation owns a `_Fixpoint`: its
@@ -35,10 +39,7 @@ derive ⊥ nor add an edge: with no `Disjoint`, no `ConjLhs … ⊑ bot`, no
 stored, so saturation's verdict is its initial check for an individual with
 two distinct successors along a functional role (`_func_clash`; DL-Lite_F
 satisfiability reduces to the same check, Calvanese et al., JAR 2007).
-Otherwise a caller that reads only the verdict (`keep=False`) saturates only
-the individuals that some role atom links: saturation is local to connected
-components, so an individual no role atom touches is consistent exactly when
-its names are, a verdict each reasoner keeps per name set.
+Otherwise it is the verdict of `saturate`.
 
 Saturations, chases and certain answers are cached under the `Instance`
 itself, a frozen value whose hash reads the cached hashes of its three
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from ..errors import UnsatisfiableQuery
 from .eliq import Eliq, conjoin, induced_instance, point_component
@@ -104,9 +105,10 @@ class Group:
 @dataclass
 class Saturation:
     consistent: bool
-    names: dict[str, set[str]]
+    # an unlinked individual's type and groups are frozen, shared with `_lone`
+    names: dict[str, AbstractSet[str]]
     edges: frozenset[tuple[str, str, str]]  # role-closure of the stored atoms
-    groups: dict[str, list[Group]]
+    groups: dict[str, Sequence[Group]]
 
     @property
     def catoms(self) -> frozenset[tuple[str, str]]:
@@ -137,6 +139,14 @@ def _index_edge(succ: dict, atom: tuple[str, str, str]) -> None:
     p, a, b = atom
     succ.setdefault((a, p, False), set()).add(b)
     succ.setdefault((b, p, True), set()).add(a)
+
+
+def _successor_index(atoms) -> dict[tuple[str, str, bool], set[str]]:
+    """The successor index (`_index_edge`) of the role atoms `atoms`."""
+    succ: dict[tuple[str, str, bool], set[str]] = {}
+    for atom in atoms:
+        _index_edge(succ, atom)
+    return succ
 
 
 class _Named:
@@ -448,22 +458,39 @@ class Reasoner:
         return got
 
     def _saturate(self, inst: Instance) -> Saturation:
+        """Runs the rule loop (`_rounds`) once over the individuals that role
+        atoms link. Every other individual takes its verdict, type and groups
+        from `_lone`, kept per name set (module docstring)."""
         edges = set(self._closed_edges(inst))
-        names: dict[str, set[str]] = {a: set() for a in inst.individuals}
+        names: dict[str, AbstractSet[str]] = {a: set() for a in inst.individuals}
         for c, a in inst.catoms:
             names[a].add(c)
-        succ: dict[tuple[str, str, bool], set[str]] = {}
-        for e in edges:
-            _index_edge(succ, e)
-        groups: dict[str, list[Group]] = {a: [] for a in inst.individuals}
-        els = [
-            _Named(a, names, groups[a], succ, edges, self)
-            for a in sorted(inst.individuals)
-        ]
+        groups: dict[str, Sequence[Group]] = {a: [] for a in inst.individuals}
+        linked = {x for _, a, b in edges for x in (a, b)}
+        for a in sorted(inst.individuals - linked):
+            key = frozenset(names[a])
+            got = self._lone.get(key)
+            if got is None:
+                one, gs = {a: set(key)}, {a: []}
+                got = (self._rounds([a], one, gs, set()), frozenset(one[a]), tuple(gs[a]))
+                got = _put(self._lone, key, got, LONE_CACHE_SIZE)
+            consistent, t, gs = got
+            names[a], groups[a] = t, gs
+            if not consistent:
+                break
+        else:
+            consistent = self._rounds(sorted(linked), names, groups, edges)
+        return Saturation(consistent, names, frozenset(edges), groups)
 
+    def _rounds(self, order: list[str], names: dict, groups: dict, edges: set) -> bool:
+        """Step the named individuals `order`, in that order, round after
+        round until nothing changes or one is inconsistent, updating `names`,
+        `groups` and `edges` in place; their verdict."""
+        succ = _successor_index(edges)
+        els = [_Named(a, names, groups[a], succ, edges, self) for a in order]
         consistent = not _func_clash(self._funcs, edges)
         rounds_left = 8 * (
-            (len(inst.individuals) + 4)
+            (len(order) + 4)
             * (
                 len(self.onto.signature.concept_names)
                 + len(self.onto.signature.role_names)
@@ -488,7 +515,7 @@ class Reasoner:
             # only `force` adds edges, and only a new edge can clash
             if len(edges) != known and _func_clash(self._funcs, edges):
                 consistent = False
-        return Saturation(consistent, names, frozenset(edges), groups)
+        return consistent
 
     # ------------------------------------------------ anonymous witness types
 
@@ -569,38 +596,14 @@ class Reasoner:
 
     def is_satisfiable(self, inst: Instance, keep: bool = True) -> bool:
         """Saturates only when ⊥ axioms, `bot` data or role inclusions under
-        `Func` can make the verdict differ from the data's, and then, unless
-        `keep` (as for `saturate`), only the individuals role atoms link
-        (module docstring)."""
+        `Func` can make the verdict differ from the data's, and then caches
+        the saturation unless `keep` is False (as for `saturate`)."""
         if not self._bot_axioms and not any(c == BOT for c, _ in inst.catoms):
             if not self.func_decl:
                 return True
             if not self._role_incl:
                 return not _func_clash(self._funcs, inst.ratoms)
-        if keep or inst in self._sat_cache:
-            return self.saturate(inst).consistent
-        return self._linked_consistent(inst)
-
-    def _linked_consistent(self, inst: Instance) -> bool:
-        """`saturate(inst).consistent`, saturating only the individuals that
-        role atoms link; each other individual is decided by its names alone
-        (module docstring)."""
-        linked = {x for _, a, b in inst.ratoms for x in (a, b)}
-        lone: dict[str, set[str]] = {a: set() for a in inst.individuals - linked}
-        for c, a in inst.catoms:
-            if a in lone:
-                lone[a].add(c)
-        for names in {frozenset(ns) for ns in lone.values()}:
-            got = self._lone.get(names)
-            if got is None:
-                one = Instance(frozenset(("a",)), frozenset((c, "a") for c in names))
-                got = _put(self._lone, names, self._saturate(one).consistent, LONE_CACHE_SIZE)
-            if not got:
-                return False
-        if not linked:
-            return True
-        catoms = frozenset(x for x in inst.catoms if x[1] in linked)
-        return self._saturate(Instance(frozenset(linked), catoms, inst.ratoms)).consistent
+        return self.saturate(inst, keep).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
         ckey = (inst, point, q._key)
@@ -643,9 +646,7 @@ class Reasoner:
         pointed = induced_instance(q)
         inst, point = pointed.instance, pointed.point
         while True:
-            succ: dict[tuple[str, str, bool], set[str]] = {}
-            for e in self._closed_edges(inst):
-                _index_edge(succ, e)
+            succ = _successor_index(self._closed_edges(inst))
             # the first (functional role, individual), in sorted order, with two successors
             merge = next((ss[:2] for f in sorted(self.func_decl, key=str) for a in sorted(inst.individuals)
                           for ss in [sorted(succ.get((a, f.name, f.inverted), ()))] if len(ss) > 1), None)
@@ -781,11 +782,8 @@ class _HomTable:
     def successors(self, e: str, role: Role) -> set[str]:
         """The elements e reaches along role, from the successor index."""
         succ = self.succ
-        if succ is None:
-            succ = {}  # published once full: threads share the table
-            for atom in self.inst.ratoms:
-                _index_edge(succ, atom)
-            self.succ = succ
+        if succ is None:  # published once full: threads share the table
+            succ = self.succ = _successor_index(self.inst.ratoms)
         return succ.get((e, role.name, role.inverted), ())
 
 

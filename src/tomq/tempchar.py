@@ -357,6 +357,7 @@ def characterise_until(onto: Ontology, q: UntilQuery, sig: Signature) -> Example
         raise NotPeerless("fillers must be containment-incomparable with targets")
     if reasoner(onto).trivial(q.targets()[-1]):
         raise TrailingTopTarget("the final target must not be trivial")
+    # order-insensitive, unlike split_partner's memo: (B, A) reuses the members built for (A, B)
     split_cache: dict = {}
 
     def split_slices(qs: tuple[Eliq, ...]) -> list[Instance]:

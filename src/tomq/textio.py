@@ -75,6 +75,16 @@ def _parse_role(tok: str, line=None) -> Role:
     return Role(name, inverted)
 
 
+def _concept(tok: str, concepts: set, line, special=(TOP,)) -> str:
+    """tok, one of `special` or a concept name, which is added to `concepts`;
+    `ParseError` when it is neither."""
+    if tok not in special:
+        if not _NAME.fullmatch(tok):
+            raise ParseError(f"bad concept name {tok!r}", line)
+        concepts.add(tok)
+    return tok
+
+
 # ---------------------------------------------------------------- ontology
 
 def parse_ontology(text: str) -> Ontology:
@@ -92,15 +102,16 @@ def parse_ontology(text: str) -> Ontology:
             if dialect not in DIALECTS:
                 raise ParseError(f"unknown dialect {dialect!r}", ln)
             continue
-        if line.startswith("roles:"):
-            declared_roles |= {
-                t.strip() for t in line.split(":", 1)[1].split(",") if t.strip()
-            }
-            reject_reserved(declared_roles, ln)
-            continue
-        if line.startswith("concepts:"):
-            concepts |= {t.strip() for t in line.split(":", 1)[1].split(",") if t.strip()}
-            reject_reserved(concepts, ln)
+        header, _, listed = line.partition(":")
+        if header in ("roles", "concepts"):
+            for t in filter(None, (t.strip() for t in listed.split(","))):
+                if header == "concepts":
+                    _concept(t, concepts, ln, ())
+                elif _NAME.fullmatch(t):
+                    declared_roles.add(t)
+                else:
+                    raise ParseError(f"bad role name {t!r}", ln)
+            reject_reserved(declared_roles | concepts, ln)
             continue
         if dialect is None:
             raise ParseError("the dialect header must come first", ln)
@@ -132,10 +143,7 @@ def _parse_basic(tok: str, roles: set, concepts: set, ln: int) -> Basic:
         role = _parse_role(tok[3:].strip(), ln)
         roles.add(role.name)
         return exists_basic(role)
-    if not _NAME.fullmatch(tok):
-        raise ParseError(f"bad concept term {tok!r}", ln)
-    concepts.add(tok)
-    return name_basic(tok)
+    return name_basic(_concept(tok, concepts, ln))
 
 
 def _parse_axiom(line: str, dialect: str, roles: set, concepts: set, ln: int):
@@ -170,35 +178,23 @@ def _parse_axiom(line: str, dialect: str, roles: set, concepts: set, ln: int):
         head, filler = (t.strip() for t in lhs[3:].split(".", 1))
         role = _parse_role(head, ln)
         roles.add(role.name)
-        if filler != TOP:
-            concepts.add(filler)
-        if rhs != TOP and rhs != BOT:
-            concepts.add(rhs)
-        return ExistsLhs(role, filler, rhs)
+        return ExistsLhs(role, _concept(filler, concepts, ln), _concept(rhs, concepts, ln, (TOP, BOT)))
 
     if rhs.startswith("ex ") and "." in rhs:
         head, filler = (t.strip() for t in rhs[3:].split(".", 1))
         role = _parse_role(head, ln)
         roles.add(role.name)
-        if lhs != TOP:
-            concepts.add(lhs)
-        if filler != TOP:
-            concepts.add(filler)
-        return ExistsRhs(lhs, role, filler)
+        return ExistsRhs(_concept(lhs, concepts, ln), role, _concept(filler, concepts, ln))
 
     if dialect == ELHIF_NF:
         if rhs.startswith("ex "):
             role = _parse_role(rhs[3:].strip(), ln)
             roles.add(role.name)
-            if lhs != TOP:
-                concepts.add(lhs)
-            return ExistsRhs(lhs, role, TOP)
+            return ExistsRhs(_concept(lhs, concepts, ln), role, TOP)
         if lhs.startswith("ex "):
             role = _parse_role(lhs[3:].strip(), ln)
             roles.add(role.name)
-            if rhs != TOP:
-                concepts.add(rhs)
-            return ExistsLhs(role, TOP, rhs)
+            return ExistsLhs(role, TOP, _concept(rhs, concepts, ln))
         return _named_conj(lhs, TOP, rhs, concepts, ln)
 
     b1 = _parse_basic(lhs, roles, concepts, ln)
@@ -209,16 +205,9 @@ def _parse_axiom(line: str, dialect: str, roles: set, concepts: set, ln: int):
 
 
 def _named_conj(l1: str, l2: str, rhs: str, concepts: set, ln: int) -> ConjLhs:
-    for t in (l1, l2):
-        if t != TOP:
-            if not _NAME.fullmatch(t):
-                raise ParseError(f"bad concept name {t!r}", ln)
-            concepts.add(t)
-    if rhs not in (TOP, BOT):
-        if not _NAME.fullmatch(rhs):
-            raise ParseError(f"bad concept name {rhs!r}", ln)
-        concepts.add(rhs)
-    return ConjLhs(l1, l2, rhs)
+    return ConjLhs(
+        _concept(l1, concepts, ln), _concept(l2, concepts, ln), _concept(rhs, concepts, ln, (TOP, BOT))
+    )
 
 
 def print_ontology(onto: Ontology) -> str:

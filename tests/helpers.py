@@ -10,8 +10,9 @@ filter the frontier search once ran, `frontier_pool` and
 over subsets of names, `reference_probe_shapes`, the path-probe listing
 built as a list, `reference_types`, the sign-vector loop over a type
 closure, `reference_fitting_shapes`, the uniqueness check's pass that tests
-every candidate on every example in turn, and `reference_realisation`, a
-tagged instance realised without the anchoring and padding memos."""
+every candidate on every example in turn, `reference_realisation`, a
+tagged instance realised without the anchoring and padding memos, and
+`reference_saturation`, one rule loop over every individual of an instance."""
 from __future__ import annotations
 
 import itertools
@@ -54,6 +55,7 @@ from tomq.dl import (
     signature,
     top_basic,
 )
+from tomq.dl.reason import Saturation, _func_clash, _index_edge, _Named
 from tomq.domainchar import MAX_PATH_PROBES, one_step_weakenings
 from tomq.errors import UnsupportedAxiom
 from tomq.temporal.eval import slice_table
@@ -456,3 +458,31 @@ def reference_realisation(t, gaps=None) -> TInstance:
             tag += 1
     inds = frozenset().union(*(s.individuals for s in slices))
     return TInstance(tuple(Instance(inds, s.catoms, s.ratoms) for s in slices), "a")
+
+
+def reference_saturation(r: Reasoner, inst: Instance) -> Saturation:
+    """What `r.saturate(inst)` computes, by one rule loop over every
+    individual of inst in sorted order, linked by role atoms or not, round
+    after round until nothing changes or one is inconsistent."""
+    edges = set(r._closed_edges(inst))
+    names: dict[str, set[str]] = {a: set() for a in inst.individuals}
+    for c, a in inst.catoms:
+        names[a].add(c)
+    succ: dict = {}
+    for e in edges:
+        _index_edge(succ, e)
+    groups: dict[str, list] = {a: [] for a in inst.individuals}
+    els = [_Named(a, names, groups[a], succ, edges, r) for a in sorted(inst.individuals)]
+    consistent = not _func_clash(r._funcs, edges)
+    changed = True
+    while changed and consistent:
+        changed = False
+        known = len(edges)
+        for el in els:
+            changed = r._step(el, None) or changed
+            if BOT in el.t:
+                consistent = False
+                break
+        if len(edges) != known and _func_clash(r._funcs, edges):
+            consistent = False
+    return Saturation(consistent, names, frozenset(edges), groups)

@@ -73,6 +73,16 @@ def test_parse_ontology_errors():
         parse_ontology("A [= B\n")  # missing dialect header
     with pytest.raises(ParseError):
         parse_ontology("dialect: owl-full\n")
+    for body in (
+        "A [= ex R . B C",
+        "ex R . A+B [= C",
+        "A x [= ex R . B",
+        "A [= ex R . Top x",
+        "concepts: A B, C",
+        "roles: R S",
+    ):  # a malformed name, never a new concept or role
+        with pytest.raises(ParseError):
+            parse_ontology(f"dialect: elhif-nf\n{body}\n")
 
 
 def test_ontology_roundtrip():

@@ -4,14 +4,15 @@
 ontology can derive ⊥ and no data atom is `bot`: from the data's
 functional-role clashes when the ontology has `Func` and no role inclusion,
 else outright. It must agree with `saturate(inst).consistent`, and role
-inclusions under `Func` must still saturate; a verdict-only check
-(`keep=False`) that saturates reads unlinked individuals by their names
-alone and must agree too. `certain_answer` reads a query without edges off
-the point's saturated type; it must agree with `hom_exists(q, chase(inst,
-0), point)`. A consistent `SliceTable` reasons over the point's connected
-component of each slice only; its bits must agree with the full-slice
-answer `not consistent or hom_exists(q, chase(s), point)`. The uniqueness
-check holds one table per example for its whole run.
+inclusions under `Func` must still saturate. `saturate` reads unlinked
+individuals by their names alone and must agree with one rule loop over
+every individual, and a verdict-only check (`keep=False`) with both.
+`certain_answer` reads a query without edges off the point's saturated
+type; it must agree with `hom_exists(q, chase(inst, 0), point)`. A
+consistent `SliceTable` reasons over the point's connected component of
+each slice only; its bits must agree with the full-slice answer `not
+consistent or hom_exists(q, chase(s), point)`. The uniqueness check holds
+one table per example for its whole run.
 """
 import random
 
@@ -46,7 +47,15 @@ from tomq.temporal.model import tinstance
 from tomq.textio import parse_eliq, parse_tinstance, parse_untilquery
 from tomq.verify import EnumSpec, check_unique_characterisation
 
-from helpers import rand_eliq, rand_instance, rand_long_slices, rand_ontology, rand_role, successors
+from helpers import (
+    rand_eliq,
+    rand_instance,
+    rand_long_slices,
+    rand_ontology,
+    rand_role,
+    reference_saturation,
+    successors,
+)
 
 SIG = signature(["A", "B", "C"], ["R", "S"])
 MAX_AXIOMS = 5  # larger ELHIF-NF draws can hit the witness step that never ends
@@ -195,12 +204,15 @@ def test_role_inclusion_under_func_needs_saturation():
 
 
 def test_verdict_only_check_reads_unlinked_individuals_by_their_names():
-    """Where `is_satisfiable` saturates, `keep=False` saturates only the
-    individuals that role atoms link and decides each other one by its
-    names, remembered per name set: against a separate reasoner's full
-    saturation, with clashes on a lone individual and in the linked part
-    alike, and nothing written to the saturation cache."""
+    """`saturate` steps only the individuals that role atoms link and reads
+    every other one by its names, remembered per name set: against one rule
+    loop over every individual on a separate reasoner, field by field and
+    groups in order, where individuals share a name set and where a clash
+    is on a lone individual or in the linked part. Where `is_satisfiable`
+    saturates, `keep=False` gives the same verdict and writes nothing to
+    the saturation cache."""
     seen = {(where, want): 0 for where in ("lone", "linked", "none") for want in (True, False)}
+    shared = inconsistent = 0
     for d, dialect in enumerate(DIALECTS):
         rng = random.Random(7717 + d)
         for _ in range(150):
@@ -208,18 +220,30 @@ def test_verdict_only_check_reads_unlinked_individuals_by_their_names():
             fast, slow = Reasoner(onto), Reasoner(onto)
             for _ in range(6):
                 inst = _with_bot(rng, rand_instance(rng, SIG, max_inds=6, max_atoms=8))
-                if _path(fast, inst) != "saturate":
-                    continue
-                want = slow.saturate(inst).consistent
-                assert fast.is_satisfiable(inst, keep=False) == want, (dialect, sorted(map(str, onto.axioms)), inst)
-                assert inst not in fast._sat_cache
+                ref = reference_saturation(slow, inst)
+                want = ref.consistent
+                where = (dialect, sorted(map(str, onto.axioms)), inst)
+                saturating = _path(fast, inst) == "saturate"
+                if saturating:
+                    cached = inst in fast._sat_cache  # a repeated draw
+                    assert fast.is_satisfiable(inst, keep=False) == want, where
+                    assert (inst in fast._sat_cache) == cached
+                got = fast.saturate(inst)
+                assert got.consistent == want, where
+                if want:  # nothing reads the partial state of an inconsistent one
+                    assert got.names == ref.names and got.edges == ref.edges, where
+                    assert {a: list(gs) for a, gs in got.groups.items()} == ref.groups, where
                 linked = {x for _, a, b in inst.ratoms for x in (a, b)}
                 alone = [
                     Instance(frozenset((a,)), frozenset(x for x in inst.catoms if x[1] == a))
                     for a in inst.individuals - linked
                 ]
-                lone_clash = not all(slow.saturate(one).consistent for one in alone)
-                seen["lone" if lone_clash else "linked" if linked else "none", want] += 1
+                shared += len({frozenset(c for c, _ in one.catoms) for one in alone}) < len(alone)
+                inconsistent += not want
+                if saturating:
+                    lone_clash = not all(reference_saturation(slow, one).consistent for one in alone)
+                    seen["lone" if lone_clash else "linked" if linked else "none", want] += 1
+    assert shared >= 1100 and inconsistent >= 850, (shared, inconsistent)
     assert seen["lone", False] >= 320 and seen["linked", False] >= 370, seen
     assert seen["linked", True] >= 280 and seen["none", True] >= 260, seen
     assert seen["lone", True] == seen["none", False] == 0, seen

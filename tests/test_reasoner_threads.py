@@ -222,8 +222,9 @@ SMALL_BOUNDS = {
     "CERTAIN_CACHE_SIZE": 4,
     "CONTAINS_CACHE_SIZE": 3,
     "WITNESS_CACHE_SIZE": 2,
+    "LONE_CACHE_SIZE": 2,
 }
-CACHES = ("_sat_cache", "_chase_cache", "_hat_cache", "_certain_cache", "_contains_cache", "_anon")
+CACHES = ("_sat_cache", "_chase_cache", "_hat_cache", "_certain_cache", "_contains_cache", "_anon", "_lone")
 
 
 def test_threads_agree_with_one_thread_while_every_cache_evicts(monkeypatch):

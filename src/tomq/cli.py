@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import dl
-from .dl import Ontology, Signature, empty_ontology, signature
+from .dl import Ontology, empty_ontology, signature
 from .domainchar import frontier, split_partner
 from .errors import (
     BudgetExceeded,
@@ -78,47 +78,35 @@ def _read(path: str) -> str:
 
 
 def _write_out(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_ontology(args, sigma: Signature | None = None):
-    if getattr(args, "ontology", None):
-        return parse_ontology(_read(args.ontology))
-    if sigma is None:
-        raise ParseError("either --ontology or --sigma is required")
-    return empty_ontology(sigma)
-
-
-def _parse_sigma(args, onto=None):  # noqa: C901
-    names = []
-    if getattr(args, "sigma", None):
-        names = [t.strip() for t in args.sigma.split(",") if t.strip()]
-    roles = set()
-    if getattr(args, "roles", None):
-        roles |= {t.strip() for t in args.roles.split(",") if t.strip()}
-    if onto is not None:
-        roles |= {n for n in names if n in onto.signature.role_names}
-    reject_reserved(set(names) | roles)
-    concepts = [n for n in names if n not in roles]
-    if onto is not None:
-        concepts += sorted(onto.signature.concept_names - set(concepts))
-        roles |= onto.signature.role_names
-    if not names and onto is not None:
-        return onto.signature
-    if not concepts and not roles:
-        return None
-    return signature(concepts, roles)
+def _names(text) -> list[str]:
+    return [t.strip() for t in (text or "").split(",") if t.strip()]
 
 
 def _widened_ontology(args) -> Ontology:
-    """The ontology over its own signature widened by the names `--sigma`
-    and `--roles` add, so that frontiers are searched over them too."""
-    onto = _load_ontology(args, _parse_sigma(args))
-    sigma = _parse_sigma(args, onto)
+    """The `--ontology`, or the empty one, over its own signature widened by
+    the names `--sigma` and `--roles` add: a name the ontology or `--roles`
+    makes a role is a role, any other a concept. Every command reads its
+    signature here, so that frontiers, safety and enumeration see them."""
+    names, roles = _names(args.sigma), set(_names(args.roles))
+    if args.ontology:
+        onto = parse_ontology(_read(args.ontology))
+        concepts, roles = set(onto.signature.concept_names), roles | onto.signature.role_names
+    elif names or roles:
+        onto, concepts = None, set()
+    else:
+        raise ParseError("either --ontology or --sigma is required")
+    reject_reserved(set(names) | roles)
+    concepts.update(n for n in names if n not in roles)
+    sigma = signature(concepts, roles)
+    if onto is None:
+        return empty_ontology(sigma)
     return onto if sigma == onto.signature else Ontology(sigma, onto.axioms, onto.dialect)
 
 
@@ -180,7 +168,8 @@ def main(argv=None) -> int:
         p.add_argument("--ontology")
         p.add_argument("--sigma", help="comma-separated signature names")
         p.add_argument("--roles", help="names in --sigma that are roles")
-        p.add_argument("--out")
+        if name != "entail":  # entail answers by its exit code alone
+            p.add_argument("--out")
         return p
 
     every_class = DOMAIN_CLASSES + TEMPORAL_CLASSES
@@ -255,33 +244,28 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:  # noqa: C901
     cmd = args.command
+    onto = _widened_ontology(args)
+    sigma = onto.signature
     if cmd == "entail":
-        sigma = _parse_sigma(args)
-        onto = _load_ontology(args, sigma)
         q = _load_query(args)
         d = parse_tinstance(_read(args.instance))
         return EXIT_OK if tentail(onto, d, 0, q) else EXIT_NEGATIVE
 
     if cmd == "normalform":
-        sigma = _parse_sigma(args)
-        onto = _load_ontology(args, sigma)
         q = parse_pathquery(_read(args.query))
         _write_out(args, print_pathquery(normalize(onto, q)) + "\n")
         return EXIT_OK
 
     if cmd == "safe":
-        sigma = _parse_sigma(args)
-        onto = _load_ontology(args, sigma)
         q = parse_pathquery(_read(args.query))
         verdict = is_safe(onto, q, args.bound)
         if verdict is None:
             print("unknown: bound exhausted", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        print("safe" if verdict else "unsafe")
+        _write_out(args, "safe\n" if verdict else "unsafe\n")
         return EXIT_OK if verdict else EXIT_NEGATIVE
 
     if cmd == "frontier":
-        onto = _widened_ontology(args)
         q = parse_eliq(_read(args.query))
         front = frontier(onto, q, args.qclass, args.bound)
         if front is None:
@@ -291,8 +275,6 @@ def _dispatch(args) -> int:  # noqa: C901
         return EXIT_OK
 
     if cmd == "split-partner":
-        onto = _load_ontology(args, _parse_sigma(args))
-        sigma = _parse_sigma(args, onto)
         queries = [parse_eliq(line) for line in _read(args.query).splitlines() if line.strip()]
         sp = split_partner(onto, sigma, queries)
         chunks = []
@@ -302,8 +284,6 @@ def _dispatch(args) -> int:  # noqa: C901
         return EXIT_OK
 
     if cmd == "characterise":
-        onto = _widened_ontology(args)
-        sigma = onto.signature
         if args.qclass == CLASS_UNTIL:
             q = parse_untilquery(_read(args.query))
             try:
@@ -319,7 +299,6 @@ def _dispatch(args) -> int:  # noqa: C901
         return EXIT_OK
 
     if cmd == "learn":
-        onto = _widened_ontology(args)
         target = parse_pathquery(_read(args.target))
         teacher = Teacher(onto, target, budget=args.budget)
         mode = _mode(args)
@@ -347,8 +326,6 @@ def _dispatch(args) -> int:  # noqa: C901
         return EXIT_OK
 
     if cmd == "verify":
-        onto = _load_ontology(args, _parse_sigma(args))
-        sigma = _parse_sigma(args, onto)
         if args.what == "characterisation":
             qclass = args.qclass or CLASS_DIA
             q = (
@@ -373,13 +350,10 @@ def _dispatch(args) -> int:  # noqa: C901
                 es = parse_exampleset(_read(args.members))
                 members = [dl.Pointed(d.slices[0], d.point) for d in es.positives]
                 verdict = check_split_partner(onto, sigma, queries, members, spec)
-        print("pass" if verdict.passed else f"fail ({len(verdict.witnesses)} witnesses)")
+        _write_out(args, "pass\n" if verdict.passed else f"fail ({len(verdict.witnesses)} witnesses)\n")
         return EXIT_OK if verdict.passed else EXIT_NEGATIVE
 
     if cmd == "enumerate":
-        sigma = _parse_sigma(args)
-        if sigma is None:
-            raise ParseError("enumerate needs --sigma")
         spec = EnumSpec(sigma, args.qclass, size_bound=args.bound, depth_bound=args.depth)
         _write_out(args, "".join(f"{q}\n" for q in enum_queries(spec)))
         return EXIT_OK

@@ -200,10 +200,7 @@ def validate_ontology(onto: Ontology) -> None:
     for ax in onto.axioms:
         if not isinstance(ax, shapes):
             raise UnsupportedAxiom(f"{type(ax).__name__} not allowed in dialect {onto.dialect}")
-        if isinstance(ax, SubBasic):
-            _check_basic(sig, ax.lhs)
-            _check_basic(sig, ax.rhs)
-        elif isinstance(ax, Disjoint):
+        if isinstance(ax, (SubBasic, Disjoint)):
             _check_basic(sig, ax.lhs)
             _check_basic(sig, ax.rhs)
         elif isinstance(ax, Func):

@@ -43,11 +43,13 @@ Otherwise it is the verdict of `saturate`.
 
 Saturations, chases and certain answers are cached under the `Instance`
 itself, a frozen value whose hash reads the cached hashes of its three
-frozensets. A saturation whose caller reads only its verdict is not cached
-(`keep=False`). Each cache holds at most its module-constant bound of
-entries and is emptied when full (`_put`); the registry `reasoner(onto)`
-keeps at most REASONER_CACHE_SIZE reasoners, the least recently used
-leaving first.
+frozensets. A saturation is cached exactly when its instance has one
+individual or role atoms link all of them: an instance with an unlinked
+individual beside others is a slice, which callers read again only through
+its components, and `_lone` keeps its unlinked part by name set. Each cache
+holds at most its module-constant bound of entries and is emptied when full
+(`_put`); the registry `reasoner(onto)` keeps at most REASONER_CACHE_SIZE
+reasoners, the least recently used leaving first.
 """
 from __future__ import annotations
 
@@ -446,21 +448,16 @@ class Reasoner:
 
     # ------------------------------------------------------------- saturation
 
-    def saturate(self, inst: Instance, keep: bool = True) -> Saturation:
-        """The saturation of inst, cached unless `keep` is False: a caller
-        that reads only its verdict, and chases inst no further, stores
-        nothing that no later call would read."""
+    def saturate(self, inst: Instance) -> Saturation:
+        """The saturation of inst: a cache lookup, or else `_saturate`."""
         got = self._sat_cache.get(inst)
-        if got is None:
-            got = self._saturate(inst)
-            if keep:
-                got = _put(self._sat_cache, inst, got, SAT_CACHE_SIZE)
-        return got
+        return got if got is not None else self._saturate(inst)
 
     def _saturate(self, inst: Instance) -> Saturation:
         """Runs the rule loop (`_rounds`) once over the individuals that role
         atoms link. Every other individual takes its verdict, type and groups
-        from `_lone`, kept per name set (module docstring)."""
+        from `_lone`, kept per name set. Stores the saturation by the rule of
+        the module docstring."""
         edges = set(self._closed_edges(inst))
         names: dict[str, AbstractSet[str]] = {a: set() for a in inst.individuals}
         for c, a in inst.catoms:
@@ -480,7 +477,10 @@ class Reasoner:
                 break
         else:
             consistent = self._rounds(sorted(linked), names, groups, edges)
-        return Saturation(consistent, names, frozenset(edges), groups)
+        sat = Saturation(consistent, names, frozenset(edges), groups)
+        if len(inst.individuals) == 1 or len(linked) == len(inst.individuals):
+            sat = _put(self._sat_cache, inst, sat, SAT_CACHE_SIZE)
+        return sat
 
     def _rounds(self, order: list[str], names: dict, groups: dict, edges: set) -> bool:
         """Step the named individuals `order`, in that order, round after
@@ -594,16 +594,15 @@ class Reasoner:
 
     # -------------------------------------------------------- certain answers
 
-    def is_satisfiable(self, inst: Instance, keep: bool = True) -> bool:
+    def is_satisfiable(self, inst: Instance) -> bool:
         """Saturates only when ⊥ axioms, `bot` data or role inclusions under
-        `Func` can make the verdict differ from the data's, and then caches
-        the saturation unless `keep` is False (as for `saturate`)."""
+        `Func` can make the verdict differ from the data's."""
         if not self._bot_axioms and not any(c == BOT for c, _ in inst.catoms):
             if not self.func_decl:
                 return True
             if not self._role_incl:
                 return not _func_clash(self._funcs, inst.ratoms)
-        return self.saturate(inst, keep).consistent
+        return self.saturate(inst).consistent
 
     def certain_answer(self, inst: Instance, point: str, q: Eliq) -> bool:
         ckey = (inst, point, q._key)

@@ -10,7 +10,7 @@ teacher confirms the result is still a positive example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .dl import (
     Eliq,
@@ -76,7 +76,9 @@ class LearnerConfig:
     depth: Optional[int] = None          # known temporal depth, depth variant
     frontier_bound: int = 6
     budget: int = 10_000
-    qclass: str = CLASS_ELIQ
+    # frontiers are always ELIQ frontiers: a constant, not a field, readable
+    # here for the frontier span key of perfbench/spans.py
+    qclass: ClassVar[str] = CLASS_ELIQ
 
     def __post_init__(self):
         if self.budget <= 0:
@@ -172,7 +174,7 @@ class Learner:
         return self.teacher.membership(tinstance(list(slices), point))
 
     def frontier_of(self, q: Eliq) -> Optional[Frontier]:
-        return frontier(self.onto, q, self.config.qclass, self.config.frontier_bound)
+        return frontier(self.onto, q, CLASS_ELIQ, self.config.frontier_bound)
 
     def negatives_of(self, q: Eliq) -> list[Pointed]:
         front = self.frontier_of(q)

@@ -216,7 +216,6 @@ def characterise_dia(
     sig: Signature,
     mode: tuple = (MODE_SAFE,),
     size_bound: int = 6,
-    qclass: Optional[str] = None,
 ) -> ExampleSet:
     """The example set for a path query over next/later/now-or-later.
 
@@ -227,13 +226,12 @@ def characterise_dia(
     """
     r = reasoner(onto)
     nq = normalize(onto, q)
-    if qclass is None:
-        qclass = infer_body_class(onto, nq)
+    qclass = infer_body_class(onto, nq)
     meta = (("mode", mode[0] + (f"={mode[1]}" if len(mode) > 1 else "")), ("negatives", "prefer-frontier"))
     if len(nq.blocks) == 1 and len(nq.blocks[0]) == 1 and r.trivial(nq.blocks[0][0]):
         return example_set([tinstance([empty_instance()], "a")], [], meta)
     if mode[0] == MODE_SAFE:
-        safe = is_safe(onto, nq, size_bound, qclass)
+        safe = is_safe(onto, nq, size_bound)
         if safe is False:
             raise UnsafeQuery("query has a lone conjunct; not uniquely characterisable here")
         if safe is None:

@@ -71,8 +71,7 @@ class SliceTable:
         self.r = r = reasoner(onto)
         self.point = dinst.point
         self.future = dinst.max_time + 1
-        # a verdict on a full slice is read once: its saturation is not kept
-        self.unsat = not all(r.is_satisfiable(s, keep=False) for s in dinst.slices)
+        self.unsat = not all(r.is_satisfiable(s) for s in dinst.slices)
         self.slices = dinst.slices + (dinst.slice_at(self.future),)
         self.everywhere = (2 << self.future) - 1
         # the slices that `certain_answer` reads, each cut out on first use

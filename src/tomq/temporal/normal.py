@@ -125,18 +125,12 @@ def infer_body_class(onto: Ontology, q: PathQuery) -> str:
     return CLASS_ELIQ if has_roles else CLASS_P
 
 
-def is_safe(
-    onto: Ontology,
-    q: PathQuery,
-    size_bound: int = 6,
-    qclass: Optional[str] = None,
-) -> Optional[bool]:
+def is_safe(onto: Ontology, q: PathQuery, size_bound: int = 6) -> Optional[bool]:
     """False when the normal form has a lone conjunct (a meet-reducible body
     in a primitive non-initial block); None when meet-reducibility could not
     be decided within the bound."""
     nq = normalize(onto, q)
-    if qclass is None:
-        qclass = infer_body_class(onto, nq)
+    qclass = infer_body_class(onto, nq)
     verdict = True
     for i in range(1, len(nq.blocks)):
         if len(nq.blocks[i]) != 1:

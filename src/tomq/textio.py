@@ -135,22 +135,18 @@ def parse_ontology(text: str) -> Ontology:
     return Ontology(sig, frozenset(parsed), dialect)
 
 
-def _parse_basic(tok: str, roles: set, concepts: set, ln: int) -> Basic:
+def _parse_basic(tok: str, concepts: set, ln: int) -> Basic:
     tok = tok.strip()
     if tok == TOP:
         return top_basic()
     if tok.startswith("ex "):
-        role = _parse_role(tok[3:].strip(), ln)
-        roles.add(role.name)
-        return exists_basic(role)
+        return exists_basic(_parse_role(tok[3:].strip(), ln))
     return name_basic(_concept(tok, concepts, ln))
 
 
 def _parse_axiom(line: str, dialect: str, roles: set, concepts: set, ln: int):
     if line.startswith("func "):
-        role = _parse_role(line[5:].strip(), ln)
-        roles.add(role.name)
-        return Func(role)
+        return Func(_parse_role(line[5:].strip(), ln))
     if "[=" not in line:
         raise ParseError("an axiom needs `[=` or `func`", ln)
     lhs, rhs = (part.strip() for part in line.split("[=", 1))
@@ -165,40 +161,31 @@ def _parse_axiom(line: str, dialect: str, roles: set, concepts: set, ln: int):
     if "&" in lhs:
         l1, l2 = (t.strip() for t in lhs.split("&", 1))
         if dialect == ELHIF_NF:
-            if rhs == BOT:
-                return _named_conj(l1, l2, BOT, concepts, ln)
             return _named_conj(l1, l2, rhs, concepts, ln)
         if rhs != BOT:
             raise ParseError("conjunction axioms in DL-Lite must end in bot", ln)
-        b1 = _parse_basic(l1, roles, concepts, ln)
-        b2 = _parse_basic(l2, roles, concepts, ln)
-        return Disjoint(b1, b2)
+        return Disjoint(_parse_basic(l1, concepts, ln), _parse_basic(l2, concepts, ln))
 
     if lhs.startswith("ex ") and "." in lhs:
         head, filler = (t.strip() for t in lhs[3:].split(".", 1))
         role = _parse_role(head, ln)
-        roles.add(role.name)
         return ExistsLhs(role, _concept(filler, concepts, ln), _concept(rhs, concepts, ln, (TOP, BOT)))
 
     if rhs.startswith("ex ") and "." in rhs:
         head, filler = (t.strip() for t in rhs[3:].split(".", 1))
         role = _parse_role(head, ln)
-        roles.add(role.name)
         return ExistsRhs(_concept(lhs, concepts, ln), role, _concept(filler, concepts, ln))
 
     if dialect == ELHIF_NF:
         if rhs.startswith("ex "):
             role = _parse_role(rhs[3:].strip(), ln)
-            roles.add(role.name)
             return ExistsRhs(_concept(lhs, concepts, ln), role, TOP)
         if lhs.startswith("ex "):
-            role = _parse_role(lhs[3:].strip(), ln)
-            roles.add(role.name)
-            return ExistsLhs(role, TOP, _concept(rhs, concepts, ln))
+            return ExistsLhs(_parse_role(lhs[3:].strip(), ln), TOP, _concept(rhs, concepts, ln))
         return _named_conj(lhs, TOP, rhs, concepts, ln)
 
-    b1 = _parse_basic(lhs, roles, concepts, ln)
-    b2 = _parse_basic(rhs, roles, concepts, ln) if rhs != BOT else None
+    b1 = _parse_basic(lhs, concepts, ln)
+    b2 = _parse_basic(rhs, concepts, ln) if rhs != BOT else None
     if b2 is None:
         raise ParseError("bare `[= bot` needs a conjunction on the left", ln)
     return SubBasic(b1, b2)

@@ -602,3 +602,61 @@ def test_cli_characterise_and_learn_read_sigma_with_an_ontology(tmp_path, capsys
     learned = printed("learn", onto)
     assert learned == printed("learn", declared)
     assert learned[0] == "F(A & B)\n"
+
+
+def test_cli_safe_reads_sigma_with_an_ontology(tmp_path, capsys):
+    """`safe` reads the ontology widened by `--sigma`, as `characterise`
+    does: A ⊓ B is a lone conjunct once B is in the signature, whether the
+    ontology declares it or `--sigma` adds it."""
+    onto = tmp_path / "oa.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A\n")
+    declared = tmp_path / "oab.onto"
+    declared.write_text("dialect: dl-lite-h\nconcepts: A,B\n")
+    query = tmp_path / "q.q"
+    query.write_text("A & F(A & B)\n")
+    with_sigma = ["--ontology", str(onto), "--sigma", "A,B", "--query", str(query)]
+    assert main(["safe", "--ontology", str(declared), "--query", str(query)]) == 1
+    assert capsys.readouterr().out == "unsafe\n"
+    assert main(["safe"] + with_sigma) == 1
+    assert capsys.readouterr().out == "unsafe\n"
+    assert main(["characterise"] + with_sigma) == 1
+    assert "lone conjunct" in capsys.readouterr().err
+
+
+def test_cli_safe_and_verify_write_out(tmp_path, capsys):
+    """`safe --out` and `verify --out` write their verdict line to the file
+    and print nothing; the exit code is the same as without `--out`."""
+    query = tmp_path / "q.q"
+    query.write_text("F A\n")
+    examples = tmp_path / "es.txt"
+    sigma = ["--sigma", "A,B", "--query", str(query)]
+    assert main(["characterise", "--out", str(examples)] + sigma) == 0
+    verdict = tmp_path / "verdict.txt"
+    assert main(["safe", "--out", str(verdict)] + sigma) == 0
+    assert (capsys.readouterr().out, verdict.read_text()) == ("", "safe\n")
+    verify = ["verify", "--what", "characterisation", "--examples", str(examples), "--bound", "2"]
+    assert main(verify + ["--out", str(verdict)] + sigma) == 0
+    assert (capsys.readouterr().out, verdict.read_text()) == ("", "pass\n")
+
+
+def test_cli_entail_offers_no_out(tmp_path, capsys):
+    """`entail` answers by its exit code alone, so `--out` is a usage error."""
+    query, inst = tmp_path / "q.q", tmp_path / "d.txt"
+    query.write_text("A\n")
+    inst.write_text("point: a\nt=0: A(a)\n")
+    args = ["entail", "--sigma", "A", "--query", str(query), "--instance", str(inst)]
+    assert main(args) == 0
+    assert main(args + ["--out", str(tmp_path / "o.txt")]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_cli_enumerate_reads_the_ontology_signature(tmp_path, capsys):
+    """`enumerate --ontology` enumerates over the ontology's signature,
+    widened by `--sigma` as for every other command."""
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A,B\n")
+    assert main(["enumerate", "--ontology", str(onto), "--class", "p", "--bound", "2"]) == 0
+    assert capsys.readouterr().out == "Top\nA\nB\nA & B\n"
+    assert main(["enumerate", "--ontology", str(onto), "--sigma", "C", "--class", "p", "--bound", "1"]) == 0
+    assert capsys.readouterr().out == "Top\nA\nB\nC\n"

@@ -6,7 +6,8 @@ functional-role clashes when the ontology has `Func` and no role inclusion,
 else outright. It must agree with `saturate(inst).consistent`, and role
 inclusions under `Func` must still saturate. `saturate` reads unlinked
 individuals by their names alone and must agree with one rule loop over
-every individual, and a verdict-only check (`keep=False`) with both.
+every individual; it caches a saturation exactly when role atoms link
+every individual of its instance, or it has just one.
 `certain_answer` reads a query without edges off the point's saturated
 type; it must agree with `hom_exists(q, chase(inst, 0), point)`. A
 consistent `SliceTable` reasons over the point's connected component of
@@ -209,9 +210,10 @@ def test_verdict_only_check_reads_unlinked_individuals_by_their_names():
     loop over every individual on a separate reasoner, field by field and
     groups in order, where individuals share a name set and where a clash
     is on a lone individual or in the linked part. Where `is_satisfiable`
-    saturates, `keep=False` gives the same verdict and writes nothing to
-    the saturation cache."""
+    saturates, it gives the same verdict. A saturation is cached exactly
+    when its instance has one individual or role atoms link all of them."""
     seen = {(where, want): 0 for where in ("lone", "linked", "none") for want in (True, False)}
+    stored = {"one": 0, "linked": 0, "slice": 0}
     shared = inconsistent = 0
     for d, dialect in enumerate(DIALECTS):
         rng = random.Random(7717 + d)
@@ -225,15 +227,18 @@ def test_verdict_only_check_reads_unlinked_individuals_by_their_names():
                 where = (dialect, sorted(map(str, onto.axioms)), inst)
                 saturating = _path(fast, inst) == "saturate"
                 if saturating:
-                    cached = inst in fast._sat_cache  # a repeated draw
-                    assert fast.is_satisfiable(inst, keep=False) == want, where
-                    assert (inst in fast._sat_cache) == cached
+                    assert fast.is_satisfiable(inst) == want, where
                 got = fast.saturate(inst)
                 assert got.consistent == want, where
                 if want:  # nothing reads the partial state of an inconsistent one
                     assert got.names == ref.names and got.edges == ref.edges, where
                     assert {a: list(gs) for a, gs in got.groups.items()} == ref.groups, where
                 linked = {x for _, a, b in inst.ratoms for x in (a, b)}
+                side = "slice" if linked < inst.individuals else "linked"
+                if len(inst.individuals) == 1:
+                    side = "one"
+                assert (inst in fast._sat_cache) == (side != "slice"), where
+                stored[side] += 1
                 alone = [
                     Instance(frozenset((a,)), frozenset(x for x in inst.catoms if x[1] == a))
                     for a in inst.individuals - linked
@@ -244,6 +249,7 @@ def test_verdict_only_check_reads_unlinked_individuals_by_their_names():
                     lone_clash = not all(reference_saturation(slow, one).consistent for one in alone)
                     seen["lone" if lone_clash else "linked" if linked else "none", want] += 1
     assert shared >= 1100 and inconsistent >= 850, (shared, inconsistent)
+    assert stored["one"] >= 520 and stored["linked"] >= 660 and stored["slice"] >= 2000, stored
     assert seen["lone", False] >= 320 and seen["linked", False] >= 370, seen
     assert seen["linked", True] >= 280 and seen["none", True] >= 260, seen
     assert seen["lone", True] == seen["none", False] == 0, seen

@@ -71,7 +71,7 @@ def test_unwind_step_doubles_cycle():
 def test_learn_diamond_from_noisy_example():
     teacher = Teacher(OE, DIA_A)
     init = ti(("B",), ("A", "B"), ("A",))
-    out = Learner(OE, teacher, LearnerConfig(variant="safe", qclass="p")).run(init)
+    out = Learner(OE, teacher, LearnerConfig(variant="safe")).run(init)
     assert tequiv_bounded(OE, out, DIA_A)
     assert teacher.membership_count <= 200
 
@@ -93,16 +93,16 @@ def test_learn_with_role_hierarchy_ontology():
 def test_learn_rejects_negative_initial_example():
     teacher = Teacher(OE, DIA_A)
     with pytest.raises(NotPositiveInitialExample):
-        Learner(OE, teacher, LearnerConfig(variant="safe", qclass="p")).run(ti(()))
+        Learner(OE, teacher, LearnerConfig(variant="safe")).run(ti(()))
 
 
 def test_learn_depth_and_nextdia_variants():
     q = pathquery_from_ops([TOP_QUERY, A, B], ["F", "X"])
     init = ti((), ("A",), ("B",))
     for config in [
-        LearnerConfig(variant="depth", depth=2, qclass="p"),
-        LearnerConfig(variant="nextdia", qclass="p"),
-        LearnerConfig(variant="safe", qclass="p"),
+        LearnerConfig(variant="depth", depth=2),
+        LearnerConfig(variant="nextdia"),
+        LearnerConfig(variant="safe"),
     ]:
         teacher = Teacher(OE, q)
         out = Learner(OE, teacher, config).run(init)
@@ -113,7 +113,7 @@ def test_learn_now_or_later_connector():
     q = pathquery_from_ops([A, B], ["Fr"])
     init = ti(("A", "B"),)
     teacher = Teacher(OE, q)
-    out = Learner(OE, teacher, LearnerConfig(variant="safe", qclass="p")).run(init)
+    out = Learner(OE, teacher, LearnerConfig(variant="safe")).run(init)
     assert tequiv_bounded(OE, out, q)
 
 
@@ -156,8 +156,8 @@ def test_teacher_confirms_characterisation_of_output():
 
     teacher = Teacher(OE, DIA_A)
     init = ti(("B",), ("A", "B"), ("A",))
-    out = Learner(OE, teacher, LearnerConfig(variant="safe", qclass="p")).run(init)
-    E = characterise_dia(OE, out, SIG_AB, qclass="p")
+    out = Learner(OE, teacher, LearnerConfig(variant="safe")).run(init)
+    E = characterise_dia(OE, out, SIG_AB)
     confirmer = Teacher(OE, DIA_A)
     assert all(confirmer.membership(d) for d in E.positives)
     assert not any(confirmer.membership(d) for d in E.negatives)

@@ -285,6 +285,8 @@ def _dispatch(args) -> int:  # noqa: C901
 
     if cmd == "characterise":
         if args.qclass == CLASS_UNTIL:
+            if args.mode is not None:  # the until builder has no mode
+                raise ParseError(f"--class until takes no --mode, got --mode {args.mode}")
             q = parse_untilquery(_read(args.query))
             try:
                 es = characterise_until(onto, q, sigma)
@@ -350,8 +352,13 @@ def _dispatch(args) -> int:  # noqa: C901
                 es = parse_exampleset(_read(args.members))
                 members = [dl.Pointed(d.slices[0], d.point) for d in es.positives]
                 verdict = check_split_partner(onto, sigma, queries, members, spec)
-        _write_out(args, "pass\n" if verdict.passed else f"fail ({len(verdict.witnesses)} witnesses)\n")
-        return EXIT_OK if verdict.passed else EXIT_NEGATIVE
+        if verdict.passed:
+            _write_out(args, "pass\n")
+            return EXIT_OK
+        n = len(verdict.witnesses)  # then one line per witness, a tagged one as `tag: query`
+        _write_out(args, f"fail ({n} witness{'' if n == 1 else 'es'})\n" + "".join(
+            f"{w[0]}: {w[1]}\n" if isinstance(w, tuple) else f"{w}\n" for w in verdict.witnesses))
+        return EXIT_NEGATIVE
 
     if cmd == "enumerate":
         spec = EnumSpec(sigma, args.qclass, size_bound=args.bound, depth_bound=args.depth)

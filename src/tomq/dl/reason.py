@@ -41,9 +41,12 @@ two distinct successors along a functional role (`_func_clash`; DL-Lite_F
 satisfiability reduces to the same check, Calvanese et al., JAR 2007).
 Otherwise it is the verdict of `saturate`.
 
-Saturations, chases and certain answers are cached under the `Instance`
-itself, a frozen value whose hash reads the cached hashes of its three
-frozensets. A saturation is cached exactly when its instance has one
+Certain answers, containment and the path probes read every tree
+homomorphism from the one table kept per instance (`Reasoner.table`).
+
+Saturations, homomorphism tables and certain answers are cached under the
+`Instance` itself, a frozen value whose hash reads the cached hashes of its
+three frozensets. A saturation is cached exactly when its instance has one
 individual or role atoms link all of them: an instance with an unlinked
 individual beside others is a slice, which callers read again only through
 its components, and `_lone` keeps its unlinked part by name set. Each cache
@@ -83,7 +86,7 @@ _EMPTY: frozenset = frozenset()
 # Entries per cache of one reasoner. Each sits well above the highest fill
 # measured on the benchmark's ops (CHANGES.md), so that no op evicts.
 SAT_CACHE_SIZE = 1024
-CHASE_CACHE_SIZE = 1024
+TABLE_CACHE_SIZE = 1024
 HAT_CACHE_SIZE = 1024
 CERTAIN_CACHE_SIZE = 4096
 CONTAINS_CACHE_SIZE = 8192
@@ -290,7 +293,7 @@ class Reasoner:
         self._funcs = {f.name: tuple(g.inverted for g in fd if g.name == f.name) for f in fd}
         self._role_incl = any(len(s) > 1 for s in self._rc.values())
         self._sat_cache: dict = {}
-        self._chase_cache: dict = {}
+        self._tables: dict = {}
         self._hat_cache: dict = {}
         self._certain_cache: dict = {}
         self._contains_cache: dict = {}
@@ -548,10 +551,8 @@ class Reasoner:
     # ------------------------------------------------------------------ chase
 
     def chase(self, inst: Instance, depth: int) -> Instance:
-        key = (inst, depth)
-        got = self._chase_cache.get(key)
-        if got is not None:
-            return got
+        """The chase of satisfiable inst to depth `depth`, built breadth first
+        and anew on every call (`table` keeps what is read again)."""
         sat = self.saturate(inst)
         if not sat.consistent:
             raise UnsatisfiableQuery("cannot chase an unsatisfiable instance")
@@ -577,8 +578,27 @@ class Reasoner:
                     rat.add(s.ratom(parent, w))
             for cg in children:
                 frontier.append((w, cg, tp, d + 1))
-        out = Instance(frozenset(inds), frozenset(cat), frozenset(rat))
-        return _put(self._chase_cache, key, out, CHASE_CACHE_SIZE)
+        return Instance(frozenset(inds), frozenset(cat), frozenset(rat))
+
+    def table(self, inst: Instance, depth: int) -> "_HomTable":
+        """The tree-homomorphism table into the chase of satisfiable inst, at
+        least `depth` deep. One table is kept per instance; a deeper request
+        replaces it, and a shallower one reads it.
+
+        One chase serves every shallower query: anonymous elements hang below
+        a single parent, so k steps from a named individual reach only
+        anonymous elements of depth at most k, and the chase, built breadth
+        first, has the same such elements and atoms at every depth bound from
+        k on. A memo entry (subtree, element) is a fact about the one chase
+        the table holds. A thread racing this may put back a shallower table:
+        each caller asks the table it holds, deep enough for it, so that
+        costs only a rebuild."""
+        got = self._tables.get(inst)
+        if got is None or got.depth < depth:
+            got = _HomTable(self.chase(inst, depth), depth)
+            self._tables.pop(inst, None)
+            _put(self._tables, inst, got, TABLE_CACHE_SIZE)
+        return got
 
     @staticmethod
     def _witness_name(parent: str, g: Group, taken: set[str]) -> str:
@@ -617,7 +637,7 @@ class Reasoner:
         when its names are in the point's saturated type, as the chase adds
         no concept atom to a named individual and a depth-0 homomorphism
         reads only the point's; any other query is mapped into the chase to
-        its role depth."""
+        its role depth (`table`)."""
         if not self.is_satisfiable(inst):
             return True
         if q.is_bottom:
@@ -626,17 +646,13 @@ class Reasoner:
             return True
         if not q.edges:
             return self.saturate(inst).names.get(point, _EMPTY).issuperset(q.names)
-        chased = self.chase(inst, q.role_depth)
-        return hom_exists(q, chased, point)
+        return self.table(inst, q.role_depth).maps(q, point)
 
     # ------------------------------------------------------------ containment
 
     def hat(self, q: Eliq) -> Pointed:
         """The containment-reduction instance of q: the induced instance,
         quotiented to a fixpoint by functionality over the role-closed atoms."""
-        return self._hat(q).pointed
-
-    def _hat(self, q: Eliq) -> "_Hat":
         got = self._hat_cache.get(q._key)
         if got is not None:
             return got
@@ -655,22 +671,8 @@ class Reasoner:
             if drop == point:
                 keep, drop = drop, keep
             inst = rename_instance(inst, {drop: keep})
-        # racing threads keep one entry, so they share its table
-        return _put(self._hat_cache, q._key, _Hat(Pointed(inst, point)), HAT_CACHE_SIZE)
-
-    def hom_table(self, q1: Eliq, depth: int) -> tuple["_HomTable", str]:
-        """The homomorphism table into the chase of satisfiable q1's hat, to
-        role depth at least `depth`, and the hat's point. Kept with the hat,
-        so containment tests with q1 on the left and the path-probe walk of
-        `domainchar` share it; a deeper request replaces it, as one chase
-        serves every shallower query (`contains_all`).
-        A thread racing it may put back a shallower table: each caller asks
-        the table it holds, deep enough for it, so that costs only a rebuild."""
-        entry = self._hat(q1)
-        table = entry.table
-        if table is None or table.depth < depth:
-            table = entry.table = _HomTable(self.chase(entry.pointed.instance, depth), depth)
-        return table, entry.pointed.point
+        # racing threads keep one entry, so they share its memos
+        return _put(self._hat_cache, q._key, Pointed(inst, point), HAT_CACHE_SIZE)
 
     def query_satisfiable(self, q: Eliq) -> bool:
         if q.is_bottom:
@@ -687,12 +689,8 @@ class Reasoner:
 
         Unsatisfiable q1 is contained in everything, and ⊤ contains every
         query and ⊥ none other. The remaining keys not cached yet are decided
-        through q1's homomorphism table (`hom_table`), over a chase at least
-        as deep as the deepest of them; with none, no chase is built.
-        One chase serves every depth: anonymous elements hang below a single
-        parent, so a query of role depth d maps from the point only into
-        elements of depth at most d, and the chase, built breadth-first, has
-        the same such elements and atoms at any depth bound from d on."""
+        through the homomorphism table of q1's hat (`table`), at least as
+        deep as the deepest of them; with none, no chase is built."""
         k1 = q1._key
         cache = self._contains_cache
         got = []
@@ -706,7 +704,8 @@ class Reasoner:
             return got
         unsat = not self.query_satisfiable(q1)
         if depth >= 0 and not unsat:
-            table, point = self.hom_table(q1, depth)
+            h = self.hat(q1)
+            table, point = self.table(h.instance, depth), h.point
         for i, known in enumerate(got):
             if known is None:
                 q2 = qs[i]
@@ -730,32 +729,24 @@ class Reasoner:
         """Does the pointed instance `src`, read as a query, entail `tgt`'s query?
 
         `tgt` may be cyclic but must be connected to its point, else
-        ValueError: it is mapped by backtracking into the chase of `src` to
-        depth |tgt.individuals|, which holds every element it can reach.
+        ValueError: it is mapped by backtracking into the chase that `table`
+        keeps for `src`, at least |tgt.individuals| deep, which holds every
+        element it can reach.
         """
         if point_component(tgt.instance, tgt.point) is not tgt.instance:
             raise ValueError("pointed_entails needs a target connected to its point")
         if not self.is_satisfiable(src.instance):
             return True
         depth = max(1, len(tgt.instance.individuals))
-        chased = self.chase(src.instance, depth)
+        chased = self.table(src.instance, depth).inst
         return general_hom_exists(tgt.instance, tgt.point, chased, src.point)
 
 
-class _Hat:
-    """A query's hat, and the table `Reasoner.hom_table` keeps with it."""
-
-    __slots__ = ("pointed", "table")
-
-    def __init__(self, pointed: Pointed):
-        self.pointed, self.table = pointed, None
-
-
 class _HomTable:
-    """Tree homomorphisms of queries into one instance, a chase to role depth
-    `depth` when it is a hat's: a successor index, built on first use and
-    published only when complete, and one memo over (subtree key, element)
-    shared by every query asked."""
+    """Tree homomorphisms of queries into one instance, a chase to depth
+    `depth` when `Reasoner.table` keeps it: a successor index, built on
+    first use and published only when complete, and one memo over (subtree
+    key, element) shared by every query asked."""
 
     __slots__ = ("inst", "depth", "succ", "memo")
 

@@ -235,25 +235,20 @@ def _path_probe_witness(
 
     The probes are checked as shapes, without building them: the chains are
     walked breadth first through the homomorphism table that the reasoner
-    keeps for q and for each member (`Reasoner.hom_table`), over a chase as
-    deep as the longest chain listed. Only the chains along which q reaches
-    some element are walked (`_reached_chains`); every shape of another
-    chain is one q does not entail. A chain's row of shapes, one per (root
-    name, tip name), starts k rows after its level's first shape, k being
-    its index in the level, and is decided by set lookups: the root name
-    must be at the point, and the tip name on some element reached (any
-    element, without one). The walk returns None at the first position at
-    or past the listing's cut, which may fall inside a level or inside a
-    row.
+    keeps for the hat of q and of each member (`Reasoner.table`), over a
+    chase at least as deep as the longest chain listed; one chase serves
+    every length. Only the chains along which q reaches some element are
+    walked (`_reached_chains`); every shape of another chain is one q does
+    not entail. A chain's row of shapes, one per (root name, tip name),
+    starts k rows after its level's first shape, k being its index in the
+    level, and is decided by set lookups: the root name must be at the
+    point, and the tip name on some element reached (any element, without
+    one). The walk returns None at the first position at or past the
+    listing's cut, which may fall inside a level or inside a row.
 
-    One chase serves every length: anonymous chase elements hang below a
-    single parent, so a chain of length L from the named point reaches only
-    anonymous elements of depth at most L, and the chase, built FIFO by
-    depth, makes those elements and their atoms the same at any depth bound
-    of at least L. The checks run cheapest first (q entails the shape, no
-    member does, then the probe is built and must not entail q), the same
-    conjunction as one containment test per probe, so the same probe is
-    returned.
+    The checks run cheapest first (q entails the shape, no member does, then
+    the probe is built and must not entail q), the same conjunction as one
+    containment test per probe, so the same probe is returned.
 
     A shape is not built when one of its `_weakenings` was already built
     and found to entail q. That skip is sound under any ontology: the weaker
@@ -265,9 +260,9 @@ def _path_probe_witness(
     if not shapes or not all(map(r.query_satisfiable, members)):
         return None
     names = shapes.names
-    homs = [r.hom_table(x, shapes.levels) for x in (q, *members)]
-    tables = [table for table, _ in homs]
-    points = [frozenset((point,)) for _, point in homs]
+    hats = [r.hat(x) for x in (q, *members)]
+    tables = [r.table(h.instance, shapes.levels) for h in hats]
+    points = [frozenset((h.point,)) for h in hats]
     roots = [_tip_names(table, names, point) for table, point in zip(tables, points)]
     entailing: set[ProbeShape] = set()
     for lo, chain, reach in _reached_chains(tables, points, shapes):

@@ -253,8 +253,8 @@ class Learner:
         self, blocks: list[list[Instance]], point: str, b: int
     ) -> TaggedBNormal:
         def tagged(s: Instance) -> TaggedSlice:
-            s = saturate_names(self.onto, s)
-            comp = point_component(s, point)
+            # saturation is local to components, and a connected one is stored
+            comp = saturate_names(self.onto, point_component(s, point))
             try:
                 q = instance_to_eliq(comp, point)
             except NotTreeShaped as exc:  # pragma: no cover - treeify precedes

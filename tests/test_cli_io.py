@@ -473,8 +473,9 @@ def test_cli_mode_depth_needs_a_non_negative_integer(tmp_path, capsys):
 def test_cli_verify_frontier_honours_a_domain_class(tmp_path, capsys):
     """Under DL-Lite_H with A ⊑ ∃R, the class-p frontier of A ⊓ B is A, B:
     `verify --what frontier --class p` passes on it, while ELIQs (the
-    class when none is given) such as B ⊓ ∃R.⊤ are left uncovered. A
-    temporal class is a usage error there."""
+    class when none is given) such as B ⊓ ∃R.⊤ are left uncovered, and
+    the failing verdict lists them. A temporal class is a usage error
+    there."""
     onto = tmp_path / "o.onto"
     onto.write_text("dialect: dl-lite-h\nconcepts: A,B\nroles: R\nA [= ex R\n")
     query = tmp_path / "q.q"
@@ -487,9 +488,11 @@ def test_cli_verify_frontier_honours_a_domain_class(tmp_path, capsys):
     verify = ["verify", "--what", "frontier", "--members", str(members)] + base
     assert main(verify + ["--class", "p"]) == 0
     assert capsys.readouterr().out == "pass\n"
+    uncovered = ["B & ex R.Top", "ex R.ex R-.B", "B & ex R.ex R-.Top", "B & ex R.Top & ex R.Top"]
     for eliq in ([], ["--class", "eliq"]):
         assert main(verify + eliq) == 1
-        assert capsys.readouterr().out == "fail (4 witnesses)\n"
+        assert capsys.readouterr().out == "".join(
+            line + "\n" for line in ["fail (4 witnesses)"] + [f"condition-b: {w}" for w in uncovered])
     assert "takes a domain class, got 'dia'" in _usage_error(capsys, verify + ["--class", "dia"])
 
 
@@ -512,6 +515,19 @@ def test_cli_characterise_class_nextdia_builds_the_next_later_set(tmp_path, caps
     for mode in ("safe", "depth=1"):
         err = _usage_error(capsys, base + ["--class", "nextdia", "--mode", mode])
         assert err.startswith(f"error: --class nextdia builds with mode nextdiamond, got --mode {mode}")
+
+
+def test_cli_characterise_class_until_takes_no_mode(tmp_path, capsys):
+    """`characterise --class until` has one builder: any `--mode` given with
+    it is a usage error, a valid one included, and without one it builds."""
+    query = tmp_path / "q.q"
+    query.write_text("A ; U[B] C\n")
+    base = ["characterise", "--class", "until", "--sigma", "A,B,C", "--query", str(query)]
+    for mode in ("depth=3", "bogus", "safe"):
+        err = _usage_error(capsys, base + ["--mode", mode])
+        assert err.startswith(f"error: --class until takes no --mode, got --mode {mode}"), err
+    assert main(base) == 0
+    assert "[positive]" in capsys.readouterr().out
 
 
 def test_cli_bounds_are_non_negative_and_budgets_positive(tmp_path, capsys):
@@ -546,7 +562,7 @@ def test_cli_bounds_are_non_negative_and_budgets_positive(tmp_path, capsys):
         assert f"argument {flag}: {want}" in err, err
     for bound in ("1", "3"):
         assert main(verify + ["--bound", bound]) == 1
-        assert capsys.readouterr().out == "fail (1 witnesses)\n"
+        assert capsys.readouterr().out == "fail (1 witness)\ncondition-b: B\n"
 
 
 def test_cli_frontier_reads_sigma_with_an_ontology(tmp_path, capsys):

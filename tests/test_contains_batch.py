@@ -1,9 +1,11 @@
 """`Reasoner.contains_all`, the one containment procedure (`contains` asks
 it about one pair), against containment decided pair by pair on a reasoner
-of its own (`helpers.reference_contains`)."""
+of its own (`helpers.reference_contains`); and the one homomorphism table
+per instance (`Reasoner.table`) that containment, certain answers and
+pointed entailment share, deepened on demand."""
 import random
 
-from helpers import rand_eliq, rand_ontology, reference_contains
+from helpers import rand_eliq, rand_instance, rand_ontology, reference_contains
 
 from tomq.dl import (
     BOT,
@@ -16,7 +18,9 @@ from tomq.dl import (
     Func,
     ELHIF_NF,
     ExistsRhs,
+    Instance,
     Ontology,
+    Pointed,
     Reasoner,
     Role,
     RoleSub,
@@ -26,6 +30,7 @@ from tomq.dl import (
     exists,
     exists_basic,
     hom_exists,
+    induced_instance,
     name_basic,
     signature,
 )
@@ -136,7 +141,7 @@ def test_left_query_table_rebuilt_deeper_and_reused_shallower():
         for q2 in right:
             assert r.contains(q1, q2) == reference_contains(Reasoner(onto), q1, q2), (onto, q1, q2)
             if satisfiable:
-                tables.append(r._hat_cache[q1._key].table)
+                tables.append(r._tables[r.hat(q1).instance])
         if satisfiable:
             counts["satisfiable"] += 1
             assert [t.depth for t in tables] == [0, 2, 2] and tables[1] is tables[2]
@@ -165,9 +170,62 @@ def test_top_and_bottom_on_the_right_build_no_chase():
         assert single.contains(q, TOP_QUERY) is True
         assert single.contains(q, BOTTOM_QUERY) is unsat
         assert batch.contains_all(q, [BOTTOM_QUERY, TOP_QUERY, BOTTOM_QUERY]) == [unsat, True, unsat]
-        assert not single._chase_cache and not batch._chase_cache
+        assert not single._tables and not batch._tables
         counts["unsatisfiable" if unsat else "satisfiable"] += 1
         if not unsat and not q.is_top:
             batch.contains_all(q, [TOP_QUERY, q])
-            assert batch._hat_cache[q._key].table is not None
+            assert batch.hat(q).instance in batch._tables
     assert counts["satisfiable"] >= 60 and counts["unsatisfiable"] >= 10, counts
+
+
+def _point_subtree(chased: Instance, point: str) -> Instance:
+    """The chase restricted to the point and the anonymous elements below it
+    (a chase element's name starts with its named ancestor's and `>`)."""
+    keep = frozenset(e for e in chased.individuals if e.split(">", 1)[0] == point)
+    return Instance(keep, frozenset(a for a in chased.catoms if a[1] in keep),
+                    frozenset(a for a in chased.ratoms if a[1] in keep and a[2] in keep))
+
+
+def test_certain_answers_and_entailment_read_one_deepened_table():
+    """On one reasoner, the queries about a data instance of 2-4 individuals
+    are asked deepest first, so that the shallower ones are answered from a
+    table built deeper. Each `certain_answer` equals `hom_exists` into a
+    fresh chase at the query's role depth, and each `pointed_entails` the
+    same call on a fresh reasoner. Half the ontologies give A an endless
+    R-path, which makes the deeper chase hold elements the shallow one
+    lacks."""
+    rng = random.Random(20261022)
+    paths = [exists(R, exists(R, exists(R))), exists(R, exists(R, atom("A"))), exists(R.inverse, exists(R))]
+    counts = dict.fromkeys(("true", "false", "via_neighbour", "deeper", "entails", "not_entails"), 0)
+    for k in range(160):
+        onto = rand_ontology(rng, SIG, DIALECTS[k % len(DIALECTS)], max_axioms=8)
+        if k % 2:
+            onto = _with_r_loop(onto) or onto
+        inst = rand_instance(rng, SIG, max_inds=4, max_atoms=8)
+        while len(inst.individuals) < 2:
+            inst = rand_instance(rng, SIG, max_inds=4, max_atoms=8)
+        r, fresh = Reasoner(onto), Reasoner(onto)
+        if not fresh.is_satisfiable(inst):
+            continue
+        qs = [rand_eliq(rng, SIG, max_size=5) for _ in range(6)] + rng.sample(paths, 2)
+        for q in sorted(qs, key=lambda q: -q.role_depth):
+            chased = fresh.chase(inst, q.role_depth)
+            for point in sorted(inst.individuals):
+                got = r.certain_answer(inst, point, q)
+                assert got == hom_exists(q, chased, point), (onto, inst, point, q)
+                counts["true" if got else "false"] += 1
+                counts["via_neighbour"] += got and not hom_exists(q, _point_subtree(chased, point), point)
+                if q.edges:
+                    held = r._tables[inst]
+                    counts["deeper"] += held.depth > q.role_depth and len(held.inst.individuals) > len(
+                        chased.individuals)
+        targets = [induced_instance(q) for q in qs if not q.is_top]
+        for tgt in sorted(targets, key=lambda p: -len(p.instance.individuals)):
+            for point in sorted(inst.individuals):
+                src = Pointed(inst, point)
+                got = r.pointed_entails(src, tgt)
+                assert got == Reasoner(onto).pointed_entails(src, tgt), (onto, inst, point, tgt)
+                counts["entails" if got else "not_entails"] += 1
+    floors = {"true": 600, "false": 1300, "via_neighbour": 75, "deeper": 300, "entails": 350,
+              "not_entails": 1300}
+    assert all(counts[name] >= floor for name, floor in floors.items()), counts

@@ -217,14 +217,14 @@ def test_threads_sharing_the_frontier_memo_agree_with_one_thread():
 # every new bound, shrunk so that evictions run all the time
 SMALL_BOUNDS = {
     "SAT_CACHE_SIZE": 2,
-    "CHASE_CACHE_SIZE": 3,
+    "TABLE_CACHE_SIZE": 3,
     "HAT_CACHE_SIZE": 2,
     "CERTAIN_CACHE_SIZE": 4,
     "CONTAINS_CACHE_SIZE": 3,
     "WITNESS_CACHE_SIZE": 2,
     "LONE_CACHE_SIZE": 2,
 }
-CACHES = ("_sat_cache", "_chase_cache", "_hat_cache", "_certain_cache", "_contains_cache", "_anon", "_lone")
+CACHES = ("_sat_cache", "_tables", "_hat_cache", "_certain_cache", "_contains_cache", "_anon", "_lone")
 
 
 def test_threads_agree_with_one_thread_while_every_cache_evicts(monkeypatch):

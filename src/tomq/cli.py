@@ -217,7 +217,8 @@ def main(argv=None) -> int:
     p.add_argument("--bound", type=NON_NEGATIVE, default=4)
     p.add_argument("--depth", type=NON_NEGATIVE, default=2)
 
-    p = add("enumerate", help="list every query of a class within bounds")
+    p = add("enumerate", help="list every query of a class within bounds, "
+            "one tree per equivalence class (its core) for elq and eliq")
     p.add_argument("--class", dest="qclass", default=CLASS_ELIQ, choices=every_class)
     p.add_argument("--bound", type=NON_NEGATIVE, default=3)
     p.add_argument("--depth", type=NON_NEGATIVE, default=1)

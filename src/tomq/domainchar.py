@@ -2,7 +2,8 @@
 of singular-positive characterisations of domain queries.
 
 Frontier search is generate-and-verify: candidates come from one-step
-weakenings plus plain enumeration, and a set is only returned when the
+weakenings plus the enumeration of tree cores (`verify.enum_domain_queries`,
+one tree per equivalence class), and a set is only returned when the
 brute-force frontier check passes at the same bound. Which candidates q
 entails is decided for the whole pool through one chase of q's canonical
 instance (`Reasoner.contains_all`), whose answers the check then reads back
@@ -67,8 +68,13 @@ class SplitPartner:
 
 
 def one_step_weakenings(q: Eliq) -> list[Eliq]:
-    """Drop one concept name, drop one leaf edge, or duplicate an edge as a
-    zigzag; only syntactic candidates, the verifier decides what survives."""
+    """Drop one concept name, drop one leaf edge, or empty a leaf of its
+    names; only syntactic candidates, the verifier decides what survives.
+
+    No zigzag is proposed: the child C of an edge along r rewritten as
+    C & ex r-.ex r.C maps both ways with q (its r- edge goes back to the
+    parent and the second C onto the first), so it is never a strict
+    weakening. A zigzag that is one comes from the enumeration."""
 
     def variants(node: Eliq) -> list[Eliq]:
         vs = []
@@ -81,8 +87,6 @@ def one_step_weakenings(q: Eliq) -> list[Eliq]:
                 vs.append(make_eliq(names, rest))
             if not child.edges and child.names:
                 vs.append(make_eliq(names, rest + ((role, TOP_QUERY),)))
-            zig = conjoin(child, exists(role.inverse, exists(role, child)))
-            vs.append(make_eliq(names, rest + ((role, zig),)))
             for sub in variants(child):
                 vs.append(make_eliq(names, rest + ((role, sub),)))
         return vs

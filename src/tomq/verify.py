@@ -2,7 +2,11 @@
 
 The enumeration checks are bounded by construction and say so in their
 verdicts: a pass certifies the property against everything enumerable
-within the given bounds, never beyond them. Temporal equivalence
+within the given bounds, never beyond them. Tree queries are enumerated
+once up to equivalence, as cores (`_enum_trees`): every tree within the
+bound is equivalent to a listed one no larger, and every verdict is
+invariant under equivalence, so it holds for the unlisted trees too; only
+the witness lists lose the redundant entries. Temporal equivalence
 (`tequiv_witness`) is decided exactly, by a product-automaton search over
 every profile a slice can show.
 """
@@ -83,42 +87,107 @@ def _enum_prop(sig: Signature, size_bound: int) -> list[Eliq]:
 
 
 def _enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
-    """All canonical trees of size <= size_bound, in (size, key) order.
+    """Exactly the cores among the canonical trees of size <= size_bound, in
+    (size, key) order, the order of the full listing (`tests/helpers.py`
+    keeps it as `enum_trees`). A tree is a core when every map of it into
+    itself that fixes the root (a homomorphism under the empty ontology) is
+    onto.
+
+    Sound: a tree that is no core maps into a proper subtree of itself that
+    holds the root, and the two are equivalent under every ontology. Its
+    core, the smallest such subtree, is a core of smaller size, so it is
+    listed: every tree left out folds onto a listed smaller one, and every
+    verdict read off the listing holds for the trees left out.
 
     One bottom-up pass by exact size. A tree of size s is a root with k names
-    and an edge multiset of cost s - 1 - k, an edge costing its subtree's
-    size. The multisets of cost c draw on the edges to trees of size <= c,
-    listed in `make_eliq`'s edge order (role as printed, then subtree key);
-    taken as non-decreasing index sequences over that list, each multiset
-    comes once and already sorted, so every tree is built directly and
-    exactly once."""
+    and an edge set of cost s - 1 - k, an edge costing its subtree's size.
+    The edge sets of cost c draw on the edges to listed trees of size <= c,
+    in `make_eliq`'s edge order (role as printed, then subtree key); taken as
+    increasing index sequences over that list (`_multisets`), each set comes
+    once and already sorted, so every tree is built directly and at most
+    once. Three rules leave a tree out, and each holds of no core, so every
+    core is listed (complete):
+    1. A child is not listed. By induction the child is no core, and a map
+       folding the child extends by the identity to one folding the tree.
+    2. Two edges (r, S), (r, S') of one role where S maps into S' along
+       downward edges (`_multisets`, which also never picks an edge twice).
+       Sending S onto S' and fixing the rest folds the tree.
+    3. With inverse roles, `_folds`, which is exact, finds a fold.
+
+    `_folds` rests on this: a tree T is no core iff some node v with a child
+    c along r has another r-neighbour c' (a child, or v's parent when the
+    parent's edge is r-) such that the subtree at c maps into T with c sent
+    to c'. If so, that map on the subtree and the identity elsewhere maps T
+    into itself, and not onto: a bijection that fixes everything outside
+    the subtree maps the subtree onto itself, but c leaves it. Conversely,
+    T retracts onto its core C, a proper subtree that holds the root; some v
+    in C has a child c outside C, and the retraction fixes v, maps the
+    subtree at c into C and sends c to an r-neighbour of v in C. So a tree
+    without a fan (a node with two neighbours along one role) is a core and
+    is listed unchecked. A fan of T is new only at its root (two edges of
+    one role) or at a root child c along r with an edge along r- of its own
+    (c's parent is its other r- neighbour); any other fan is a child's, so
+    the listed trees with a fan are kept as a set.
+
+    Without inverse roles every map runs downward, and c' is a child of v,
+    since a parent is a neighbour only along an inverse role. So rules 1 and
+    2 alone are exact: at the root a fold is one of rule 2, and below it the
+    fold lies inside a child, which rule 1 has left out."""
     names = sorted(sig.concept_names)
     roles = [Role(r) for r in sorted(sig.role_names)]
     if inverses:
         roles += [r.inverse for r in roles]
     roles.sort(key=str)
+    # every edge listed holds one of these role objects, so roles compare by identity
+    inverse = {r: next(x for x in roles if x == r.inverse) for r in roles} if inverses else {}
+    below: dict[tuple[Eliq, Eliq], bool] = {}
+
+    def downward(s: Eliq, t: Eliq) -> bool:
+        """s maps into t, root to root, along downward edges only."""
+        got = below.get((s, t))
+        if got is None:
+            got = below[s, t] = all(n in t.names for n in s.names) and all(
+                any(r2 is r and downward(c, c2) for r2, c2 in t.edges) for r, c in s.edges
+            )
+        return got
+
     out: list[Eliq] = []
-    # edge_lists[c]: the edge multisets of total cost exactly c
+    fans: set[Eliq] = set()  # the listed trees with a fan
+    # edge_lists[c]: the edge sets of total cost exactly c
     edge_lists: list[list[tuple]] = [[()]]
     for s in range(1, size_bound + 1):
         if s > 1:
-            # trees of size < s are all built: the multisets of cost s - 1
+            # trees of size < s are all listed: the edge sets of cost s - 1
             smaller = sorted(out, key=attrgetter("_key"))
             edges = [(role, t) for role in roles for t in smaller]
-            edge_lists.append(_multisets(edges, s - 1))
-        level = [
-            Eliq(subset, lst)
-            for k in range(min(s - 1, len(names)) + 1)
-            for subset in itertools.combinations(names, k)
-            for lst in edge_lists[s - 1 - k]
-        ]
+            edge_lists.append(_multisets(edges, s - 1, downward))
+        level = []
+        for k in range(min(s - 1, len(names)) + 1):
+            subsets = list(itertools.combinations(names, k))
+            for lst in edge_lists[s - 1 - k]:
+                # a fan in a child, at the root (same-role edges are adjacent in
+                # the sorted set) or at a child with an edge back along r-
+                if not inverses or not any(
+                    c in fans or (i and lst[i - 1][0] is r) or any(r2 is inverse[r] for r2, _ in c.edges)
+                    for i, (r, c) in enumerate(lst)
+                ):
+                    level += [Eliq(subset, lst) for subset in subsets]
+                    continue
+                for subset in subsets:
+                    if not _folds(subset, lst, inverse):
+                        t = Eliq(subset, lst)
+                        fans.add(t)
+                        level.append(t)
         out += sorted(level, key=attrgetter("_key"))
     return out
 
 
-def _multisets(edges: list[tuple], cost: int) -> list[tuple]:
-    """The non-decreasing index sequences over `edges` whose subtree sizes
-    sum to exactly `cost`, as tuples of edges."""
+def _multisets(edges: list[tuple], cost: int, downward) -> list[tuple]:
+    """The increasing index sequences over `edges` whose subtree sizes sum
+    to exactly `cost`, as tuples of edges, without two edges of one role one
+    of whose subtrees maps into the other's along downward edges
+    (`downward(s, t)`: s into t, memoised by the caller). Such a pair is
+    cut as soon as its second edge is picked."""
     # per subtree size, the indices of its edges in increasing order
     by_size: list[list[int]] = [[] for _ in range(cost + 1)]
     for i, (_, t) in enumerate(edges):
@@ -133,12 +202,55 @@ def _multisets(edges: list[tuple], cost: int) -> list[tuple]:
         for size in range(1, left + 1):
             at = by_size[size]
             for i in at[bisect.bisect_left(at, start):]:
+                r, t = edges[i]
+                if any(r2 is r and (downward(t, t2) or downward(t2, t)) for r2, t2 in picked):
+                    continue
                 picked.append(edges[i])
-                extend(i, left - size)
+                extend(i + 1, left - size)
                 picked.pop()
 
     extend(0, cost)
     return out
+
+
+def _folds(root_names: tuple[str, ...], edges: tuple, inverse: dict[Role, Role]) -> bool:
+    """The tree with these root names and edges is no core: some node v
+    with a child c along r has another r-neighbour c' such that the subtree
+    at c maps into the tree with c sent to c' (see `_enum_trees`). Nodes
+    are numbered breadth first, the root 0, each with its subtree, its
+    parent and its neighbours as (role, node) pairs, the parent's along the
+    inverse role."""
+    subs: list = [None]
+    up = [-1]
+    around: list[list[tuple[Role, int]]] = [[]]
+    queue = [(0, edges)]
+    for i, node_edges in queue:  # grows while it is read
+        for r, c in node_edges:
+            j = len(subs)
+            around[i].append((r, j))
+            around.append([(inverse[r], i)])
+            queue.append((j, c.edges))
+            subs.append(c)
+            up.append(i)
+    memo: dict[tuple[Eliq, int], bool] = {}
+
+    def maps(s: Eliq, x: int) -> bool:
+        got = memo.get((s, x))
+        if got is None:
+            at = subs[x].names if x else root_names
+            got = memo[s, x] = all(n in at for n in s.names) and all(
+                any(r2 is r and maps(c, y) for r2, y in around[x]) for r, c in s.edges
+            )
+        return got
+
+    for v, ends in enumerate(around):
+        if len(ends) > 1:
+            for r, c in ends:
+                if up[c] == v:
+                    for r2, d in ends:
+                        if r2 is r and d != c and maps(subs[c], d):
+                            return True
+    return False
 
 
 ENUM_CACHE_SIZE = 32
@@ -146,9 +258,11 @@ ENUM_CACHE_SIZE = 32
 
 def enum_domain_queries(sig: Signature, qclass: str, size_bound: int) -> tuple[Eliq, ...]:
     """Every domain query of the class within the size bound, in a fixed
-    order. The result depends only on the arguments and is memoised per
-    process (at most ENUM_CACHE_SIZE keys, emptied by `clear_enum_cache`), so
-    it is an immutable tuple that callers share."""
+    order: every conjunction of names for class `p`, and for `elq` and
+    `eliq` the smallest tree of each class of trees equivalent under the
+    empty ontology, its core (`_enum_trees`). The result depends only on the arguments and is
+    memoised per process (at most ENUM_CACHE_SIZE keys, emptied by
+    `clear_enum_cache`), so it is an immutable tuple that callers share."""
     return _enum_domain_cached(sig, qclass, size_bound)
 
 

@@ -1,9 +1,10 @@
 """Seeded random generators for ontologies, instances and queries, and
 reference implementations for the tests: `successors`, a scan of an
 instance's role atoms, `root_homs`, a path-query evaluator, `enum_trees`, a
-tree-query enumerator, `reference_letters`, a slice alphabet built from
-enumerated domain queries, `reference_contains`, containment decided pair
-by pair, `reference_strict_weakenings` and `reference_maximal`, the pairwise
+tree-query enumerator that lists every tree, `reference_is_core` and
+`reference_core`, cores found by removing leaves, `reference_letters`, a
+slice alphabet built from enumerated domain queries, `reference_contains`,
+containment decided pair by pair, `reference_strict_weakenings` and `reference_maximal`, the pairwise
 filter the frontier search once ran, `frontier_pool` and
 `frontier_candidates`, the pool of that search and its candidate sets,
 `reference_prop_frontier`, the class-`p` frontier by a loop
@@ -46,7 +47,9 @@ from tomq.dl import (
     exists,
     exists_basic,
     hom_exists,
+    induced_instance,
     instance,
+    instance_to_eliq,
     make_eliq,
     name_basic,
     ontology,
@@ -275,6 +278,39 @@ def enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
     return trees(size_bound)
 
 
+def _leaf_removals(q: Eliq):
+    """q's induced instance with one leaf (a node other than the point with
+    a single role atom) removed, for each leaf in turn, with the point."""
+    p = induced_instance(q)
+    inst = p.instance
+    for leaf in sorted(inst.individuals - {p.point}):
+        atoms = [a for a in inst.ratoms if leaf in a[1:]]
+        if len(atoms) == 1:
+            yield Instance(
+                inst.individuals - {leaf},
+                frozenset(a for a in inst.catoms if a[1] != leaf),
+                inst.ratoms - {atoms[0]},
+            ), p.point
+
+
+def reference_is_core(q: Eliq) -> bool:
+    """q is a core: `hom_exists` maps q into none of its leaf removals."""
+    return not any(hom_exists(q, inst, point) for inst, point in _leaf_removals(q))
+
+
+def reference_core(q: Eliq) -> Eliq:
+    """q's core, by removing one leaf at a time, the first in name order
+    that q still maps past (`hom_exists`), while there is one; each step
+    keeps a query equivalent to q."""
+    while True:
+        for inst, point in _leaf_removals(q):
+            if hom_exists(q, inst, point):
+                q = instance_to_eliq(inst, point)
+                break
+        else:
+            return q
+
+
 def reference_letters(onto: Ontology, q1, q2, domain_size: int = 2) -> list[Pointed]:
     """A slice alphabet for telling q1 and q2 apart that owes nothing to
     their profiles: the empty slice, then the hats of the satisfiable
@@ -338,15 +374,16 @@ def reference_maximal(r: Reasoner, candidates) -> list[Eliq]:
 
 
 def frontier_pool(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> list[Eliq]:
-    """The pool `domainchar.frontier` reads, in size-then-key order: every
-    conjunction of names for class `p`, else the one-step weakenings of q
-    plus the class enumerated up to the bound, with no inverse role for
-    `elq`."""
+    """The pool of `domainchar.frontier`, widened to every tree, in
+    size-then-key order: every conjunction of names for class `p`, else the
+    one-step weakenings of q plus every tree of the class up to the bound
+    (`enum_trees`, not only the cores that `frontier` reads), with no
+    inverse role for `elq`."""
     sig = onto.signature
     if qclass == CLASS_P:
         pool = set(enum_domain_queries(sig, CLASS_P, len(sig.concept_names)))
     else:
-        pool = set(one_step_weakenings(q)) | set(enum_domain_queries(sig, qclass, size_bound))
+        pool = set(one_step_weakenings(q)) | set(enum_trees(sig, size_bound, qclass != CLASS_ELQ))
     pool = [c for c in pool if not (qclass == CLASS_ELQ and c.has_inverse())]
     return sorted(pool, key=lambda c: (c.size, c._key))
 

@@ -2,12 +2,13 @@
 of singular-positive characterisations of domain queries.
 
 Frontier search is generate-and-verify: candidates come from one-step
-weakenings plus the enumeration of tree cores (`verify.enum_domain_queries`,
-one tree per equivalence class), and a set is only returned when the
-brute-force frontier check passes at the same bound. Which candidates q
-entails is decided for the whole pool through one chase of q's canonical
-instance (`Reasoner.contains_all`), whose answers the check then reads back
-from the containment cache. The members are kept in one ordered pass
+weakenings plus the tree cores that q entails, listed into the chase of q's
+canonical instance (`verify.enum_domain_queries` into
+`verify.entailment_target`, one tree per equivalence class), and a set is
+only returned when the brute-force frontier check passes at the same bound;
+its condition (b) reads the same listing, memoised. Which one-step
+weakenings q entails is decided with the pool through that chase
+(`Reasoner.contains_all`). The members are kept in one ordered pass
 (`_least_weakenings`): an entailed candidate is first tested against the
 kept members, from their homomorphism tables, and only one that none covers
 is chased to test whether it entails q; the check tests in the same order.
@@ -53,7 +54,8 @@ from .dl.model import _axiom_names
 from .dl.reason import _HomTable
 from .errors import NoCharacterisationFound, SplitSizeExceeded, UnsatisfiableQuery, UnsupportedDialect
 from .verify import (
-    CLASS_ELIQ, CLASS_ELQ, CLASS_P, EnumSpec, check_frontier, closed_profiles, enum_domain_queries,
+    CLASS_ELIQ, CLASS_ELQ, CLASS_P, EnumSpec, check_frontier, closed_profiles, entailment_target,
+    enum_domain_queries,
 )
 
 
@@ -122,7 +124,8 @@ def _frontier_cached(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> O
     if qclass == CLASS_P:
         pool = enum_domain_queries(sig, CLASS_P, len(sig.concept_names))
         return Frontier(tuple(_least_weakenings(onto, q, pool)))
-    pool = set(one_step_weakenings(q)).union(enum_domain_queries(sig, qclass, size_bound))
+    into = entailment_target(r, q, size_bound)
+    pool = set(one_step_weakenings(q)).union(enum_domain_queries(sig, qclass, size_bound, into))
     if qclass == CLASS_ELQ:
         pool = [c for c in pool if not c.has_inverse()]
     members = _least_weakenings(onto, q, pool)
@@ -353,8 +356,9 @@ def is_meet_reducible(
     """True/False via a verified frontier; falls back to a bounded search for
     a witnessing conjunction, returning None when neither path decides.
 
-    The fallback pairs only the least strict weakenings in the enumeration
-    (`_least_weakenings`), which decides the same as pairing every strict
+    The fallback pairs only the least strict weakenings among the trees q
+    entails (`_least_weakenings` over the listing into q's chase, as the
+    frontier search reads it), which decides the same as pairing every strict
     weakening: a kept m_i entails each strict weakening c_i, so c_1 ⊓ c_2 ⊑ q
     gives m_1 ⊓ m_2 ⊑ q; and m_1 ≠ m_2, as m_1 = m_2 would entail q, which
     no strict weakening does."""
@@ -363,7 +367,8 @@ def is_meet_reducible(
     if front is not None:
         # a frontier is an antichain, one member per equivalence class
         return len(front.members) >= 2
-    least = _least_weakenings(onto, q, enum_domain_queries(onto.signature, qclass, size_bound))
+    entailed = enum_domain_queries(onto.signature, qclass, size_bound, entailment_target(r, q, size_bound))
+    least = _least_weakenings(onto, q, entailed)
     if any(r.contains(conjoin(q1, q2), q) for q1, q2 in itertools.combinations(least, 2)):
         return True
     return None

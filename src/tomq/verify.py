@@ -6,7 +6,8 @@ within the given bounds, never beyond them. Tree queries are enumerated
 once up to equivalence, as cores (`_enum_trees`): every tree within the
 bound is equivalent to a listed one no larger, and every verdict is
 invariant under equivalence, so it holds for the unlisted trees too; only
-the witness lists lose the redundant entries. Temporal equivalence
+the witness lists lose the redundant entries. The frontier check lists only
+the cores its query entails, into the query's chase. Temporal equivalence
 (`tequiv_witness`) is decided exactly, by a product-automaton search over
 every profile a slice can show.
 """
@@ -23,8 +24,10 @@ from .dl import (
     BOTTOM_QUERY,
     TOP_QUERY,
     Eliq,
+    Instance,
     Ontology,
     Pointed,
+    Reasoner,
     Role,
     Signature,
     anchored,
@@ -86,12 +89,17 @@ def _enum_prop(sig: Signature, size_bound: int) -> list[Eliq]:
     return out
 
 
-def _enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
-    """Exactly the cores among the canonical trees of size <= size_bound, in
-    (size, key) order, the order of the full listing (`tests/helpers.py`
-    keeps it as `enum_trees`). A tree is a core when every map of it into
-    itself that fixes the root (a homomorphism under the empty ontology) is
-    onto.
+def _enum_trees(
+    sig: Signature, size_bound: int, inverses: bool, into: Optional[Pointed] = None
+) -> list[Eliq]:
+    """Exactly the cores among the canonical trees of size <= size_bound
+    that map into the pointed instance `into` with the root at its point,
+    in (size, key) order, the order of the full listing (`tests/helpers.py`
+    keeps it as `enum_trees`). Without `into` the target is the universal
+    instance (`_universal`), into which every tree maps, so every core is
+    listed: over {A} and R at size 5 that is 86 of the 282 ELIQs and 20 of
+    the 44 ELQs. A tree is a core when every map of it into itself that
+    fixes the root (a homomorphism under the empty ontology) is onto.
 
     Sound: a tree that is no core maps into a proper subtree of itself that
     holds the root, and the two are equivalent under every ontology. Its
@@ -132,7 +140,37 @@ def _enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
     Without inverse roles every map runs downward, and c' is a child of v,
     since a parent is a neighbour only along an inverse role. So rules 1 and
     2 alone are exact: at the root a fold is one of rule 2, and below it the
-    fold lies inside a child, which rule 1 has left out."""
+    fold lies inside a child, which rule 1 has left out.
+
+    The target. Each tree built carries its image: the target elements, as
+    bits, to which it maps its root. With b the size bound, the image of a
+    tree of size s is cut to the ball of radius b - s around the point
+    (steps along the signature's roles, backwards too only with inverse
+    roles), and a tree whose image is empty is left out, as a tree and as
+    a child; the trees listed are those whose image holds the point. An
+    image is the elements of the ball that carry the root's names and lie
+    in the parent set of each edge: for an edge (r, S), the elements with
+    an r-successor in S's image. `_multisets` intersects the parent sets as
+    it picks edges and cuts an edge set at its first empty intersection.
+
+    Distance rule: in a tree of size <= b, a subtree of size s at depth d
+    has d nodes above it besides its own s, so d <= b - s, and a map of the
+    tree at the point sends the subtree's root at most d steps away. Its
+    parent, of size >= s + 1, sits within b - s - 1 steps, so the parent's
+    successors lie within b - s: the cut images decide every parent within
+    its own ball, and by induction the listing holds exactly the trees that
+    map at the point.
+
+    Into the chase of q's hat (`entailment_target`) the listed trees are
+    those q entails. By `Reasoner.table`'s argument one chase serves every
+    query of role depth at most its depth, and a tree of size <= b has role
+    depth <= b - 1. Inside it, a subtree of size s at depth d has height at
+    most s - 1, so d + height <= b - 1: every element that the maps of the
+    subtree read lies within b - 1 steps of the point, and the chase to
+    depth b - 1 holds those elements and all of their atoms.
+
+    The child rule, the same-role cut, `_folds` and the (size, key) order
+    are the same whatever the target."""
     names = sorted(sig.concept_names)
     roles = [Role(r) for r in sorted(sig.role_names)]
     if inverses:
@@ -151,43 +189,105 @@ def _enum_trees(sig: Signature, size_bound: int, inverses: bool) -> list[Eliq]:
             )
         return got
 
+    if into is None:
+        into = _universal(sig)
+    target = into.instance
+    # an element per bit: the point first (bit 1), then the rest in sorted order
+    bit = {e: 1 << i for i, e in enumerate([into.point] + sorted(target.individuals - {into.point}))}
+    everything = (1 << len(bit)) - 1
+    carried = {n: 0 for n in names}
+    for n, e in target.catoms:
+        if n in carried:
+            carried[n] |= bit[e]
+    # before[r][i]: the elements with an r-successor at bit i; near[i]: the
+    # elements one step from bit i along some role (forward only, without inverses)
+    before: dict[Role, list[int]] = {r: [0] * len(bit) for r in roles}
+    near = [0] * len(bit)
+    for p, a, b in target.ratoms:
+        if p in sig.role_names:
+            i, j = bit[a].bit_length() - 1, bit[b].bit_length() - 1
+            near[i] |= bit[b]
+            before[Role(p)][j] |= bit[a]
+            if inverses:
+                near[j] |= bit[a]
+                before[Role(p, True)][i] |= bit[b]
+    # ball[k]: the elements within k steps of the point
+    ball = [1]
+    while len(ball) < size_bound:
+        ball.append(ball[-1] | _spread(near, ball[-1]))
+
     out: list[Eliq] = []
+    image: dict[Eliq, int] = {}
     fans: set[Eliq] = set()  # the listed trees with a fan
-    # edge_lists[c]: the edge sets of total cost exactly c
-    edge_lists: list[list[tuple]] = [[()]]
+    # edge_lists[c]: the edge sets of total cost exactly c, each with its parent set
+    edge_lists: list[list[tuple[tuple, int]]] = [[((), everything)]]
     for s in range(1, size_bound + 1):
+        within = ball[size_bound - s]
         if s > 1:
-            # trees of size < s are all listed: the edge sets of cost s - 1
+            # trees of size < s are all built: the edge sets of cost s - 1
             smaller = sorted(out, key=attrgetter("_key"))
-            edges = [(role, t) for role in roles for t in smaller]
-            edge_lists.append(_multisets(edges, s - 1, downward))
+            edges, above = [], []
+            for role in roles:
+                for t in smaller:
+                    at = _spread(before[role], image[t])
+                    if at:
+                        edges.append((role, t))
+                        above.append(at)
+            edge_lists.append(_multisets(edges, above, s - 1, within, downward))
         level = []
         for k in range(min(s - 1, len(names)) + 1):
-            subsets = list(itertools.combinations(names, k))
-            for lst in edge_lists[s - 1 - k]:
+            subsets = [(subset, functools.reduce(int.__and__, map(carried.get, subset), everything))
+                       for subset in itertools.combinations(names, k)]
+            for lst, at in edge_lists[s - 1 - k]:
+                at &= within
+                if not at:
+                    continue
                 # a fan in a child, at the root (same-role edges are adjacent in
                 # the sorted set) or at a child with an edge back along r-
-                if not inverses or not any(
+                fan = inverses and any(
                     c in fans or (i and lst[i - 1][0] is r) or any(r2 is inverse[r] for r2, _ in c.edges)
                     for i, (r, c) in enumerate(lst)
-                ):
-                    level += [Eliq(subset, lst) for subset in subsets]
-                    continue
-                for subset in subsets:
-                    if not _folds(subset, lst, inverse):
+                )
+                for subset, names_at in subsets:
+                    got = at & names_at
+                    if got and not (fan and _folds(subset, lst, inverse)):
                         t = Eliq(subset, lst)
-                        fans.add(t)
+                        image[t] = got
+                        if fan:
+                            fans.add(t)
                         level.append(t)
         out += sorted(level, key=attrgetter("_key"))
+    return [t for t in out if image[t] & 1]
+
+
+def _universal(sig: Signature) -> Pointed:
+    """The one-element instance with every concept name and a self-loop
+    along every role of the signature: every tree over it maps there."""
+    return Pointed(Instance(
+        frozenset(("a",)),
+        frozenset((n, "a") for n in sig.concept_names),
+        frozenset((p, "a", "a") for p in sig.role_names),
+    ), "a")
+
+
+def _spread(masks: list[int], bits: int) -> int:
+    """The union of masks[i] over the set bits i of `bits`."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
-def _multisets(edges: list[tuple], cost: int, downward) -> list[tuple]:
+def _multisets(edges: list[tuple], above: list[int], cost: int, within: int, downward) -> list[tuple]:
     """The increasing index sequences over `edges` whose subtree sizes sum
-    to exactly `cost`, as tuples of edges, without two edges of one role one
-    of whose subtrees maps into the other's along downward edges
-    (`downward(s, t)`: s into t, memoised by the caller). Such a pair is
-    cut as soon as its second edge is picked."""
+    to exactly `cost`, as (tuple of edges, the elements of `within` that
+    lie in every picked edge's parent set `above[i]`, as bits), without an
+    empty such set and without two edges of one role one of whose subtrees
+    maps into the other's along downward edges (`downward(s, t)`: s into
+    t, memoised by the caller). A sequence is cut as soon as its set is
+    empty or such a pair is picked."""
     # per subtree size, the indices of its edges in increasing order
     by_size: list[list[int]] = [[] for _ in range(cost + 1)]
     for i, (_, t) in enumerate(edges):
@@ -195,21 +295,22 @@ def _multisets(edges: list[tuple], cost: int, downward) -> list[tuple]:
     out: list[tuple] = []
     picked: list[tuple] = []
 
-    def extend(start: int, left: int) -> None:
+    def extend(start: int, left: int, at: int) -> None:
         if not left:
-            out.append(tuple(picked))
+            out.append((tuple(picked), at))
             return
         for size in range(1, left + 1):
-            at = by_size[size]
-            for i in at[bisect.bisect_left(at, start):]:
+            ats = by_size[size]
+            for i in ats[bisect.bisect_left(ats, start):]:
                 r, t = edges[i]
-                if any(r2 is r and (downward(t, t2) or downward(t2, t)) for r2, t2 in picked):
+                narrowed = at & above[i]
+                if not narrowed or any(r2 is r and (downward(t, t2) or downward(t2, t)) for r2, t2 in picked):
                     continue
                 picked.append(edges[i])
-                extend(i + 1, left - size)
+                extend(i + 1, left - size, narrowed)
                 picked.pop()
 
-    extend(0, cost)
+    extend(0, cost, within)
     return out
 
 
@@ -256,21 +357,41 @@ def _folds(root_names: tuple[str, ...], edges: tuple, inverse: dict[Role, Role])
 ENUM_CACHE_SIZE = 32
 
 
-def enum_domain_queries(sig: Signature, qclass: str, size_bound: int) -> tuple[Eliq, ...]:
+def enum_domain_queries(
+    sig: Signature, qclass: str, size_bound: int, into: Optional[Pointed] = None
+) -> tuple[Eliq, ...]:
     """Every domain query of the class within the size bound, in a fixed
     order: every conjunction of names for class `p`, and for `elq` and
     `eliq` the smallest tree of each class of trees equivalent under the
-    empty ontology, its core (`_enum_trees`). The result depends only on the arguments and is
-    memoised per process (at most ENUM_CACHE_SIZE keys, emptied by
+    empty ontology, its core (`_enum_trees`). Given `into`, a pointed
+    instance, only the queries that map into it at its point are listed,
+    in the same order; into `entailment_target(r, q, size_bound)` those
+    are the queries q entails. The result depends only on the arguments and
+    is memoised per process (at most ENUM_CACHE_SIZE keys, emptied by
     `clear_enum_cache`), so it is an immutable tuple that callers share."""
-    return _enum_domain_cached(sig, qclass, size_bound)
+    return _enum_domain_cached(sig, qclass, size_bound, into)
 
 
 @functools.lru_cache(maxsize=ENUM_CACHE_SIZE)
-def _enum_domain_cached(sig: Signature, qclass: str, size_bound: int) -> tuple[Eliq, ...]:
+def _enum_domain_cached(
+    sig: Signature, qclass: str, size_bound: int, into: Optional[Pointed]
+) -> tuple[Eliq, ...]:
     if qclass == CLASS_P:
-        return tuple(_enum_prop(sig, size_bound))
-    return tuple(_enum_trees(sig, size_bound, inverses=qclass != CLASS_ELQ))
+        at = sig.concept_names if into is None else into.instance.names_at(into.point)
+        return tuple(c for c in _enum_prop(sig, size_bound) if at.issuperset(c.names))
+    return tuple(_enum_trees(sig, size_bound, qclass != CLASS_ELQ, into))
+
+
+def entailment_target(r: Reasoner, q: Eliq, size_bound: int) -> Optional[Pointed]:
+    """The target into which `enum_domain_queries` lists exactly the
+    queries within `size_bound` that q entails: the chase of q's hat at
+    least size_bound - 1 deep (`Reasoner.table`), at its point, which
+    decides every tree of that size (see `_enum_trees`). None, the full
+    listing, for an unsatisfiable q, which entails every query."""
+    if not r.query_satisfiable(q):
+        return None
+    h = r.hat(q)
+    return Pointed(r.table(h.instance, size_bound - 1).inst, h.point)
 
 
 def clear_enum_cache() -> None:
@@ -336,22 +457,24 @@ def check_frontier(onto: Ontology, q: Eliq, frontier: Iterable[Eliq], spec: Enum
     """Frontier conditions: (a) each member strictly weaker than q, exactly;
     (b) everything weaker than q within the bound is covered by a member.
 
-    A candidate of (b) is tested cheapest first: q ⊑ cand (read from q's
-    homomorphism table), then whether some member covers it (read from the
-    members' tables), and only then cand ⊑ q, a chase of the candidate's
-    own hat. The three tests are one conjunction, so the order changes no
-    verdict and no witness."""
+    The candidates of (b) are the queries within the bound that q entails,
+    listed into q's chase (`enum_domain_queries` into
+    `entailment_target`), so q ⊑ cand is not tested again. A candidate is
+    tested cheapest first: whether some member covers it (read from the
+    members' homomorphism tables), and only then cand ⊑ q, a chase of the
+    candidate's own hat. The two tests are one conjunction, so the order
+    changes no verdict and no witness."""
     r = reasoner(onto)
     members = sorted_queries(frontier)
     witnesses = []
     for m in members:
         if not (r.contains(q, m) and not r.contains(m, q)):
             witnesses.append(("condition-a", m))
-    for cand in enum_queries(spec):
+    into = entailment_target(r, q, spec.size_bound)
+    for cand in enum_domain_queries(spec.signature, spec.qclass, spec.size_bound, into):
         if len(witnesses) >= spec.max_witnesses:
             break
-        if (r.contains(q, cand) and not any(r.contains(m, cand) for m in members)
-                and not r.contains(cand, q)):
+        if not any(r.contains(m, cand) for m in members) and not r.contains(cand, q):
             witnesses.append(("condition-b", cand))
     return Verdict(not witnesses, witnesses, spec)
 

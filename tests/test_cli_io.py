@@ -497,6 +497,33 @@ def test_cli_verify_frontier_honours_a_domain_class(tmp_path, capsys):
     assert "takes a domain class, got 'dia'" in _usage_error(capsys, verify + ["--class", "dia"])
 
 
+def test_cli_verify_frontier_lists_what_q_entails(tmp_path, capsys):
+    """Condition (b) of `verify --what frontier` reads only the trees q
+    entails. Under A ⊑ ∃R, with members A and B at bound 3, the one
+    uncovered weakening of A ⊓ B is B ⊓ ∃R.⊤. With A ⊓ B ⊑ ⊥ added, q is
+    unsatisfiable and entails every tree, so every tree that neither member
+    covers is a witness, in the listing's order."""
+    query = tmp_path / "q.q"
+    query.write_text("A & B\n")
+    members = tmp_path / "members.txt"
+    members.write_text("A\nB\n")
+    onto = tmp_path / "o.onto"
+    verify = ["verify", "--what", "frontier", "--ontology", str(onto), "--query", str(query),
+              "--members", str(members), "--bound", "3"]
+    axioms = "dialect: dl-lite-h\nconcepts: A,B\nroles: R\nA [= ex R\n"
+    onto.write_text(axioms)
+    assert main(verify) == 1
+    assert capsys.readouterr().out == "fail (1 witness)\ncondition-b: B & ex R.Top\n"
+    onto.write_text(axioms + "A & B [= bot\n")
+    assert main(verify) == 1
+    uncovered = [
+        "ex R-.Top", "ex R-.ex R-.Top", "ex R-.A", "ex R-.B", "ex R.ex R.Top", "ex R.A", "ex R.B",
+        "ex R.Top & ex R-.Top", "A & ex R-.Top", "B & ex R-.Top", "B & ex R.Top",
+    ]
+    assert capsys.readouterr().out == "".join(
+        line + "\n" for line in ["fail (11 witnesses)"] + [f"condition-b: {w}" for w in uncovered])
+
+
 def test_cli_characterise_class_nextdia_builds_the_next_later_set(tmp_path, capsys):
     """`characterise --class nextdia` of F A over {A, B} prints the set that
     `--mode nextdiamond` does, not the `dia` one; any other `--mode` with

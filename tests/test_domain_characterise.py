@@ -1,6 +1,5 @@
 """Frontiers, split-partners, meet-reducibility, and the negatives of
 singular+ characterisations."""
-import functools
 import itertools
 import random
 
@@ -53,6 +52,7 @@ from tomq.verify import (
     check_frontier,
     check_split_partner,
     check_unique_characterisation,
+    entailment_target,
     enum_domain_queries,
 )
 
@@ -194,9 +194,11 @@ def test_memoised_frontier_matches_fresh_search():
 
 
 def test_full_tree_listing_gives_the_same_results(monkeypatch):
-    """The search and the checks read only tree cores; with every tree
-    listed instead (`helpers.enum_trees` patched in for the memoised
-    listing), the frontier members, the least strict weakenings in the
+    """The search and the checks read only tree cores, and the frontier
+    search and its check only those q entails; with every tree listed
+    instead (`helpers.enum_trees` patched in for the memoised listing, and
+    filtered by `Reasoner.contains(q, c)` where a listing into q's chase is
+    asked for), the frontier members, the least strict weakenings in the
     listing and the verdicts of `check_frontier`, `check_split_partner` and
     the class-eliq uniqueness check are the same, on EL_LOOP, A ⊑ ∃R⁻.A and
     seeded ontologies of all four dialects with classes elq and eliq. Each
@@ -211,10 +213,13 @@ def test_full_tree_listing_gives_the_same_results(monkeypatch):
             cases.append((onto, q, ("elq", "eliq")[k // len(DIALECTS) % 2], 4))
     search = domainchar._frontier_cached.__wrapped__
 
+    current = {}
+
     def results() -> list:
         out = []
         for onto, q, qclass, bound in cases:
             r, sig = reasoner(onto), onto.signature
+            current.update(r=r, q=q)
             front = search(onto, q, qclass, bound)
             weaker = _least_weakenings(onto, q, enum_domain_queries(sig, qclass, bound))
             split = split_partner(onto, sig, [q]).members
@@ -230,8 +235,15 @@ def test_full_tree_listing_gives_the_same_results(monkeypatch):
         return out
 
     reduced = results()
-    full = functools.lru_cache(lambda sig, qclass, bound: tuple(
-        verify._enum_prop(sig, bound) if qclass == "p" else enum_trees(sig, bound, qclass != "elq")))
+
+    def full(sig, qclass, bound, into):
+        listed = verify._enum_prop(sig, bound) if qclass == "p" else enum_trees(sig, bound, qclass != "elq")
+        if into is None:
+            return tuple(listed)
+        r, q = current["r"], current["q"]
+        assert into == entailment_target(r, q, bound)
+        return tuple(c for c in listed if r.contains(q, c))
+
     monkeypatch.setattr(verify, "_enum_domain_cached", full)
     assert enum_domain_queries(SIG_ABR, "eliq", 4) == tuple(enum_trees(SIG_ABR, 4, True))
     assert results() == reduced

@@ -1,6 +1,7 @@
 """Enumeration oracles: completeness counts, determinism, soundness."""
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -18,15 +19,19 @@ from helpers import (
 from tomq.dl import (
     DIALECTS,
     DL_LITE_H,
+    ELHIF_NF,
     TOP_QUERY,
     Disjoint,
+    ExistsRhs,
     Reasoner,
     Role,
+    SubBasic,
     anchored,
     atom,
     conjoin,
     empty_ontology,
     exists,
+    exists_basic,
     hom_exists,
     induced_instance,
     instance,
@@ -104,8 +109,9 @@ ENUM_ROLES = ([], ["R"], ["R", "S"])
 
 @pytest.mark.parametrize("qclass", ["eliq", "elq"])
 def test_enum_trees_agree_with_reference(qclass):
-    """The one-pass enumerator lists exactly the cores among the reference's
-    trees (`reference_is_core`), in the reference's key order, for every
+    """The one-pass enumerator, over its universal target (no `into`),
+    lists exactly the cores among the reference's trees
+    (`reference_is_core`), in the reference's key order, for every
     signature and bound listed; and every tree it leaves out folds onto a
     listed tree of smaller size, its core (`reference_core`), mapping both
     ways with it."""
@@ -134,6 +140,63 @@ def test_enum_trees_agree_with_reference(qclass):
                 checked += len(want)
     # listed and left out add up to the reference's 17 047 (eliq) and 2 691 (elq) trees
     assert (checked, dropped) == {"eliq": (9535, 7512), "elq": (1843, 848)}[qclass]
+
+
+class _Hang(Exception):
+    pass
+
+
+def _hang(*_):
+    raise _Hang
+
+
+def test_entailed_listing_is_the_full_listing_filtered_by_containment():
+    """Listed into q's chase (`entailment_target`), `enum_domain_queries`
+    gives exactly the queries of the full listing that q entails
+    (`Reasoner.contains(q, c)`), in the full listing's order: for classes
+    p, elq and eliq, over seeded ontologies of all four dialects and
+    signatures with 0-2 roles, and over ontologies whose chase of q loops
+    (A ⊑ ∃R.A, A ⊑ ∃R⁻.A, and A ⊑ ∃R with ∃R⁻ ⊑ A). Each case runs under a
+    3 s alarm and is skipped when it rings, since a rare seeded ELHIF-NF
+    draw hangs in `query_satisfiable`; each case has a fresh `Reasoner`, so
+    an interrupted one is never asked again."""
+    loops = [
+        ontology([ExistsRhs("A", R, "A")], ELHIF_NF, SIG_ABR),
+        ontology([ExistsRhs("A", R.inverse, "A")], ELHIF_NF, SIG_ABR),
+        ontology([SubBasic(name_basic("A"), exists_basic(R)),
+                  SubBasic(exists_basic(R.inverse), name_basic("A"))], DL_LITE_H, SIG_ABR),
+    ]
+    cases = [(onto, q, qclass, 5) for onto in loops for q in (A, conjoin(A, B), exists(R, B))
+             for qclass in ("elq", "eliq")]
+    rng = random.Random(20261022)
+    for k in range(1200):
+        sig = signature(["A", "B"], ["R", "S"][:k % 3])
+        onto = rand_ontology(rng, sig, DIALECTS[k % len(DIALECTS)], max_axioms=5)
+        cases.append((onto, rand_eliq(rng, sig, max_size=4), ("p", "elq", "eliq")[k // 12 % 3], 5 - k % 3 // 2))
+    checked = smaller = deeper = skipped = 0
+    old = signal.signal(signal.SIGALRM, _hang)
+    try:
+        for onto, q, qclass, bound in cases:
+            signal.alarm(3)
+            try:
+                r, sig = Reasoner(onto), onto.signature
+                into = verify.entailment_target(r, q, bound)
+                got = enum_domain_queries(sig, qclass, bound, into)
+                full = enum_domain_queries(sig, qclass, bound)
+                want = tuple(c for c in full if r.contains(q, c))
+            except _Hang:
+                skipped += 1
+                continue
+            finally:
+                signal.alarm(0)
+            assert got == want, (onto, q, qclass, bound)
+            checked += 1
+            smaller += len(got) < len(full)
+            deeper += into is not None and len(into.instance.individuals) > len(r.hat(q).instance.individuals)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert skipped <= 5 and checked >= 1190, (checked, skipped)
+    assert smaller >= 800 and deeper >= 140, (smaller, deeper)
 
 
 @pytest.mark.parametrize("qclass", ["eliq", "elq"])

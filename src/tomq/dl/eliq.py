@@ -57,13 +57,6 @@ class Eliq:
         return self._key < other._key
 
     @cached_property
-    def concept_names(self) -> frozenset[str]:
-        out = set(self.names)
-        for _, c in self.edges:
-            out |= c.concept_names
-        return frozenset(out)
-
-    @cached_property
     def role_names(self) -> frozenset[str]:
         out = set()
         for r, c in self.edges:
@@ -123,14 +116,14 @@ def conjoin_all(qs: Iterable[Eliq]) -> Eliq:
     return out
 
 
-def induced_instance(q: Eliq, root: str = "a") -> Pointed:
-    """The instance obtained by turning variables into constants, rooted at `root`.
+def induced_instance(q: Eliq) -> Pointed:
+    """The instance obtained by turning variables into constants, rooted at `a`.
 
     Anonymous individuals carry path-encoded names so output is reproducible.
     """
     if q.is_bottom:
         raise ValueError("the inconsistency query induces no instance")
-    cat, rat, inds = [], [], [root]
+    cat, rat, inds = [], [], ["a"]
 
     def walk(node: Eliq, name: str):
         for c in node.names:
@@ -141,8 +134,8 @@ def induced_instance(q: Eliq, root: str = "a") -> Pointed:
             rat.append(role.ratom(name, cname))
             walk(child, cname)
 
-    walk(q, root)
-    return Pointed(instance(inds, cat, rat), root)
+    walk(q, "a")
+    return Pointed(instance(inds, cat, rat), "a")
 
 
 def cycle_edge(inst: Instance) -> Optional[tuple[str, str, str]]:

@@ -325,13 +325,10 @@ class Instance:
 
     @property
     def size(self) -> int:
-        bare = sum(1 for a in self.individuals if not self._touched(a))
-        return len(self.catoms) + len(self.ratoms) + bare
-
-    def _touched(self, a: str) -> bool:
-        return any(x == a for _, x in self.catoms) or any(
-            a in (x, y) for _, x, y in self.ratoms
-        )
+        """One per atom, plus one per individual that no atom mentions."""
+        bare = self.individuals.difference(
+            (a for _, a in self.catoms), (x for _, a, b in self.ratoms for x in (a, b)))
+        return len(self.catoms) + len(self.ratoms) + len(bare)
 
     def names_at(self, a: str) -> frozenset[str]:
         return frozenset(c for c, x in self.catoms if x == a)

@@ -11,10 +11,12 @@ otherwise one group per (role, filler). A clash puts `bot` into the type.
 The step sees an element's neighbours through a view. `saturate` runs it, in
 rounds until nothing changes (`_rounds`), over the named individuals that
 role atoms link (`_Named`: the neighbours are the named individuals linked
-by stored edges). Saturation is local to connected components, and `force`
-adds edges only between individuals already linked, so an individual no
-role atom touches has the type, groups and verdict of a lone individual
-with its names: each reasoner keeps these per name set. A witness type is
+by stored edges). Saturation is local to connected components, since a
+step reads and writes one element and its neighbours along role edges (a
+`Func` merge targets a neighbour, and witnesses hang below their parent),
+and `force` adds edges only between individuals already linked, so an
+individual no role atom touches has the type, groups and verdict of a lone
+individual with its names: each reasoner keeps these per name set. A witness type is
 the same step run to a fixpoint on one anonymous element (`_Anon`): its one
 neighbour is its parent, frozen at type `ptype` and linked by the inverses
 of `uproles`, and what functional roles force onto the parent is collected
@@ -33,13 +35,22 @@ The chase materialises the groups as fresh individuals up to a depth bound,
 reusing a named successor whenever the obligation's role has a functional
 super-role already realised by a named edge.
 
-Consistency is decided from the data alone when saturation can neither
-derive ⊥ nor add an edge: with no `Disjoint`, no `ConjLhs … ⊑ bot`, no
-`bot` data atom and no role inclusion, every edge `force` adds is already
-stored, so saturation's verdict is its initial check for an individual with
-two distinct successors along a functional role (`_func_clash`; DL-Lite_F
-satisfiability reduces to the same check, Calvanese et al., JAR 2007).
-Otherwise it is the verdict of `saturate`.
+Consistency is decided from the data alone where saturation could not
+change the verdict (`is_satisfiable`). Saturation puts `bot` into a type
+only through a `Disjoint` axiom, a `ConjLhs … ⊑ bot` or a `bot` data atom:
+every other axiom adds names, edges or witnesses, and a witness type starts
+from fillers, which are never `bot`. Beyond that it clashes only where an
+individual has two distinct successors along a functional role. So without
+those three sources and without `Func`, the data is consistent. With `Func`
+but no role inclusion, every role is its own only super-role, so an
+obligation realised on a stored successor along a functional role adds the
+edge it found: saturation adds no edge, and its verdict is its initial
+check, in either direction, for two successors along a functional role
+(`_func_clash`; DL-Lite_F satisfiability reduces to the same check,
+Calvanese et al., JAR 2007). A role inclusion breaks this: with `Func(f)`,
+`Func(g)`, `r ⊑ f`, `r ⊑ g`, `A ⊑ ∃r.⊤` and the data `A(a), f(a,b), g(a,c)`,
+the data has no clash, but realising ∃r on b and c adds f(a,c). Every
+other case takes the verdict of `saturate`.
 
 Certain answers, containment and the path probes read every tree
 homomorphism from the one table kept per instance (`Reasoner.table`).

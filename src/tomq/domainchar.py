@@ -109,7 +109,10 @@ def frontier(
     search cannot certify one. For the propositional class the construction
     is exact, not merely verified. The result, a refusal too, depends only
     on the arguments and is memoised per process (at most
-    FRONTIER_CACHE_SIZE keys, emptied by `clear_frontier_cache`)."""
+    FRONTIER_CACHE_SIZE keys, emptied by `clear_frontier_cache`); an
+    unsatisfiable q raises UnsatisfiableQuery on every call. Two threads
+    missing on one key may both search, and the memo keeps one of the two
+    equal results."""
     return _frontier_cached(onto, q, qclass, size_bound)
 
 

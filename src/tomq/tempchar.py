@@ -13,7 +13,6 @@ positive example under them.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -239,7 +238,6 @@ def characterise_dia(
     if mode[0] == MODE_NEXTDIA and nq.has_leq():
         raise UnsafeQuery("now-or-later connectors are outside the next/later class")
 
-    @functools.cache
     def supplier(body: Eliq) -> tuple[Pointed, ...]:
         return negatives_for(onto, body, sig, qclass, size_bound)
 

@@ -60,9 +60,14 @@ class SliceTable:
     inconsistent with the ontology, so that the instance entails every
     query; it is decided when the table is built, since one clash anywhere
     settles every query. Otherwise a slice is read as the point's connected
-    component only, cut out when a query first asks about it, on which every
-    certain answer at the point is the same (see the README). The table
-    holds on to its reasoner, which the registry may meanwhile evict.
+    component only (`point_component`), cut out when a query first asks
+    about it. Every certain answer at the point is the same on it:
+    saturation is local to connected components (`tomq.dl.reason`), so
+    the canonical model of a consistent instance is the disjoint union of
+    its components' models (Calvanese et al., JAR 2007), and a tree-shaped
+    query rooted at the point maps along role edges only, hence only into
+    the point's component. The table holds on to its reasoner, which the
+    registry may meanwhile evict.
     Threads may fill one table together: each publishes a correct pair, so
     a racing reader at worst asks again for bits another thread knew.
     """

@@ -168,13 +168,6 @@ class UntilQuery:
     def depth(self) -> int:
         return len(self.steps)
 
-    @cached_property
-    def size(self) -> int:
-        total = self.head.size + len(self.steps)
-        for filler, target in self.steps:
-            total += (filler.size if filler is not None else 1) + target.size
-        return total
-
     def targets(self) -> list[Eliq]:
         return [self.head] + [t for _, t in self.steps]
 
@@ -273,10 +266,6 @@ class ExampleSet:
     positives: tuple[TInstance, ...]
     negatives: tuple[TInstance, ...]
     meta: tuple[tuple[str, str], ...] = ()  # builder configuration, advisory
-
-    def __iter__(self):
-        yield self.positives
-        yield self.negatives
 
 
 def example_set(

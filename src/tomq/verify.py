@@ -57,6 +57,8 @@ CLASS_NEXTDIA = "nextdia"
 CLASS_UNTIL = "until"
 DOMAIN_CLASSES = (CLASS_P, CLASS_ELQ, CLASS_ELIQ)
 TEMPORAL_CLASSES = (CLASS_DIA, CLASS_NEXTDIA, CLASS_UNTIL)
+# a failing check stops after this many witnesses
+MAX_WITNESSES = 20
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class EnumSpec:
     qclass: str = CLASS_ELIQ
     size_bound: int = 4          # domain-query size (conjunct count for class p)
     depth_bound: int = 2         # temporal depth for dia/nextdia/until
-    max_witnesses: int = 20
 
 
 @dataclass
@@ -472,7 +473,7 @@ def check_frontier(onto: Ontology, q: Eliq, frontier: Iterable[Eliq], spec: Enum
             witnesses.append(("condition-a", m))
     into = entailment_target(r, q, spec.size_bound)
     for cand in enum_domain_queries(spec.signature, spec.qclass, spec.size_bound, into):
-        if len(witnesses) >= spec.max_witnesses:
+        if len(witnesses) >= MAX_WITNESSES:
             break
         if not any(r.contains(m, cand) for m in members) and not r.contains(cand, q):
             witnesses.append(("condition-b", cand))
@@ -498,7 +499,7 @@ def check_split_partner(
         return all(not r.contains(cand, t) for t in qs)
 
     for cand in itertools.chain([BOTTOM_QUERY], enum_queries(spec)):
-        if len(witnesses) >= spec.max_witnesses:
+        if len(witnesses) >= MAX_WITNESSES:
             break
         if covered(cand) != free_of_targets(cand):
             witnesses.append(cand)
@@ -668,7 +669,7 @@ def check_unique_characterisation(onto: Ontology, q, examples: ExampleSet, spec:
     checks = [(_ExamplePass(table, domain), want) for _, table, want in held if not table.unsat]
     witnesses = []
     for shape in _fitting_shapes(groups, checks):
-        if len(witnesses) >= spec.max_witnesses:
+        if len(witnesses) >= MAX_WITNESSES:
             break
         cand = shape_query(spec.qclass, domain, shape)
         if not _matcher_fits(onto, held, cand):  # independent re-check

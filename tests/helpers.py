@@ -12,8 +12,10 @@ over subsets of names, `reference_probe_shapes`, the path-probe listing
 built as a list, `reference_types`, the sign-vector loop over a type
 closure, `reference_fitting_shapes`, the uniqueness check's pass that tests
 every candidate on every example in turn, `reference_realisation`, a
-tagged instance realised without the anchoring and padding memos, and
-`reference_saturation`, one rule loop over every individual of an instance."""
+tagged instance realised without the anchoring and padding memos,
+`reference_saturation`, one rule loop over every individual of an instance,
+and `reference_size`, an instance's size by a scan of every atom per
+individual."""
 from __future__ import annotations
 
 import itertools
@@ -523,3 +525,13 @@ def reference_saturation(r: Reasoner, inst: Instance) -> Saturation:
         if len(edges) != known and _func_clash(r._funcs, edges):
             consistent = False
     return Saturation(consistent, names, frozenset(edges), groups)
+
+
+def reference_size(inst: Instance) -> int:
+    """What `inst.size` computes: one per atom, plus one per individual
+    that no atom mentions, found by scanning every atom per individual."""
+
+    def touched(a: str) -> bool:
+        return any(x == a for _, x in inst.catoms) or any(a in (x, y) for _, x, y in inst.ratoms)
+
+    return len(inst.catoms) + len(inst.ratoms) + sum(1 for a in inst.individuals if not touched(a))

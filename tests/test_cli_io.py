@@ -207,6 +207,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["entail", "--ontology", str(onto), "--query", str(query), "--instance", str(inst_yes)]) == 0
     assert main(["entail", "--ontology", str(onto), "--query", str(query), "--instance", str(inst_no)]) == 1
     assert main(["safe", "--ontology", str(onto), "--query", str(query)]) == 0
+    # no --ontology, --sigma or --roles: no signature to read, a usage error
+    assert main(["normalform", "--query", str(query)]) == 2
 
     alg = tmp_path / "alg.onto"
     alg.write_text(
@@ -697,7 +699,10 @@ def test_cli_entail_offers_no_out(tmp_path, capsys):
 
 def test_cli_enumerate_reads_the_ontology_signature(tmp_path, capsys):
     """`enumerate --ontology` enumerates over the ontology's signature,
-    widened by `--sigma` as for every other command."""
+    widened by `--sigma` as for every other command. Without an ontology,
+    a `--sigma` name that `--roles` does not list is a concept name."""
+    assert main(["enumerate", "--sigma", "A,R", "--class", "eliq", "--bound", "2"]) == 0
+    assert capsys.readouterr().out == "Top\nA\nR\n"
     onto = tmp_path / "o.onto"
     onto.write_text("dialect: dl-lite-h\nconcepts: A,B\n")
     assert main(["enumerate", "--ontology", str(onto), "--class", "p", "--bound", "2"]) == 0

@@ -338,7 +338,7 @@ def test_uniqueness_check_builds_each_example_table_once():
     clear_slice_tables()
     temporal_eval.SliceTable.__init__ = counting_init
     try:
-        verdict = check_unique_characterisation(onto, q, examples, EnumSpec(sig, "until", 1, 2, 1))
+        verdict = check_unique_characterisation(onto, q, examples, EnumSpec(sig, "until", 1, 2))
     finally:
         temporal_eval.SliceTable.__init__ = init
     assert verdict.passed

@@ -38,7 +38,7 @@ from tomq.dl import (
 from tomq.dl.reason import general_hom_exists, hom_exists
 from tomq.errors import NotTreeShaped, UnsupportedAxiom
 
-from helpers import rand_eliq, rand_instance, rand_ontology
+from helpers import rand_eliq, rand_instance, rand_ontology, reference_size
 
 R = Role("R")
 S = Role("S")
@@ -360,3 +360,20 @@ def test_pointed_entails_refuses_targets_away_from_their_point():
     for _ in names[1:]:
         deep = exists(R, deep)
     assert r.pointed_entails(src, r.hat(deep))
+
+
+def test_instance_size_agrees_with_reference():
+    """`Instance.size` against the scan of every atom per individual, on
+    seeded instances with self-loops and with individuals that no atom
+    mentions, as drawn and padded with fresh ones."""
+    rng = random.Random(20261022)
+    sig = signature(["A", "B", "C"], ["R", "S"])
+    loops = bare = 0
+    for k in range(400):
+        inst = rand_instance(rng, sig, max_inds=5, max_atoms=8)
+        if k % 2:
+            inst = inst.with_individuals(f"p{j}" for j in range(rng.randint(1, 3)))
+        loops += any(a == b for _, a, b in inst.ratoms)
+        bare += reference_size(inst) > len(inst.catoms) + len(inst.ratoms)
+        assert inst.size == reference_size(inst), inst
+    assert loops >= 100 and bare >= 250, (loops, bare)

@@ -51,6 +51,7 @@ from tomq.temporal.model import (
     untilquery,
 )
 from tomq.temporal.normal import is_safe, normalize
+from tomq import verify
 from tomq.verify import (
     EnumSpec,
     check_unique_characterisation,
@@ -397,7 +398,7 @@ def reference_unique(onto, q, examples, spec) -> tuple[bool, list[str]]:
         return False, ["target-does-not-fit"]
     witnesses = []
     for cand in enum_queries(spec):
-        if len(witnesses) >= spec.max_witnesses:
+        if len(witnesses) >= verify.MAX_WITNESSES:
             break
         if not all(reference_run(ref, cand, d) for d in examples.positives):
             continue
@@ -412,7 +413,7 @@ def _builds():
     """Seeded example-set builds in the four modes over signature {A, B, C},
     at temporal depth 1 and 2, over the empty ontology and small ones with
     role axioms, each checked with a witness cut of 1 or 3: (mode, ontology,
-    query, examples, spec). Bodies have size 2 at most, and until sets of
+    query, examples, spec, cut). Bodies have size 2 at most, and until sets of
     depth 2 are checked against bodies of size 1."""
     rng = random.Random(8117)
     names = ["A", "B", "C"]
@@ -446,7 +447,7 @@ def _builds():
                 es = characterise_until(onto, q, sig)
             except TomqError:  # the builder's guards; not what is compared here
                 continue
-            out.append((mode, onto, q, es, EnumSpec(sig, "until", 3 - depth, q.depth, cut)))
+            out.append((mode, onto, q, es, EnumSpec(sig, "until", 3 - depth, q.depth), cut))
             continue
         q = pathquery_from_ops([body() for _ in range(depth + 1)],
                                [rng.choice(["X", "F", "Fr"]) for _ in range(depth)])
@@ -459,17 +460,19 @@ def _builds():
             continue
         es = characterise_dia(onto, q, sig, mode=("depth", nq.tdp) if mode == "depth" else (mode,))
         qclass = "nextdia" if mode == "nextdia" else "dia"
-        out.append((mode, onto, q, es, EnumSpec(sig, qclass, 2, nq.tdp, cut)))
+        out.append((mode, onto, q, es, EnumSpec(sig, qclass, 2, nq.tdp), cut))
     return out
 
 
-def test_uniqueness_verdicts_agree_with_reference_loop():
+def test_uniqueness_verdicts_agree_with_reference_loop(monkeypatch):
     """Every build, and the same build with its negatives dropped, which ⊤
-    then fits, so that it is not unique."""
+    then fits, so that it is not unique; the check and the reference loop
+    stop at the build's witness cut."""
     builds = _builds()
     assert {b[0] for b in builds} == {"safe", "depth", "nextdia", "until"}
     outcomes = set()
-    for mode, onto, q, es, spec in builds:
+    for mode, onto, q, es, spec, cut in builds:
+        monkeypatch.setattr(verify, "MAX_WITNESSES", cut)
         for examples in (es, example_set(es.positives, [])):
             verdict = check_unique_characterisation(onto, q, examples, spec)
             got = (verdict.passed, [

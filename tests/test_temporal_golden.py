@@ -64,7 +64,7 @@ from tomq.temporal.model import pathquery_from_ops, tinstance, untilquery
 from tomq.temporal.normal import normalize
 from tomq.textio import print_exampleset
 
-from helpers import rand_eliq, rand_instance, rand_ontology
+from helpers import rand_eliq, rand_instance, rand_ontology, reference_size
 
 GOLDEN = Path(__file__).with_name("temporal_golden.json")
 SIG = signature(["A", "B", "C"], ["R"])
@@ -275,6 +275,22 @@ def test_dia_example_sets_match_golden_digests():
     assert sorted(got) == sorted(stored)
     failed = [cid for cid in got if got[cid] != stored[cid]]
     assert not failed, f"next/later example sets changed in cases {failed}"
+
+
+def test_instance_size_agrees_with_reference_on_golden_slices():
+    """`Instance.size` against the scan of every atom per individual, on
+    every slice of the entailment cases and of the example sets the until
+    and next/later cases build."""
+    slices = [s for _, _, dinst, _ in entail_cases() for s in dinst.slices]
+    for _, build in list(build_cases()) + list(dia_cases()):
+        try:
+            es = build()
+        except TomqError:
+            continue
+        slices.extend(s for d in es.positives + es.negatives for s in d.slices)
+    failed = [s for s in slices if s.size != reference_size(s)]
+    assert not failed, f"{len(failed)} of {len(slices)} slices differ, first {failed[0]}"
+    assert len(slices) >= 30000, len(slices)
 
 
 def test_golden_cases_exercise_both_answers_and_guards():

@@ -12,6 +12,12 @@ weakenings q entails is decided with the pool through that chase
 (`_least_weakenings`): an entailed candidate is first tested against the
 kept members, from their homomorphism tables, and only one that none covers
 is chased to test whether it entails q; the check tests in the same order.
+Members that pass the check must also pass the path probes
+(`_path_probe_witness`): role chains up to length size_bound + 3, with an
+optional name at root and tip, listed up to MAX_PATH_PROBES shapes, of which
+none may be a strict weakening of q that no member entails. They reach
+lengths the check's listing cannot, and refuse would-be frontiers over
+looping ontologies.
 Each search runs once per process for its arguments: `frontier` is a
 bounded memo over it, which the learner, the example-set builders and
 meet-reducibility share.
@@ -251,76 +257,99 @@ def _path_probe_witness(
     walked (`_reached_chains`); every shape of another chain is one q does
     not entail. A chain's row of shapes, one per (root name, tip name),
     starts k rows after its level's first shape, k being its index in the
-    level, and is decided by set lookups: the root name must be at the
-    point, and the tip name on some element reached (any element, without
-    one). The walk returns None at the first position at or past the
-    listing's cut, which may fall inside a level or inside a row.
+    level. The walk returns None at the first probe it would build at or
+    past the listing's cut, which may fall inside a level or inside a row.
 
-    The checks run cheapest first (q entails the shape, no member does, then
-    the probe is built and must not entail q), the same conjunction as one
-    containment test per probe, so the same probe is returned.
-
-    A shape is not built when one of its `_weakenings` was already built
-    and found to entail q. That skip is sound under any ontology: the weaker
-    probe maps homomorphically into the stronger one, so probe ⊑ weaker ⊑ q
-    and the probe is no witness. Every weakening is listed earlier, so one
-    that was built has been decided by the time the stronger shape comes up."""
+    A row is decided root by root, with set operations. q entails the shape
+    when the root name is at its point and the tip name on some element it
+    reaches (any element, without one); a member entails it when the root
+    name is at its point and the tip name in its own tips, so the tips no
+    member covers under a root are q's tips less the union of the tips of
+    the members that hold the root. Of these, a probe is built only when no
+    weaker probe has already been built and found to entail q:
+    - a root r is settled on a chain when (r, prefix, None) entailed q for
+      the chain or a prefix of it; the bare (None, prefix, None) settles
+      every root q allows;
+    - a tip t is settled on a row when (None, chain, t) entailed q.
+    A shape with a settled root or tip is skipped. That is sound under any
+    ontology: the settling probe maps homomorphically into every shape it
+    settles (names dropped, the chain cut to a prefix), so each such shape
+    entails the settling probe, hence q, and is no witness. A chain whose
+    settled roots cover every root q allows is not extended. The settling
+    probes come first in the listing (shorter chains, then None before
+    names), so this walk builds the same probes in the same order, and
+    returns the same witness, as a walk that tests each shape's weakenings
+    one by one (`tests/helpers.py::reference_probe_walk`)."""
     shapes = path_probes(onto.signature, max_len, qclass)
     r = reasoner(onto)
     if not shapes or not all(map(r.query_satisfiable, members)):
         return None
-    names = shapes.names
+    names, width = shapes.names, len(shapes.names)
     hats = [r.hat(x) for x in (q, *members)]
     tables = [r.table(h.instance, shapes.levels) for h in hats]
     points = [frozenset((h.point,)) for h in hats]
-    roots = [_tip_names(table, names, point) for table, point in zip(tables, points)]
-    entailing: set[ProbeShape] = set()
-    for lo, chain, reach in _reached_chains(tables, points, shapes):
+    q_roots, *m_roots = (_tip_names(table, names, point) for table, point in zip(tables, points))
+    # each root name q allows: its column, and the members whose point holds it
+    holders = [
+        (i, root, [k for k, roots in enumerate(m_roots) if root in roots])
+        for i, root in enumerate(names)
+        if root in q_roots
+    ]
+    for lo, chain, reach, settled in _reached_chains(tables, points, shapes, q_roots):
+        if lo >= len(shapes):
+            return None
         q_tips = _tip_names(tables[0], names, reach[0])
-        member_sets = [
-            (m_roots, _tip_names(table, names, ends))
-            for table, m_roots, ends in zip(tables[1:], roots[1:], reach[1:])
-        ]
-        for pos, (root_name, tip_name) in enumerate(itertools.product(names, repeat=2), lo):
-            if pos >= len(shapes):
-                return None
-            if root_name not in roots[0] or tip_name not in q_tips or any(
-                root_name in m_roots and tip_name in m_tips for m_roots, m_tips in member_sets
-            ):
+        m_tips = [_tip_names(table, names, ends) for table, ends in zip(tables[1:], reach[1:])]
+        settled_tips: set[Optional[str]] = set()
+        for i, root, holding in holders:
+            if root in settled:
                 continue
-            shape = (root_name, chain, tip_name)
-            if any(w in entailing for w in _weakenings(shape)):
-                continue
-            probe = probe_eliq(shape)
-            if not r.contains(probe, q):
-                return probe
-            entailing.add(shape)
+            live = q_tips.difference(settled_tips, *(m_tips[k] for k in holding))
+            for j, tip in enumerate(names):
+                if tip not in live:
+                    continue
+                if lo + i * width + j >= len(shapes):
+                    return None
+                probe = probe_eliq((root, chain, tip))
+                if not r.contains(probe, q):
+                    return probe
+                if tip is None:
+                    settled.update(q_roots if root is None else (root,))
+                    break
+                if root is None:
+                    settled_tips.add(tip)
     return None
 
 
 def _reached_chains(
-    tables: list[_HomTable], points: list[frozenset[str]], shapes: ProbeShapes
-) -> Iterator[tuple[int, tuple[Role, ...], list[frozenset[str]]]]:
+    tables: list[_HomTable], points: list[frozenset[str]], shapes: ProbeShapes, roots: frozenset
+) -> Iterator[tuple[int, tuple[Role, ...], list[frozenset[str]], set]]:
     """The chains of `shapes` along which the first table's query reaches
     some element, in listing order, each as (the position of its row's first
     shape, its roles, the elements each table's query reaches along it from
-    its point). Breadth first: a level keeps only such chains, each with its
-    index k in the level, whose child along roles[j] has index
-    k * len(roles) + j; the other queries' reach is computed only there."""
+    its point, its settled roots). Breadth first: a level keeps only such
+    chains, each with its index k in the level, whose child along roles[j]
+    has index k * len(roles) + j; the other queries' reach is computed only
+    there. A chain starts with a copy of its parent's settled roots, which
+    the caller adds to while it decides the chain's row, and is not extended
+    once they include every root name in `roots`."""
     roles, row = shapes.roles, len(shapes.names) ** 2
-    level = [(0, (), points)]
+    level = [(0, (), points, set())]
     start = 0  # the position of the current level's first shape
     for length in range(1, shapes.levels + 1):
         kept = []
-        for k, chain, reach in level:
+        for k, chain, reach, settled in level:
+            if roots <= settled:
+                continue
             for j, role in enumerate(roles):
                 q_reach = _successors(tables[0], reach[0], role)
                 if not q_reach:
                     continue
                 index, longer = k * len(roles) + j, chain + (role,)
                 ends = [q_reach] + [_successors(t, e, role) for t, e in zip(tables[1:], reach[1:])]
-                kept.append((index, longer, ends))
-                yield start + index * row, longer, ends
+                inherited = set(settled)
+                kept.append((index, longer, ends, inherited))
+                yield start + index * row, longer, ends, inherited
         level = kept
         start += row * len(roles) ** length
 
@@ -338,19 +367,6 @@ def _tip_names(table: _HomTable, names: list[Optional[str]], ends: Iterable[str]
         return frozenset()
     catoms = table.inst.catoms
     return frozenset(c for c in names if c is None or any((c, a) in catoms for a in ends))
-
-
-def _weakenings(shape: ProbeShape) -> Iterable[ProbeShape]:
-    """Shapes whose probe maps homomorphically into this shape's probe:
-    names dropped, or the chain cut to a nonempty prefix with no tip. Each
-    is listed before the shape (shorter chains first, None before names)."""
-    root_name, chain, tip_name = shape
-    yield (None, chain, None)
-    yield (root_name, chain, None)
-    yield (None, chain, tip_name)
-    for k in range(1, len(chain)):
-        yield (root_name, chain[:k], None)
-        yield (None, chain[:k], None)
 
 
 def is_meet_reducible(
@@ -567,4 +583,4 @@ def negatives_for(
     try:
         return split_partner(onto, sig, [q]).members
     except (SplitSizeExceeded, UnsupportedDialect):
-        raise NoCharacterisationFound(f"no negatives found for {q!r}") from None
+        raise NoCharacterisationFound(f"no negatives found for {q}") from None

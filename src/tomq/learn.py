@@ -180,7 +180,7 @@ class Learner:
         front = self.frontier_of(q)
         if front is None:
             raise UnsupportedDialect(
-                f"no verified frontier for {q!r} within bound {self.config.frontier_bound}"
+                f"no verified frontier for {q} within bound {self.config.frontier_bound}"
             )
         return [self.r.hat(m) for m in front.members]
 
@@ -333,7 +333,7 @@ class Learner:
                 front = self.frontier_of(q)
                 if front is None:
                     raise UnsupportedDialect(
-                        f"meet-reducibility of {q!r} undecided within the bound"
+                        f"meet-reducibility of {q} undecided within bound {self.config.frontier_bound}"
                     )
                 if len(front.members) < 2:
                     continue

@@ -9,7 +9,8 @@ filter the frontier search once ran, `frontier_pool` and
 `frontier_candidates`, the pool of that search and its candidate sets,
 `reference_prop_frontier`, the class-`p` frontier by a loop
 over subsets of names, `reference_probe_shapes`, the path-probe listing
-built as a list, `reference_types`, the sign-vector loop over a type
+built as a list, `reference_probe_walk`, the path-probe walk that tests
+every shape's weakenings, `reference_types`, the sign-vector loop over a type
 closure, `reference_fitting_shapes`, the uniqueness check's pass that tests
 every candidate on every example in turn, `reference_realisation`, a
 tagged instance realised without the anchoring and padding memos,
@@ -61,7 +62,8 @@ from tomq.dl import (
     top_basic,
 )
 from tomq.dl.reason import Saturation, _func_clash, _index_edge, _Named
-from tomq.domainchar import MAX_PATH_PROBES, one_step_weakenings
+import tomq.domainchar as domainchar
+from tomq.domainchar import MAX_PATH_PROBES, _successors, _tip_names, one_step_weakenings
 from tomq.errors import UnsupportedAxiom
 from tomq.temporal.eval import slice_table
 from tomq.temporal.model import LESS, SUC, PathQuery, TInstance, flat_form
@@ -435,6 +437,80 @@ def reference_probe_shapes(sig: Signature, max_len: int, qclass: str = CLASS_ELI
                     if len(probes) >= MAX_PATH_PROBES:
                         return probes
     return probes
+
+
+def reference_probe_walk(onto: Ontology, q: Eliq, members, max_len: int, qclass: str):
+    """The path-probe walk decided shape by shape: along each chain q
+    reaches, every (root name, tip name) of the row goes through the member
+    test in turn, and a shape is built (through `domainchar.probe_eliq`)
+    unless one of its weakenings (`_reference_weakenings`) was built before
+    and found to entail q. Returns the witness, as `_path_probe_witness`."""
+    shapes = domainchar.path_probes(onto.signature, max_len, qclass)
+    r = reasoner(onto)
+    if not shapes or not all(map(r.query_satisfiable, members)):
+        return None
+    names = shapes.names
+    hats = [r.hat(x) for x in (q, *members)]
+    tables = [r.table(h.instance, shapes.levels) for h in hats]
+    points = [frozenset((h.point,)) for h in hats]
+    roots = [_tip_names(table, names, point) for table, point in zip(tables, points)]
+    entailing = set()
+    for lo, chain, reach in _reference_reached_chains(tables, points, shapes):
+        q_tips = _tip_names(tables[0], names, reach[0])
+        member_sets = [
+            (m_roots, _tip_names(table, names, ends))
+            for table, m_roots, ends in zip(tables[1:], roots[1:], reach[1:])
+        ]
+        for pos, (root_name, tip_name) in enumerate(itertools.product(names, repeat=2), lo):
+            if pos >= len(shapes):
+                return None
+            if root_name not in roots[0] or tip_name not in q_tips or any(
+                root_name in m_roots and tip_name in m_tips for m_roots, m_tips in member_sets
+            ):
+                continue
+            shape = (root_name, chain, tip_name)
+            if any(w in entailing for w in _reference_weakenings(shape)):
+                continue
+            probe = domainchar.probe_eliq(shape)
+            if not r.contains(probe, q):
+                return probe
+            entailing.add(shape)
+    return None
+
+
+def _reference_reached_chains(tables, points, shapes):
+    """Every chain of `shapes` along which the first table's query reaches
+    some element, in listing order, as (the position of its row's first
+    shape, its roles, the elements each table's query reaches along it)."""
+    roles, row = shapes.roles, len(shapes.names) ** 2
+    level = [(0, (), points)]
+    start = 0
+    for length in range(1, shapes.levels + 1):
+        kept = []
+        for k, chain, reach in level:
+            for j, role in enumerate(roles):
+                q_reach = _successors(tables[0], reach[0], role)
+                if not q_reach:
+                    continue
+                index, longer = k * len(roles) + j, chain + (role,)
+                ends = [q_reach] + [_successors(t, e, role) for t, e in zip(tables[1:], reach[1:])]
+                kept.append((index, longer, ends))
+                yield start + index * row, longer, ends
+        level = kept
+        start += row * len(roles) ** length
+
+
+def _reference_weakenings(shape):
+    """Shapes whose probe maps homomorphically into this shape's probe:
+    names dropped, or the chain cut to a nonempty prefix with no tip. Each
+    is listed before the shape (shorter chains first, None before names)."""
+    root_name, chain, tip_name = shape
+    yield (None, chain, None)
+    yield (root_name, chain, None)
+    yield (None, chain, tip_name)
+    for k in range(1, len(chain)):
+        yield (root_name, chain[:k], None)
+        yield (None, chain[:k], None)
 
 
 def reference_types(onto: Ontology, elems) -> list[frozenset[int]]:

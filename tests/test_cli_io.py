@@ -402,6 +402,20 @@ def test_cli_learn_rejects_an_unsafe_target_in_safe_mode(tmp_path, capsys):
     assert "--mode depth=N" in err and "Traceback" not in err, err
 
 
+def test_cli_learn_refusal_names_the_query_and_bound(tmp_path, capsys):
+    """A learner refusal prints its query in ELIQ syntax, not as a dataclass,
+    with the bound: under A ⊑ ∃R⁻ the body ex S-.A has no verified frontier
+    within bound 4 (a path probe refuses it)."""
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A\nroles: R,S\nA [= ex R-\n")
+    target = tmp_path / "t.q"
+    target.write_text("ex S-.A\n")
+    argv = ["learn", "--ontology", str(onto), "--target", str(target), "--budget", "2000", "--bound", "4"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: no verified frontier for ex S-.A within bound 4"], err
+
+
 def _usage_error(capsys, argv) -> str:
     """Run the CLI on argv, expecting the usage exit code with one `error:`
     line and no traceback on stderr; return stderr."""

@@ -1,10 +1,12 @@
 """Path probes: the chain walk in `_path_probe_witness` against the per-probe
-containment loop it replaced, the probes it skips because a weaker probe
-already entails the query, the probe listing and its cut, and the ELQ
-frontiers that inverse-role probes used to refuse."""
+containment loop and the per-shape walk it replaced, the probes it skips
+because a weaker probe already entails the query, the probe listing and its
+cut, the refusal of draw 18's frontier, and the ELQ frontiers that
+inverse-role probes used to refuse."""
 import random
 
-from helpers import rand_eliq, rand_ontology, reference_probe_shapes
+import helpers
+from helpers import rand_eliq, rand_ontology, reference_probe_shapes, reference_probe_walk
 
 import tomq.domainchar as domainchar
 from tomq.dl import (
@@ -35,13 +37,16 @@ from tomq.dl import (
 )
 from tomq.domainchar import (
     MAX_PATH_PROBES,
+    _least_weakenings,
     _path_probe_witness,
     frontier,
+    one_step_weakenings,
     path_probes,
     probe_eliq,
 )
 from tomq.errors import UnsupportedAxiom
-from tomq.verify import EnumSpec, check_frontier
+from tomq.textio import parse_eliq, print_eliq
+from tomq.verify import EnumSpec, check_frontier, entailment_target, enum_domain_queries
 
 R, S = Role("R"), Role("S")
 
@@ -99,6 +104,29 @@ def with_loop(rng, onto):
         return None, None
 
 
+def draw_probe_case(rng, sigs, looping):
+    """An ontology over one of `sigs` in a drawn dialect, a satisfiable
+    query and up to three members, or None when the draw fails. A looping
+    case (`with_loop`) keeps only the members that do not entail q, as
+    frontier members do not."""
+    sig = rng.choice(sigs)
+    onto = rand_ontology(rng, sig, rng.choice(DIALECTS), max_axioms=5)
+    if looping:
+        onto, q = with_loop(rng, onto)
+        if onto is None:
+            return None
+    else:
+        q = rand_eliq(rng, sig, max_size=5)
+    r = Reasoner(onto)
+    if not r.query_satisfiable(q):
+        return None
+    pool = [rand_eliq(rng, sig, max_size=4) for _ in range(4)] + [TOP_QUERY]
+    members = rng.sample(pool, rng.randint(0, 3))
+    if looping:
+        members = [m for m in members if not r.contains(m, q)]
+    return onto, q, members
+
+
 def test_chain_walk_matches_per_probe_containment():
     """250 random cases, then 150 over looping ontologies (`with_loop`),
     whose query is equivalent to many probes and whose members do not entail
@@ -107,23 +135,11 @@ def test_chain_walk_matches_per_probe_containment():
     rng = random.Random(20261018)
     cases = witnessed = two_entailing = 0
     while cases < 400:
-        sig = rng.choice(SIGS)
-        onto = rand_ontology(rng, sig, rng.choice(DIALECTS), max_axioms=5)
-        looping = cases >= 250
-        if looping:
-            onto, q = with_loop(rng, onto)
-            if onto is None:
-                continue
-        else:
-            q = rand_eliq(rng, sig, max_size=5)
-        r = Reasoner(onto)
-        if not r.query_satisfiable(q):
+        drawn = draw_probe_case(rng, SIGS, looping=cases >= 250)
+        if drawn is None:
             continue
-        pool = [rand_eliq(rng, sig, max_size=4) for _ in range(4)] + [TOP_QUERY]
-        members = rng.sample(pool, rng.randint(0, 3))
-        if looping:
-            members = [m for m in members if not r.contains(m, q)]
-        max_len = rng.randint(1, 4 if len(sig.role_names) == 1 else 3)
+        onto, q, members = drawn
+        max_len = rng.randint(1, 4 if len(onto.signature.role_names) == 1 else 3)
         qclass = rng.choice(("eliq", "elq"))
         entailing = []
         want = reference_witness(onto, q, members, max_len, qclass, entailing)
@@ -134,6 +150,64 @@ def test_chain_walk_matches_per_probe_containment():
         two_entailing += len(entailing) >= 2
     assert witnessed >= cases // 5
     assert two_entailing >= cases // 5
+
+
+def test_row_walk_matches_per_shape_walk(monkeypatch):
+    """1 200 seeded cases: the row walk returns the witness of the per-shape
+    walk it replaced (`reference_probe_walk`), builds the same shapes in the
+    same order, and walks no chain the per-shape walk does not. Signatures
+    from SIGS and {A,B,C} over R, the four dialects, every third case over a
+    looping ontology (`with_loop`), chains up to length 5, `eliq` and `elq`.
+    The floors make the settling rules fire: roots settled by (r, chain,
+    None), tips settled by (None, chain, t), and chains not extended because
+    the bare chain settles every root."""
+    built, chains = [], []
+
+    def recorded(shape):
+        built.append(shape)
+        return probe_eliq(shape)
+
+    def counted(walk):
+        def chains_of(*args):
+            for chain in walk(*args):
+                chains.append(chain[1])
+                yield chain
+        return chains_of
+
+    monkeypatch.setattr(domainchar, "probe_eliq", recorded)
+    monkeypatch.setattr(domainchar, "_reached_chains", counted(domainchar._reached_chains))
+    monkeypatch.setattr(helpers, "_reference_reached_chains", counted(helpers._reference_reached_chains))
+    rng = random.Random(20261022)
+    sigs = SIGS + (signature(["A", "B", "C"], ["R"]),)
+    cases = witnessed = roots_settled = tips_settled = pruned = 0
+    while cases < 1200:
+        drawn = draw_probe_case(rng, sigs, looping=cases % 3 == 0)
+        if drawn is None:
+            continue
+        onto, q, members = drawn
+        max_len = rng.randint(1, 5)
+        qclass = rng.choice(("eliq", "elq"))
+        built.clear()
+        chains.clear()
+        want = reference_probe_walk(onto, q, members, max_len, qclass)
+        want_built, want_chains = built[:], chains[:]
+        built.clear()
+        chains.clear()
+        got = _path_probe_witness(onto, q, members, max_len, qclass)
+        case = (onto, q, members, max_len, qclass)
+        assert got == want and built == want_built, case
+        assert set(chains) <= set(want_chains), case
+        cases += 1
+        witnessed += got is not None
+        entailing = built[:-1] if got is not None else built
+        roots_settled += any(root is not None and tip is None for root, _, tip in entailing)
+        tips_settled += any(root is None and tip is not None for root, _, tip in entailing)
+        pruned += len(chains) < len(want_chains)
+    # 303, 35, 30 and 227 at this seed
+    assert witnessed >= 250
+    assert roots_settled >= 25
+    assert tips_settled >= 25
+    assert pruned >= 150
 
 
 def test_weaker_probe_entailing_q_skips_stronger(monkeypatch):
@@ -244,6 +318,33 @@ def test_chain_walk_matches_per_probe_containment_at_the_cut():
         assert got == reference_witness(onto, tipped, [q], 9, "eliq")
         assert got == (path_query(last, atom("B")) if listed else None)
         assert listed == (len(sig.concept_names) == 3)
+
+
+def test_draw_18_refused_by_a_probe_until_bound_6():
+    """ROADMAP item 4's draw 18 (DL-Lite_H, A ⊑ ∃R⁻; the frontier of
+    ex S-.A): with the members the search keeps, `check_frontier` passes at
+    bounds 4 and 5, but a path probe no member covers refuses them; at
+    bound 6 the members pass both checks and `frontier` returns them."""
+    sig = signature(["A"], ["R", "S"])
+    onto = ontology([SubBasic(name_basic("A"), exists_basic(R.inverse))], DL_LITE_H, sig)
+    q = parse_eliq("ex S-.A")
+    r = Reasoner(onto)
+    witnesses = {4: "ex S-.ex R-.ex R.A", 5: "ex S-.ex R-.ex R.ex S.ex S-.A"}
+    for bound, witness in witnesses.items():
+        pool = set(one_step_weakenings(q)).union(
+            enum_domain_queries(sig, "eliq", bound, entailment_target(r, q, bound))
+        )
+        members = _least_weakenings(onto, q, pool)
+        assert check_frontier(onto, q, members, EnumSpec(sig, "eliq", size_bound=bound)).passed
+        got = _path_probe_witness(onto, q, members, bound + 3, "eliq")
+        assert got is not None and print_eliq(got) == witness
+        assert frontier(onto, q, "eliq", bound) is None
+    front = frontier(onto, q, "eliq", 6)
+    assert front is not None
+    assert [print_eliq(m) for m in front.members] == [
+        "ex S-.ex R-.ex R.(A & ex S.Top)",
+        "ex S-.(ex R-.Top & ex S.ex S-.A)",
+    ]
 
 
 def test_elq_frontier_not_refused_by_inverse_probes():

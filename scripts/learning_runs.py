@@ -7,26 +7,13 @@ import random
 import sys
 import time
 
-from tomq.dl import DL_LITE_H, ELHIF_NF, reasoner, signature
 from tomq.errors import UnsupportedDialect
 from tomq.learn import Learner, LearnerConfig, Teacher
-from tomq.tempchar import tagged_from_queries
-from tomq.temporal.model import pathquery_from_ops
-from tomq.temporal.normal import is_safe, normalize
 from tomq.textio import print_pathquery
 from tomq.verify import tequiv_bounded
 
 sys.path.insert(0, "tests")
-from helpers import rand_eliq, rand_ontology
-
-
-def gen_case(rng):
-    sig = signature(["A", "B", "C"][: rng.randint(1, 3)], ["R", "S"][: rng.randint(0, 2)])
-    onto = rand_ontology(rng, sig, rng.choice([DL_LITE_H, ELHIF_NF]), max_axioms=6)
-    k = rng.randint(0, 3)
-    bodies = [rand_eliq(rng, sig, max_size=3) for _ in range(k + 1)]
-    ops = [rng.choice(["X", "F", "Fr"]) for _ in range(k)]
-    return sig, onto, pathquery_from_ops(bodies, ops)
+from helpers import learner_corpus_draw
 
 
 def main():
@@ -35,23 +22,10 @@ def main():
     rng = random.Random(seed)
     done = 0
     while done < wanted:
-        sig, onto, raw = gen_case(rng)
-        r = reasoner(onto)
-        if any(not r.query_satisfiable(b) for b in raw.bodies()):
+        draw = learner_corpus_draw(rng)
+        if draw is None:
             continue
-        target = normalize(onto, raw)
-        if len(target.blocks) == 1 and len(target.blocks[0]) == 1 and r.trivial(
-            target.blocks[0][0]
-        ):
-            continue
-        initial = tagged_from_queries(
-            onto, target.strict_count + 1, target.blocks, lambda q: None
-        ).to_tinstance()
-        variants = [("depth", target.tdp)]
-        if is_safe(onto, target, 5) is True:
-            variants.insert(0, ("safe", None))
-        if not target.has_leq():
-            variants.append(("nextdia", None))
+        onto, target, initial, variants = draw
         print(f"--- case {done}: target {print_pathquery(target)}")
         try:
             for variant, depth in variants:

@@ -11,7 +11,7 @@ import sys
 
 from . import dl
 from .dl import Ontology, empty_ontology, signature
-from .domainchar import frontier, split_partner
+from .domainchar import frontier_search, split_partner
 from .errors import (
     BudgetExceeded,
     NoCharacterisationFound,
@@ -268,11 +268,11 @@ def _dispatch(args) -> int:  # noqa: C901
 
     if cmd == "frontier":
         q = parse_eliq(_read(args.query))
-        front = frontier(onto, q, args.qclass, args.bound)
-        if front is None:
-            print("not found within bound", file=sys.stderr)
+        search = frontier_search(onto, q, args.qclass, args.bound)
+        if search.refusal is not None:
+            print(f"not found within bound {args.bound}: {search.reason()}", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        _write_out(args, "".join(print_eliq(m) + "\n" for m in front.members))
+        _write_out(args, "".join(print_eliq(m) + "\n" for m in search.members))
         return EXIT_OK
 
     if cmd == "split-partner":

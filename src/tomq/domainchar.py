@@ -18,9 +18,13 @@ optional name at root and tip, listed up to MAX_PATH_PROBES shapes, of which
 none may be a strict weakening of q that no member entails. They reach
 lengths the check's listing cannot, and refuse would-be frontiers over
 looping ontologies.
-Each search runs once per process for its arguments: `frontier` is a
-bounded memo over it, which the learner, the example-set builders and
-meet-reducibility share.
+Each search runs once per process for its arguments, in the bounded memo
+`frontier_search`, whose `FrontierSearch(members, refusal)` is kept on a
+refusal too: `members` are the least strict weakenings of the pool, and
+`refusal` is None, the check's first witness `("condition-b", c)` or
+`("probe", p)`, which `reason()` prints as `<check> witness <query>`.
+`frontier` returns that result or None; the learner, the example-set
+builders and the CLI read it, and meet-reducibility its members.
 Split-partners follow the type/product construction. The consistent types
 over the closure are the satisfiable closed profiles that the closure
 search of the equivalence oracle finds (`verify.closed_profiles`), so no
@@ -66,8 +70,12 @@ from .verify import (
 
 
 @dataclass(frozen=True)
-class Frontier:
+class FrontierSearch:
     members: tuple[Eliq, ...]
+    refusal: Optional[tuple[str, Eliq]] = None
+
+    def reason(self) -> str:
+        return "{} witness {}".format(*self.refusal)
 
 
 @dataclass(frozen=True)
@@ -106,47 +114,45 @@ FRONTIER_CACHE_SIZE = 1024
 
 
 def frontier(
-    onto: Ontology,
-    q: Eliq,
-    qclass: str = CLASS_ELIQ,
-    size_bound: int = 6,
-) -> Optional[Frontier]:
-    """A frontier of q within the class, or None when the bounded verified
-    search cannot certify one. For the propositional class the construction
-    is exact, not merely verified. The result, a refusal too, depends only
-    on the arguments and is memoised per process (at most
-    FRONTIER_CACHE_SIZE keys, emptied by `clear_frontier_cache`); an
-    unsatisfiable q raises UnsatisfiableQuery on every call. Two threads
-    missing on one key may both search, and the memo keeps one of the two
-    equal results."""
-    return _frontier_cached(onto, q, qclass, size_bound)
+    onto: Ontology, q: Eliq, qclass: str = CLASS_ELIQ, size_bound: int = 6
+) -> Optional[FrontierSearch]:
+    """A frontier of q within the class, the memoised search result, or None
+    on a refusal. A class-`p` frontier is exact, not merely verified."""
+    search = frontier_search(onto, q, qclass, size_bound)
+    return search if search.refusal is None else None
 
 
 @functools.lru_cache(maxsize=FRONTIER_CACHE_SIZE)
-def _frontier_cached(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> Optional[Frontier]:
+def frontier_search(onto: Ontology, q: Eliq, qclass: str, size_bound: int) -> FrontierSearch:
+    """The frontier search for q. Its result, a refusal too, depends only on
+    the arguments and is memoised per process (at most FRONTIER_CACHE_SIZE
+    keys, emptied by `clear_frontier_cache`); an unsatisfiable q raises
+    UnsatisfiableQuery on every call. Two threads missing on one key may
+    both search, and the memo keeps one of the two equal results."""
     r = reasoner(onto)
     if not r.query_satisfiable(q):
         raise UnsatisfiableQuery("frontier of an unsatisfiable query")
     if r.trivial(q):
-        return Frontier(())
+        return FrontierSearch(())
     sig = onto.signature
     if qclass == CLASS_P:
         pool = enum_domain_queries(sig, CLASS_P, len(sig.concept_names))
-        return Frontier(tuple(_least_weakenings(onto, q, pool)))
+        return FrontierSearch(tuple(_least_weakenings(onto, q, pool)))
     into = entailment_target(r, q, size_bound)
     pool = set(one_step_weakenings(q)).union(enum_domain_queries(sig, qclass, size_bound, into))
     if qclass == CLASS_ELQ:
         pool = [c for c in pool if not c.has_inverse()]
-    members = _least_weakenings(onto, q, pool)
+    members = tuple(_least_weakenings(onto, q, pool))
     verdict = check_frontier(onto, q, members, EnumSpec(sig, qclass, size_bound=size_bound))
-    if verdict.passed and not _path_probe_witness(onto, q, members, size_bound + 3, qclass):
-        return Frontier(tuple(members))
-    return None
+    if not verdict.passed:
+        return FrontierSearch(members, verdict.witnesses[0])
+    witness = _path_probe_witness(onto, q, members, size_bound + 3, qclass)
+    return FrontierSearch(members, None if witness is None else ("probe", witness))
 
 
 def clear_frontier_cache() -> None:
-    """Forget every memoised `frontier` result."""
-    _frontier_cached.cache_clear()
+    """Forget every memoised `frontier_search` result."""
+    frontier_search.cache_clear()
 
 
 def _least_weakenings(onto: Ontology, q: Eliq, pool: Iterable[Eliq]) -> list[Eliq]:
@@ -246,7 +252,7 @@ def _path_probe_witness(
     entails and that does not entail q, or None. Such a probe is a strict
     weakening of q that no member covers, so the members are no frontier.
 
-    q is satisfiable: `frontier` raises UnsatisfiableQuery before it walks.
+    q is satisfiable: `frontier_search` raises UnsatisfiableQuery first.
     An unsatisfiable member entails every probe, so then there is no witness.
 
     The probes are checked as shapes, without building them: the chains are
@@ -375,20 +381,19 @@ def is_meet_reducible(
     """True/False via a verified frontier; falls back to a bounded search for
     a witnessing conjunction, returning None when neither path decides.
 
-    The fallback pairs only the least strict weakenings among the trees q
-    entails (`_least_weakenings` over the listing into q's chase, as the
-    frontier search reads it), which decides the same as pairing every strict
-    weakening: a kept m_i entails each strict weakening c_i, so c_1 ⊓ c_2 ⊑ q
-    gives m_1 ⊓ m_2 ⊑ q; and m_1 ≠ m_2, as m_1 = m_2 would entail q, which
-    no strict weakening does."""
+    The fallback pairs only the refused search's members, the least strict
+    weakenings in its pool, which decides the same as pairing every strict
+    weakening in that pool: a kept m_i entails each strict weakening c_i, so
+    c_1 ⊓ c_2 ⊑ q gives m_1 ⊓ m_2 ⊑ q; and m_1 ≠ m_2, as m_1 = m_2 would
+    entail q, which no strict weakening does. The pool holds every tree q
+    entails within the bound, so no meet of two of them is missed."""
     r = reasoner(onto)
     front = frontier(onto, q, qclass, size_bound)
     if front is not None:
         # a frontier is an antichain, one member per equivalence class
         return len(front.members) >= 2
-    entailed = enum_domain_queries(onto.signature, qclass, size_bound, entailment_target(r, q, size_bound))
-    least = _least_weakenings(onto, q, entailed)
-    if any(r.contains(conjoin(q1, q2), q) for q1, q2 in itertools.combinations(least, 2)):
+    members = frontier_search(onto, q, qclass, size_bound).members
+    if any(r.contains(conjoin(q1, q2), q) for q1, q2 in itertools.combinations(members, 2)):
         return True
     return None
 

@@ -23,7 +23,7 @@ from .dl import (
     point_component,
     reasoner,
 )
-from .domainchar import Frontier, frontier
+from .domainchar import FrontierSearch, frontier, frontier_search
 from .errors import (
     BudgetExceeded,
     NotPositiveInitialExample,
@@ -173,16 +173,17 @@ class Learner:
     def ask(self, slices: list[Instance], point: str) -> bool:
         return self.teacher.membership(tinstance(list(slices), point))
 
-    def frontier_of(self, q: Eliq) -> Optional[Frontier]:
-        return frontier(self.onto, q, CLASS_ELIQ, self.config.frontier_bound)
+    def frontier_of(self, q: Eliq) -> FrontierSearch:
+        """q's verified frontier, else UnsupportedDialect naming the refusal."""
+        bound = self.config.frontier_bound
+        front = frontier(self.onto, q, CLASS_ELIQ, bound)
+        if front is None:
+            reason = frontier_search(self.onto, q, CLASS_ELIQ, bound).reason()
+            raise UnsupportedDialect(f"no verified frontier for {q} within bound {bound}: {reason}")
+        return front
 
     def negatives_of(self, q: Eliq) -> list[Pointed]:
-        front = self.frontier_of(q)
-        if front is None:
-            raise UnsupportedDialect(
-                f"no verified frontier for {q} within bound {self.config.frontier_bound}"
-            )
-        return [self.r.hat(m) for m in front.members]
+        return [self.r.hat(m) for m in self.frontier_of(q).members]
 
     # ------------------------------------------------------- step 1: shaping
 
@@ -329,14 +330,8 @@ class Learner:
             q = t.blocks[i][0].tag
             if q is None or self.r.trivial(q):
                 continue
-            if need_reducible:
-                front = self.frontier_of(q)
-                if front is None:
-                    raise UnsupportedDialect(
-                        f"meet-reducibility of {q} undecided within bound {self.config.frontier_bound}"
-                    )
-                if len(front.members) < 2:
-                    continue
+            if need_reducible and len(self.frontier_of(q).members) < 2:
+                continue
             out.append(i)
         return out
 

@@ -16,7 +16,7 @@ every candidate on every example in turn, `reference_realisation`, a
 tagged instance realised without the anchoring and padding memos,
 `reference_saturation`, one rule loop over every individual of an instance,
 and `reference_size`, an instance's size by a scan of every atom per
-individual."""
+individual. `learner_corpus_draw` is the seeded learner corpus's draw."""
 from __future__ import annotations
 
 import itertools
@@ -65,8 +65,10 @@ from tomq.dl.reason import Saturation, _func_clash, _index_edge, _Named
 import tomq.domainchar as domainchar
 from tomq.domainchar import MAX_PATH_PROBES, _successors, _tip_names, one_step_weakenings
 from tomq.errors import UnsupportedAxiom
+from tomq.tempchar import tagged_from_queries
 from tomq.temporal.eval import slice_table
-from tomq.temporal.model import LESS, SUC, PathQuery, TInstance, flat_form
+from tomq.temporal.model import LESS, SUC, PathQuery, TInstance, flat_form, pathquery_from_ops
+from tomq.temporal.normal import is_safe, normalize
 from tomq.verify import CLASS_ELIQ, CLASS_ELQ, CLASS_P, enum_domain_queries
 
 
@@ -176,6 +178,36 @@ def rand_long_slices(rng: random.Random, sig: Signature, inds: list[str], count:
         rat = zip(rng.choices(roles, k=nr), rng.sample(inds, nr), rng.sample(inds, nr))
         out.append(Instance(frozenset(inds), frozenset(cat), frozenset(rat)))
     return out
+
+
+def learner_corpus_draw(rng: random.Random):
+    """One draw of the seeded learner corpus of acceptance 7 and
+    `scripts/learning_runs.py` (seed 20260809): up to three names and two
+    roles, a DL-Lite_H or ELHIF normal-form ontology of up to six axioms,
+    and one to four bodies of size up to 3 joined by X, F or Fr. None when
+    the draw is filtered out (a body is unsatisfiable, or the normal form is
+    one trivial body); else the ontology, the normal-form target, its
+    canonical positive initial example (the gap-normal realisation) and the
+    learner variants to run as (variant, depth): safe when `is_safe` says
+    so within bound 5, depth always, and nextdia when no block uses <=."""
+    sig = signature(["A", "B", "C"][: rng.randint(1, 3)], ["R", "S"][: rng.randint(0, 2)])
+    onto = rand_ontology(rng, sig, rng.choice([DL_LITE_H, ELHIF_NF]), max_axioms=6)
+    k = rng.randint(0, 3)
+    bodies = [rand_eliq(rng, sig, max_size=3) for _ in range(k + 1)]
+    ops = [rng.choice(["X", "F", "Fr"]) for _ in range(k)]
+    raw, r = pathquery_from_ops(bodies, ops), reasoner(onto)
+    if not all(map(r.query_satisfiable, raw.bodies())):
+        return None
+    target = normalize(onto, raw)
+    if len(target.blocks) == 1 and len(target.blocks[0]) == 1 and r.trivial(target.blocks[0][0]):
+        return None
+    initial = tagged_from_queries(onto, target.strict_count + 1, target.blocks, lambda q: None).to_tinstance()
+    variants = [("depth", target.tdp)]
+    if is_safe(onto, target, 5) is True:
+        variants.insert(0, ("safe", None))
+    if not target.has_leq():
+        variants.append(("nextdia", None))
+    return onto, target, initial, variants
 
 
 SMALL_SIG = signature(["A", "B"], ["R"])

@@ -45,7 +45,7 @@ from tomq.dl.reason import general_hom_exists, hom_exists
 from tomq.domainchar import frontier, split_partner
 from tomq.errors import BudgetExceeded, UnsupportedDialect
 from tomq.learn import Learner, LearnerConfig, Teacher
-from tomq.tempchar import characterise_dia, characterise_until, tagged_from_queries
+from tomq.tempchar import characterise_dia, characterise_until
 from tomq.temporal.eval import fits, tentail
 from tomq.temporal.model import (
     example_set,
@@ -65,7 +65,7 @@ from tomq.verify import (
 )
 
 sys.path.insert(0, "tests")
-from helpers import frontier_candidates, rand_eliq, rand_instance, rand_ontology
+from helpers import frontier_candidates, learner_corpus_draw, rand_eliq, rand_instance, rand_ontology
 from test_reasoner_oracle import Completion
 
 A, B = atom("A"), atom("B")
@@ -378,18 +378,6 @@ MEMBERSHIP_C = 0.25       # frozen from the corpus: observed max ratio 0.0625
 QUERY_SIZE_C = 0.3        # frozen from the corpus: observed max ratio 0.070
 
 
-def _gen_case(rng):
-    names = ["A", "B", "C"][: rng.randint(1, 3)]
-    roles = ["R", "S"][: rng.randint(0, 2)]
-    sig = signature(names, roles)
-    dialect = rng.choice([DL_LITE_H, ELHIF_NF])
-    O = rand_ontology(rng, sig, dialect, max_axioms=6)
-    k = rng.randint(0, 3)
-    bodies = [rand_eliq(rng, sig, max_size=3) for _ in range(k + 1)]
-    ops = [rng.choice(["X", "F", "Fr"]) for _ in range(k)]
-    return sig, O, pathquery_from_ops(bodies, ops)
-
-
 def test_acceptance_7_learner_roundtrip():
     t0 = time.time()
     rng = random.Random(20260809)
@@ -398,22 +386,11 @@ def test_acceptance_7_learner_roundtrip():
     draws = 0
     while cases < 25 and draws < 500:
         draws += 1
-        sig, O, raw = _gen_case(rng)
-        r = reasoner(O)
-        if any(not r.query_satisfiable(body) for body in raw.bodies()):
+        draw = learner_corpus_draw(rng)
+        if draw is None:
             continue
-        q = normalize(O, raw)
-        if len(q.blocks) == 1 and len(q.blocks[0]) == 1 and r.trivial(q.blocks[0][0]):
-            continue
-        initial = tagged_from_queries(
-            O, q.strict_count + 1, q.blocks, lambda x: None
-        ).to_tinstance()
+        O, q, initial, variants = draw
         measure = (q.size + len(O.axioms) + 1 + initial.size) ** 3
-        variants = [("depth", q.tdp)]
-        if is_safe(O, q, 5) is True:
-            variants.insert(0, ("safe", None))
-        if not q.has_leq():
-            variants.append(("nextdia", None))
         results = []
         try:
             for variant, depth in variants:

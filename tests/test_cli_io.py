@@ -19,6 +19,7 @@ from tomq.dl import (
     make_eliq,
     signature,
 )
+from tomq import cli, domainchar
 from tomq.cli import main
 from tomq.errors import ParseError
 from tomq.textio import (
@@ -404,8 +405,9 @@ def test_cli_learn_rejects_an_unsafe_target_in_safe_mode(tmp_path, capsys):
 
 def test_cli_learn_refusal_names_the_query_and_bound(tmp_path, capsys):
     """A learner refusal prints its query in ELIQ syntax, not as a dataclass,
-    with the bound: under A ⊑ ∃R⁻ the body ex S-.A has no verified frontier
-    within bound 4 (a path probe refuses it)."""
+    with the bound, the refusing check and its witness: under A ⊑ ∃R⁻ the
+    body ex S-.A has no verified frontier within bound 4, as a path probe
+    refuses it."""
     onto = tmp_path / "o.onto"
     onto.write_text("dialect: dl-lite-h\nconcepts: A\nroles: R,S\nA [= ex R-\n")
     target = tmp_path / "t.q"
@@ -413,7 +415,41 @@ def test_cli_learn_refusal_names_the_query_and_bound(tmp_path, capsys):
     argv = ["learn", "--ontology", str(onto), "--target", str(target), "--budget", "2000", "--bound", "4"]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: no verified frontier for ex S-.A within bound 4"], err
+    want = "error: no verified frontier for ex S-.A within bound 4: probe witness ex S-.ex R-.ex R.A"
+    assert err.splitlines() == [want], err
+
+
+def test_cli_frontier_refusal_names_a_probe_witness(tmp_path, capsys):
+    """`frontier` at exit 3 names the bound, the refusing check and its
+    witness on stderr, and prints nothing on stdout: draw 18 (A ⊑ ∃R⁻, the
+    frontier of ex S-.A) is refused at bound 5 by a path probe."""
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A\nroles: R,S\nA [= ex R-\n")
+    query = tmp_path / "q.q"
+    query.write_text("ex S-.A\n")
+    assert main(["frontier", "--ontology", str(onto), "--query", str(query), "--bound", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "", out
+    assert err.splitlines() == ["not found within bound 5: probe witness ex S-.ex R-.ex R.ex S.ex S-.A"], err
+
+
+def test_cli_frontier_refusal_names_a_condition_b_witness(tmp_path, capsys, monkeypatch):
+    """A refusal by `check_frontier` names its first condition-b witness.
+    The search's own members never fail condition (b), so the last member
+    is dropped (`_least_weakenings` patched, and the search run without its
+    memo): of the frontier A & ex R.ex R-.(A & B), B & ex R.ex R-.(A & B)
+    of A & B under A ⊑ ∃R, the first member leaves B uncovered."""
+    least = domainchar._least_weakenings
+    monkeypatch.setattr(domainchar, "_least_weakenings", lambda onto, q, pool: least(onto, q, pool)[:-1])
+    monkeypatch.setattr(cli, "frontier_search", domainchar.frontier_search.__wrapped__)
+    onto = tmp_path / "o.onto"
+    onto.write_text("dialect: dl-lite-h\nconcepts: A,B\nroles: R\nA [= ex R\n")
+    query = tmp_path / "q.q"
+    query.write_text("A & B\n")
+    assert main(["frontier", "--ontology", str(onto), "--query", str(query), "--bound", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "", out
+    assert err.splitlines() == ["not found within bound 6: condition-b witness B"], err
 
 
 def _usage_error(capsys, argv) -> str:

@@ -1,5 +1,6 @@
 """Frontiers, split-partners, meet-reducibility, and the negatives of
 singular+ characterisations."""
+import collections
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from tomq.dl import (
     conjoin,
     empty_ontology,
     exists,
+    exists_basic,
     hom_exists,
     induced_instance,
     instance,
@@ -38,6 +40,7 @@ from tomq.domainchar import (
     _least_weakenings,
     clear_frontier_cache,
     frontier,
+    frontier_search,
     is_meet_reducible,
     negatives_for,
     one_step_weakenings,
@@ -138,16 +141,17 @@ def weakening_cases(rng: random.Random) -> list:
 
 
 def test_least_weakenings_match_pairwise_filter():
-    """`_least_weakenings`, one ordered pass keeping an antichain, against the
-    pairwise filter it replaced (`helpers.reference_maximal` over
-    `helpers.reference_strict_weakenings`, containment pair by pair), element
-    for element: seeded ontologies of all four dialects with classes p, elq
-    and eliq, the looping EL_LOOP and the cyclic existential A ⊑ ∃R⁻.A. The
-    pool comes shuffled, as the pass orders it itself; a class-`p` frontier
-    is the pass's result, and a verified one of elq or eliq is too."""
+    """The members of the frontier search, kept by `_least_weakenings` in one
+    ordered pass, against the pairwise filter it replaced
+    (`helpers.reference_maximal` over `helpers.reference_strict_weakenings`,
+    containment pair by pair) over the search's pool widened to every tree
+    (`helpers.frontier_pool`), element for element: seeded ontologies of all
+    four dialects with classes p, elq and eliq, the looping EL_LOOP and the
+    cyclic existential A ⊑ ∃R⁻.A. They agree on every case, a refused
+    search's members too; a verified frontier is the search's own result."""
     rng = random.Random(20261019)
     cases = weakening_cases(rng)
-    counts = dict.fromkeys(("cases", "several", "dropped", "verified"), 0)
+    counts = dict.fromkeys(("cases", "several", "dropped", "verified", "refused"), 0)
     for onto, q, qclass, bound in cases:
         if not reasoner(onto).query_satisfiable(q):
             continue
@@ -155,41 +159,42 @@ def test_least_weakenings_match_pairwise_filter():
         r = Reasoner(onto)
         weaker = reference_strict_weakenings(r, q, pool)
         want = reference_maximal(r, weaker)
-        got = _least_weakenings(onto, q, rng.sample(pool, len(pool)))
-        assert got == want, (onto, q, qclass)
-        front = frontier(onto, q, qclass, bound)
-        if front is not None:
-            assert list(front.members) == want, (onto, q, qclass)
-            counts["verified"] += 1
+        search = frontier_search(onto, q, qclass, bound)
+        assert list(search.members) == want, (onto, q, qclass)
+        verified = frontier(onto, q, qclass, bound) is search
+        assert verified == (search.refusal is None), (onto, q, qclass)
+        counts["verified" if verified else "refused"] += 1
         counts["cases"] += 1
         counts["several"] += len(want) >= 2
         counts["dropped"] += len(weaker) > len(want)
-    floors = {"cases": 120, "several": 25, "dropped": 40, "verified": 100}
+    floors = {"cases": 120, "several": 25, "dropped": 40, "verified": 100, "refused": 10}
     assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
 
 def test_memoised_frontier_matches_fresh_search():
-    """`frontier` memoises each search per process: over the cases of
+    """`frontier_search` memoises each search per process: over the cases of
     `test_least_weakenings_match_pairwise_filter`, all of them memoised
     together, a second call is a cache hit that returns the same object,
-    and each result, a refusal too, equals a fresh search made after
+    which `frontier` returns too unless the search refused, and each
+    result, a refusal too, equals a fresh search made after
     `clear_frontier_cache` and the search run without the memo."""
-    search = domainchar._frontier_cached.__wrapped__
+    search = frontier_search.__wrapped__
     clear_frontier_cache()
     cases = [
         (onto, q, qclass, bound)
         for onto, q, qclass, bound in weakening_cases(random.Random(20261019))
         if reasoner(onto).query_satisfiable(q)
     ]
-    memo = [frontier(*case) for case in cases]
-    hits = domainchar._frontier_cached.cache_info().hits
-    assert all(frontier(*case) is got for case, got in zip(cases, memo))
-    assert domainchar._frontier_cached.cache_info().hits == hits + len(cases)
+    memo = [frontier_search(*case) for case in cases]
+    hits = frontier_search.cache_info().hits
+    assert all(frontier_search(*case) is got for case, got in zip(cases, memo))
+    assert all(frontier(*case) is (got if got.refusal is None else None) for case, got in zip(cases, memo))
+    assert frontier_search.cache_info().hits == hits + 2 * len(cases)
     for case, got in zip(cases, memo):
         clear_frontier_cache()
-        assert domainchar._frontier_cached.cache_info().currsize == 0
-        assert frontier(*case) == search(*case) == got, case
-    assert sum(got is None for got in memo) >= 10
+        assert frontier_search.cache_info().currsize == 0
+        assert frontier_search(*case) == search(*case) == got, case
+    assert sum(got.refusal is not None for got in memo) >= 10
     assert len({onto.dialect for onto, _, _, _ in cases}) == len(DIALECTS)
 
 
@@ -198,10 +203,11 @@ def test_full_tree_listing_gives_the_same_results(monkeypatch):
     search and its check only those q entails; with every tree listed
     instead (`helpers.enum_trees` patched in for the memoised listing, and
     filtered by `Reasoner.contains(q, c)` where a listing into q's chase is
-    asked for), the frontier members, the least strict weakenings in the
-    listing and the verdicts of `check_frontier`, `check_split_partner` and
-    the class-eliq uniqueness check are the same, on EL_LOOP, A ⊑ ∃R⁻.A and
-    seeded ontologies of all four dialects with classes elq and eliq. Each
+    asked for), the frontier search's members and refusal (the search run
+    without its memo), the least strict weakenings in the listing and the
+    verdicts of `check_frontier`, `check_split_partner` and the class-eliq
+    uniqueness check are the same, on EL_LOOP, A ⊑ ∃R⁻.A and seeded
+    ontologies of all four dialects with classes elq and eliq. Each
     check is asked of a candidate set and of the set less its last member,
     so that verdicts of both kinds are compared."""
     rng = random.Random(20261021)
@@ -211,7 +217,7 @@ def test_full_tree_listing_gives_the_same_results(monkeypatch):
         q = rand_eliq(rng, SIG_ABR, max_size=4)
         if reasoner(onto).query_satisfiable(q) and not reasoner(onto).trivial(q):
             cases.append((onto, q, ("elq", "eliq")[k // len(DIALECTS) % 2], 4))
-    search = domainchar._frontier_cached.__wrapped__
+    search = frontier_search.__wrapped__
 
     current = {}
 
@@ -225,7 +231,7 @@ def test_full_tree_listing_gives_the_same_results(monkeypatch):
             split = split_partner(onto, sig, [q]).members
             pos = [tinstance([anchored(r.hat(q), "x")], "a")]
             neg = [tinstance([anchored(r.hat(m), "x")], "a") for m in weaker]
-            out.append((onto, q, None if front is None else front.members, weaker, [
+            out.append((onto, q, front, weaker, [
                 (check_frontier(onto, q, weaker[:cut], EnumSpec(sig, qclass, bound)).passed,
                  check_split_partner(onto, sig, [q], split[:cut], EnumSpec(sig, qclass, bound)).passed,
                  check_unique_characterisation(
@@ -249,8 +255,8 @@ def test_full_tree_listing_gives_the_same_results(monkeypatch):
     assert results() == reduced
     verdicts = [v for *_, pair in reduced for v in pair]
     assert len(cases) >= 25 and len({onto.dialect for onto, *_ in cases}) == len(DIALECTS)
-    assert sum(front is None for _, _, front, *_ in reduced) >= 2
-    assert sum(front is not None for _, _, front, *_ in reduced) >= 20
+    assert sum(front.refusal is not None for _, _, front, *_ in reduced) >= 2
+    assert sum(front.refusal is None for _, _, front, *_ in reduced) >= 20
     for check in range(3):
         assert 10 <= sum(v[check] for v in verdicts) <= len(verdicts) - 10, check
 
@@ -378,27 +384,71 @@ def test_meet_reducible_fallback_when_search_refuses():
 
 
 def test_meet_reducible_fallback_matches_pairwise_search():
-    """Where `frontier` refuses, `is_meet_reducible` pairs only the least
-    strict weakenings in the enumeration; on seeded cases over {A, B},{R}
-    in all four dialects it decides as the pairwise search does: every
-    strict weakening (`helpers.reference_strict_weakenings`), then every
-    pair, containment decided pair by pair."""
+    """Where `frontier` refuses, `is_meet_reducible` pairs only the refused
+    search's members; on seeded cases over {A, B},{R} in all four dialects,
+    bodies up to size 5 at bound 3, it decides as the pairwise search does
+    over the search's pool widened to every tree (`helpers.frontier_pool`):
+    every strict weakening (`helpers.reference_strict_weakenings`), then
+    every pair, containment decided pair by pair."""
     rng = random.Random(20261021)
-    counts = {"refused": 0, True: 0, None: 0}
-    for k in range(400):
+    counts = {"refused": 0, "above": 0, True: 0, None: 0}
+    for k in range(800):
         onto = rand_ontology(rng, SIG_ABR, DIALECTS[k % len(DIALECTS)], max_axioms=6)
         qclass = ("elq", "eliq")[k % 2]
-        q = rand_eliq(rng, SIG_ABR, max_size=3)
+        q = rand_eliq(rng, SIG_ABR, max_size=5)
         if not reasoner(onto).query_satisfiable(q) or frontier(onto, q, qclass, 3) is not None:
             continue
         r = Reasoner(onto)
-        weaker = reference_strict_weakenings(r, q, enum_domain_queries(onto.signature, qclass, 3))
+        weaker = reference_strict_weakenings(r, q, frontier_pool(onto, q, qclass, 3))
         meet = any(reference_contains(r, conjoin(c1, c2), q) for c1, c2 in itertools.combinations(weaker, 2))
         want = True if meet else None
         assert is_meet_reducible(onto, q, qclass, 3) is want, (onto, q, qclass)
         counts["refused"] += 1
+        counts["above"] += q.size > 3
         counts[want] += 1
-    floors = {"refused": 25, True: 10, None: 10}
+    floors = {"refused": 100, "above": 35, True: 55, None: 40}
+    assert all(counts[name] >= floor for name, floor in floors.items()), counts
+
+
+def test_every_refusal_names_a_real_witness(monkeypatch):
+    """A refused frontier search names a real witness: a strict weakening of
+    q that no member entails, each containment decided pair by pair
+    (`helpers.reference_contains`); a probe's role chain is at most three
+    longer than the bound, and a condition-b witness lies within the bound.
+    Cases: those of `weakening_cases` with classes elq and eliq, in all four
+    dialects, EL_LOOP among them, and draw 18 (A ⊑ ∃R⁻, ex S-.A) at bounds
+    4 and 5. The search's own members never fail condition (b), whose
+    candidates are all in the pool the members cover; so each case is also
+    searched with its last member dropped (`_least_weakenings` patched, the
+    search run without the memo), and those refusals name condition-b
+    witnesses."""
+    draw_18 = ontology([SubBasic(name_basic("A"), exists_basic(R.inverse))], DL_LITE_H, signature(["A"], ["R", "S"]))
+    cases = [
+        (onto, q, qclass, bound)
+        for onto, q, qclass, bound in weakening_cases(random.Random(20261019))
+        if qclass != "p" and reasoner(onto).query_satisfiable(q)
+    ]
+    cases += [(draw_18, parse_eliq("ex S-.A"), "eliq", bound) for bound in (4, 5)]
+    least = domainchar._least_weakenings
+    counts = collections.Counter(cases=len(cases), dialects=len({onto.dialect for onto, *_ in cases}))
+    for dropped in ("", "dropped "):
+        if dropped:
+            monkeypatch.setattr(domainchar, "_least_weakenings", lambda onto, q, pool: least(onto, q, pool)[:-1])
+        for onto, q, qclass, bound in cases:
+            search = frontier_search.__wrapped__(onto, q, qclass, bound)
+            if search.refusal is None:
+                continue
+            kind, witness = search.refusal
+            r = Reasoner(onto)
+            assert reference_contains(r, q, witness) and not reference_contains(r, witness, q), (q, witness)
+            assert not any(reference_contains(r, m, witness) for m in search.members), (q, witness)
+            if kind == "probe":
+                assert witness.role_depth <= bound + 3, (q, witness)
+            else:
+                assert kind == "condition-b" and witness.size <= bound, (q, kind, witness)
+            counts[dropped + kind] += 1
+    assert counts["condition-b"] == 0, counts
+    floors = {"cases": 90, "dialects": len(DIALECTS), "probe": 15, "dropped condition-b": 60}
     assert all(counts[name] >= floor for name, floor in floors.items()), counts
 
 

@@ -37,16 +37,15 @@ from tomq.dl import (
 )
 from tomq.domainchar import (
     MAX_PATH_PROBES,
-    _least_weakenings,
     _path_probe_witness,
     frontier,
-    one_step_weakenings,
+    frontier_search,
     path_probes,
     probe_eliq,
 )
 from tomq.errors import UnsupportedAxiom
 from tomq.textio import parse_eliq, print_eliq
-from tomq.verify import EnumSpec, check_frontier, entailment_target, enum_domain_queries
+from tomq.verify import EnumSpec, check_frontier
 
 R, S = Role("R"), Role("S")
 
@@ -322,22 +321,18 @@ def test_chain_walk_matches_per_probe_containment_at_the_cut():
 
 def test_draw_18_refused_by_a_probe_until_bound_6():
     """ROADMAP item 4's draw 18 (DL-Lite_H, A ⊑ ∃R⁻; the frontier of
-    ex S-.A): with the members the search keeps, `check_frontier` passes at
-    bounds 4 and 5, but a path probe no member covers refuses them; at
-    bound 6 the members pass both checks and `frontier` returns them."""
+    ex S-.A): at bounds 4 and 5 the search's members pass `check_frontier`,
+    but a path probe no member covers refuses them, and the search keeps
+    that probe as its refusal; at bound 6 the members pass both checks and
+    `frontier` returns them."""
     sig = signature(["A"], ["R", "S"])
     onto = ontology([SubBasic(name_basic("A"), exists_basic(R.inverse))], DL_LITE_H, sig)
     q = parse_eliq("ex S-.A")
-    r = Reasoner(onto)
     witnesses = {4: "ex S-.ex R-.ex R.A", 5: "ex S-.ex R-.ex R.ex S.ex S-.A"}
     for bound, witness in witnesses.items():
-        pool = set(one_step_weakenings(q)).union(
-            enum_domain_queries(sig, "eliq", bound, entailment_target(r, q, bound))
-        )
-        members = _least_weakenings(onto, q, pool)
-        assert check_frontier(onto, q, members, EnumSpec(sig, "eliq", size_bound=bound)).passed
-        got = _path_probe_witness(onto, q, members, bound + 3, "eliq")
-        assert got is not None and print_eliq(got) == witness
+        search = frontier_search(onto, q, "eliq", bound)
+        assert search.refusal == ("probe", parse_eliq(witness))
+        assert check_frontier(onto, q, search.members, EnumSpec(sig, "eliq", size_bound=bound)).passed
         assert frontier(onto, q, "eliq", bound) is None
     front = frontier(onto, q, "eliq", 6)
     assert front is not None
